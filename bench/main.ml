@@ -805,12 +805,16 @@ let serve_bench ~quick cfg =
 (* SIMT benchmark: the per-lane execution model against the warp-uniform
    one. Two cell sets. (1) Warp-uniform cells — the Table I registry (the
    Figure 1 set under `quick`) under every technique: each cell is run
-   four ways (fast-forward/brute-force x uniform/--simt) and all four run
-   fingerprints must be bit-identical, the subsystem's core contract (a
-   warp-uniform program must not observe the lane dimension). The SIMT
+   five ways (fast-forward/brute-force x uniform/--simt, plus --simt
+   fast-forward with every warp lane-resolved from launch) and all five
+   run fingerprints must be bit-identical, the subsystem's core contract
+   (a warp-uniform program must not observe the lane dimension; the
+   lane-resolved run keeps the per-lane interpreter in the comparison).
+   No warp of these cells reads %laneid, so none may leave the collapsed
+   state: a nonzero [lane_expansions] fails the bench. The SIMT
    wall-time cost is the brute-force simt/uniform ratio, summarised as a
    geomean overhead factor (lower is better — it is the price every
-   --simt run pays for lane-resolved registers and mask bookkeeping).
+   --simt run pays over the warp-uniform model).
    (2) Divergent cells — the divergent registry under --simt, where the
    two execution models legitimately disagree, so only ff/bf identity is
    asserted; per-lane occupancy and divergent-branch counts are recorded
@@ -832,8 +836,8 @@ let simt_bench ~quick cfg =
   let specs =
     if quick then Workloads.Registry.figure1 else Workloads.Registry.all
   in
-  Printf.printf "%-16s %-16s %12s %12s %9s  %s\n" "workload" "technique"
-    "uniform (s)" "simt (s)" "overhead" "fingerprints";
+  Printf.printf "%-16s %-16s %12s %12s %9s %10s  %s\n" "workload" "technique"
+    "uniform (s)" "simt (s)" "overhead" "expansions" "fingerprints";
   let cells =
     List.concat_map
       (fun spec ->
@@ -842,26 +846,29 @@ let simt_bench ~quick cfg =
         let wname = spec.Workloads.Spec.name in
         List.map
           (fun technique ->
-            let run ?options fast_forward =
+            let run ?options ?lane_resolved fast_forward =
               time (fun () ->
-                  Runner.execute ?options ~fast_forward arch technique kernel)
+                  Runner.execute ?options ?lane_resolved ~fast_forward arch
+                    technique kernel)
             in
             let _, u_ff = run true in
             let ub_t, u_bf = run false in
             let _, s_ff = run ~options:simt true in
             let sb_t, s_bf = run ~options:simt false in
+            let _, l_ff = run ~options:simt ~lane_resolved:true true in
             let fp = Runner.fingerprint u_ff in
             let identical =
               List.for_all
                 (fun r -> String.equal (Runner.fingerprint r) fp)
-                [ u_bf; s_ff; s_bf ]
+                [ u_bf; s_ff; s_bf; l_ff ]
             in
+            let expansions = s_ff.Runner.stats.Stats.lane_expansions in
             let overhead = sb_t /. Float.max ub_t 1e-9 in
             let tname = Technique.name technique in
-            Printf.printf "%-16s %-16s %12.3f %12.3f %8.2fx  %s\n%!" wname
-              tname ub_t sb_t overhead
+            Printf.printf "%-16s %-16s %12.3f %12.3f %8.2fx %10d  %s\n%!" wname
+              tname ub_t sb_t overhead expansions
               (if identical then "identical" else "DIFFER");
-            (wname, tname, ub_t, sb_t, overhead, fp, identical))
+            (wname, tname, ub_t, sb_t, overhead, expansions, fp, identical))
           techniques)
       specs
   in
@@ -874,10 +881,13 @@ let simt_bench ~quick cfg =
              /. float_of_int (List.length l)))
   in
   let overhead_factor =
-    geomean (List.map (fun (_, _, _, _, o, _, _) -> o) cells)
+    geomean (List.map (fun (_, _, _, _, o, _, _, _) -> o) cells)
   in
   let all_identical =
-    List.for_all (fun (_, _, _, _, _, _, ok) -> ok) cells
+    List.for_all (fun (_, _, _, _, _, _, _, ok) -> ok) cells
+  in
+  let never_expanded =
+    List.for_all (fun (_, _, _, _, _, e, _, _) -> e = 0) cells
   in
   (* Divergent cells: the models differ by design, so only ff/bf identity
      under --simt is asserted. Lane occupancy is active/(active+off). *)
@@ -925,30 +935,33 @@ let simt_bench ~quick cfg =
   in
   let pp_factor = function Some g -> Printf.sprintf "%.2fx" g | None -> "-" in
   Printf.printf
-    "per-lane overhead (geomean, brute-force): %s; warp-uniform \
-     fingerprints %s; divergent ff/bf %s; divergence %s\n"
+    "simt overhead (geomean, brute-force): %s; warp-uniform \
+     fingerprints %s; warp-uniform cells %s; divergent ff/bf %s; \
+     divergence %s\n"
     (pp_factor overhead_factor)
     (if all_identical then "identical" else "DIFFER")
+    (if never_expanded then "never expanded" else "EXPANDED")
     (if divergent_identical then "identical" else "DIFFER")
     (if divergence_exercised then "exercised" else "NOT EXERCISED");
   let oc = open_out (artifact_path "BENCH_simt.json") in
   Printf.fprintf oc
     "{\n  \"bench\": \"simt\",\n  \"config\": %S,\n  \
      \"overhead_factor\": %s,\n  \"all_identical\": %b,\n  \
+     \"never_expanded\": %b,\n  \
      \"divergent_identical\": %b,\n  \"divergence_exercised\": %b,\n  \
      \"cells\": [\n"
     config_name
     (match overhead_factor with
     | Some g -> Printf.sprintf "%.3f" g
     | None -> "null")
-    all_identical divergent_identical divergence_exercised;
+    all_identical never_expanded divergent_identical divergence_exercised;
   List.iteri
-    (fun i (w, t, ub, sb, o, fp, ok) ->
+    (fun i (w, t, ub, sb, o, e, fp, ok) ->
       Printf.fprintf oc
         "    {\"workload\": %S, \"technique\": %S, \"uniform_brute_s\": \
-         %.4f, \"simt_brute_s\": %.4f, \"overhead\": %.3f, \"fingerprint\": \
-         %S, \"identical\": %b}%s\n"
-        w t ub sb o fp ok
+         %.4f, \"simt_brute_s\": %.4f, \"overhead\": %.3f, \
+         \"lane_expansions\": %d, \"fingerprint\": %S, \"identical\": %b}%s\n"
+        w t ub sb o e fp ok
         (if i = List.length cells - 1 then "" else ","))
     cells;
   Printf.fprintf oc "  ],\n  \"divergent_cells\": [\n";
@@ -966,8 +979,11 @@ let simt_bench ~quick cfg =
     (artifact_path "BENCH_simt.json")
     (List.length cells)
     (List.length divergent_cells);
-  if not (all_identical && divergent_identical && divergence_exercised) then
-    exit 1
+  if
+    not
+      (all_identical && never_expanded && divergent_identical
+     && divergence_exercised)
+  then exit 1
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

@@ -23,7 +23,7 @@ let simulate_phase = Telemetry.Profile.phase "runner.simulate"
 
 let execute ?options ?(record_stores = false) ?(trace_warp0 = false)
     ?(max_cycles = 20_000_000) ?(fast_forward = true) ?(corrupt_mask = 0)
-    ?telemetry cfg technique kernel =
+    ?(lane_resolved = false) ?telemetry cfg technique kernel =
   let prepared =
     Telemetry.Profile.time prepare_phase (fun () ->
         Technique.prepare ?options cfg technique kernel)
@@ -45,6 +45,7 @@ let execute ?options ?(record_stores = false) ?(trace_warp0 = false)
       fast_forward;
       simt;
       corrupt_mask;
+      lane_resolved;
     }
   in
   let kernel' = prepared.Technique.kernel in

@@ -23,7 +23,11 @@ type run = {
     brute-force reference for the equivalence suite and benchmarks.
     [corrupt_mask] (default [0]) clears lanes from every warp's initial
     active mask — the fuzz oracle's fault-injection hook for its
-    per-lane-trace self-test; meaningful only with [options.simt]. *)
+    per-lane-trace self-test; meaningful only with [options.simt].
+    [lane_resolved] (default [false]) starts every SIMT warp on the
+    per-lane interpreter instead of collapsed on one register row; the
+    run (and its fingerprint) is identical either way — it is the
+    differential tests' reference for the per-lane interpreter. *)
 val execute :
   ?options:Technique.options ->
   ?record_stores:bool ->
@@ -31,6 +35,7 @@ val execute :
   ?max_cycles:int ->
   ?fast_forward:bool ->
   ?corrupt_mask:int ->
+  ?lane_resolved:bool ->
   ?telemetry:Telemetry.Sink.t ->
   Gpu_uarch.Arch_config.t ->
   Technique.t ->

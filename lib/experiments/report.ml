@@ -148,7 +148,8 @@ let extract_simt j =
         Option.map
           (fun ok -> { inv_key = "simt." ^ name; ok })
           (boolean j name))
-      [ "all_identical"; "divergent_identical"; "divergence_exercised" ]
+      [ "all_identical"; "never_expanded"; "divergent_identical";
+        "divergence_exercised" ]
   in
   (ms, invs)
 

@@ -523,11 +523,13 @@ let simt_options = { Technique.default_options with Technique.simt = true }
    [%laneid], so every lane of a warp follows one path and the SIMT model
    must reproduce the warp-uniform run bit-for-bit — counters, stall
    histogram and store traces. This is the fuzz-side enforcement of the
-   two-execution-models contract. *)
+   two-execution-models contract. The SIMT run starts lane-resolved: a
+   collapsed warp would execute on the warp-uniform interpreter, and the
+   check would compare that interpreter with itself. *)
 let simt_equiv_failures (case : Gen.t) ~base =
   match
-    Runner.execute ~options:simt_options ~record_stores:true ~max_cycles arch0
-      Technique.Baseline (Gen.kernel case)
+    Runner.execute ~options:simt_options ~lane_resolved:true ~record_stores:true
+      ~max_cycles arch0 Technique.Baseline (Gen.kernel case)
   with
   | run -> (
       match

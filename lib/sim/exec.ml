@@ -15,7 +15,7 @@ type ctx = {
   record_stores : bool;
   lanes : int;
   n_regs : int;
-  lane_regs : int array;
+  mutable lane_regs : int array;
 }
 
 type outcome =
@@ -144,6 +144,17 @@ let read ctx space addr =
       ctx.stats.Stats.fill_loads <- ctx.stats.Stats.fill_loads + 1;
       ctx.shared.(spill_index ctx addr)
 
+(* A warp-level store: under [--simt] a collapsed warp's lanes all hold
+   the stored value, so every lane's trace records it too — the traces an
+   expanded warp produces under the full mask. [lanes] is 0 in the
+   warp-uniform model, which keeps no lane traces. *)
+let record ctx space addr v =
+  Stats.record_store ctx.stats ~cta:ctx.ctaid ~warp:ctx.warp_id space addr v;
+  for lane = 0 to ctx.lanes - 1 do
+    Stats.record_lane_store ctx.stats ~cta:ctx.ctaid ~warp:ctx.warp_id ~lane space
+      addr v
+  done
+
 (* Spill stores are micro-architectural traffic, not program semantics:
    they are never recorded in the architectural store trace, which is what
    lets the fuzz oracle demand store-trace equality between RegDem and
@@ -151,12 +162,10 @@ let read ctx space addr =
 let write ctx space addr v =
   match space with
   | Instr.Global ->
-      if ctx.record_stores then
-        Stats.record_store ctx.stats ~cta:ctx.ctaid ~warp:ctx.warp_id space addr v;
+      if ctx.record_stores then record ctx space addr v;
       Memory.write_global ctx.memory addr v
   | Instr.Shared ->
-      if ctx.record_stores then
-        Stats.record_store ctx.stats ~cta:ctx.ctaid ~warp:ctx.warp_id space addr v;
+      if ctx.record_stores then record ctx space addr v;
       ctx.stats.Stats.shared_writes <- ctx.stats.Stats.shared_writes + 1;
       ctx.shared.(shared_index ctx addr) <- v
   | Instr.Spill ->
@@ -224,13 +233,18 @@ let step ctx instr =
 (* Pure evaluation of a conditional branch's per-lane outcome: the mask of
    active lanes whose condition takes the branch. Never counts register
    ports (the RFV peek calls this every scheduler probe). [None] for
-   non-conditional instructions. *)
-let branch_masks ctx instr ~mask =
+   non-conditional instructions. A [collapsed] warp's lanes all hold
+   [regs], so only [%laneid] tells them apart. *)
+let branch_masks ?(collapsed = false) ctx instr ~mask =
+  let read lane c =
+    if not collapsed then lane_operand ctx lane c
+    else match c with Instr.Special Instr.Lane_id -> lane | c -> operand ctx c
+  in
   let eval c keep =
     let taken = ref 0 in
     for lane = 0 to ctx.lanes - 1 do
       let bit = 1 lsl lane in
-      if mask land bit <> 0 && keep (lane_operand ctx lane c) then
+      if mask land bit <> 0 && keep (read lane c) then
         taken := !taken lor bit
     done;
     !taken
@@ -335,7 +349,10 @@ let step_simt ctx instr ~mask =
           if taken = 0 then L_uniform Next
           else if taken = mask then L_uniform (Goto tgt)
           else L_diverge { taken; tgt }
-      | None -> assert false)
+      | None ->
+          invalid_arg
+            ("Exec.step_simt: no lane mask for conditional branch "
+            ^ Instr.to_string instr))
   | Instr.Bar -> L_uniform Sync
   | Instr.Acquire -> L_uniform Acq
   | Instr.Release -> L_uniform Rel

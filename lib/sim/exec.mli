@@ -31,10 +31,11 @@ type ctx = {
   lanes : int;         (** warp width under [--simt]; 0 in the warp-uniform
                            model (the per-lane entry points are never called) *)
   n_regs : int;        (** architected registers per lane (row stride) *)
-  lane_regs : int array;
+  mutable lane_regs : int array;
       (** lane-major per-lane register file for this slot,
           [lanes * n_regs] words ([lane * n_regs + r]); [[||]] in the
-          warp-uniform model *)
+          warp-uniform model and until the slot first runs expanded
+          (the SM binds it then) *)
 }
 
 type outcome =
@@ -65,14 +66,18 @@ val lane_operand : ctx -> int -> Gpu_isa.Instr.operand -> int
     returns the control outcome. Division and remainder by zero yield 0;
     shift counts are masked to 5 bits (32-bit GPU semantics). Shared
     accesses outside the CTA's allocation wrap and bump
-    [stats.shared_oob]. *)
+    [stats.shared_oob]. Under [--simt] this is also the interpreter of a
+    collapsed warp (all lanes equal, on [regs]): with [lanes > 0] a
+    recorded store lands in every lane's trace as well. *)
 val step : ctx -> Gpu_isa.Instr.t -> outcome
 
 (** [branch_masks ctx instr ~mask] — pure per-lane evaluation of a
     conditional branch: [Some (taken_mask, target)], or [None] for
     non-conditional instructions. Counts nothing (safe to call from
-    scheduler peeks). *)
-val branch_masks : ctx -> Gpu_isa.Instr.t -> mask:int -> (int * int) option
+    scheduler peeks). With [~collapsed:true] registers are read from the
+    warp-uniform [regs] row, as every lane of a collapsed warp holds it. *)
+val branch_masks :
+  ?collapsed:bool -> ctx -> Gpu_isa.Instr.t -> mask:int -> (int * int) option
 
 (** [step_simt ctx instr ~mask] evaluates the instruction for every lane
     set in [mask] against the lane-resolved register file.

@@ -9,12 +9,14 @@ type run_config = {
   fast_forward : bool;
   simt : bool;
   corrupt_mask : int;
+  lane_resolved : bool;
 }
 
 let default_config arch policy =
   { arch; policy; record_stores = false; trace_warp0 = false;
     max_cycles = 20_000_000; events = None; telemetry = None;
-    fast_forward = true; simt = false; corrupt_mask = 0 }
+    fast_forward = true; simt = false; corrupt_mask = 0;
+    lane_resolved = false }
 
 type sm_diag = {
   dl_sm : int;
@@ -58,7 +60,8 @@ let () =
 let build_sms config kernel stats memory mem_sys =
   Array.init config.arch.Gpu_uarch.Arch_config.n_sms (fun sm_id ->
       Sm.create ?events:config.events ?telemetry:config.telemetry
-        ~simt:config.simt ~corrupt_mask:config.corrupt_mask config.arch
+        ~simt:config.simt ~corrupt_mask:config.corrupt_mask
+        ~lane_resolved:config.lane_resolved config.arch
         ~sm_id ~policy:config.policy ~kernel ~memory ~mem_sys ~stats
         ~record_stores:config.record_stores
         ~trace_warp0:(config.trace_warp0 && sm_id = 0))
@@ -84,6 +87,9 @@ let finalize_metrics (sink : Telemetry.Sink.t) config stats mem_sys =
   count "regmutex_shared_oob_total" stats.Stats.shared_oob;
   count "regmutex_active_lane_cycles_total"
     ~help:"lanes active over issued instructions" stats.Stats.active_lane_cycles;
+  count "regmutex_lane_expansions_total"
+    ~help:"SIMT warps that left the collapsed state at a %laneid read"
+    stats.Stats.lane_expansions;
   count "regmutex_predicated_lane_cycles_total"
     ~help:"lanes predicated off over issued instructions (SIMT)"
     stats.Stats.predicated_lane_cycles;

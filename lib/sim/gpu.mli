@@ -36,6 +36,13 @@ type run_config = {
       (** Lanes cleared from every warp's initial active mask (0 = none).
           Fault-injection hook for the fuzz oracle's per-lane-trace
           self-test; meaningful only with [simt]. *)
+  lane_resolved : bool;
+      (** Test hook, meaningful only with [simt] (default [false]): start
+          every warp lane-resolved instead of collapsed. A collapsed warp
+          runs the warp-uniform interpreter on one register row until its
+          first [%laneid] read; the results are identical either way, and
+          [true] keeps the per-lane interpreter under differential test
+          on warp-uniform programs. *)
 }
 
 val default_config : Gpu_uarch.Arch_config.t -> Policy.t -> run_config

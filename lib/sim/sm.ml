@@ -56,6 +56,7 @@ type t = {
   pc_regs : int array array;     (* registers read or written, ascending *)
   is_global : bool array;        (* occupies a global-memory slot at issue *)
   is_acquire : bool array;
+  reads_laneid : bool array;     (* SIMT: a collapsed warp expands here *)
   max_rank : int;
       (* highest [rank_block] value the policy can produce; bounds the
          early exit in [classify_idle] *)
@@ -74,8 +75,12 @@ type t = {
   (* SIMT (per-lane) execution: lane-resolved register values, predication
      and the per-warp reconvergence stack. Timing stays warp-granular —
      only the values (and the lane occupancy statistics) are resolved per
-     lane, so a warp-uniform program is bit-identical in both models. *)
+     lane, so a warp-uniform program is bit-identical in both models. A
+     warp launched under the full mask runs collapsed on its uniform row
+     until it first reads [%laneid]; [lane_resolved] launches every warp
+     expanded instead (the differential tests' reference). *)
   simt : bool;
+  lane_resolved : bool;
   reconv : int array;       (* per-pc reconvergence table ([||] unless simt) *)
   reconv_sentinel : int;    (* program length: the never-reached top rpc *)
   full_mask : int;          (* (1 lsl warp_size) - 1 when simt, else 0 *)
@@ -107,7 +112,8 @@ let cta_capacity_for cfg ~policy ~kernel =
   let capacity, _, _ = compute_capacity cfg policy kernel in
   capacity
 
-let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0) cfg ~sm_id
+let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0)
+    ?(lane_resolved = false) cfg ~sm_id
     ~policy ~kernel ~memory ~mem_sys ~stats ~record_stores ~trace_warp0 =
   let cta_capacity, wpc, regs_cta = compute_capacity cfg policy kernel in
   let prog = kernel.Kernel.program in
@@ -191,6 +197,25 @@ let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0) cfg ~sm_id
   let is_acquire =
     Array.map (fun i -> match i with Instr.Acquire -> true | _ -> false) instrs
   in
+  let reads_laneid =
+    let lane = function
+      | Instr.Special Instr.Lane_id -> true
+      | Instr.Special _ | Instr.Reg _ | Instr.Imm _ | Instr.Param _ -> false
+    in
+    Array.map
+      (function
+        | Instr.Bin (_, _, a, b) | Instr.Cmp (_, _, a, b) | Instr.Store (_, a, b, _)
+          ->
+            lane a || lane b
+        | Instr.Mad (_, a, b, c) | Instr.Sel (_, a, b, c) ->
+            lane a || lane b || lane c
+        | Instr.Un (_, _, a) | Instr.Mov (_, a) | Instr.Load (_, _, a, _)
+        | Instr.Jump_if (a, _) | Instr.Jump_ifz (a, _) ->
+            lane a
+        | Instr.Jump _ | Instr.Bar | Instr.Acquire | Instr.Release | Instr.Exit ->
+            false)
+      instrs
+  in
   let n_slots = max (cta_capacity * wpc) 1 in
   let n_regs = max prog.Program.n_regs 1 in
   let lanes = if simt then Some cfg.Arch_config.warp_size else None in
@@ -219,10 +244,7 @@ let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0) cfg ~sm_id
           record_stores;
           lanes = (if simt then cfg.warp_size else 0);
           n_regs;
-          lane_regs =
-            (match soa.Soa.simt with
-            | Some s -> s.Soa.lane_regs.(slot)
-            | None -> [||]);
+          lane_regs = [||];
         })
   in
   {
@@ -257,6 +279,7 @@ let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0) cfg ~sm_id
     pc_regs;
     is_global;
     is_acquire;
+    reads_laneid;
     max_rank =
       (match pstate with
       | Ps_rfv _ -> 5 (* Blocked_regs *)
@@ -273,6 +296,7 @@ let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0) cfg ~sm_id
     record_stores;
     trace_warp0;
     simt;
+    lane_resolved;
     reconv = (if simt then Reconv.table prog else [||]);
     reconv_sentinel = n;
     full_mask = (if simt then (1 lsl cfg.warp_size) - 1 else 0);
@@ -358,9 +382,12 @@ let try_launch t ~global_cta ~cycle =
           Soa.launch soa ~slot:wslot ~cta_slot:slot ~global_cta ~warp_in_cta:w
             ~age;
           if t.simt then
-            Soa.simt_reset soa ~slot:wslot
-              ~mask:(t.full_mask land lnot t.corrupt_mask)
-              ~rpc:t.reconv_sentinel;
+            if t.lane_resolved || t.corrupt_mask <> 0 then
+              t.ctxs.(wslot).Exec.lane_regs <-
+                Soa.simt_reset soa ~slot:wslot
+                  ~mask:(t.full_mask land lnot t.corrupt_mask)
+                  ~rpc:t.reconv_sentinel
+            else Soa.simt_collapse soa ~slot:wslot ~rpc:t.reconv_sentinel;
           t.next_age <- t.next_age + 1;
           (* OWF: warps pair up within their CTA. *)
           soa.Soa.partner.(wslot) <-
@@ -425,10 +452,13 @@ type block_reason =
    computed next-pc is routed through the reconvergence stack (pure peek
    variants), and a divergent branch executes its fall-through arm next —
    unless the fall-through IS the reconvergence point (a loop exit), in
-   which case the suspended taken arm runs immediately. *)
+   which case the suspended taken arm runs immediately. A collapsed warp
+   peeks like a warp-uniform one, except at a [%laneid] read: issuing it
+   expands the warp, so the peek evaluates that branch per lane. *)
 let rfv_peek_next t ~slot instr =
   let pc = t.soa.Soa.pc.(slot) in
-  if not t.simt then
+  let collapsed = t.simt && Soa.simt_collapsed t.soa ~slot in
+  if not t.simt || (collapsed && not t.reads_laneid.(pc)) then
     match instr with
     | Instr.Jump tgt -> tgt
     | Instr.Jump_if (c, tgt) ->
@@ -443,7 +473,7 @@ let rfv_peek_next t ~slot instr =
     | Instr.Jump tgt -> Soa.simt_peek_next soa ~slot tgt
     | Instr.Jump_if _ | Instr.Jump_ifz _ -> (
         let mask = Soa.simt_active soa ~slot in
-        match Exec.branch_masks t.ctxs.(slot) instr ~mask with
+        match Exec.branch_masks ~collapsed t.ctxs.(slot) instr ~mask with
         | Some (taken, tgt) ->
             if taken = 0 || tgt = pc + 1 then Soa.simt_peek_next soa ~slot (pc + 1)
             else if taken = mask then Soa.simt_peek_next soa ~slot tgt
@@ -651,7 +681,7 @@ let poison_ext t ~slot =
     regs.(r) <- release_poison
   done;
   match t.soa.Soa.simt with
-  | Some s ->
+  | Some s when s.Soa.collapsed.(slot) = 0 ->
       let row = s.Soa.lane_regs.(slot) in
       let n = t.soa.Soa.n_regs in
       for lane = 0 to s.Soa.lanes - 1 do
@@ -659,7 +689,7 @@ let poison_ext t ~slot =
           row.((lane * n) + r) <- release_poison
         done
       done
-  | None -> ()
+  | Some _ | None -> ()
 
 let warp_done t ~cycle ~slot cta =
   let soa = t.soa in
@@ -767,9 +797,18 @@ let popcount m =
   !c
 
 (* Route a computed next-pc through the reconvergence stack (pops when it
-   reaches the current reconvergence point); identity in uniform mode. *)
-let route t ~slot next =
-  if t.simt then Soa.simt_next t.soa ~slot next else next
+   reaches the current reconvergence point); identity for warp-uniform and
+   collapsed warps, whose stack is empty. *)
+let route t ~slot ~lanes next =
+  if lanes then Soa.simt_next t.soa ~slot next else next
+
+(* A collapsed warp about to read [%laneid] becomes lane-resolved: its
+   uniform row is broadcast into every lane, which is exact because no
+   instruction it ran so far could tell the lanes apart. *)
+let expand t ~slot =
+  t.ctxs.(slot).Exec.lane_regs <-
+    Soa.simt_expand t.soa ~slot ~rpc:t.reconv_sentinel;
+  t.stats.Stats.lane_expansions <- t.stats.Stats.lane_expansions + 1
 
 (* [issue] executes the warp's current instruction; returns [false] when a
    global access found every memory slot busy at the claim stage (the warp
@@ -819,12 +858,16 @@ let issue t ~slot ~cycle =
       && soa.Soa.global_cta.(slot) = 0
       && soa.Soa.warp_in_cta.(slot) = 0
     then t.stats.Stats.pc_trace <- pc :: t.stats.Stats.pc_trace;
-    (* Execute: per-lane under the active mask in SIMT mode, warp-uniform
-       otherwise. Lane-occupancy statistics are kept in both modes with
-       the same convention (every uniform issue is a full warp), so
-       warp-uniform programs report identical totals. *)
+    (* Execute: per-lane under the active mask for an expanded SIMT warp,
+       warp-uniform otherwise (including a collapsed SIMT warp, all of
+       whose lanes are active and equal). Lane-occupancy statistics are
+       kept with the same convention everywhere (every uniform issue is a
+       full warp), so warp-uniform programs report identical totals. *)
+    if t.simt && t.reads_laneid.(pc) && Soa.simt_collapsed soa ~slot then
+      expand t ~slot;
+    let lanes = t.simt && not (Soa.simt_collapsed soa ~slot) in
     let louts =
-      if t.simt then begin
+      if lanes then begin
         let mask = Soa.simt_active soa ~slot in
         let on = popcount mask in
         t.stats.Stats.active_lane_cycles <-
@@ -864,24 +907,24 @@ let issue t ~slot ~cycle =
            no divergence to track. Otherwise suspend the continuation and
            the taken arm and run the fall-through arm first (routing pops
            the taken arm immediately when the branch is a loop exit). *)
-        if tgt = pc + 1 then advance t ~slot ~next:(route t ~slot (pc + 1))
+        if tgt = pc + 1 then advance t ~slot ~next:(route t ~slot ~lanes (pc + 1))
         else begin
           t.stats.Stats.divergent_branches <-
             t.stats.Stats.divergent_branches + 1;
           Soa.simt_diverge soa ~slot ~tgt ~taken ~rpc:t.reconv.(pc);
           advance t ~slot ~next:(Soa.simt_next soa ~slot (pc + 1))
         end
-    | Exec.L_uniform Exec.Next -> advance t ~slot ~next:(route t ~slot (pc + 1))
-    | Exec.L_uniform (Exec.Goto tgt) -> advance t ~slot ~next:(route t ~slot tgt)
+    | Exec.L_uniform Exec.Next -> advance t ~slot ~next:(route t ~slot ~lanes (pc + 1))
+    | Exec.L_uniform (Exec.Goto tgt) -> advance t ~slot ~next:(route t ~slot ~lanes tgt)
     | Exec.L_uniform Exec.Stop ->
-        if t.simt then (
+        if lanes then (
           match Soa.simt_exit soa ~slot with
           | None -> warp_done t ~cycle ~slot cta
           | Some next -> advance t ~slot ~next)
         else warp_done t ~cycle ~slot cta
     | Exec.L_uniform Exec.Sync ->
         soa.Soa.status.(slot) <- Soa.st_barrier;
-        advance t ~slot ~next:(route t ~slot (pc + 1));
+        advance t ~slot ~next:(route t ~slot ~lanes (pc + 1));
         cta.arrived <- cta.arrived + 1;
         emit t ~cycle
           (Event_trace.Barrier_arrived
@@ -916,7 +959,7 @@ let issue t ~slot ~cycle =
               t.stats.Stats.acquire_first_try <-
                 t.stats.Stats.acquire_first_try + 1;
             soa.Soa.acquire_stalled.(slot) <- 0;
-            advance t ~slot ~next:(route t ~slot (pc + 1))
+            advance t ~slot ~next:(route t ~slot ~lanes (pc + 1))
         | false ->
             (* Lost a same-cycle race for the last section; retry later. *)
             soa.Soa.acquire_stalled.(slot) <- 1)
@@ -935,7 +978,7 @@ let issue t ~slot ~cycle =
                   ~in_use:(Srp_paired.in_use srp)
             | Srp_paired.Not_held -> ())
         | Ps_static | Ps_owf | Ps_rfv _ -> ());
-        advance t ~slot ~next:(route t ~slot (pc + 1)));
+        advance t ~slot ~next:(route t ~slot ~lanes (pc + 1)));
     true
   end
 

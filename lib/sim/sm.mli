@@ -13,14 +13,19 @@ type t
     values, predicated execution under an active-lane mask, and an
     immediate-post-dominator reconvergence stack per warp slot. Timing
     stays warp-granular, so a warp-uniform program runs bit-identically in
-    both models. [corrupt_mask] clears the given lanes from every warp's
+    both models. A warp launched under the full mask runs collapsed on its
+    warp-uniform register row until it first reads [%laneid], then expands
+    into lane rows. [corrupt_mask] clears the given lanes from every warp's
     initial active mask — a fault-injection hook for the fuzz oracle's
-    per-lane-trace self-test (never set in normal runs). *)
+    per-lane-trace self-test (never set in normal runs); such warps launch
+    expanded. [lane_resolved] (default [false]) launches every warp
+    expanded, the reference the differential tests compare against. *)
 val create :
   ?events:Event_trace.t ->
   ?telemetry:Telemetry.Sink.t ->
   ?simt:bool ->
   ?corrupt_mask:int ->
+  ?lane_resolved:bool ->
   Gpu_uarch.Arch_config.t ->
   sm_id:int ->
   policy:Policy.t ->

@@ -26,6 +26,7 @@ type t = {
   mutable active_lane_cycles : int;
   mutable predicated_lane_cycles : int;
   mutable divergent_branches : int;
+  mutable lane_expansions : int;
   stall_cycles : int array;
   mutable ctas_retired : int;
   mutable timed_out : bool;
@@ -74,6 +75,7 @@ let create () =
     active_lane_cycles = 0;
     predicated_lane_cycles = 0;
     divergent_branches = 0;
+    lane_expansions = 0;
     stall_cycles = Array.make n_reasons 0;
     ctas_retired = 0;
     timed_out = false;

@@ -47,6 +47,11 @@ type t = {
   mutable divergent_branches : int;
       (** conditional branches whose active lanes split both ways (each
           pushes a reconvergence-stack entry); 0 without [--simt] *)
+  mutable lane_expansions : int;
+      (** [--simt] warps that left the collapsed one-row state (their
+          first [%laneid] read). A work counter, not a result: it differs
+          between collapsed and lane-resolved runs by design, so it stays
+          out of run fingerprints, equivalence checks and {!pp} *)
   stall_cycles : int array;
       (** per-reason idle-slot counters, indexed by {!reason_index}; use
           {!bump_stall} / {!stall_count} rather than indexing directly *)

@@ -11,11 +11,15 @@ module Soa = struct
      the triple (pc.(slot), active.(slot), rpc.(slot)); suspended arms and
      reconvergence continuations live on the stack, deepest scope first.
      Stacks grow by doubling — a divergent loop pushes one continuation
-     per diverging iteration. *)
+     per diverging iteration. A collapsed slot has not read [%laneid]
+     yet, so its lanes are equal: it runs on the warp-uniform [regs] row
+     under the full mask with an empty stack, and its lane row (allocated
+     at the first expansion, [||] before) is stale. *)
   type simt = {
     lanes : int;
     full_mask : int;
     lane_regs : int array array;  (* slot -> lane-major [lanes * n_regs] *)
+    collapsed : int array;        (* slot -> 1 while on the uniform row *)
     active : int array;           (* slot -> active-lane bitmask *)
     rpc : int array;              (* slot -> current reconvergence pc *)
     stk_pc : int array array;   (* slot -> entry pcs (rows grow by doubling) *)
@@ -59,7 +63,8 @@ module Soa = struct
             {
               lanes;
               full_mask = (1 lsl lanes) - 1;
-              lane_regs = Array.init n_slots (fun _ -> Array.make (lanes * n_regs) 0);
+              lane_regs = Array.make n_slots [||];
+              collapsed = Array.make n_slots 0;
               active = Array.make n_slots 0;
               rpc = Array.make n_slots 0;
               stk_pc = Array.init n_slots (fun _ -> Array.make 8 0);
@@ -141,12 +146,41 @@ module Soa = struct
     | Some s -> s
     | None -> invalid_arg "Warp.Soa: SIMT operation in warp-uniform mode"
 
-  let simt_reset t ~slot ~mask ~rpc =
-    let s = simt_get t in
-    Array.fill s.lane_regs.(slot) 0 (Array.length s.lane_regs.(slot)) 0;
+  let top_level s ~slot ~mask ~rpc =
     s.active.(slot) <- mask;
     s.rpc.(slot) <- rpc;
     s.stk_depth.(slot) <- 0
+
+  let lane_row t s ~slot =
+    if Array.length s.lane_regs.(slot) = 0 then
+      s.lane_regs.(slot) <- Array.make (s.lanes * t.n_regs) 0;
+    s.lane_regs.(slot)
+
+  let simt_reset t ~slot ~mask ~rpc =
+    let s = simt_get t in
+    let row = lane_row t s ~slot in
+    Array.fill row 0 (Array.length row) 0;
+    s.collapsed.(slot) <- 0;
+    top_level s ~slot ~mask ~rpc;
+    row
+
+  let simt_collapse t ~slot ~rpc =
+    let s = simt_get t in
+    s.collapsed.(slot) <- 1;
+    top_level s ~slot ~mask:s.full_mask ~rpc
+
+  let simt_collapsed t ~slot = (simt_get t).collapsed.(slot) = 1
+
+  let simt_expand t ~slot ~rpc =
+    let s = simt_get t in
+    let row = lane_row t s ~slot in
+    let regs = t.regs.(slot) in
+    for lane = 0 to s.lanes - 1 do
+      Array.blit regs 0 row (lane * t.n_regs) t.n_regs
+    done;
+    s.collapsed.(slot) <- 0;
+    top_level s ~slot ~mask:s.full_mask ~rpc;
+    row
 
   let simt_active t ~slot = (simt_get t).active.(slot)
 

@@ -30,13 +30,22 @@ module Soa : sig
       reconvergence stack. The running state is the triple
       [(pc.(slot), active.(slot), rpc.(slot))]; suspended branch arms and
       reconvergence continuations live on the per-slot stack, deepest
-      enclosing scope first. *)
+      enclosing scope first.
+
+      A slot is either {e collapsed} or {e expanded}. A collapsed warp has
+      not read [%laneid] yet, so its lanes hold equal values: it executes
+      on the warp-uniform [regs] row under the full mask, with an empty
+      stack and the sentinel [rpc], and its lane row is stale.
+      {!simt_expand} broadcasts [regs] into every lane and hands the warp
+      to the lane-resolved path for the rest of its life. *)
   type simt = {
     lanes : int;                  (** warp width (lanes per warp) *)
     full_mask : int;              (** [(1 lsl lanes) - 1] *)
     lane_regs : int array array;
         (** lane-major per-lane register file row per slot
-            ([lane * n_regs + r], [lanes * n_regs] words) *)
+            ([lane * n_regs + r], [lanes * n_regs] words); [[||]] until
+            the slot first runs expanded *)
+    collapsed : int array;        (** 1 while the slot is collapsed, else 0 *)
     active : int array;           (** active-lane bitmask per slot *)
     rpc : int array;
         (** current reconvergence pc per slot; the program length acts as
@@ -123,10 +132,23 @@ module Soa : sig
       All operations raise [Invalid_argument] when the SoA was created
       without [lanes]. *)
 
-  (** Reset a slot's SIMT state at warp launch: zero the lane registers,
-      install [mask] as the active mask and [rpc] (the program-length
-      sentinel) as the top-level reconvergence pc, empty the stack. *)
-  val simt_reset : t -> slot:int -> mask:int -> rpc:int -> unit
+  (** Launch a slot expanded: zero the lane registers, install [mask] as
+      the active mask and [rpc] (the program-length sentinel) as the
+      top-level reconvergence pc, empty the stack. Returns the slot's lane
+      row (allocated on first use). *)
+  val simt_reset : t -> slot:int -> mask:int -> rpc:int -> int array
+
+  (** Launch a slot collapsed: full mask, [rpc] the sentinel, empty stack;
+      the lane row is left untouched. *)
+  val simt_collapse : t -> slot:int -> rpc:int -> unit
+
+  (** Is the slot collapsed? *)
+  val simt_collapsed : t -> slot:int -> bool
+
+  (** Expand a collapsed slot: copy its [regs] row into every lane, reset
+      the mask, [rpc] and stack as {!simt_collapse} does, and mark it
+      expanded. Returns the lane row. *)
+  val simt_expand : t -> slot:int -> rpc:int -> int array
 
   (** Current active-lane bitmask. *)
   val simt_active : t -> slot:int -> int

@@ -3,8 +3,10 @@
    Covers the reconvergence table, per-lane store traces through diamonds
    and data-dependent loops, the warp-uniform equivalence contract (a
    program that never reads [%laneid] is bit-identical under both
-   execution models), the corrupt-mask fault-injection hook, and the
-   divergent registry kernel. *)
+   execution models), the corrupt-mask fault-injection hook, the
+   divergent registry kernel, and the collapsed warp state (a warp runs on
+   one register row until its first [%laneid] read, and must be
+   indistinguishable from a lane-resolved run). *)
 
 open Gpu_isa
 module Stats = Gpu_sim.Stats
@@ -16,17 +18,21 @@ let warp_size = Util.small_arch.Gpu_uarch.Arch_config.warp_size
 
 (* Like {!Util.run_with} but under the per-lane model, with lane-store
    recording on. *)
-let run_simt ?(arch = Util.small_arch) ?(grid = 1) ?(threads = 64)
-    ?(corrupt_mask = 0) ?(fast_forward = true) prog =
+let run_simt ?(arch = Util.small_arch) ?policy ?(grid = 1) ?(threads = 64)
+    ?(corrupt_mask = 0) ?(lane_resolved = false) ?(fast_forward = true) prog =
   let kernel =
     Gpu_sim.Kernel.make ~name:"t" ~grid_ctas:grid ~cta_threads:threads
       ~params:[||] prog
   in
+  let policy =
+    match policy with Some p -> p | None -> Util.static_policy prog
+  in
   let config =
-    { (Gpu_sim.Gpu.default_config arch (Util.static_policy prog)) with
+    { (Gpu_sim.Gpu.default_config arch policy) with
       Gpu_sim.Gpu.record_stores = true;
       simt = true;
       corrupt_mask;
+      lane_resolved;
       fast_forward;
       max_cycles = 2_000_000 }
   in
@@ -180,7 +186,9 @@ let test_reconv_table_workloads () =
 
 (* The subsystem's core contract: a warp-uniform program (the Table I
    kernels never read [%laneid]) produces the same run fingerprint under
-   the warp-uniform and per-lane models, in both stepping modes. *)
+   the warp-uniform and per-lane models, in both stepping modes. The
+   per-lane runs start lane-resolved: a collapsed warp would run the
+   warp-uniform interpreter, and the check would compare it with itself. *)
 let test_warp_uniform_fingerprints () =
   let cfg = Experiments.Exp_config.quick in
   let simt = { Technique.default_options with Technique.simt = true } in
@@ -192,17 +200,18 @@ let test_warp_uniform_fingerprints () =
         (fun t ->
           let fp r = Runner.fingerprint r in
           let uniform = fp (Runner.execute arch t kernel) in
-          Alcotest.(check string)
-            (Printf.sprintf "%s/%s: simt ff = uniform" spec.Workloads.Spec.name
-               (Technique.name t))
-            uniform
-            (fp (Runner.execute ~options:simt arch t kernel));
-          Alcotest.(check string)
-            (Printf.sprintf "%s/%s: simt bf = uniform" spec.Workloads.Spec.name
-               (Technique.name t))
-            uniform
-            (fp
-               (Runner.execute ~options:simt ~fast_forward:false arch t kernel)))
+          let check what ?lane_resolved fast_forward =
+            Alcotest.(check string)
+              (Printf.sprintf "%s/%s: %s = uniform" spec.Workloads.Spec.name
+                 (Technique.name t) what)
+              uniform
+              (fp
+                 (Runner.execute ~options:simt ?lane_resolved ~fast_forward
+                    arch t kernel))
+          in
+          check "lane-resolved simt ff" ~lane_resolved:true true;
+          check "lane-resolved simt bf" ~lane_resolved:true false;
+          check "collapsed simt ff" true)
         [ Technique.Baseline; Technique.Regmutex ])
     [ List.nth Workloads.Registry.figure1 0;
       List.nth Workloads.Registry.figure1 1 ]
@@ -265,6 +274,214 @@ let test_corrupt_mask_detected () =
           (List.length stores))
     corrupt
 
+(* A corrupted launch mask is not the full mask, so the warp cannot start
+   collapsed: even a program that never reads [%laneid] runs lane-resolved
+   from its first instruction, with the cleared lane predicated off. *)
+let test_corrupt_mask_starts_expanded () =
+  let prog =
+    Builder.(
+      assemble ~name:"uniform_store"
+        [ mov 0 tid;
+          mul 0 (r 0) (imm 4);
+          store ~ofs:0x10000000 Instr.Global (r 0) (imm 9);
+          exit_ ])
+  in
+  let clean = run_simt ~grid:1 ~threads:64 prog in
+  let corrupt = run_simt ~grid:1 ~threads:64 ~corrupt_mask:2 prog in
+  Alcotest.(check int) "clean warps stay collapsed" 0 clean.Stats.lane_expansions;
+  Alcotest.(check int) "clean warps predicate nothing" 0
+    clean.Stats.predicated_lane_cycles;
+  Alcotest.(check int) "corrupted warps never expand: they start expanded" 0
+    corrupt.Stats.lane_expansions;
+  Alcotest.(check int) "lane 1 sat predicated off on every issue"
+    corrupt.Stats.instructions corrupt.Stats.predicated_lane_cycles;
+  List.iter
+    (fun ((_, _, l), stores) ->
+      Alcotest.(check int)
+        (Printf.sprintf "lane %d stores" l)
+        (if l = 1 then 0 else 1)
+        (List.length stores))
+    (Stats.lane_store_traces corrupt)
+
+(* Collapsed and lane-resolved runs of the same program must agree on
+   every counter the equivalence oracle compares and on both store-trace
+   granularities. *)
+let check_collapsed_equal what collapsed resolved =
+  let fields (s : Stats.t) =
+    [ s.Stats.cycles; s.Stats.instructions; s.Stats.rf_reads; s.Stats.rf_writes;
+      s.Stats.shared_reads; s.Stats.shared_writes; s.Stats.shared_oob;
+      s.Stats.release_execs; s.Stats.active_lane_cycles;
+      s.Stats.predicated_lane_cycles; s.Stats.divergent_branches ]
+    @ List.map (Stats.stall_count s) Stats.all_reasons
+  in
+  Alcotest.(check (list int)) (what ^ ": counters") (fields resolved)
+    (fields collapsed);
+  (match
+     Checker.diff_lane_store_traces
+       ~expected:(Stats.lane_store_traces resolved)
+       ~actual:(Stats.lane_store_traces collapsed)
+   with
+  | None -> ()
+  | Some d -> Alcotest.failf "%s: lane traces differ: %s" what d);
+  Util.check_same_traces (what ^ ": warp traces") (Util.traces resolved)
+    (Util.traces collapsed)
+
+(* Uniform work (including a store, which a collapsed warp records once
+   per lane), then the first [%laneid] read and a divergent branch on it.
+   The collapsed run expands each warp exactly once, at the read. *)
+let late_expansion =
+  Builder.(
+    assemble ~name:"late_expansion"
+      [ mov 0 ctaid;
+        mul 1 (r 0) (imm 7);
+        add 1 (r 1) tid;
+        mul 2 (r 0) ntid;
+        add 2 (r 2) tid;
+        mul 2 (r 2) (imm 4);
+        store ~ofs:0x20000000 Instr.Global (r 2) (r 1);
+        mov 3 lane_id;
+        and_ 4 (r 3) (imm 3);
+        bnz (r 4) "skip";
+        add 1 (r 1) (imm 1000);
+        label "skip";
+        add 1 (r 1) (r 3);
+        add 5 (r 2) (r 3);
+        store ~ofs:0x10000000 Instr.Global (r 5) (r 1);
+        exit_ ])
+
+let test_late_expansion () =
+  List.iter
+    (fun fast_forward ->
+      let collapsed = run_simt ~grid:3 ~threads:64 ~fast_forward late_expansion in
+      let resolved =
+        run_simt ~grid:3 ~threads:64 ~fast_forward ~lane_resolved:true
+          late_expansion
+      in
+      check_collapsed_equal "late expansion" collapsed resolved;
+      Alcotest.(check bool) "the branch diverged" true
+        (collapsed.Stats.divergent_branches > 0);
+      Alcotest.(check int) "every warp expanded once" 6
+        collapsed.Stats.lane_expansions;
+      Alcotest.(check int) "lane-resolved warps never expand" 0
+        resolved.Stats.lane_expansions)
+    [ true; false ]
+
+(* A RegMutex release before the first [%laneid] read poisons the
+   collapsed warp's uniform row; expansion must broadcast the poison into
+   every lane, exactly as a lane-resolved warp poisons each lane row. The
+   program reads a released register on purpose (the checker would reject
+   it) to make the poison observable. *)
+let test_release_poison_before_expansion () =
+  let prog =
+    Builder.(
+      assemble ~name:"poison_then_expand"
+        [ mov 0 tid;
+          acquire;
+          mov 2 (imm 5);
+          mov 3 (imm 6);
+          add 1 (r 2) (r 3);
+          release;
+          add 0 (r 0) lane_id;
+          mul 0 (r 0) (imm 4);
+          store ~ofs:0x10000000 Instr.Global (r 0) (r 2);
+          store ~ofs:0x20000000 Instr.Global (r 0) (r 1);
+          exit_ ])
+  in
+  let policy = Gpu_sim.Policy.Srp { bs = 2; es = 2; verify = false } in
+  let collapsed = run_simt ~policy ~grid:2 ~threads:64 prog in
+  let resolved = run_simt ~policy ~grid:2 ~threads:64 ~lane_resolved:true prog in
+  check_collapsed_equal "poison before expansion" collapsed resolved;
+  Alcotest.(check int) "every warp expanded" 4 collapsed.Stats.lane_expansions;
+  let poison = 0xDEAD_BEEF in
+  let traces = Stats.lane_store_traces collapsed in
+  Alcotest.(check int) "one trace per lane" (2 * 64) (List.length traces);
+  List.iter
+    (fun ((c, w, l), stores) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "cta %d warp %d lane %d" c w l)
+        [ poison; 11 ]
+        (List.map (fun (_, _, v) -> v) stores))
+    traces
+
+(* RFV peeks the next instruction's register demand before issue, so its
+   scheduling depends on how a collapsed warp evaluates branches: a
+   data-dependent (per-CTA) branch it evaluates uniformly, and a branch on
+   [%laneid] itself, where the peek must already see the split the
+   expansion will make — lane 0 takes it, the other lanes fall through
+   into the high-pressure arm first. A register file of 24 warp registers
+   keeps RFV starved, so a wrong peek moves the schedule. Four runs —
+   collapsed or lane-resolved, fast-forward or brute force — must share
+   one fingerprint. *)
+let test_rfv_collapsed_fingerprints () =
+  let prog =
+    Builder.(
+      assemble ~name:"rfv_branches"
+        [ mov 0 ctaid;
+          and_ 1 (r 0) (imm 1);
+          bz (r 1) "even";
+          mov 2 (imm 3);
+          mad 5 (r 2) (r 2) (r 0);
+          bra "join";
+          label "even";
+          mov 5 (imm 2);
+          label "join";
+          mov 2 (imm 1);
+          mov 3 (imm 2);
+          mov 4 (imm 3);
+          bz lane_id "lane0";
+          mad 6 (r 2) (r 3) (r 4);
+          add 5 (r 5) (r 6);
+          label "lane0";
+          add 6 tid lane_id;
+          mul 6 (r 6) (imm 4);
+          store ~ofs:0x10000000 Instr.Global (r 6) (r 5);
+          exit_ ])
+  in
+  let kernel =
+    Gpu_sim.Kernel.make ~name:"rfv_branches" ~grid_ctas:8 ~cta_threads:128
+      ~params:[||] prog
+  in
+  let arch = { Util.small_arch with Gpu_uarch.Arch_config.regfile_regs = 24 * 32 } in
+  let simt = { Technique.default_options with Technique.simt = true } in
+  let run ?lane_resolved fast_forward =
+    Runner.execute ~options:simt ?lane_resolved ~fast_forward arch Technique.Rfv
+      kernel
+  in
+  let collapsed = run true in
+  let fp = Runner.fingerprint collapsed in
+  List.iter
+    (fun (what, r) -> Alcotest.(check string) what fp (Runner.fingerprint r))
+    [ ("collapsed bf", run false);
+      ("lane-resolved ff", run ~lane_resolved:true true);
+      ("lane-resolved bf", run ~lane_resolved:true false) ];
+  let stats = collapsed.Runner.stats in
+  Alcotest.(check bool) "warps expanded at the %laneid branch" true
+    (stats.Stats.lane_expansions > 0);
+  Alcotest.(check bool) "the %laneid branch diverged" true
+    (stats.Stats.divergent_branches > 0);
+  Alcotest.(check bool) "RFV ran out of registers" true
+    (Stats.stall_count stats Stats.Stall_regs > 0)
+
+(* No Table I kernel reads [%laneid], so under --simt none of their warps
+   ever leaves the collapsed state, whatever the technique. *)
+let test_table1_never_expands () =
+  let cfg =
+    { Experiments.Exp_config.quick with Experiments.Exp_config.grid_scale = 0.01 }
+  in
+  let simt = { Technique.default_options with Technique.simt = true } in
+  List.iter
+    (fun spec ->
+      let arch = Experiments.Exp_config.eval_arch cfg spec in
+      let kernel = Experiments.Exp_config.kernel_of cfg spec in
+      List.iter
+        (fun t ->
+          let r = Runner.execute ~options:simt arch t kernel in
+          Alcotest.(check int)
+            (Printf.sprintf "%s/%s" spec.Workloads.Spec.name (Technique.name t))
+            0 r.Runner.stats.Stats.lane_expansions)
+        Technique.all)
+    Workloads.Registry.all
+
 (* The divergent registry kernel really diverges: a valid spec whose
    baseline SIMT run splits warps and predicates lanes off. *)
 let test_bfs_frontier_diverges () =
@@ -283,7 +500,9 @@ let test_bfs_frontier_diverges () =
   Alcotest.(check bool) "divergent branches" true
     (run.Runner.stats.Stats.divergent_branches > 0);
   Alcotest.(check bool) "lanes predicated off" true
-    (run.Runner.stats.Stats.predicated_lane_cycles > 0)
+    (run.Runner.stats.Stats.predicated_lane_cycles > 0);
+  Alcotest.(check bool) "warps expanded" true
+    (run.Runner.stats.Stats.lane_expansions > 0)
 
 let test_laneid_roundtrip () =
   let prog = lane_diamond in
@@ -309,6 +528,16 @@ let suite =
       test_divergent_barrier_terminates;
     Alcotest.test_case "corrupt-mask fault is lane-visible" `Quick
       test_corrupt_mask_detected;
+    Alcotest.test_case "corrupt mask starts warps expanded" `Quick
+      test_corrupt_mask_starts_expanded;
+    Alcotest.test_case "late expansion matches lane-resolved" `Quick
+      test_late_expansion;
+    Alcotest.test_case "release poison broadcast at expansion" `Quick
+      test_release_poison_before_expansion;
+    Alcotest.test_case "RFV collapsed four-way fingerprints" `Quick
+      test_rfv_collapsed_fingerprints;
+    Alcotest.test_case "Table I warps never expand" `Slow
+      test_table1_never_expands;
     Alcotest.test_case "BFS-Frontier spec diverges" `Slow
       test_bfs_frontier_diverges;
     Alcotest.test_case "%laneid round-trips" `Quick test_laneid_roundtrip ]
