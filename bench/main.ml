@@ -13,9 +13,6 @@
                                            # (writes BENCH_regdem.json)
      dune exec bench/main.exe -- telemetry # sink-on vs sink-off overhead
                                            # (writes BENCH_telemetry_overhead.json)
-     dune exec bench/main.exe -- serve     # daemon cold/warm latency, multi-client
-                                           # throughput, coalescing factor
-                                           # (writes BENCH_serve.json)
      dune exec bench/main.exe -- simt      # per-lane vs warp-uniform execution:
                                            # bit-identity on uniform kernels,
                                            # overhead factor, divergent cells
@@ -554,254 +551,6 @@ let telemetry_bench ~quick cfg =
     (List.length cells);
   if not all_identical then exit 1
 
-(* Daemon benchmark: a [regmutex serve] daemon is started in-process (own
-   domain, private socket, no disk store) and measured the way clients see
-   it. Cold requests pay one full simulation; repeating them must come
-   back warm — answered from the resident cache without touching a worker
-   — at least 100x faster at the median. Throughput is measured on the
-   duplicate-heavy workload the daemon exists for: N clients each request
-   the same cell set concurrently, as N users running the same sweep
-   would. Without the daemon each invocation is a fresh process computing
-   every cell itself (the serial baseline: N x one cold pass); the daemon
-   computes each distinct cell once — single-flight coalescing plus the
-   resident cache serve the duplicates — so aggregate throughput at 4
-   clients must be at least 2x the 4-serial-invocation baseline even on
-   one core. Every daemon-served payload must carry a fingerprint
-   bit-identical to an in-process simulation of the same cell. Results
-   land in BENCH_serve.json for the CI artifact. *)
-let serve_bench ~quick cfg =
-  let module P = Serve.Protocol in
-  let module Client = Serve.Client in
-  let techniques = [ "baseline"; "regmutex" ] in
-  let specs =
-    if quick then Workloads.Registry.figure1 else Workloads.Registry.all
-  in
-  let cells =
-    List.concat_map
-      (fun spec ->
-        List.map (fun t -> (spec.Workloads.Spec.name, t)) techniques)
-      specs
-  in
-  let n_cells = List.length cells in
-  let socket =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "rmx-serve-bench-%d.sock" (Unix.getpid ()))
-  in
-  let config =
-    {
-      (Serve.Server.default_config ~socket_path:socket) with
-      Serve.Server.jobs = 2;
-      max_queue = 256;
-      cache_dir = None;
-      verbose = false;
-    }
-  in
-  Engine.clear ();
-  let daemon = Domain.spawn (fun () -> Serve.Server.run config) in
-  let req ~variant (workload, technique) =
-    P.Run (P.run_request ~variant ~quick ~workload ~technique ())
-  in
-  let expect_run what = function
-    | P.Ok_run p -> p
-    | P.Busy -> failwith (what ^ ": daemon stayed busy")
-    | P.Error { code; message } ->
-        failwith (Printf.sprintf "%s: %s (%s)" what message code)
-    | _ -> failwith (what ^ ": unexpected response")
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (Unix.gettimeofday () -. t0, r)
-  in
-  let percentile p l =
-    let a = Array.of_list l in
-    Array.sort compare a;
-    a.(int_of_float (p /. 100. *. float_of_int (Array.length a - 1) +. 0.5))
-  in
-  let c = Client.connect_retry socket in
-
-  (* Cold then warm latency over the same cells. *)
-  let cold =
-    List.map
-      (fun cell ->
-        let dt, p =
-          time (fun () ->
-              expect_run "cold" (Client.request_retry c (req ~variant:"lat" cell)))
-        in
-        if p.P.warm then failwith "cold request answered warm";
-        (cell, dt, p))
-      cells
-  in
-  let warm =
-    List.map
-      (fun cell ->
-        let dt, p =
-          time (fun () ->
-              expect_run "warm" (Client.request_retry c (req ~variant:"lat" cell)))
-        in
-        if not p.P.warm then failwith "repeat request missed the cache";
-        (cell, dt, p))
-      cells
-  in
-  let cold_lat = List.map (fun (_, dt, _) -> dt) cold in
-  let warm_lat = List.map (fun (_, dt, _) -> dt) warm in
-  let cold_p50 = percentile 50. cold_lat and cold_p99 = percentile 99. cold_lat in
-  let warm_p50 = percentile 50. warm_lat and warm_p99 = percentile 99. warm_lat in
-  let warm_speedup = cold_p50 /. Float.max warm_p50 1e-9 in
-  Printf.printf
-    "latency over %d cells: cold p50 %8.2fms p99 %8.2fms | warm p50 %8.3fms \
-     p99 %8.3fms | warm %.0fx faster\n%!"
-    n_cells (cold_p50 *. 1e3) (cold_p99 *. 1e3) (warm_p50 *. 1e3)
-    (warm_p99 *. 1e3) warm_speedup;
-
-  (* Daemon payloads vs an in-process simulation of the same cells. *)
-  let fingerprints_identical =
-    List.for_all2
-      (fun spec_tech (_, _, (p : P.run_payload)) ->
-        let wname, tname = spec_tech in
-        let spec = Workloads.Registry.find wname in
-        let technique =
-          match tname with
-          | "baseline" -> Regmutex.Technique.Baseline
-          | _ -> Regmutex.Technique.Regmutex
-        in
-        let arch = cfg.Experiments.Exp_config.arch in
-        let run =
-          Engine.compute cfg (Engine.cell ~variant:"lat" ~arch technique spec)
-        in
-        String.equal (Regmutex.Runner.fingerprint run) p.P.fingerprint)
-      cells cold
-  in
-  Printf.printf "daemon vs in-process fingerprints: %s\n%!"
-    (if fingerprints_identical then "identical" else "DIFFER");
-
-  (* Serial baseline: one CLI-style invocation computes every cell itself
-     (cold in-memory cache, no daemon to share with). N invocations do N
-     times that work, so the serial aggregate rate is independent of N. *)
-  let serial_t, () =
-    time (fun () ->
-        List.iter
-          (fun (wname, tname) ->
-            let spec = Workloads.Registry.find wname in
-            let technique =
-              match tname with
-              | "baseline" -> Regmutex.Technique.Baseline
-              | _ -> Regmutex.Technique.Regmutex
-            in
-            let arch = cfg.Experiments.Exp_config.arch in
-            ignore
-              (Engine.compute cfg
-                 (Engine.cell ~variant:"serial" ~arch technique spec)))
-          cells)
-  in
-  let serial_rps = float_of_int n_cells /. Float.max serial_t 1e-9 in
-  Printf.printf
-    "serial baseline: %d cells in %6.2fs (%.2f cells/s per invocation)\n%!"
-    n_cells serial_t serial_rps;
-
-  (* Duplicate-heavy throughput: N concurrent clients, each requesting the
-     whole (cold) cell set. Stats snapshots around the phases measure how
-     many simulations actually ran vs how many run requests were served. *)
-  let get_stats () =
-    match Client.request c P.Stats with
-    | P.Ok_stats kvs -> kvs
-    | _ -> failwith "stats request failed"
-  in
-  let stat kvs k = try List.assoc k kvs with Not_found -> 0. in
-  let stats0 = get_stats () in
-  let throughput =
-    List.map
-      (fun n_clients ->
-        let variant = Printf.sprintf "tp%d" n_clients in
-        let wall, counts =
-          time (fun () ->
-              let doms =
-                List.init n_clients (fun _ ->
-                    Domain.spawn (fun () ->
-                        let cc = Client.connect_retry socket in
-                        let served =
-                          List.fold_left
-                            (fun acc cell ->
-                              ignore
-                                (expect_run variant
-                                   (Client.request_retry cc (req ~variant cell)));
-                              acc + 1)
-                            0 cells
-                        in
-                        Client.close cc;
-                        served))
-              in
-              List.map Domain.join doms)
-        in
-        let requests = List.fold_left ( + ) 0 counts in
-        let rps = float_of_int requests /. Float.max wall 1e-9 in
-        Printf.printf
-          "%2d client%s: %4d requests in %6.2fs = %7.2f req/s (%.2fx serial \
-           aggregate)\n%!"
-          n_clients
-          (if n_clients = 1 then " " else "s")
-          requests wall rps (rps /. serial_rps);
-        (n_clients, requests, wall, rps))
-      [ 1; 4; 16 ]
-  in
-  let stats1 = get_stats () in
-  let d k = stat stats1 k -. stat stats0 k in
-  let computations = d "computations" in
-  let coalesced = d "coalesced" in
-  let cache_hits = d "cache_hits" in
-  let run_requests = computations +. coalesced +. cache_hits in
-  let coalescing_factor = run_requests /. Float.max computations 1. in
-  Printf.printf
-    "coalescing: %.0f run requests -> %.0f simulations (%.0f coalesced, %.0f \
-     warm) = %.1fx duplicate suppression\n%!"
-    run_requests computations coalesced cache_hits coalescing_factor;
-
-  (match Client.request c P.Shutdown with
-  | P.Ok_shutdown -> ()
-  | _ -> failwith "shutdown request failed");
-  Client.close c;
-  Domain.join daemon;
-
-  let tp4 =
-    match List.find_opt (fun (n, _, _, _) -> n = 4) throughput with
-    | Some (_, _, _, rps) -> rps
-    | None -> 0.
-  in
-  let warm_ok = warm_speedup >= 100. in
-  let tp4_ok = tp4 >= 2. *. serial_rps in
-  Printf.printf "warm >= 100x cold: %s; 4-client throughput >= 2x serial: %s\n%!"
-    (if warm_ok then "yes" else "NO")
-    (if tp4_ok then "yes" else "NO");
-
-  let oc = open_out (artifact_path "BENCH_serve.json") in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"serve\",\n  \"config\": %S,\n  \"cells\": %d,\n  \
-     \"cold_p50_ms\": %.3f,\n  \"cold_p99_ms\": %.3f,\n  \
-     \"warm_p50_ms\": %.4f,\n  \"warm_p99_ms\": %.4f,\n  \
-     \"warm_speedup\": %.1f,\n  \"serial_cells_per_s\": %.3f,\n  \
-     \"fingerprints_identical\": %b,\n  \"coalescing\": {\"run_requests\": \
-     %.0f, \"computations\": %.0f, \"coalesced\": %.0f, \"cache_hits\": %.0f, \
-     \"factor\": %.2f},\n  \"throughput\": [\n"
-    (if quick then "quick" else "full")
-    n_cells (cold_p50 *. 1e3) (cold_p99 *. 1e3) (warm_p50 *. 1e3)
-    (warm_p99 *. 1e3) warm_speedup serial_rps fingerprints_identical
-    run_requests computations coalesced cache_hits coalescing_factor;
-  List.iteri
-    (fun i (n, requests, wall, rps) ->
-      Printf.fprintf oc
-        "    {\"clients\": %d, \"requests\": %d, \"wall_s\": %.3f, \
-         \"requests_per_s\": %.2f, \"vs_serial\": %.2f}%s\n"
-        n requests wall rps (rps /. serial_rps)
-        (if i = List.length throughput - 1 then "" else ","))
-    throughput;
-  Printf.fprintf oc "  ],\n  \"warm_ok\": %b,\n  \"tp4_ok\": %b\n}\n" warm_ok
-    tp4_ok;
-  close_out oc;
-  Printf.printf "wrote %s (%d cells, 1/4/16 clients)\n"
-    (artifact_path "BENCH_serve.json")
-    n_cells;
-  if not (warm_ok && tp4_ok && fingerprints_identical) then exit 1
-
 (* SIMT benchmark: the per-lane execution model against the warp-uniform
    one. Two cell sets. (1) Warp-uniform cells — the Table I registry (the
    Figure 1 set under `quick`) under every technique: each cell is run
@@ -1005,7 +754,6 @@ let () =
   | [ "soa" ] -> soa_bench ~quick ?baseline cfg
   | [ "regdem" ] -> regdem_bench ~quick cfg
   | [ "telemetry" ] -> telemetry_bench ~quick cfg
-  | [ "serve" ] -> serve_bench ~quick cfg
   | [ "simt" ] -> simt_bench ~quick cfg
   | [ "report" ] | [ "report"; "--check" ] ->
       let module R = Experiments.Report in

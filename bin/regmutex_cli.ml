@@ -391,186 +391,6 @@ let check_cmd =
   in
   Cmd.v (Cmd.info "check" ~doc) Term.(const run $ const ())
 
-(* --- serve / client --------------------------------------------------- *)
-
-let socket_opt =
-  Arg.(
-    value
-    & opt string "regmutex.sock"
-    & info [ "socket"; "s" ] ~docv:"PATH"
-        ~doc:"Unix-domain socket path of the daemon.")
-
-let serve_cmd =
-  let doc =
-    "Run the resident sweep daemon: a persistent worker pool serving \
-     experiment, suite, fuzz, trace and metrics requests over a \
-     Unix-domain socket (line-delimited JSON; see EXPERIMENTS.md). Warm \
-     cache hits are answered in microseconds; identical concurrent \
-     requests are coalesced; past the queue depth the daemon answers \
-     $(i,busy)."
-  in
-  let jobs =
-    Arg.(
-      value & opt int 0
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Worker domains (0, the default, selects one per core).")
-  in
-  let queue_depth =
-    Arg.(
-      value & opt int 64
-      & info [ "queue-depth" ] ~docv:"N"
-          ~doc:"In-flight job bound; further requests get a busy response.")
-  in
-  let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ]
-          ~doc:"Do not read or write the persistent store under _results/.")
-  in
-  let store_limit_mb =
-    Arg.(
-      value & opt (some int) None
-      & info [ "store-limit-mb" ] ~docv:"MB"
-          ~doc:
-            "Size bound for the result store; least-recently-used entries \
-             are evicted past it (in-flight entries are never evicted).")
-  in
-  let quiet =
-    Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No per-request logging.")
-  in
-  let log_file =
-    Arg.(
-      value & opt (some string) None
-      & info [ "log-file" ] ~docv:"PATH"
-          ~doc:
-            "Append structured JSON-lines log records to $(docv) (one \
-             object per line; also retained in memory for the $(i,logs) \
-             request).")
-  in
-  let log_level =
-    let parse s =
-      match Telemetry.Log.level_of_string s with
-      | Ok l -> Ok l
-      | Error m -> Error (`Msg m)
-    in
-    let print ppf l = Format.pp_print_string ppf (Telemetry.Log.level_name l) in
-    Arg.(
-      value
-      & opt (conv (parse, print)) Telemetry.Log.Info
-      & info [ "log-level" ] ~docv:"LEVEL"
-          ~doc:"Minimum log level: debug | info | warn | error.")
-  in
-  let flight_dir =
-    Arg.(
-      value & opt string "_flight"
-      & info [ "flight-dir" ] ~docv:"DIR"
-          ~doc:
-            "Directory for the slow-request flight recorder (one merged \
-             Chrome trace-event JSON per slow request). An empty string \
-             disables per-request tracing entirely.")
-  in
-  let slow_ms =
-    Arg.(
-      value & opt float 500.
-      & info [ "slow-ms" ] ~docv:"MS"
-          ~doc:
-            "Latency threshold above which a request's merged trace is \
-             written to the flight directory.")
-  in
-  let run socket jobs queue_depth no_cache store_limit_mb quiet log_file
-      log_level flight_dir slow_ms =
-    let config =
-      {
-        Serve.Server.socket_path = socket;
-        jobs = (if jobs <= 0 then Experiments.Engine.auto_jobs () else jobs);
-        max_queue = queue_depth;
-        cache_dir = (if no_cache then None else Some "_results");
-        store_limit_bytes = Option.map (fun mb -> mb * 1024 * 1024) store_limit_mb;
-        verbose = not quiet;
-        log_level;
-        log_file;
-        trace_dir = (if flight_dir = "" then None else Some flight_dir);
-        slow_ms;
-      }
-    in
-    Serve.Server.run config
-  in
-  Cmd.v (Cmd.info "serve" ~doc)
-    Term.(
-      const run $ socket_opt $ jobs $ queue_depth $ no_cache $ store_limit_mb
-      $ quiet $ log_file $ log_level $ flight_dir $ slow_ms)
-
-let client_cmd =
-  let doc =
-    "Send one control request to a running daemon and print the result."
-  in
-  let action =
-    let parse = function
-      | "ping" -> Ok `Ping
-      | "metrics" -> Ok `Metrics
-      | "stats" -> Ok `Stats
-      | "logs" -> Ok `Logs
-      | "compact" -> Ok `Compact
-      | "shutdown" -> Ok `Shutdown
-      | s -> Error (`Msg (Printf.sprintf "unknown action %S" s))
-    in
-    let print ppf a =
-      Format.pp_print_string ppf
-        (match a with
-        | `Ping -> "ping"
-        | `Metrics -> "metrics"
-        | `Stats -> "stats"
-        | `Logs -> "logs"
-        | `Compact -> "compact"
-        | `Shutdown -> "shutdown")
-    in
-    Arg.(
-      required
-      & pos 0 (some (conv (parse, print))) None
-      & info [] ~docv:"ACTION"
-          ~doc:"ping | metrics | stats | logs | compact | shutdown")
-  in
-  let max_lines =
-    Arg.(
-      value & opt int 100
-      & info [ "max-lines"; "n" ] ~docv:"N"
-          ~doc:"For $(i,logs): tail at most $(docv) records.")
-  in
-  let run action max_lines socket =
-    let c = Serve.Client.connect_retry ~attempts:1 socket in
-    let req =
-      match action with
-      | `Ping -> Serve.Protocol.Ping
-      | `Metrics -> Serve.Protocol.Metrics
-      | `Stats -> Serve.Protocol.Stats
-      | `Logs -> Serve.Protocol.Logs { max_lines }
-      | `Compact -> Serve.Protocol.Compact
-      | `Shutdown -> Serve.Protocol.Shutdown
-    in
-    (match Serve.Client.request c req with
-    | Serve.Protocol.Ok_ping -> print_endline "pong"
-    | Serve.Protocol.Ok_metrics text -> print_string text
-    | Serve.Protocol.Ok_stats kvs ->
-        List.iter (fun (k, v) -> Printf.printf "%-18s %.0f\n" k v) kvs
-    | Serve.Protocol.Ok_logs { lines; dropped } ->
-        List.iter print_endline lines;
-        if dropped > 0 then
-          Printf.eprintf "(%d older record(s) dropped from the ring)\n" dropped
-    | Serve.Protocol.Ok_compact { files; bytes } ->
-        Printf.printf "compacted: %d stale file(s), %d bytes\n" files bytes
-    | Serve.Protocol.Ok_shutdown -> print_endline "shutting down"
-    | Serve.Protocol.Busy ->
-        prerr_endline "daemon busy";
-        exit 2
-    | Serve.Protocol.Error { code; message } ->
-        Printf.eprintf "error (%s): %s\n" code message;
-        exit 1
-    | _ -> ());
-    Serve.Client.close c
-  in
-  Cmd.v (Cmd.info "client" ~doc)
-    Term.(const run $ action $ max_lines $ socket_opt)
-
 (* --- sweep ----------------------------------------------------------- *)
 
 let profile_flag =
@@ -623,40 +443,13 @@ let sweep_cmd =
   let list_flag =
     Arg.(value & flag & info [ "list" ] ~doc:"List experiment names and exit.")
   in
-  let daemon_flag =
-    Arg.(
-      value & flag
-      & info [ "daemon" ]
-          ~doc:
-            "Thin-client mode: send the sweep to a running $(b,regmutex \
-             serve) daemon (see $(b,--socket)) and print its rendering — \
-             byte-identical to computing in-process.")
-  in
-  let run jobs no_cache quick names list_only no_ff profile daemon socket =
+  let run jobs no_cache quick names list_only no_ff profile =
     let module Engine = Experiments.Engine in
     let module Suite = Experiments.Suite in
     if list_only then
       List.iter
         (fun (e : Suite.entry) -> Printf.printf "%-10s %s\n" e.Suite.name e.Suite.doc)
         Suite.all
-    else if daemon then begin
-      let c = Serve.Client.connect_retry socket in
-      (match
-         Serve.Client.request_retry c
-           (Serve.Protocol.Suite { entries = names; quick })
-       with
-      | Serve.Protocol.Ok_suite { output } -> print_string output
-      | Serve.Protocol.Busy ->
-          prerr_endline "daemon busy";
-          exit 2
-      | Serve.Protocol.Error { code; message } ->
-          Printf.eprintf "error (%s): %s\n" code message;
-          exit 1
-      | _ ->
-          prerr_endline "unexpected response";
-          exit 1);
-      Serve.Client.close c
-    end
     else begin
       Engine.set_jobs jobs;
       Engine.set_fast_forward (not no_ff);
@@ -694,7 +487,7 @@ let sweep_cmd =
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(
       const run $ jobs $ no_cache $ quick $ names $ list_flag
-      $ no_fast_forward_flag $ profile_flag $ daemon_flag $ socket_opt)
+      $ no_fast_forward_flag $ profile_flag)
 
 (* --- fuzz ------------------------------------------------------------ *)
 
@@ -755,67 +548,27 @@ let fuzz_cmd =
              mask-corrupt — and verify the oracle catches it on at least one \
              seed. Exit status 0 iff caught.")
   in
-  let daemon_flag =
-    Arg.(
-      value & flag
-      & info [ "daemon" ]
-          ~doc:
-            "Thin-client mode: run the batch on a $(b,regmutex serve) \
-             daemon (see $(b,--socket)). The daemon never persists a \
-             corpus; failing seeds are reported in the output only.")
-  in
-  let run seeds seed0 jobs dir no_corpus no_shrink inject profile daemon socket =
-    if daemon then begin
-      let c = Serve.Client.connect_retry socket in
-      match
-        Serve.Client.request_retry c
-          (Serve.Protocol.Fuzz
-             {
-               n_seeds = seeds;
-               seed0;
-               inject = Option.map Fuzz.Oracle.fault_name inject;
-               do_shrink = not no_shrink;
-             })
-      with
-      | Serve.Protocol.Ok_fuzz { failures; caught; output; _ } ->
-          print_string output;
-          Serve.Client.close c;
-          exit
-            (match inject with
-            | None -> if failures = 0 then 0 else 1
-            | Some _ -> if caught >= 1 then 0 else 1)
-      | Serve.Protocol.Busy ->
-          prerr_endline "daemon busy";
-          exit 2
-      | Serve.Protocol.Error { code; message } ->
-          Printf.eprintf "error (%s): %s\n" code message;
-          exit 1
-      | _ ->
-          prerr_endline "unexpected response";
-          exit 1
-    end
-    else begin
-      let config =
-        {
-          Fuzz.Driver.n_seeds = seeds;
-          seed0;
-          jobs = (if jobs = 0 then Domain.recommended_domain_count () else jobs);
-          dir = (if no_corpus then None else Some dir);
-          inject;
-          do_shrink = not no_shrink;
-        }
-      in
-      let summary =
-        with_profile profile (fun () ->
-            Fuzz.Driver.run Format.std_formatter config)
-      in
-      exit (Fuzz.Driver.exit_code config summary)
-    end
+  let run seeds seed0 jobs dir no_corpus no_shrink inject profile =
+    let config =
+      {
+        Fuzz.Driver.n_seeds = seeds;
+        seed0;
+        jobs = (if jobs = 0 then Domain.recommended_domain_count () else jobs);
+        dir = (if no_corpus then None else Some dir);
+        inject;
+        do_shrink = not no_shrink;
+      }
+    in
+    let summary =
+      with_profile profile (fun () ->
+          Fuzz.Driver.run Format.std_formatter config)
+    in
+    exit (Fuzz.Driver.exit_code config summary)
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(
       const run $ seeds $ seed0 $ jobs $ dir $ no_corpus $ no_shrink $ inject
-      $ profile_flag $ daemon_flag $ socket_opt)
+      $ profile_flag)
 
 (* --- report --------------------------------------------------------- *)
 
@@ -913,4 +666,4 @@ let () =
        (Cmd.group info
           [ list_cmd; occupancy_cmd; liveness_cmd; transform_cmd; run_cmd;
             metrics_cmd; trace_cmd; run_file_cmd; check_cmd; sweep_cmd;
-            fuzz_cmd; serve_cmd; client_cmd; report_cmd; storage_cmd ]))
+            fuzz_cmd; report_cmd; storage_cmd ]))

@@ -24,8 +24,8 @@ let fast_forward () = !ff
 (* --- persistent worker pool ------------------------------------------- *)
 
 (* True on any domain currently executing pool jobs: a nested fan-out
-   (e.g. a suite job on the serve daemon calling [prefetch]) must reuse
-   the pool it runs on rather than resize it out from under itself. *)
+   (a pool job that itself calls [parallel_map]) must reuse the pool it
+   runs on rather than resize it out from under itself. *)
 let on_pool_worker = Domain.DLS.new_key (fun () -> false)
 
 module Pool = struct
@@ -75,15 +75,7 @@ module Pool = struct
 
   let workers t = t.n_workers
 
-  let submit ?ctx t job =
-    (* [ctx] rides along to the worker domain as ambient logging context
-       (request id and friends), so every log line the job emits carries
-       the fields of the request that submitted it. *)
-    let job =
-      match ctx with
-      | None | Some [] -> job
-      | Some fields -> fun () -> Telemetry.Log.with_ctx fields job
-    in
+  let submit t job =
     Mutex.lock t.mutex;
     if t.stopping then begin
       Mutex.unlock t.mutex;
@@ -240,9 +232,9 @@ let key ?es_override ?options ?variant cfg ~arch technique spec =
 
 (* --- in-memory and on-disk caches ------------------------------------ *)
 
-(* The in-memory table is shared by every domain that runs cells (the
-   serve daemon's suite jobs call [run] from pool workers), so accesses
-   go through one mutex. Computation never happens under the lock. *)
+(* The in-memory table may be touched from any domain that runs cells,
+   so accesses go through one mutex. Computation never happens under the
+   lock. *)
 let cache : (string, Runner.run) Hashtbl.t = Hashtbl.create 64
 
 let cache_lock = Mutex.create ()
@@ -269,27 +261,10 @@ let clear () = with_cache (fun () -> Hashtbl.reset cache)
    phases live in [Runner]. Registered before any domain spawns. *)
 let merge_phase = Telemetry.Profile.phase "engine.merge"
 
-let compute ?telemetry cfg c =
+let compute cfg c =
   let options = resolved_options c in
   let kernel = Exp_config.kernel_of cfg c.spec in
-  Runner.execute ?telemetry ~options ~fast_forward:!ff c.arch c.technique kernel
-
-let cached cfg c =
-  let k = key_of_cell cfg c in
-  match mem_find k with
-  | Some run -> Some run
-  | None -> (
-      match Result_store.load k with
-      | Some run ->
-          mem_add k run;
-          Some run
-      | None -> None)
-
-let insert cfg c run =
-  let k = key_of_cell cfg c in
-  Atomic.incr misses;
-  mem_add k run;
-  Result_store.store k run
+  Runner.execute ~options ~fast_forward:!ff c.arch c.technique kernel
 
 let lookup cfg c =
   let k = key_of_cell cfg c in

@@ -6,9 +6,10 @@
 
     - an in-memory table for the lifetime of the process;
     - optionally (see {!set_cache_dir}) an on-disk store with one file per
-      cache key under [<dir>/v<schema>-<git-describe>/], so repeated CLI or
-      figure runs skip simulation entirely. A rebuilt simulator gets a
-      fresh version directory; stale results are never replayed.
+      cache key under [<dir>/<version tag>/] (see
+      {!Result_store.version_tag}), so repeated CLI or figure runs skip
+      simulation entirely. A rebuilt simulator gets a fresh version
+      directory; stale results are never replayed.
 
     Batches of cells ({!prefetch}, {!run_batch}) are deduplicated and
     fanned out over worker domains (see {!set_jobs}); results are merged
@@ -59,8 +60,7 @@ val run :
     and reused across every {!Pool.map} / {!Pool.submit} until
     {!Pool.shutdown}, replacing the old spawn/join-per-call fan-out.
     {!parallel_map} (and through it {!prefetch} and the fuzz driver) runs
-    on one process-wide shared pool ({!shared_pool}); the serve daemon
-    feeds its job queue into the same pool. *)
+    on one process-wide shared pool ({!shared_pool}). *)
 module Pool : sig
   type t
 
@@ -73,11 +73,8 @@ module Pool : sig
 
   (** Enqueue one asynchronous job; it runs on some worker (exceptions
       are swallowed — jobs that can fail must capture their own result).
-      [?ctx] installs ambient {!Telemetry.Log} context fields around the
-      job on whichever domain runs it, so log lines it emits carry the
-      submitting request's id.
       @raise Invalid_argument after {!shutdown}. *)
-  val submit : ?ctx:Telemetry.Log.field list -> t -> (unit -> unit) -> unit
+  val submit : t -> (unit -> unit) -> unit
 
   (** [map t tasks f] — blocking batch: the caller submits one job per
       task, participates in draining the queue, and waits for the batch.
@@ -151,28 +148,9 @@ val cache_dir : unit -> string option
     The on-disk store, if enabled, is untouched. *)
 val clear : unit -> unit
 
-(** {2 Daemon-facing primitives}
-
-    The serve daemon separates the three steps [lookup] fuses, so cache
-    probes and inserts stay on its coordinator thread while computes run
-    on pool workers. *)
-
-(** Full cache key of a cell (same as {!key}). *)
-val key_of_cell : Exp_config.t -> cell -> string
-
-(** Probe both cache layers (promoting a disk hit to memory); never
-    simulates, never counts a miss. *)
-val cached : Exp_config.t -> cell -> Regmutex.Runner.run option
-
 (** Simulate unconditionally, bypassing both cache layers. Safe on any
-    domain. [?telemetry] attaches a trace sink to the run (the serve
-    daemon gives each cold compute a per-request sink so the simulation
-    spans land in that request's merged trace). *)
-val compute : ?telemetry:Telemetry.Sink.t -> Exp_config.t -> cell -> Regmutex.Runner.run
-
-(** Record an externally-computed run in both cache layers, counting one
-    simulation. *)
-val insert : Exp_config.t -> cell -> Regmutex.Runner.run -> unit
+    domain. *)
+val compute : Exp_config.t -> cell -> Regmutex.Runner.run
 
 (** Number of simulations actually executed by this process (misses in
     both cache layers). *)

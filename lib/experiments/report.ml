@@ -153,54 +153,12 @@ let extract_simt j =
   in
   (ms, invs)
 
-let extract_serve j =
-  let config = config_of j in
-  let simple =
-    List.filter_map
-      (fun name ->
-        Option.map (fun v -> metric ~config ("serve." ^ name) v) (num j name))
-      [ "warm_speedup" ]
-  in
-  let coalescing =
-    match field j "coalescing" with
-    | Some co -> (
-        match num co "factor" with
-        | Some v -> [ metric ~config "serve.coalescing_factor" v ]
-        | None -> [])
-    | None -> []
-  in
-  let throughput =
-    match field j "throughput" with
-    | Some (J.List rows) ->
-        List.filter_map
-          (fun row ->
-            match (num row "clients", num row "vs_serial") with
-            | Some c, Some v ->
-                Some
-                  (metric ~config
-                     (Printf.sprintf "serve.tp%d_vs_serial" (int_of_float c))
-                     v)
-            | _ -> None)
-          rows
-    | _ -> []
-  in
-  let invs =
-    List.filter_map
-      (fun name ->
-        Option.map
-          (fun ok -> { inv_key = "serve." ^ name; ok })
-          (boolean j name))
-      [ "fingerprints_identical"; "warm_ok"; "tp4_ok" ]
-  in
-  (simple @ coalescing @ throughput, invs)
-
 let extract j =
   match str j "bench" with
   | Some "cycle_skip" -> Some (extract_cycle_skip j)
   | Some "soa_core" -> Some (extract_soa_core j)
   | Some "telemetry_overhead" -> Some (extract_telemetry_overhead j)
   | Some "regdem" -> Some (extract_regdem j)
-  | Some "serve" -> Some (extract_serve j)
   | Some "simt" -> Some (extract_simt j)
   | _ -> None
 
@@ -347,15 +305,15 @@ let check ?(tolerance = 0.05) snapshot baseline =
               sk ))
       ([], []) snapshot.metrics
   in
-  let stale =
-    List.filter_map
+  (* A baseline key with no current metric means its artifact vanished
+     (deleted, renamed, or no longer carrying the field): a gate that only
+     walked the snapshot would pass it silently. *)
+  let missing =
+    List.filter
       (fun b ->
-        if List.exists (fun m -> String.equal m.key b.key) snapshot.metrics
-        then None
-        else Some (b.key, "in baseline but not measured"))
+        not (List.exists (fun m -> String.equal m.key b.key) snapshot.metrics))
       baseline
   in
-  let skipped = skipped @ stale in
   let geomean =
     match compared with
     | [] -> None
@@ -376,6 +334,11 @@ let check ?(tolerance = 0.05) snapshot baseline =
       | Some g when g < floor ->
           [ Printf.sprintf "geomean ratio %.3f < %.3f" g floor ]
       | _ -> [])
+    @ List.map
+        (fun b ->
+          Printf.sprintf "%s is in the baseline but no artifact reports it"
+            b.key)
+        missing
     @ List.filter_map
         (fun i ->
           if i.ok then None

@@ -2,26 +2,29 @@
     artifacts, compare them against the checked-in baseline
     ([bench/trajectory.json]) and fail on regressions.
 
-    Every bench harness (cycles, soa, telemetry, serve) writes one JSON
-    artifact at the repo root. {!scan} normalizes each known kind into
+    Every bench harness (cycles, soa, telemetry, regdem, simt) writes
+    one JSON artifact at the repo root. {!scan} normalizes each known
+    kind into
 
     - {e metrics}: named scalars with a direction ([higher_better]) and
       the grid config ([quick] or [full]) they were measured under —
-      speedups, coalescing factors, the telemetry overhead as a
+      speedups, occupancy gains, the telemetry overhead as a
       [1 + pct/100] factor;
     - {e invariants}: named booleans that must hold outright
-      (fingerprint identity across stepping modes, the serve gates).
+      (fingerprint identity across stepping modes and techniques).
 
     {!check} compares a scan against a baseline metric list: each metric
     present in both (same key {e and} same config — quick and full
     timings are never comparable) gets a ratio normalized so [>= 1] is
     an improvement; the check fails when any ratio or the geomean of
-    all ratios falls below [1 - tolerance], or any invariant is false.
-    Metrics missing on either side are reported as skipped, never
-    failed, so adding a bench never breaks the gate retroactively. *)
+    all ratios falls below [1 - tolerance], any invariant is false, or a
+    baseline metric is missing from the scan (its artifact was deleted
+    or renamed). A metric the baseline lacks, or one measured under
+    another config, is reported as skipped, so adding a bench never
+    breaks the gate retroactively. *)
 
 type metric = {
-  key : string;  (** e.g. ["serve.warm_speedup"] *)
+  key : string;  (** e.g. ["soa_core.geomean_speedup_compute"] *)
   value : float;
   higher_better : bool;
   config : string;  (** ["quick"] | ["full"] (or [""] when unstated) *)

@@ -1,51 +1,60 @@
 module Runner = Regmutex.Runner
 
-type stats = {
-  entries : int;
-  bytes : int;
-  limit_bytes : int option;
-  evictions : int;
-  version : string;
-}
+type stats = { entries : int; bytes : int }
 
 (* Results are versioned by a schema tag plus the simulator's git-describe:
    a rebuilt simulator writes into a fresh directory, so stale results are
    never replayed and need no explicit invalidation scan. *)
 let schema_version = 1
 
+(* Every uncommitted build of one commit describes as "<rev>-dirty" (and
+   every build without git as "unversioned"); marshalled records from a
+   build with another [Runner.run] layout would be undefined behaviour,
+   not a miss. The executable's size and mtime tell such builds apart
+   without reading its bytes. *)
+let simulator_tag ~describe ~exe =
+  let shared =
+    describe = "unversioned" || String.ends_with ~suffix:"-dirty" describe
+  in
+  match exe with
+  | Some (size, mtime) when shared ->
+      Printf.sprintf "%s-%d-%.3f" describe size mtime
+  | _ -> describe
+
 let simulator_version =
   lazy
-    (try
-       let ic = Unix.open_process_in "git describe --always --dirty 2>/dev/null" in
-       let line = try String.trim (input_line ic) with End_of_file -> "" in
-       ignore (Unix.close_process_in ic);
-       if line = "" then "unversioned" else line
-     with _ -> "unversioned")
+    (let describe =
+       try
+         let ic =
+           Unix.open_process_in "git describe --always --dirty 2>/dev/null"
+         in
+         let line = try String.trim (input_line ic) with End_of_file -> "" in
+         ignore (Unix.close_process_in ic);
+         if line = "" then "unversioned" else line
+       with _ -> "unversioned"
+     in
+     let exe =
+       try
+         let st = Unix.stat Sys.executable_name in
+         Some (st.Unix.st_size, st.Unix.st_mtime)
+       with Unix.Unix_error _ -> None
+     in
+     simulator_tag ~describe ~exe)
 
 let version_tag () =
   Printf.sprintf "v%d-%s" schema_version (Lazy.force simulator_version)
 
-(* --- index state ------------------------------------------------------- *)
-
-type entry = { mutable e_bytes : int; mutable e_seq : int }
-
 let lock = Mutex.create ()
 let root_ref = ref None
-let limit_ref = ref None
-let index : (string, entry) Hashtbl.t = Hashtbl.create 64
-let pins : (string, int) Hashtbl.t = Hashtbl.create 16
-let next_seq = ref 1
-let evictions = ref 0
-let loaded = ref false
 
 let locked f =
   Mutex.lock lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
 
 let version_dir root = Filename.concat root (version_tag ())
-let digest_of_key k = Digest.to_hex (Digest.string k)
-let file_of_digest root d = Filename.concat (version_dir root) (d ^ ".run")
-let index_file root = Filename.concat (version_dir root) "INDEX"
+
+let file_of_key root k =
+  Filename.concat (version_dir root) (Digest.to_hex (Digest.string k) ^ ".run")
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -53,231 +62,56 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* The index is tiny (one short line per entry); rewriting it atomically
-   on each mutation is cheaper than being clever and keeps it crash-safe. *)
-let persist_index root =
-  try
-    mkdir_p (version_dir root);
-    let tmp = Printf.sprintf "%s.%d.tmp" (index_file root) (Unix.getpid ()) in
-    let oc = open_out tmp in
-    Hashtbl.iter
-      (fun d e -> Printf.fprintf oc "%s %d %d\n" d e.e_bytes e.e_seq)
-      index;
-    close_out oc;
-    Sys.rename tmp (index_file root)
-  with Sys_error _ | Unix.Unix_error _ -> ()
-
-let load_index root =
-  Hashtbl.reset index;
-  next_seq := 1;
-  (try
-     let ic = open_in (index_file root) in
-     Fun.protect
-       ~finally:(fun () -> close_in_noerr ic)
-       (fun () ->
-         try
-           while true do
-             let line = input_line ic in
-             match String.split_on_char ' ' (String.trim line) with
-             | [ d; bytes; seq ] -> (
-                 match (int_of_string_opt bytes, int_of_string_opt seq) with
-                 | Some b, Some s ->
-                     if Sys.file_exists (file_of_digest root d) then begin
-                       Hashtbl.replace index d { e_bytes = b; e_seq = s };
-                       if s >= !next_seq then next_seq := s + 1
-                     end
-                 | _ -> ())
-             | _ -> ()
-           done
-         with End_of_file -> ())
-   with Sys_error _ -> ());
-  (* Adopt files the index does not know (written by a pre-LRU build or a
-     concurrent process): size from stat, last-use 0 — evicted first. *)
-  (try
-     Array.iter
-       (fun name ->
-         if Filename.check_suffix name ".run" then begin
-           let d = Filename.chop_suffix name ".run" in
-           if not (Hashtbl.mem index d) then
-             try
-               let st = Unix.stat (file_of_digest root d) in
-               Hashtbl.replace index d
-                 { e_bytes = st.Unix.st_size; e_seq = 0 }
-             with Unix.Unix_error _ -> ()
-         end)
-       (Sys.readdir (version_dir root))
-   with Sys_error _ -> ());
-  loaded := true
-
-let ensure_loaded root = if not !loaded then load_index root
-
-let touch d =
-  match Hashtbl.find_opt index d with
-  | None -> ()
-  | Some e ->
-      e.e_seq <- !next_seq;
-      incr next_seq
-
-let total_bytes () = Hashtbl.fold (fun _ e acc -> acc + e.e_bytes) index 0
-
-let pinned_digests () =
-  let s = Hashtbl.create 16 in
-  Hashtbl.iter (fun k n -> if n > 0 then Hashtbl.replace s (digest_of_key k) ()) pins;
-  s
-
-let evict_to_limit root =
-  match !limit_ref with
-  | None -> ()
-  | Some limit ->
-      let pinned = pinned_digests () in
-      let rec go () =
-        if total_bytes () > limit then begin
-          let victim =
-            Hashtbl.fold
-              (fun d e acc ->
-                if Hashtbl.mem pinned d then acc
-                else
-                  match acc with
-                  | Some (_, best) when best.e_seq <= e.e_seq -> acc
-                  | _ -> Some (d, e))
-              index None
-          in
-          match victim with
-          | None -> () (* everything pinned: over budget, but never unsafe *)
-          | Some (d, _) ->
-              (try Sys.remove (file_of_digest root d) with Sys_error _ -> ());
-              Hashtbl.remove index d;
-              incr evictions;
-              go ()
-        end
-      in
-      go ()
-
-(* --- public API -------------------------------------------------------- *)
-
-let set_root dir =
-  locked (fun () ->
-      root_ref := dir;
-      loaded := false)
+let set_root dir = locked (fun () -> root_ref := dir)
 
 let root () = locked (fun () -> !root_ref)
-
-let set_limit_bytes l = locked (fun () -> limit_ref := l)
-
-let limit_bytes () = locked (fun () -> !limit_ref)
-
-let pin k =
-  locked (fun () ->
-      Hashtbl.replace pins k (1 + Option.value ~default:0 (Hashtbl.find_opt pins k)))
-
-let unpin k =
-  locked (fun () ->
-      match Hashtbl.find_opt pins k with
-      | Some n when n > 1 -> Hashtbl.replace pins k (n - 1)
-      | Some _ -> Hashtbl.remove pins k
-      | None -> ())
 
 let load k =
   locked (fun () ->
       match !root_ref with
       | None -> None
       | Some root -> (
-          ensure_loaded root;
-          let d = digest_of_key k in
-          let path = file_of_digest root d in
-          if not (Sys.file_exists path) then None
-          else
-            try
-              let ic = open_in_bin path in
-              let result =
-                Fun.protect
-                  ~finally:(fun () -> close_in_noerr ic)
-                  (fun () ->
-                    let stored_key, run =
-                      (Marshal.from_channel ic : string * Runner.run)
-                    in
-                    (* The file name is a digest; storing the key guards
-                       against the (unlikely) digest collision. *)
-                    if String.equal stored_key k then Some run else None)
-              in
-              if result <> None then begin
-                if not (Hashtbl.mem index d) then begin
-                  let st = Unix.stat path in
-                  Hashtbl.replace index d
-                    { e_bytes = st.Unix.st_size; e_seq = 0 }
-                end;
-                touch d;
-                persist_index root
-              end;
-              result
-            with _ -> None))
+          try
+            let ic = open_in_bin (file_of_key root k) in
+            Fun.protect
+              ~finally:(fun () -> close_in_noerr ic)
+              (fun () ->
+                let stored_key, run =
+                  (Marshal.from_channel ic : string * Runner.run)
+                in
+                (* The file name is a digest; storing the key guards
+                   against the (unlikely) digest collision. *)
+                if String.equal stored_key k then Some run else None)
+          with _ -> None))
 
 let store k run =
   locked (fun () ->
       match !root_ref with
       | None -> ()
       | Some root -> (
-          ensure_loaded root;
-          let d = digest_of_key k in
-          let path = file_of_digest root d in
+          let path = file_of_key root k in
           try
             mkdir_p (Filename.dirname path);
             let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
             let oc = open_out_bin tmp in
             Marshal.to_channel oc (k, run) [];
             close_out oc;
-            Sys.rename tmp path;
-            let bytes = (Unix.stat path).Unix.st_size in
-            (match Hashtbl.find_opt index d with
-            | Some e -> e.e_bytes <- bytes
-            | None -> Hashtbl.replace index d { e_bytes = bytes; e_seq = 0 });
-            touch d;
-            evict_to_limit root;
-            persist_index root
+            Sys.rename tmp path
           with Sys_error _ | Unix.Unix_error _ -> ()))
-
-let rec remove_tree path =
-  match (Unix.lstat path).Unix.st_kind with
-  | Unix.S_DIR ->
-      let files, bytes =
-        Array.fold_left
-          (fun (f, b) name ->
-            let f', b' = remove_tree (Filename.concat path name) in
-            (f + f', b + b'))
-          (0, 0) (Sys.readdir path)
-      in
-      (try Unix.rmdir path with Unix.Unix_error _ -> ());
-      (files, bytes)
-  | _ ->
-      let bytes = try (Unix.stat path).Unix.st_size with _ -> 0 in
-      (try Sys.remove path with Sys_error _ -> ());
-      (1, bytes)
-  | exception Unix.Unix_error _ -> (0, 0)
-
-let compact () =
-  locked (fun () ->
-      match !root_ref with
-      | None -> (0, 0)
-      | Some root ->
-          let current = version_tag () in
-          Array.fold_left
-            (fun (f, b) name ->
-              let path = Filename.concat root name in
-              if name <> current && Sys.is_directory path then begin
-                let f', b' = remove_tree path in
-                (f + f', b + b')
-              end
-              else (f, b))
-            (0, 0)
-            (try Sys.readdir root with Sys_error _ -> [||]))
 
 let stats () =
   locked (fun () ->
-      (match !root_ref with Some root -> ensure_loaded root | None -> ());
-      {
-        entries = Hashtbl.length index;
-        bytes = total_bytes ();
-        limit_bytes = !limit_ref;
-        evictions = !evictions;
-        version = version_tag ();
-      })
+      match !root_ref with
+      | None -> { entries = 0; bytes = 0 }
+      | Some root ->
+          let dir = version_dir root in
+          Array.fold_left
+            (fun s name ->
+              if not (Filename.check_suffix name ".run") then s
+              else
+                try
+                  let st = Unix.stat (Filename.concat dir name) in
+                  { entries = s.entries + 1; bytes = s.bytes + st.Unix.st_size }
+                with Unix.Unix_error _ -> s)
+            { entries = 0; bytes = 0 }
+            (try Sys.readdir dir with Sys_error _ -> [||]))

@@ -1,60 +1,43 @@
-(** Managed on-disk result store under [<root>/<version-tag>/].
+(** On-disk result store under [<root>/<version-tag>/].
 
-    One marshalled [(key, run)] file per cache key, as before, plus an
-    [INDEX] file recording size and last-use order so the store can be
-    size-bounded: when {!set_limit_bytes} is exceeded, least-recently-used
-    entries are evicted. Entries {!pin}ned by the caller (the serve
-    daemon pins every key it is currently computing or answering) are
-    never evicted. {!compact} drops whole version directories left behind
-    by older schemas or simulator builds.
+    One marshalled [(key, run)] file per cache key, written atomically
+    (tmp + rename). There is no index and no size bound: deleting the
+    root directory (conventionally [_results/]) reclaims the space, and
+    directories of other version tags are never read.
 
     All operations are serialized by an internal mutex, so the store may
     be touched from any domain. *)
 
 type stats = {
-  entries : int;        (** files tracked in the current version dir *)
-  bytes : int;          (** their total size *)
-  limit_bytes : int option;
-  evictions : int;      (** LRU evictions performed by this process *)
-  version : string;     (** current version tag, e.g. ["v1-abc1234"] *)
+  entries : int;  (** [.run] files in the current version directory *)
+  bytes : int;  (** their total size *)
 }
 
 (** Enable ([Some dir], conventionally ["_results"]) or disable ([None])
-    the store. Changing the root resets the in-memory index; the
-    directory's [INDEX] file is reloaded lazily on first use (files
-    present on disk but missing from the index are adopted with
-    last-use 0, i.e. first in line for eviction). *)
+    the store. *)
 val set_root : string option -> unit
 
 val root : unit -> string option
 
-(** Size bound in bytes ([None], the default, is unbounded). Takes
-    effect on the next {!store}. *)
-val set_limit_bytes : int option -> unit
+(** [simulator_tag ~describe ~exe] — the simulator part of
+    {!version_tag}. [describe] is the [git describe --always --dirty]
+    output (["unversioned"] without git); [exe] is the running
+    executable's size and mtime, when it could be read. A clean build is
+    named by [describe] alone. Dirty and unversioned builds all share one
+    describe string, so theirs is followed by the executable's size and
+    mtime: two different builds never read each other's records. *)
+val simulator_tag : describe:string -> exe:(int * float) option -> string
 
-val limit_bytes : unit -> int option
-
-(** [v<schema>-<git-describe>] — the version directory name. *)
+(** [v<schema>-<simulator tag>] — the version directory name. *)
 val version_tag : unit -> string
 
-(** [load key] reads the entry back (and marks it most recently used),
-    [None] when disabled, absent, or unreadable. *)
+(** [load key] reads the entry back; [None] when disabled, absent, or
+    unreadable (a truncated file, a digest collision). Never writes. *)
 val load : string -> Regmutex.Runner.run option
 
-(** [store key run] writes atomically (tmp + rename), updates the index,
-    then evicts LRU entries until the store fits the limit. *)
+(** [store key run] writes atomically (tmp + rename). *)
 val store : string -> Regmutex.Runner.run -> unit
 
-(** Pins are counted: [pin] twice needs [unpin] twice. Pinning is by
-    key and is meaningful even before the entry exists (the daemon pins
-    at enqueue time, before the compute finishes). *)
-val pin : string -> unit
-
-val unpin : string -> unit
-
-(** [compact ()] removes every version directory under the root except
-    the current one, returning [(files_removed, bytes_removed)].
-    [(0, 0)] when the store is disabled. *)
-val compact : unit -> int * int
-
+(** Counted from the current version directory on disk; zero when the
+    store is disabled. *)
 val stats : unit -> stats

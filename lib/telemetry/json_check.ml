@@ -192,8 +192,8 @@ let escape_string buf s =
 (* Integral floats print without a fraction (the common case for our
    counters and ids); everything else uses %.17g, enough digits that
    [parse] recovers the same float. JSON has no NaN/Infinity literal, so
-   non-finite numbers degrade to null — a parseable frame beats a
-   syntactically invalid one in a log file or protocol line. *)
+   non-finite numbers degrade to null — a parseable document beats a
+   syntactically invalid one. *)
 let number_literal f =
   if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then "null"
   else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f

@@ -15,8 +15,8 @@ val parse : string -> json
 
 val parse_opt : string -> (json, string) result
 
-(** Single-line rendering (no interior newlines, so a printed value is a
-    valid frame of a line-delimited protocol). [parse (to_string j)]
+(** Single-line rendering (no interior newlines, so one value fits on
+    one line of a JSON file). [parse (to_string j)]
     recovers [j] up to float formatting: integral [Num]s print without a
     fraction, others with enough digits to round-trip. Non-finite [Num]s
     (JSON has no NaN/Infinity literal) print as [null], so the output is

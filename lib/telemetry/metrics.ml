@@ -1,50 +1,23 @@
 type counter = {
   c_name : string;
-  c_labels : string;  (* rendered pairs, e.g. [k="v",k2="v2"]; "" = none *)
   c_help : string;
   mutable c_value : int;
 }
 
 type gauge = {
   g_name : string;
-  g_labels : string;
   g_help : string;
   mutable g_value : float;
 }
 
 type histogram = {
   h_name : string;
-  h_labels : string;
   h_help : string;
   bounds : int array;  (* inclusive upper bounds, strictly increasing *)
   counts : int array;  (* per-bucket, overflow bucket last *)
   mutable sum : int;
   mutable total : int;
 }
-
-(* Prometheus label-value escaping: backslash, quote, newline. *)
-let render_labels = function
-  | [] -> ""
-  | pairs ->
-      String.concat ","
-        (List.map
-           (fun (k, v) ->
-             let buf = Buffer.create (String.length v + 8) in
-             String.iter
-               (fun c ->
-                 match c with
-                 | '\\' -> Buffer.add_string buf "\\\\"
-                 | '"' -> Buffer.add_string buf "\\\""
-                 | '\n' -> Buffer.add_string buf "\\n"
-                 | c -> Buffer.add_char buf c)
-               v;
-             Printf.sprintf "%s=\"%s\"" k (Buffer.contents buf))
-           pairs)
-
-(* The registry key and the JSON/display name: [name{k="v"}]. Two label
-   sets of one name are distinct instruments, as in Prometheus. *)
-let display name labels =
-  if labels = "" then name else Printf.sprintf "%s{%s}" name labels
 
 type instrument =
   | Counter of counter
@@ -69,38 +42,34 @@ let register t name make =
 
 let kind_clash name = invalid_arg ("Metrics: " ^ name ^ " registered as another kind")
 
-let counter ?(help = "") ?(labels = []) t name =
-  let labels = render_labels labels in
+let counter ?(help = "") t name =
   match
-    register t (display name labels) (fun () ->
-        Counter { c_name = name; c_labels = labels; c_help = help; c_value = 0 })
+    register t name (fun () ->
+        Counter { c_name = name; c_help = help; c_value = 0 })
   with
   | Counter c -> c
   | Gauge _ | Histogram _ -> kind_clash name
 
-let gauge ?(help = "") ?(labels = []) t name =
-  let labels = render_labels labels in
+let gauge ?(help = "") t name =
   match
-    register t (display name labels) (fun () ->
-        Gauge { g_name = name; g_labels = labels; g_help = help; g_value = 0. })
+    register t name (fun () ->
+        Gauge { g_name = name; g_help = help; g_value = 0. })
   with
   | Gauge g -> g
   | Counter _ | Histogram _ -> kind_clash name
 
-let histogram ?(help = "") ?(labels = []) ~buckets t name =
+let histogram ?(help = "") ~buckets t name =
   if Array.length buckets = 0 then invalid_arg "Metrics.histogram: no buckets";
   Array.iteri
     (fun i b ->
       if i > 0 && b <= buckets.(i - 1) then
         invalid_arg "Metrics.histogram: bucket bounds must be strictly increasing")
     buckets;
-  let labels = render_labels labels in
   match
-    register t (display name labels) (fun () ->
+    register t name (fun () ->
         Histogram
           {
             h_name = name;
-            h_labels = labels;
             h_help = help;
             bounds = Array.copy buckets;
             counts = Array.make (Array.length buckets + 1) 0;
@@ -142,48 +111,30 @@ let pp_float ppf v =
   else Format.fprintf ppf "%.12g" v
 
 let pp_prometheus ppf t =
-  (* HELP/TYPE headers name the metric family (bare name); labelled
-     series of one family share a single header, emitted on first sight. *)
-  let seen = Hashtbl.create 16 in
   let header name help kind =
-    if not (Hashtbl.mem seen name) then begin
-      Hashtbl.add seen name ();
-      if help <> "" then Format.fprintf ppf "# HELP %s %s@," name help;
-      Format.fprintf ppf "# TYPE %s %s@," name kind
-    end
-  in
-  (* [suffix] goes between the name and the label set: [name_bucket{...,le}]. *)
-  let series name labels suffix extra =
-    match (labels, extra) with
-    | "", "" -> name ^ suffix
-    | "", e -> Printf.sprintf "%s%s{%s}" name suffix e
-    | l, "" -> Printf.sprintf "%s%s{%s}" name suffix l
-    | l, e -> Printf.sprintf "%s%s{%s,%s}" name suffix l e
+    if help <> "" then Format.fprintf ppf "# HELP %s %s@," name help;
+    Format.fprintf ppf "# TYPE %s %s@," name kind
   in
   Format.fprintf ppf "@[<v>";
   List.iter
     (function
       | Counter c ->
           header c.c_name c.c_help "counter";
-          Format.fprintf ppf "%s %d@," (series c.c_name c.c_labels "" "") c.c_value
+          Format.fprintf ppf "%s %d@," c.c_name c.c_value
       | Gauge g ->
           header g.g_name g.g_help "gauge";
-          Format.fprintf ppf "%s %a@," (series g.g_name g.g_labels "" "") pp_float g.g_value
+          Format.fprintf ppf "%s %a@," g.g_name pp_float g.g_value
       | Histogram h ->
           header h.h_name h.h_help "histogram";
           let cum = ref 0 in
           Array.iteri
             (fun i b ->
               cum := !cum + h.counts.(i);
-              Format.fprintf ppf "%s %d@,"
-                (series h.h_name h.h_labels "_bucket" (Printf.sprintf "le=\"%d\"" b))
-                !cum)
+              Format.fprintf ppf "%s_bucket{le=\"%d\"} %d@," h.h_name b !cum)
             h.bounds;
-          Format.fprintf ppf "%s %d@,"
-            (series h.h_name h.h_labels "_bucket" "le=\"+Inf\"")
-            h.total;
-          Format.fprintf ppf "%s %d@," (series h.h_name h.h_labels "_sum" "") h.sum;
-          Format.fprintf ppf "%s %d@," (series h.h_name h.h_labels "_count" "") h.total)
+          Format.fprintf ppf "%s_bucket{le=\"+Inf\"} %d@," h.h_name h.total;
+          Format.fprintf ppf "%s_sum %d@," h.h_name h.sum;
+          Format.fprintf ppf "%s_count %d@," h.h_name h.total)
     (instruments t);
   Format.fprintf ppf "@]"
 
@@ -211,7 +162,7 @@ let pp_json ppf t =
     (function
       | Counter c ->
           sep first;
-          Format.fprintf ppf "%a: %d" json_string (display c.c_name c.c_labels) c.c_value
+          Format.fprintf ppf "%a: %d" json_string c.c_name c.c_value
       | Gauge _ | Histogram _ -> ())
     (instruments t);
   Format.fprintf ppf "@]@,},@,";
@@ -221,7 +172,7 @@ let pp_json ppf t =
     (function
       | Gauge g ->
           sep first;
-          Format.fprintf ppf "%a: %a" json_string (display g.g_name g.g_labels) pp_float
+          Format.fprintf ppf "%a: %a" json_string g.g_name pp_float
             g.g_value
       | Counter _ | Histogram _ -> ())
     (instruments t);
@@ -232,7 +183,7 @@ let pp_json ppf t =
     (function
       | Histogram h ->
           sep first;
-          Format.fprintf ppf "@[<v 2>%a: {@," json_string (display h.h_name h.h_labels);
+          Format.fprintf ppf "@[<v 2>%a: {@," json_string h.h_name;
           Format.fprintf ppf "\"buckets\": [";
           Array.iteri
             (fun i b ->

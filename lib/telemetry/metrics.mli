@@ -24,29 +24,18 @@ type histogram
 val create : unit -> t
 
 (** [counter t name] registers (or retrieves) a monotonic counter.
+    @raise Invalid_argument if [name] is registered as another kind. *)
+val counter : ?help:string -> t -> string -> counter
 
-    [?labels] attaches Prometheus labels, as in
-    [counter ~labels:["type", "run"] t "regmutex_requests_total"]. Each
-    distinct [(name, labels)] pair is its own instrument (its own time
-    series); the registry key — and the key in {!pp_json} — is the
-    rendered series name [name{k="v",...}] with label values escaped per
-    the exposition format. Label pairs are significant in the order
-    given.
-    @raise Invalid_argument if the series is registered as another
-    kind. *)
-val counter : ?help:string -> ?labels:(string * string) list -> t -> string -> counter
-
-val gauge : ?help:string -> ?labels:(string * string) list -> t -> string -> gauge
+val gauge : ?help:string -> t -> string -> gauge
 
 (** [histogram ~buckets t name] — [buckets] are the inclusive upper bounds
     of each bucket, strictly increasing; an implicit [+Inf] overflow
     bucket is appended. On retrieval of an existing histogram the bucket
-    bounds must match. [?labels] as in {!counter}; bucket series merge
-    the instrument labels with [le], e.g. [name_bucket{type="run",le="8"}].
+    bounds must match.
     @raise Invalid_argument on unsorted/empty bounds or a kind/bound
     mismatch with an existing registration. *)
-val histogram :
-  ?help:string -> ?labels:(string * string) list -> buckets:int array -> t -> string -> histogram
+val histogram : ?help:string -> buckets:int array -> t -> string -> histogram
 
 val inc : counter -> int -> unit
 val set : gauge -> float -> unit

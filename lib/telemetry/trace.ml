@@ -157,7 +157,10 @@ let json_string ppf s =
     s;
   Format.pp_print_char ppf '"'
 
-let pp_events ppf ~sep t =
+let export_chrome ppf t =
+  let first = ref true in
+  let sep () = if !first then first := false else Format.fprintf ppf ",@," in
+  Format.fprintf ppf "@[<v 1>{@,\"traceEvents\": @[<v 1>[@,";
   (* Metadata first so viewers label tracks before any event references them. *)
   let procs = Hashtbl.fold (fun pid name acc -> (pid, name) :: acc) t.proc_names [] in
   List.iter
@@ -203,14 +206,5 @@ let pp_events ppf ~sep t =
           Format.fprintf ppf
             "{\"ph\": \"C\", \"ts\": %d, \"pid\": %d, \"name\": %a, \
              \"args\": {%a: %d}}"
-            r.ts r.pid json_string r.name json_string r.name v)
-
-let export_chrome ppf t =
-  let first = ref true in
-  let sep () = if !first then first := false else Format.fprintf ppf ",@," in
-  Format.fprintf ppf "@[<v 1>{@,\"traceEvents\": @[<v 1>[@,";
-  pp_events ppf ~sep t;
+            r.ts r.pid json_string r.name json_string r.name v);
   Format.fprintf ppf "@]@,],@,\"displayTimeUnit\": \"ns\"@]@,}@."
-
-let export_chrome_events ppf t =
-  pp_events ppf ~sep:(fun () -> Format.fprintf ppf ",@,") t

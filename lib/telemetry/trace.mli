@@ -77,11 +77,3 @@ val set_thread_name : t -> pid:int -> tid:int -> string -> unit
     Perfetto (ui.perfetto.dev) or chrome://tracing. Metadata events
     first, then the retained records oldest-to-newest. *)
 val export_chrome : Format.formatter -> t -> unit
-
-(** The same event sequence as {!export_chrome} (metadata first) without
-    the surrounding [traceEvents] array, every event {e preceded} by a
-    comma — the composition hook for merged exports: a caller that has
-    already printed at least one event appends this trace's events into
-    its own array (the serve daemon merges coordinator spans with a
-    worker's simulation trace this way). *)
-val export_chrome_events : Format.formatter -> t -> unit

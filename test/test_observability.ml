@@ -1,12 +1,8 @@
-(* The observability layer grown around the serve daemon: Json_check's
-   printer on hostile inputs, the structured log (levels, per-domain
-   rings, ambient context, tail merge), labeled metrics rendering, the
-   per-request merged trace, and the perf-trajectory report — including
-   the gate's negative test: a synthetic 20% regression must fail. *)
+(* Json_check's printer on hostile inputs and the perf-trajectory
+   report — including the gate's negative tests: a synthetic 20%
+   regression and a vanished artifact must both fail. *)
 
 module J = Telemetry.Json_check
-module Log = Telemetry.Log
-module Metrics = Telemetry.Metrics
 module Report = Experiments.Report
 
 let contains s sub =
@@ -75,221 +71,6 @@ let test_json_deep_nesting () =
   in
   Alcotest.(check int) "depth preserved" depth (peel 0 (J.parse s))
 
-(* --- structured log --------------------------------------------------- *)
-
-let parse_line line =
-  match J.parse line with
-  | J.Obj kvs -> kvs
-  | _ -> Alcotest.failf "log line is not an object: %s" line
-
-let test_log_levels_and_fields () =
-  let t = Log.create ~min_level:Log.Info () in
-  Log.debug t ~src:"test" "filtered" [];
-  Log.info t ~src:"test" "hello" [ Log.int "req" 7; Log.str "who" "x\"y" ];
-  Log.error t ~src:"test" "boom" [];
-  Alcotest.(check int) "debug below min_level discarded" 2 (Log.emitted t);
-  match Log.tail t with
-  | [ first; second ] ->
-      let kvs = parse_line first in
-      Alcotest.(check bool) "level rendered" true
-        (List.assoc "level" kvs = J.Str "info");
-      Alcotest.(check bool) "src rendered" true
-        (List.assoc "src" kvs = J.Str "test");
-      Alcotest.(check bool) "msg rendered" true
-        (List.assoc "msg" kvs = J.Str "hello");
-      Alcotest.(check bool) "int field" true (List.assoc "req" kvs = J.Num 7.);
-      Alcotest.(check bool) "escaped field" true
-        (List.assoc "who" kvs = J.Str "x\"y");
-      Alcotest.(check bool) "order oldest-first" true
-        (List.assoc "msg" (parse_line second) = J.Str "boom")
-  | l -> Alcotest.failf "expected 2 records, got %d" (List.length l)
-
-let test_log_ring_drops () =
-  let t = Log.create ~ring_capacity:4 () in
-  for i = 1 to 10 do
-    Log.info t ~src:"test" "m" [ Log.int "i" i ]
-  done;
-  Alcotest.(check int) "emitted counts everything" 10 (Log.emitted t);
-  Alcotest.(check int) "dropped = overflow" 6 (Log.dropped t);
-  let is =
-    List.map
-      (fun line ->
-        match List.assoc "i" (parse_line line) with
-        | J.Num f -> int_of_float f
-        | _ -> Alcotest.fail "bad i")
-      (Log.tail t)
-  in
-  Alcotest.(check (list int)) "newest window, oldest first" [ 7; 8; 9; 10 ] is;
-  Alcotest.(check int) "tail limit honoured" 2
-    (List.length (Log.tail ~limit:2 t))
-
-let test_log_ctx () =
-  let t = Log.create () in
-  Log.with_ctx
-    [ Log.int "req" 42 ]
-    (fun () ->
-      Log.with_ctx
-        [ Log.str "rtype" "run" ]
-        (fun () -> Log.info t ~src:"worker" "simulate" []);
-      Log.info t ~src:"worker" "outer" []);
-  Log.info t ~src:"worker" "bare" [];
-  match List.map parse_line (Log.tail t) with
-  | [ inner; outer; bare ] ->
-      Alcotest.(check bool) "nested ctx: req" true
-        (List.assoc "req" inner = J.Num 42.);
-      Alcotest.(check bool) "nested ctx: rtype" true
-        (List.assoc "rtype" inner = J.Str "run");
-      Alcotest.(check bool) "outer keeps req" true
-        (List.assoc "req" outer = J.Num 42.);
-      Alcotest.(check bool) "outer dropped rtype" true
-        (List.assoc_opt "rtype" outer = None);
-      Alcotest.(check bool) "ctx restored after" true
-        (List.assoc_opt "req" bare = None)
-  | l -> Alcotest.failf "expected 3 records, got %d" (List.length l)
-
-let test_log_multi_domain_tail () =
-  (* Two worker domains log concurrently with a full ring each; tail must
-     interleave by emission order and never lose a domain entirely. *)
-  let t = Log.create ~ring_capacity:64 () in
-  let worker tag =
-    Domain.spawn (fun () ->
-        for i = 1 to 20 do
-          Log.info t ~src:tag "w" [ Log.int "i" i ]
-        done)
-  in
-  let d1 = worker "a" and d2 = worker "b" in
-  Domain.join d1;
-  Domain.join d2;
-  Log.info t ~src:"main" "done" [];
-  let lines = List.map parse_line (Log.tail ~limit:100 t) in
-  Alcotest.(check int) "all records retained" 41 (List.length lines);
-  let count tag =
-    List.length (List.filter (fun kvs -> List.assoc "src" kvs = J.Str tag) lines)
-  in
-  Alcotest.(check int) "domain a complete" 20 (count "a");
-  Alcotest.(check int) "domain b complete" 20 (count "b");
-  (* The coordinator's record was emitted last; the merge must put it last. *)
-  match List.rev lines with
-  | last :: _ ->
-      Alcotest.(check bool) "global order respected" true
-        (List.assoc "src" last = J.Str "main")
-  | [] -> Alcotest.fail "no records"
-
-let test_log_file_sink () =
-  let path = Filename.temp_file "regmutex_log" ".jsonl" in
-  let t = Log.create () in
-  Log.open_file t path;
-  Log.info t ~src:"test" "one" [ Log.int "i" 1 ];
-  Log.warn t ~src:"test" "two" [];
-  Log.close_file t;
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  Sys.remove path;
-  match List.rev_map parse_line !lines with
-  | [ a; b ] ->
-      Alcotest.(check bool) "first line" true (List.assoc "msg" a = J.Str "one");
-      Alcotest.(check bool) "second line" true (List.assoc "msg" b = J.Str "two")
-  | l -> Alcotest.failf "expected 2 file lines, got %d" (List.length l)
-
-(* --- labeled metrics --------------------------------------------------- *)
-
-let test_metrics_labels () =
-  let m = Metrics.create () in
-  let a = Metrics.counter m ~labels:[ ("type", "run") ] "regmutex_req_total" in
-  let b = Metrics.counter m ~labels:[ ("type", "ping") ] "regmutex_req_total" in
-  Metrics.inc a 3;
-  Metrics.inc b 5;
-  let a' = Metrics.counter m ~labels:[ ("type", "run") ] "regmutex_req_total" in
-  Metrics.inc a' 1;
-  Alcotest.(check int) "same labels, same instrument" 4
-    (Metrics.counter_value a);
-  Alcotest.(check int) "distinct labels, distinct instrument" 5
-    (Metrics.counter_value b);
-  let g =
-    Metrics.gauge m
-      ~labels:[ ("git", "v1.2-3-gabc"); ("dirty", "a\"b\\c\nd") ]
-      "regmutex_build_info"
-  in
-  Metrics.set g 1.;
-  let h =
-    Metrics.histogram m
-      ~labels:[ ("type", "run") ]
-      "regmutex_req_us" ~buckets:[| 10; 100 |]
-  in
-  Metrics.observe h 50;
-  let out = Format.asprintf "%a" Metrics.pp_prometheus m in
-  List.iter
-    (fun line ->
-      Alcotest.(check bool) ("prometheus has " ^ line) true (contains out line))
-    [ "regmutex_req_total{type=\"run\"} 4";
-      "regmutex_req_total{type=\"ping\"} 5";
-      (* Label values escape backslash, quote, newline per the
-         exposition format. *)
-      "regmutex_build_info{git=\"v1.2-3-gabc\",dirty=\"a\\\"b\\\\c\\nd\"} 1";
-      (* Histogram series merge instrument labels with le. *)
-      "regmutex_req_us_bucket{type=\"run\",le=\"100\"} 1";
-      "regmutex_req_us_bucket{type=\"run\",le=\"+Inf\"} 1";
-      "regmutex_req_us_sum{type=\"run\"} 50";
-      "regmutex_req_us_count{type=\"run\"} 1" ];
-  (* One HELP/TYPE header per family, not per labeled series. *)
-  let occurrences sub =
-    let rec go i acc =
-      if i + String.length sub > String.length out then acc
-      else if String.sub out i (String.length sub) = sub then go (i + 1) (acc + 1)
-      else go (i + 1) acc
-    in
-    go 0 0
-  in
-  Alcotest.(check int) "one TYPE header for the family" 1
-    (occurrences "# TYPE regmutex_req_total counter");
-  (* The JSON dump stays valid JSON with labeled keys. *)
-  let json = Format.asprintf "%a" Metrics.pp_json m in
-  match J.parse json with
-  | J.Obj kvs -> (
-      match List.assoc_opt "counters" kvs with
-      | Some (J.Obj cs) ->
-          Alcotest.(check bool) "labeled key in JSON dump" true
-            (List.mem_assoc "regmutex_req_total{type=\"run\"}" cs)
-      | _ -> Alcotest.fail "no counters object in JSON dump")
-  | _ -> Alcotest.fail "metrics JSON is not an object"
-
-(* --- per-request merged trace ------------------------------------------ *)
-
-let test_reqtrace_merged_export () =
-  let rt = Serve.Reqtrace.create ~req:7 ~rtype:"run" in
-  let t0 = Unix.gettimeofday () in
-  Serve.Reqtrace.instant rt "coalesce";
-  Serve.Reqtrace.span rt "queue" ~since:t0;
-  let sink = Telemetry.Sink.create () in
-  let tr = sink.Telemetry.Sink.trace in
-  Telemetry.Trace.set_process_name tr ~pid:0 "SM 0";
-  let w = Telemetry.Trace.intern tr "warp" in
-  Telemetry.Trace.span tr ~ts:100 ~dur:50 ~pid:0 ~tid:0 ~name:w ~arg:3;
-  Serve.Reqtrace.set_sink rt (Some sink);
-  let out = Serve.Reqtrace.export rt in
-  (match J.validate_chrome_trace out with
-  | Ok n ->
-      (* Coordinator: 2 metadata (process/thread name) + marker +
-         coalesce + queue span; sink: 1 metadata + warp span. *)
-      Alcotest.(check int) "all seven events exported" 7 n
-  | Error e -> Alcotest.failf "merged export fails schema: %s" e);
-  List.iter
-    (fun sub ->
-      Alcotest.(check bool) ("export has " ^ sub) true (contains out sub))
-    [ "\"pid\": 1000"; "request run"; "coalesce"; "queue"; "warp";
-      "\"req\": 7" ];
-  (* Without a sink the coordinator-only document still validates. *)
-  let solo = Serve.Reqtrace.create ~req:8 ~rtype:"suite" in
-  Serve.Reqtrace.instant solo "x";
-  match J.validate_chrome_trace (Serve.Reqtrace.export solo) with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "sinkless export fails schema: %s" e
-
 (* --- perf-trajectory report -------------------------------------------- *)
 
 let with_temp_dir f =
@@ -313,46 +94,44 @@ let cycle_json ?(speedup = 4.0) ?(identical = true) () =
      \"all_identical\": %b, \"cells\": []}"
     speedup identical
 
-let serve_json () =
-  "{\"bench\": \"serve\", \"config\": \"quick\", \"warm_speedup\": 200.0,\n\
-   \"coalescing\": {\"factor\": 3.0},\n\
-   \"throughput\": [{\"clients\": 4, \"vs_serial\": 2.5}],\n\
-   \"fingerprints_identical\": true, \"warm_ok\": true, \"tp4_ok\": true}"
+let regdem_json () =
+  "{\"bench\": \"regdem\", \"config\": \"quick\", \"mean_occupancy_gain\": 1.7,\n\
+   \"mean_energy_factor\": 2.1, \"all_identical\": true, \"demotion_applied\": true}"
 
 let test_report_scan () =
   with_temp_dir (fun dir ->
       write dir "BENCH_cycle_skip.json" (cycle_json ());
-      write dir "BENCH_serve.json" (serve_json ());
+      write dir "BENCH_regdem.json" (regdem_json ());
       write dir "BENCH_bogus.json" "{\"bench\": \"unknown\"}";
       write dir "BENCH_broken.json" "{not json";
       write dir "NOT_A_BENCH.json" "{}";
       let snap = Report.scan ~dir in
       Alcotest.(check (list string))
         "only known artifacts ingested"
-        [ "BENCH_cycle_skip.json"; "BENCH_serve.json" ]
+        [ "BENCH_cycle_skip.json"; "BENCH_regdem.json" ]
         snap.Report.sources;
-      let value key =
+      let find key =
         match
           List.find_opt (fun m -> m.Report.key = key) snap.Report.metrics
         with
-        | Some m -> m.Report.value
+        | Some m -> m
         | None -> Alcotest.failf "metric %s missing" key
       in
       Alcotest.(check (float 1e-9)) "cycle metric" 4.0
-        (value "cycle_skip.max_speedup");
-      Alcotest.(check (float 1e-9)) "warm speedup" 200.0
-        (value "serve.warm_speedup");
-      Alcotest.(check (float 1e-9)) "coalescing factor" 3.0
-        (value "serve.coalescing_factor");
-      Alcotest.(check (float 1e-9)) "throughput row" 2.5
-        (value "serve.tp4_vs_serial");
-      Alcotest.(check int) "invariants collected" 4
+        (find "cycle_skip.max_speedup").Report.value;
+      Alcotest.(check (float 1e-9)) "occupancy gain" 1.7
+        (find "regdem.mean_occupancy_gain").Report.value;
+      let energy = find "regdem.mean_energy_factor" in
+      Alcotest.(check (float 1e-9)) "energy factor" 2.1 energy.Report.value;
+      Alcotest.(check bool) "a cost is lower-is-better" false
+        energy.Report.higher_better;
+      Alcotest.(check int) "invariants collected" 3
         (List.length snap.Report.invariants))
 
 let test_report_baseline_round_trip () =
   with_temp_dir (fun dir ->
       write dir "BENCH_cycle_skip.json" (cycle_json ());
-      write dir "BENCH_serve.json" (serve_json ());
+      write dir "BENCH_regdem.json" (regdem_json ());
       let snap = Report.scan ~dir in
       let path = Filename.concat dir "trajectory.json" in
       Report.write_baseline path snap;
@@ -380,7 +159,7 @@ let test_report_baseline_round_trip () =
 let test_report_synthetic_regression () =
   with_temp_dir (fun dir ->
       write dir "BENCH_cycle_skip.json" (cycle_json ());
-      write dir "BENCH_serve.json" (serve_json ());
+      write dir "BENCH_regdem.json" (regdem_json ());
       write dir "BENCH_telemetry_overhead.json"
         "{\"bench\": \"telemetry_overhead\", \"config\": \"quick\", \
          \"overhead_on_pct\": 2.0, \"all_identical\": true}";
@@ -450,7 +229,26 @@ let test_report_invariants_and_skips () =
         (List.exists
            (fun (k, why) ->
              k = "cycle_skip.max_speedup" && contains why "config mismatch")
-           o.Report.skipped))
+           o.Report.skipped);
+      Alcotest.(check bool) "config mismatch does not fail" false
+        (List.exists
+           (fun f -> contains f "cycle_skip.max_speedup")
+           o.Report.failures);
+      (* A baseline key no artifact reports (its BENCH_*.json was deleted
+         or renamed) fails the gate. *)
+      let vanished =
+        {
+          Report.key = "regdem.mean_occupancy_gain";
+          value = 1.7;
+          higher_better = true;
+          config = "quick";
+        }
+      in
+      let o = Report.check snap [ vanished ] in
+      Alcotest.(check bool) "missing baseline key fails" true
+        (List.exists
+           (fun f -> contains f "regdem.mean_occupancy_gain")
+           o.Report.failures))
 
 let test_report_repo_root () =
   match Report.find_repo_root () with
@@ -468,20 +266,6 @@ let suite =
       test_json_floats_round_trip;
     Alcotest.test_case "json: 2000-deep nesting survives" `Quick
       test_json_deep_nesting;
-    Alcotest.test_case "log: levels, fields, rendering" `Quick
-      test_log_levels_and_fields;
-    Alcotest.test_case "log: ring keeps newest, counts drops" `Quick
-      test_log_ring_drops;
-    Alcotest.test_case "log: ambient context nests and restores" `Quick
-      test_log_ctx;
-    Alcotest.test_case "log: multi-domain tail merges in order" `Quick
-      test_log_multi_domain_tail;
-    Alcotest.test_case "log: file sink is line-delimited JSON" `Quick
-      test_log_file_sink;
-    Alcotest.test_case "metrics: labels make distinct series" `Quick
-      test_metrics_labels;
-    Alcotest.test_case "reqtrace: merged export passes schema" `Quick
-      test_reqtrace_merged_export;
     Alcotest.test_case "report: scan normalizes known artifacts" `Quick
       test_report_scan;
     Alcotest.test_case "report: baseline round-trip self-check" `Quick
