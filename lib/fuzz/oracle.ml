@@ -1,4 +1,5 @@
 module Instr = Gpu_isa.Instr
+module Regset = Gpu_isa.Regset
 module Program = Gpu_isa.Program
 module Parser = Gpu_isa.Parser
 module Codec = Gpu_isa.Codec
@@ -184,15 +185,24 @@ let apply_fault fault ~bs p =
       | Some idx -> (Program.insert_before p [ (idx + 1, [ Instr.Release ]) ], true)
       | None -> (p, false))
   | Drop_mov -> (
-      match
-        find_first
-          (function Instr.Mov (d, Instr.Reg s) -> s >= bs && d < bs | _ -> false)
-          p
-      with
-      | Some idx -> (
+      (* Only a compaction MOV whose base destination is read later can
+         change behaviour when dropped: with a dead destination the
+         mutation is benign by construction. Of the live ones, the last
+         leaves its value the fewest instructions in which to be masked
+         (the generated kernels fold values through min/max chains) before
+         it reaches a store. *)
+      let live_out = (Liveness.analyze p).Liveness.live_out in
+      let rec last_live idx =
+        if idx < 0 then None
+        else
           match Program.get p idx with
-          | Instr.Mov (d, _) -> (replace p idx (Instr.Mov (d, Instr.Reg d)), true)
-          | _ -> assert false)
+          | Instr.Mov (d, Instr.Reg s)
+            when s >= bs && d < bs && Regset.mem d live_out.(idx) ->
+              Some (idx, d)
+          | _ -> last_live (idx - 1)
+      in
+      match last_live (Program.length p - 1) with
+      | Some (idx, d) -> (replace p idx (Instr.Mov (d, Instr.Reg d)), true)
       | None -> (p, false))
   | Oob_spill ->
       (* Targets the forced-RegDem branch, not the SRP split. *)

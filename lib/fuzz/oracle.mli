@@ -49,7 +49,9 @@
 type fault =
   | Drop_acquire   (** neutralise the first [Acquire] *)
   | Early_release  (** insert a [Release] right after the first [Acquire] *)
-  | Drop_mov       (** disable the first compaction MOV across the boundary *)
+  | Drop_mov
+      (** disable the last compaction MOV across the boundary whose base
+          destination is live afterwards *)
   | Oob_spill      (** push the first spill store one slot past the window *)
   | Mask_corrupt
       (** clear lane 1 from every warp's initial active mask (a runtime

@@ -15,10 +15,7 @@ let union a b = a lor b
 let inter a b = a land b
 let diff a b = a land lnot b
 
-let cardinal s =
-  (* Population count by nibble lookup; sets are at most 62 bits. *)
-  let rec count acc s = if s = 0 then acc else count (acc + (s land 1)) (s lsr 1) in
-  count 0 s
+let cardinal = Bits.popcount
 
 let is_empty s = s = 0
 let equal (a : t) (b : t) = a = b
@@ -26,27 +23,45 @@ let subset a b = a land lnot b = 0
 
 let of_list rs = List.fold_left (fun s r -> add r s) empty rs
 
+(* The walks below visit only the set bits, lowest first:
+   [s land (s - 1)] clears the lowest one. *)
 let fold f s init =
-  let rec go r acc =
-    if r > max_reg then acc
-    else if mem r s then go (r + 1) (f r acc)
-    else go (r + 1) acc
+  let rec go s acc =
+    if s = 0 then acc else go (s land (s - 1)) (f (Bits.lowest s) acc)
   in
-  go 0 init
+  go s init
 
-let to_list s = List.rev (fold (fun r acc -> r :: acc) s [])
-let iter f s = fold (fun r () -> f r) s ()
-let exists p s = fold (fun r acc -> acc || p r) s false
+let iter f s =
+  let rec go s =
+    if s <> 0 then begin
+      f (Bits.lowest s);
+      go (s land (s - 1))
+    end
+  in
+  go s
+
+let exists p s =
+  let rec go s = s <> 0 && (p (Bits.lowest s) || go (s land (s - 1))) in
+  go s
+
+(* Highest member first, consed onto the accumulator: ascending result
+   with no reversal. *)
+let to_list s =
+  let rec go s acc =
+    if s = 0 then acc
+    else
+      let r = Bits.highest s in
+      go (s lxor (1 lsl r)) (r :: acc)
+  in
+  go s []
 
 let min_elt s =
   if s = 0 then raise Not_found;
-  let rec go r = if mem r s then r else go (r + 1) in
-  go 0
+  Bits.lowest s
 
 let max_elt s =
   if s = 0 then raise Not_found;
-  let rec go r = if mem r s then r else go (r - 1) in
-  go max_reg
+  Bits.highest s
 
 let mask_below n =
   if n <= 0 then 0 else if n > max_reg + 1 then lnot 0 else (1 lsl n) - 1

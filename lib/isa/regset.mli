@@ -27,6 +27,7 @@ val inter : t -> t -> t
 (** [diff a b] is the set of registers in [a] but not in [b]. *)
 val diff : t -> t -> t
 
+(** Number of members, by a constant-time population count. *)
 val cardinal : t -> int
 val is_empty : t -> bool
 val equal : t -> t -> bool
@@ -36,6 +37,8 @@ val of_list : int list -> t
 (** Ascending list of member indices. *)
 val to_list : t -> int list
 
+(** [iter], [fold] and [exists] visit the members in ascending order,
+    one step per member; [exists] stops at the first hit. *)
 val iter : (int -> unit) -> t -> unit
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val exists : (int -> bool) -> t -> bool

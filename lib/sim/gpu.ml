@@ -168,6 +168,8 @@ let run ?observe ?(observe_every = 1) config kernel =
   let capacity_per_cycle = arch.Gpu_uarch.Arch_config.max_warps * n_sms in
   let next_cta = ref 0 in
   let cycle = ref 0 in
+  (* Per-SM idle reason of the current frozen cycle. *)
+  let reasons = Array.make n_sms Stats.Stall_empty in
   (* Grid completion reads the retirement counter the SMs maintain (every
      retire bumps [ctas_retired]) instead of re-folding over the SMs each
      cycle. *)
@@ -222,15 +224,15 @@ let run ?observe ?(observe_every = 1) config kernel =
     in
     if frozen then begin
       let wake = ref max_int in
-      let reasons = Array.make n_sms Stats.Stall_empty in
-      Array.iteri
-        (fun i sm ->
-          if Sm.resident_warps sm > 0 then begin
-            let reason, sm_wake = Sm.idle_summary sm ~cycle:!cycle in
-            reasons.(i) <- reason;
-            if sm_wake < !wake then wake := sm_wake
-          end)
-        sms;
+      for i = 0 to n_sms - 1 do
+        let sm = sms.(i) in
+        if Sm.resident_warps sm > 0 then begin
+          let reason, sm_wake = Sm.idle_summary sm ~cycle:!cycle in
+          reasons.(i) <- reason;
+          if sm_wake < !wake then wake := sm_wake
+        end
+        else reasons.(i) <- Stats.Stall_empty
+      done;
       if !wake = max_int then
         raise
           (Deadlock
@@ -266,10 +268,9 @@ let run ?observe ?(observe_every = 1) config kernel =
         in
         if wake > next then begin
           let span = wake - next in
-          Array.iteri
-            (fun i sm ->
-              Sm.account_idle_span sm ~from:next ~reason:reasons.(i) ~span)
-            sms;
+          for i = 0 to n_sms - 1 do
+            Sm.account_idle_span sms.(i) ~from:next ~reason:reasons.(i) ~span
+          done;
           (match config.telemetry with
           | Some sink ->
               Telemetry.Trace.span sink.Telemetry.Sink.trace ~ts:next ~dur:span
@@ -297,17 +298,10 @@ let run ?observe ?(observe_every = 1) config kernel =
   warn_dropped config;
   stats
 
-let probe config kernel =
-  let stats = Stats.create () in
-  let memory = Memory.create () in
-  let mem_sys =
-    Mem_system.create config.arch ~n_sms:config.arch.Gpu_uarch.Arch_config.n_sms
-  in
-  Sm.create config.arch ~sm_id:0 ~policy:config.policy ~kernel ~memory ~mem_sys
-    ~stats ~record_stores:false ~trace_warp0:false
+let theoretical_warps { arch; policy; _ } kernel =
+  (* Rejects the policy/kernel pairs [Sm.create] rejects. *)
+  ignore (Sm.srp_sections_for arch ~policy ~kernel);
+  Sm.cta_capacity_for arch ~policy ~kernel * Kernel.warps_per_cta arch kernel
 
-let theoretical_warps config kernel =
-  let sm = probe config kernel in
-  Sm.cta_capacity sm * Kernel.warps_per_cta config.arch kernel
-
-let srp_sections_of config kernel = Sm.srp_sections (probe config kernel)
+let srp_sections_of { arch; policy; _ } kernel =
+  Sm.srp_sections_for arch ~policy ~kernel

@@ -97,8 +97,11 @@ val run :
   Stats.t
 
 (** Theoretical resident warps per SM under the run's policy (the paper's
-    occupancy numerator). *)
+    occupancy numerator). Computed from the SM's capacity rules without
+    building an SM.
+    @raise Invalid_argument for a policy/kernel pair {!Sm.create} rejects. *)
 val theoretical_warps : run_config -> Kernel.t -> int
 
-(** SRP sections per SM under the run's policy (0 for non-SRP policies). *)
+(** SRP sections per SM under the run's policy (0 for non-SRP policies);
+    {!Sm.srp_sections_for}. *)
 val srp_sections_of : run_config -> Kernel.t -> int

@@ -37,8 +37,8 @@ let pack_key ~priority ~age = (priority lsl age_bits) lor min age age_mask
    record-based scan did: increasing slot. *)
 (* [runnable] is inlined by hand below (status = st_ready and the
    scoreboard bound passed): the scan bodies are the hottest loops in the
-   simulator and the non-flambda compiler does not reliably inline even
-   tiny cross-function calls. *)
+   simulator, and dune's default dev profile compiles with [-opaque], so
+   no call across a module boundary is ever inlined. *)
 
 let scan_best t ~(soa : Soa.t) ~cycle ~can_issue =
   let status = soa.Soa.status in

@@ -50,10 +50,11 @@ type t = {
   pstate : pstate;
   (* Per-PC precomputation. *)
   latency : int array;           (* result latency for non-global instrs *)
-  touches_ext : bool array;      (* any referenced register has index >= bs *)
   rfv_live : int array;          (* RFV: physical packs demanded at each pc *)
   def_reg : int array;           (* destination register, -1 none, -2 invalid *)
   pc_regs : int array array;     (* registers read or written, ascending *)
+  top_reg : int array;           (* highest of [pc_regs], -1 when empty; an
+                                    extended-set access when >= bs *)
   is_global : bool array;        (* occupies a global-memory slot at issue *)
   is_acquire : bool array;
   reads_laneid : bool array;     (* SIMT: a collapsed warp expands here *)
@@ -112,6 +113,33 @@ let cta_capacity_for cfg ~policy ~kernel =
   let capacity, _, _ = compute_capacity cfg policy kernel in
   capacity
 
+(* Extended-set sections an SM of [cta_capacity] CTAs (of [wpc] warps and
+   [regs_cta] registers each) provides: SRP sections carved from the
+   register file's leftover, or one pair per two resident warps under the
+   paired and OWF policies. *)
+let sections_at (cfg : Arch_config.t) policy ~cta_capacity ~wpc ~regs_cta =
+  match policy with
+  (* Regdem is static allocation of the reduced register count; the
+     spill machinery lives entirely in the program and the execution
+     contexts, so it provides no sections. *)
+  | Policy.Static _ | Policy.Regdem _ | Policy.Rfv _ -> 0
+  | Policy.Srp { es; _ } ->
+      let leftover = cfg.regfile_regs - (cta_capacity * regs_cta) in
+      if es <= 0 then 0
+      else min cfg.max_warps (max 0 (leftover / (es * cfg.warp_size)))
+  | Policy.Srp_paired _ ->
+      if wpc mod 2 <> 0 then
+        invalid_arg "Sm: paired-warps policy requires an even warp count per CTA";
+      cta_capacity * wpc / 2
+  | Policy.Owf _ ->
+      if wpc mod 2 <> 0 then
+        invalid_arg "Sm: OWF policy requires an even warp count per CTA";
+      cta_capacity * wpc / 2
+
+let srp_sections_for cfg ~policy ~kernel =
+  let cta_capacity, wpc, regs_cta = compute_capacity cfg policy kernel in
+  sections_at cfg policy ~cta_capacity ~wpc ~regs_cta
+
 let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0)
     ?(lane_resolved = false) cfg ~sm_id
     ~policy ~kernel ~memory ~mem_sys ~stats ~record_stores ~trace_warp0 =
@@ -126,30 +154,18 @@ let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0)
     | Policy.Owf { bs; es } -> (bs, es, false)
     | Policy.Static _ | Policy.Rfv _ | Policy.Regdem _ -> (max_int, 0, false)
   in
-  let srp_sections, pstate =
+  let srp_sections = sections_at cfg policy ~cta_capacity ~wpc ~regs_cta in
+  let pstate =
     match policy with
-    (* Regdem is static allocation of the reduced register count; the
-       spill machinery lives entirely in the program and the execution
-       contexts, so the policy state machine is the stock one. *)
-    | Policy.Static _ | Policy.Regdem _ -> (0, Ps_static)
-    | Policy.Srp { es; _ } ->
-        let leftover = cfg.regfile_regs - (cta_capacity * regs_cta) in
-        let sections =
-          if es <= 0 then 0
-          else min cfg.max_warps (max 0 (leftover / (es * cfg.warp_size)))
-        in
-        (sections, Ps_srp (Srp.create ~n_warps:cfg.max_warps ~sections))
+    | Policy.Static _ | Policy.Regdem _ -> Ps_static
+    | Policy.Srp _ ->
+        Ps_srp (Srp.create ~n_warps:cfg.max_warps ~sections:srp_sections)
     | Policy.Srp_paired _ ->
-        if wpc mod 2 <> 0 then
-          invalid_arg "Sm.create: paired-warps policy requires an even warp count per CTA";
-        let pairs = cta_capacity * wpc / 2 in
-        (pairs, Ps_paired (Srp_paired.create ~n_warps:cfg.max_warps ~enabled_pairs:pairs))
-    | Policy.Owf _ ->
-        if wpc mod 2 <> 0 then
-          invalid_arg "Sm.create: OWF policy requires an even warp count per CTA";
-        (cta_capacity * wpc / 2, Ps_owf)
+        Ps_paired
+          (Srp_paired.create ~n_warps:cfg.max_warps ~enabled_pairs:srp_sections)
+    | Policy.Owf _ -> Ps_owf
     | Policy.Rfv _ ->
-        (0, Ps_rfv { used = 0; capacity = cfg.regfile_regs / cfg.warp_size })
+        Ps_rfv { used = 0; capacity = cfg.regfile_regs / cfg.warp_size }
   in
   let latency =
     Array.map
@@ -160,13 +176,6 @@ let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0)
         | Instr.Lat_shared -> cfg.lat_shared
         | Instr.Lat_global -> cfg.lat_global (* refined at issue via mem_sys *)
         | Instr.Lat_control -> 1)
-      instrs
-  in
-  let touches_ext =
-    Array.map
-      (fun i ->
-        let rs = Instr.regs i in
-        (not (Regset.is_empty rs)) && Regset.max_elt rs >= bs)
       instrs
   in
   let rfv_live =
@@ -190,6 +199,13 @@ let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0)
   in
   let pc_regs =
     Array.map (fun i -> Array.of_list (Regset.to_list (Instr.regs i))) instrs
+  in
+  let top_reg =
+    Array.map
+      (fun rs ->
+        let n = Array.length rs in
+        if n = 0 then -1 else rs.(n - 1))
+      pc_regs
   in
   let is_global =
     Array.map (fun i -> Instr.lat_class i = Instr.Lat_global) instrs
@@ -273,10 +289,10 @@ let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0)
            Scheduler.create kind ~id ~n_schedulers:cfg.n_schedulers));
     pstate;
     latency;
-    touches_ext;
     rfv_live;
     def_reg;
     pc_regs;
+    top_reg;
     is_global;
     is_acquire;
     reads_laneid;
@@ -551,7 +567,7 @@ let check_ready ~probe t ~mem_free ~slot ~cycle =
   end
   else begin
     match t.pstate with
-    | Ps_owf when t.touches_ext.(pc) && soa.Soa.owns_ext.(slot) = 0 ->
+    | Ps_owf when t.top_reg.(pc) >= t.bs && soa.Soa.owns_ext.(slot) = 0 ->
         (* First extended access acquires the pair's registers for the
            rest of the warp's life; blocked while the partner owns them. *)
         (* A partner parked at a barrier cannot finish until this warp
@@ -616,9 +632,8 @@ let maybe_release_barrier t ~cycle cta =
 (* --- issue ----------------------------------------------------------- *)
 
 let verify_access t ~slot pc =
-  if t.verify && t.touches_ext.(pc) then begin
-    let rs = Instr.regs t.instrs.(pc) in
-    let top = Regset.max_elt rs in
+  let top = t.top_reg.(pc) in
+  if t.verify && top >= t.bs then begin
     if top >= t.bs + t.es then
       raise
         (Verification_failure
@@ -645,7 +660,7 @@ let verify_access t ~slot pc =
             ~resident_warps:t.soa.Soa.n_slots;
       }
     in
-    Regset.iter
+    Array.iter
       (fun x ->
         match Gpu_uarch.Reg_mapping.regmutex mapping ~widx:slot ~section ~x with
         | Ok _ -> ()
@@ -654,7 +669,7 @@ let verify_access t ~slot pc =
               (Verification_failure
                  (Format.asprintf "pc %d, register r%d: %a" pc x
                     Gpu_uarch.Reg_mapping.pp_error e)))
-      rs
+      t.pc_regs.(pc)
   end
 
 let rfv_move t ~slot ~next_pc =
@@ -788,14 +803,6 @@ let multi_def_error t ~slot ~pc =
        (Instr.to_string t.instrs.(pc))
        section_state)
 
-let popcount m =
-  let c = ref 0 and m = ref m in
-  while !m <> 0 do
-    incr c;
-    m := !m land (!m - 1)
-  done;
-  !c
-
 (* Route a computed next-pc through the reconvergence stack (pops when it
    reaches the current reconvergence point); identity for warp-uniform and
    collapsed warps, whose stack is empty. *)
@@ -840,7 +847,7 @@ let issue t ~slot ~cycle =
     t.state_gen <- t.state_gen + 1;
     (* OWF: silent one-time acquire at the first extended access. *)
     (match t.pstate with
-    | Ps_owf when t.touches_ext.(pc) && soa.Soa.owns_ext.(slot) = 0 ->
+    | Ps_owf when t.top_reg.(pc) >= t.bs && soa.Soa.owns_ext.(slot) = 0 ->
         soa.Soa.owns_ext.(slot) <- 1;
         soa.Soa.acquired_at.(slot) <- cycle;
         soa.Soa.key.(slot) <-
@@ -869,7 +876,7 @@ let issue t ~slot ~cycle =
     let louts =
       if lanes then begin
         let mask = Soa.simt_active soa ~slot in
-        let on = popcount mask in
+        let on = Gpu_isa.Bits.popcount mask in
         t.stats.Stats.active_lane_cycles <-
           t.stats.Stats.active_lane_cycles + on;
         t.stats.Stats.predicated_lane_cycles <-

@@ -46,6 +46,13 @@ val cta_capacity : t -> int
 val cta_capacity_for :
   Gpu_uarch.Arch_config.t -> policy:Policy.t -> kernel:Kernel.t -> int
 
+(** [srp_sections_for cfg ~policy ~kernel] — the {!srp_sections} an SM
+    built by {!create} would report, without building one.
+    @raise Invalid_argument under the paired-warps or OWF policy when the
+    kernel's CTAs hold an odd number of warps, as {!create} does. *)
+val srp_sections_for :
+  Gpu_uarch.Arch_config.t -> policy:Policy.t -> kernel:Kernel.t -> int
+
 (** Usable SRP sections (0 for non-SRP policies). *)
 val srp_sections : t -> int
 

@@ -26,20 +26,14 @@ let clear t i =
 
 let test t i = check t i; t.bits land (1 lsl i) <> 0
 
-let ffz t =
-  let rec go i =
-    if i >= t.valid then None
-    else if t.bits land (1 lsl i) = 0 then Some i
-    else go (i + 1)
-  in
-  go 0
+let usable_mask t = (1 lsl t.valid) - 1
 
-let popcount t =
-  let rec count acc i =
-    if i >= t.valid then acc
-    else count (acc + ((t.bits lsr i) land 1)) (i + 1)
-  in
-  count 0 0
+let ffz t =
+  let free = lnot t.bits land usable_mask t in
+  if free = 0 then None else Some (Gpu_isa.Bits.lowest free)
+
+let set_bits t = t.bits land usable_mask t
+let popcount t = Gpu_isa.Bits.popcount (set_bits t)
 
 let pp ppf t =
   for i = t.width - 1 downto 0 do

@@ -27,6 +27,10 @@ val test : t -> int -> bool
 (** Index of the least-significant zero bit, if any usable bit is clear. *)
 val ffz : t -> int option
 
+(** The usable bits as one word: bit [i] is set iff usable bit [i] is.
+    Permanently-set padding bits are masked off. *)
+val set_bits : t -> int
+
 (** Number of set bits among the usable bits. *)
 val popcount : t -> int
 

@@ -53,19 +53,20 @@ let reset_warp t ~warp =
 
 (* Independent cross-check of the three redundant structures: every held
    warp must map (via the lut) to a distinct acquired section, and the two
-   popcounts must agree. Walks the raw bits rather than trusting any of the
-   accessor invariants above. *)
+   popcounts must agree. Walks the raw status bits, lowest first, rather
+   than trusting any of the accessor invariants above; [seen] collects the
+   sections met so far (sections are below the 61-bit mask width). *)
 let consistent t =
-  let n_warps = Bitmask.width t.status in
-  let holders = ref [] in
-  for w = n_warps - 1 downto 0 do
-    if Bitmask.test t.status w then holders := t.lut.(w) :: !holders
-  done;
-  let sections = List.sort_uniq compare !holders in
-  List.length sections = List.length !holders
-  && List.for_all
-       (fun s -> s >= 0 && s < Bitmask.valid t.srp && Bitmask.test t.srp s)
-       sections
+  let valid = Bitmask.valid t.srp in
+  let rec holders held seen =
+    held = 0
+    ||
+    let s = t.lut.(Gpu_isa.Bits.lowest held) in
+    s >= 0 && s < valid && Bitmask.test t.srp s
+    && seen land (1 lsl s) = 0
+    && holders (held land (held - 1)) (seen lor (1 lsl s))
+  in
+  holders (Bitmask.set_bits t.status) 0
   && Bitmask.popcount t.status = Bitmask.popcount t.srp
 
 let pp ppf t =

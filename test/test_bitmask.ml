@@ -75,6 +75,35 @@ let prop_popcount_matches_sets =
       List.iter (Bitmask.set m) sets;
       Bitmask.popcount m = List.length (List.sort_uniq compare sets))
 
+(* [popcount] and [set_bits] against a bit-by-bit count over the usable
+   range, with permanently-set padding above [valid]. *)
+let prop_popcount_naive =
+  let gen =
+    QCheck2.Gen.(
+      let* width = int_range 1 61 in
+      let* valid = int_range 0 width in
+      let* sets = list_size (int_bound 40) (int_bound (width - 1)) in
+      return (width, valid, sets))
+  in
+  Util.qtest "popcount matches a naive count of usable bits" gen
+    (fun (width, valid, sets) ->
+      let m = Bitmask.create ~width ~valid in
+      List.iter (Bitmask.set m) sets;
+      let naive = ref 0 in
+      for i = 0 to valid - 1 do
+        if Bitmask.test m i then incr naive
+      done;
+      let padding_set = ref true in
+      for i = valid to width - 1 do
+        padding_set := !padding_set && Bitmask.test m i
+      done;
+      !padding_set
+      && Bitmask.popcount m = !naive
+      && Bitmask.set_bits m land lnot ((1 lsl valid) - 1) = 0
+      && List.for_all
+           (fun i -> Bitmask.test m i = (Bitmask.set_bits m land (1 lsl i) <> 0))
+           (List.init valid Fun.id))
+
 let suite =
   [ Alcotest.test_case "create with padding" `Quick test_create;
     Alcotest.test_case "set/clear/test" `Quick test_set_clear;
@@ -83,4 +112,5 @@ let suite =
     Alcotest.test_case "error conditions" `Quick test_errors;
     Alcotest.test_case "pretty printing" `Quick test_pp;
     prop_ffz_returns_clear_bit;
-    prop_popcount_matches_sets ]
+    prop_popcount_matches_sets;
+    prop_popcount_naive ]

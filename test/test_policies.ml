@@ -187,6 +187,60 @@ let test_rfv_admits_beyond_static_limit () =
   Alcotest.(check int) "static limited" (2 * 8) (Gpu.theoretical_warps static_cfg kernel);
   Alcotest.(check int) "rfv thread-limited" 48 (Gpu.theoretical_warps rfv_cfg kernel)
 
+(* --- occupancy queries ---------------------------------------------- *)
+
+(* [Gpu.theoretical_warps] and [Gpu.srp_sections_of] answer from the SM's
+   capacity rules without building one; they must agree with what an SM
+   built by [Sm.create] reports, for every registry kernel under every
+   technique's policy on its quick evaluation arch. *)
+let built_sm arch policy kernel =
+  Sm.create arch ~sm_id:0 ~policy ~kernel ~memory:(Memory.create ())
+    ~mem_sys:(Mem_system.create arch ~n_sms:1)
+    ~stats:(Stats.create ()) ~record_stores:false ~trace_warp0:false
+
+let test_occupancy_queries_match_sm () =
+  let cfg = Experiments.Exp_config.quick in
+  List.iter
+    (fun spec ->
+      let arch = Experiments.Exp_config.eval_arch cfg spec in
+      let kernel = Experiments.Exp_config.kernel_of cfg spec in
+      List.iter
+        (fun technique ->
+          let prepared = Regmutex.Technique.prepare arch technique kernel in
+          let policy = prepared.Regmutex.Technique.policy in
+          let kernel = prepared.Regmutex.Technique.kernel in
+          let config = Gpu.default_config arch policy in
+          let sm = built_sm arch policy kernel in
+          let label what =
+            Printf.sprintf "%s/%s %s" spec.Workloads.Spec.name
+              (Regmutex.Technique.name technique) what
+          in
+          Alcotest.(check int) (label "theoretical warps")
+            (Sm.cta_capacity sm * Kernel.warps_per_cta arch kernel)
+            (Gpu.theoretical_warps config kernel);
+          Alcotest.(check int) (label "SRP sections") (Sm.srp_sections sm)
+            (Gpu.srp_sections_of config kernel))
+        Regmutex.Technique.all)
+    Workloads.Registry.all
+
+let test_occupancy_queries_reject_odd_warps () =
+  let kernel = Kernel.make ~name:"odd" ~grid_ctas:1 ~cta_threads:96 srp_kernel in
+  let raises label f =
+    Alcotest.(check bool) label true
+      (try ignore (f ()); false with Invalid_argument _ -> true)
+  in
+  List.iter
+    (fun (name, policy) ->
+      let config = Gpu.default_config Util.small_arch policy in
+      raises (name ^ ": Sm.create") (fun () ->
+          built_sm Util.small_arch policy kernel);
+      raises (name ^ ": theoretical_warps") (fun () ->
+          Gpu.theoretical_warps config kernel);
+      raises (name ^ ": srp_sections_of") (fun () ->
+          Gpu.srp_sections_of config kernel))
+    [ ("paired", Policy.Srp_paired { bs = 3; es = 2; verify = true });
+      ("OWF", Policy.Owf { bs = 3; es = 2 }) ]
+
 let suite =
   [ Alcotest.test_case "SRP: runs and counts" `Quick test_srp_runs_and_counts;
     Alcotest.test_case "SRP: verification failure" `Quick test_srp_verification_failure;
@@ -198,4 +252,8 @@ let suite =
     Alcotest.test_case "RFV: matches baseline" `Quick test_rfv_policy;
     Alcotest.test_case "RFV: starvation progress" `Quick test_rfv_starved_still_completes;
     Alcotest.test_case "RFV: admission beyond static limit" `Quick
-      test_rfv_admits_beyond_static_limit ]
+      test_rfv_admits_beyond_static_limit;
+    Alcotest.test_case "occupancy queries match a built SM" `Quick
+      test_occupancy_queries_match_sm;
+    Alcotest.test_case "occupancy queries reject odd warps" `Quick
+      test_occupancy_queries_reject_odd_warps ]

@@ -92,6 +92,76 @@ let prop_above_below_partition =
       Regset.equal s (Regset.union (Regset.above n s) (Regset.below n s))
       && Regset.is_empty (Regset.inter (Regset.above n s) (Regset.below n s)))
 
+(* The set-bit walks against a naive reference that tests every index in
+   ascending order. The generator forces the empty set and the two edge
+   bits (0 and [max_reg]) into the mix. *)
+let naive_members s =
+  List.filter (fun r -> Regset.mem r s) (List.init (Regset.max_reg + 1) Fun.id)
+
+let gen_edge_set =
+  QCheck2.Gen.(
+    let* s = gen_set in
+    let* lo = bool in
+    let* hi = bool in
+    let* empty = int_bound 9 in
+    let s = if lo then Regset.add 0 s else s in
+    let s = if hi then Regset.add Regset.max_reg s else s in
+    return (if empty = 0 then Regset.empty else s))
+
+let prop_fold_to_list_reference =
+  Util.qtest "fold order and to_list match the naive walk" gen_edge_set
+    (fun s ->
+      let reference = naive_members s in
+      Regset.to_list s = reference
+      && List.rev (Regset.fold (fun r acc -> r :: acc) s []) = reference)
+
+let prop_iter_exists_cardinal_reference =
+  Util.qtest "iter, exists and cardinal match the naive walk"
+    QCheck2.Gen.(pair gen_edge_set (int_bound Regset.max_reg))
+    (fun (s, k) ->
+      let reference = naive_members s in
+      let seen = ref [] in
+      Regset.iter (fun r -> seen := r :: !seen) s;
+      (* [exists] visits members in ascending order and stops at the
+         first hit. *)
+      let visited = ref [] in
+      let found =
+        Regset.exists
+          (fun r ->
+            visited := r :: !visited;
+            r >= k)
+          s
+      in
+      let rec upto_hit = function
+        | [] -> []
+        | r :: rest -> if r >= k then [ r ] else r :: upto_hit rest
+      in
+      List.rev !seen = reference
+      && found = List.exists (fun r -> r >= k) reference
+      && List.rev !visited = upto_hit reference
+      && Regset.cardinal s = List.length reference)
+
+let prop_min_max_reference =
+  Util.qtest "min_elt and max_elt match the naive walk" gen_edge_set (fun s ->
+      match naive_members s with
+      | [] ->
+          (try ignore (Regset.min_elt s); false with Not_found -> true)
+          && (try ignore (Regset.max_elt s); false with Not_found -> true)
+      | first :: _ as reference ->
+          Regset.min_elt s = first
+          && Regset.max_elt s = List.nth reference (List.length reference - 1))
+
+let test_edge_bits () =
+  let both = Regset.of_list [ 0; Regset.max_reg ] in
+  Alcotest.(check (list int)) "to_list" [ 0; Regset.max_reg ] (Regset.to_list both);
+  Alcotest.(check int) "cardinal" 2 (Regset.cardinal both);
+  Alcotest.(check int) "min" 0 (Regset.min_elt both);
+  Alcotest.(check int) "max" Regset.max_reg (Regset.max_elt both);
+  let full = Regset.of_list (List.init (Regset.max_reg + 1) Fun.id) in
+  Alcotest.(check int) "full cardinal" (Regset.max_reg + 1) (Regset.cardinal full);
+  Alcotest.(check int) "full fold count" (Regset.max_reg + 1)
+    (Regset.fold (fun _ n -> n + 1) full 0)
+
 let suite =
   [ Alcotest.test_case "empty" `Quick test_empty;
     Alcotest.test_case "add/remove" `Quick test_add_remove;
@@ -104,4 +174,8 @@ let suite =
     prop_union_cardinal;
     prop_diff_disjoint;
     prop_roundtrip;
-    prop_above_below_partition ]
+    prop_above_below_partition;
+    Alcotest.test_case "bits 0 and max_reg" `Quick test_edge_bits;
+    prop_fold_to_list_reference;
+    prop_iter_exists_cardinal_reference;
+    prop_min_max_reference ]

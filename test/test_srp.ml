@@ -127,6 +127,34 @@ let prop_srp_consistency =
       && List.length (List.sort_uniq compare sections) = List.length sections
       && Srp.free_sections srp = 7 - List.length sections)
 
+(* Property: [consistent] holds and sections are conserved after every
+   step of a random acquire / release / reset_warp sequence, over random
+   warp and section counts (including zero sections). *)
+let prop_srp_consistent_every_step =
+  let gen =
+    QCheck2.Gen.(
+      let* n_warps = int_range 1 61 in
+      let* sections = int_range 0 n_warps in
+      let* ops = list_size (int_bound 150) (pair (int_bound 2) (int_bound (n_warps - 1))) in
+      return (n_warps, sections, ops))
+  in
+  Util.qtest "consistent and conserved after every op" gen
+    (fun (n_warps, sections, ops) ->
+      let srp = Srp.create ~n_warps ~sections in
+      let ok () =
+        Srp.consistent srp
+        && Srp.in_use srp + Srp.free_sections srp = Srp.n_sections srp
+      in
+      ok ()
+      && List.for_all
+           (fun (op, warp) ->
+             (match op with
+             | 0 -> ignore (Srp.acquire srp ~warp)
+             | 1 -> ignore (Srp.release srp ~warp)
+             | _ -> ignore (Srp.reset_warp srp ~warp));
+             ok ())
+           ops)
+
 let suite =
   [ Alcotest.test_case "acquire/release" `Quick test_acquire_release;
     Alcotest.test_case "idempotency" `Quick test_idempotency;
@@ -138,4 +166,5 @@ let suite =
     Alcotest.test_case "paired: idempotency" `Quick test_paired_idempotent;
     Alcotest.test_case "paired: disabled pairs" `Quick test_paired_disabled_pairs;
     Alcotest.test_case "paired: reset" `Quick test_paired_reset;
-    prop_srp_consistency ]
+    prop_srp_consistency;
+    prop_srp_consistent_every_step ]
