@@ -19,128 +19,122 @@ let create kind ~id ~n_schedulers =
 
 let owns t ~slot = slot mod t.n_schedulers = t.id
 
+let positions t = (t.current, t.rr_pos, t.active_group)
+
+let own_mask t ~n_slots =
+  let m = ref 0 in
+  let slot = ref t.id in
+  while !slot < n_slots do
+    m := !m lor (1 lsl !slot);
+    slot := !slot + t.n_schedulers
+  done;
+  !m
+
 (* Candidate ordering packed into one int — [(priority, age)] compared
-   lexicographically — so the per-cycle scan over every warp slot reads one
-   precomputed key per candidate and allocates nothing. Ages beyond the
-   field width saturate instead of spilling into the priority bits, so
-   priority still dominates at the limit (ties then fall back to the
-   first/lowest-slot candidate, exactly as equal keys always have). *)
+   lexicographically — so a scan reads one precomputed key per candidate
+   and allocates nothing. Ages beyond the field width saturate instead of
+   spilling into the priority bits, so priority still dominates at the
+   limit (ties then fall back to the first/lowest-slot candidate, exactly
+   as equal keys always have). *)
 let age_bits = 50
 let age_mask = (1 lsl age_bits) - 1
 let pack_key ~priority ~age = (priority lsl age_bits) lor min age age_mask
 
-(* A candidate must pass the slot-local prefix — a resident warp in
-   [Ready] status whose scoreboard bound has passed — before the residual
-   [can_issue] check (memory slots and register-policy state, owned by the
-   SM). The residual check carries the acquire-stall side effects of a
-   real issue attempt, so candidates are visited in exactly the order the
-   record-based scan did: increasing slot. *)
-(* [runnable] is inlined by hand below (status = st_ready and the
-   scoreboard bound passed): the scan bodies are the hottest loops in the
-   simulator, and dune's default dev profile compiles with [-opaque], so
-   no call across a module boundary is ever inlined. *)
+(* Index of the lowest set bit of a non-zero word ([Gpu_isa.Bits.lowest]).
+   Repeated here so it inlines into the scan loops: dune's dev profile
+   compiles with [-opaque], so no call across a module boundary is ever
+   inlined, and these loops are the hottest in the simulator. *)
+let[@inline] lowest x =
+  let x = (x land -x) - 1 in
+  let x = x - ((x lsr 1) land 0x1555555555555555) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
+  (x * 0x0101010101010101) lsr 56
 
-let scan_best t ~(soa : Soa.t) ~cycle ~can_issue =
-  let status = soa.Soa.status in
-  let ready_at = soa.Soa.ready_at in
+(* The caller has already applied the slot-local prefix — [eligible] holds
+   exactly the owned slots that are [Ready] with their scoreboard bound
+   passed — so a scan only runs the residual [can_issue] check (memory
+   slots and register-policy state, owned by the SM). That check carries
+   the acquire-stall side effects of a real issue attempt, so candidates
+   are visited in increasing slot order, exactly as a scan over every
+   slot would visit them. *)
+let scan_best ~(soa : Soa.t) ~eligible ~can_issue =
   let key = soa.Soa.key in
   let best = ref (-1) in
   let best_key = ref max_int in
-  let slot = ref t.id in
-  while !slot < soa.Soa.n_slots do
-    let s = !slot in
-    if status.(s) = Soa.st_ready && ready_at.(s) <= cycle && can_issue s
-    then begin
+  let m = ref eligible in
+  while !m <> 0 do
+    let s = lowest !m in
+    m := !m land (!m - 1);
+    if can_issue s then begin
       let k = key.(s) in
       if k < !best_key then begin
         best_key := k;
         best := s
       end
-    end;
-    slot := s + t.n_schedulers
+    end
   done;
   !best
 
-let pick_gto t ~(soa : Soa.t) ~cycle ~can_issue =
+let pick_gto t ~soa ~eligible ~can_issue =
   let cur = t.current in
-  if
-    cur >= 0
-    && cur < soa.Soa.n_slots
-    && soa.Soa.status.(cur) = Soa.st_ready
-    && soa.Soa.ready_at.(cur) <= cycle
-    && can_issue cur
-  then cur
+  if cur >= 0 && (eligible lsr cur) land 1 = 1 && can_issue cur then cur
   else begin
-    let s = scan_best t ~soa ~cycle ~can_issue in
+    let s = scan_best ~soa ~eligible ~can_issue in
     if s >= 0 then t.current <- s;
     s
   end
 
-let pick_lrr t ~(soa : Soa.t) ~cycle ~can_issue =
-  let n_slots = soa.Soa.n_slots in
-  let status = soa.Soa.status in
-  let ready_at = soa.Soa.ready_at in
-  let rec go tried slot =
-    if tried >= n_slots then -1
+(* Loose round-robin: the first candidate at or after [rr_pos], wrapping
+   around once. *)
+let pick_lrr t ~eligible ~can_issue =
+  let rec first m =
+    if m = 0 then -1
     else
-      let slot = if slot >= n_slots then 0 else slot in
-      if
-        owns t ~slot
-        && status.(slot) = Soa.st_ready
-        && ready_at.(slot) <= cycle
-        && can_issue slot
-      then begin
-        t.rr_pos <- slot + 1;
-        slot
-      end
-      else go (tried + 1) (slot + 1)
+      let s = lowest m in
+      if can_issue s then s else first (m land (m - 1))
   in
-  go 0 t.rr_pos
+  let above = eligible land (-1 lsl t.rr_pos) in
+  let s = first above in
+  let s = if s >= 0 then s else first (eligible lxor above) in
+  if s >= 0 then t.rr_pos <- s + 1;
+  s
 
 (* Two-level: drain the active fetch group; when it has no runnable warp,
-   rotate to the next group that does. Groups partition a scheduler's own
-   slots into contiguous runs of [group_size]. *)
-let pick_two_level t ~group_size ~(soa : Soa.t) ~cycle ~can_issue =
+   rotate to the next group that does. Groups partition the slots into
+   contiguous runs of [group_size]; a group with no eligible slot is
+   skipped without a visit, since scanning it would call nothing. *)
+let pick_two_level t ~group_size ~(soa : Soa.t) ~eligible ~can_issue =
   let n_slots = soa.Soa.n_slots in
-  let status = soa.Soa.status in
-  let ready_at = soa.Soa.ready_at in
-  let key = soa.Soa.key in
   let n_groups = (n_slots + group_size - 1) / group_size in
-  let scan_group g =
-    let best = ref (-1) in
-    let best_key = ref max_int in
-    let hi = (g + 1) * group_size in
-    let hi = if hi > n_slots then n_slots else hi in
-    for slot = g * group_size to hi - 1 do
-      if
-        owns t ~slot
-        && status.(slot) = Soa.st_ready
-        && ready_at.(slot) <= cycle
-        && can_issue slot
-      then begin
-        let k = key.(slot) in
-        if k < !best_key then begin
-          best_key := k;
-          best := slot
-        end
-      end
-    done;
-    !best
+  let group_bits g =
+    let lo = g * group_size in
+    let hi = min n_slots (lo + group_size) in
+    (1 lsl hi) - (1 lsl lo)
   in
-  let rec rotate tried g =
-    if tried >= n_groups then -1
+  (* Visit the groups holding a bit of [m] in ascending order. *)
+  let rec rotate m =
+    if m = 0 then -1
     else
-      let s = scan_group g in
+      let g = lowest m / group_size in
+      let bits = group_bits g in
+      let s = scan_best ~soa ~eligible:(m land bits) ~can_issue in
       if s >= 0 then begin
         t.active_group <- g;
         s
       end
-      else rotate (tried + 1) ((g + 1) mod n_groups)
+      else rotate (m land lnot bits)
   in
-  rotate 0 (t.active_group mod max n_groups 1)
+  let start = (t.active_group mod max n_groups 1) * group_size in
+  let above = eligible land (-1 lsl start) in
+  let s = rotate above in
+  if s >= 0 then s else rotate (eligible lxor above)
 
-let pick t ~soa ~cycle ~can_issue =
-  match t.kind with
-  | Gto -> pick_gto t ~soa ~cycle ~can_issue
-  | Lrr -> pick_lrr t ~soa ~cycle ~can_issue
-  | Two_level group_size -> pick_two_level t ~group_size ~soa ~cycle ~can_issue
+let pick t ~soa ~eligible ~can_issue =
+  if eligible = 0 then -1
+  else
+    match t.kind with
+    | Gto -> pick_gto t ~soa ~eligible ~can_issue
+    | Lrr -> pick_lrr t ~eligible ~can_issue
+    | Two_level group_size ->
+        pick_two_level t ~group_size ~soa ~eligible ~can_issue

@@ -9,12 +9,14 @@
     rotating to the next group with runnable warps (Narasiman et al.,
     MICRO 2011).
 
-    Scheduling operates directly over the SM's structure-of-arrays warp
-    state: a candidate slot must be resident, [Ready] and past its
-    scoreboard bound ([ready_at <= cycle]) before the SM-provided residual
-    [can_issue] check (memory slots, register-policy state — the part
-    with acquire-stall side effects) runs. Per-cycle scans allocate
-    nothing. *)
+    A scheduler never looks at a warp that cannot issue. The SM keeps the
+    set of warps that are [Ready] and past their scoreboard bound as a
+    slot bitmask (the issue stage's warp-state bitmasks, RegMutex §III-B1)
+    and hands each scheduler its owned part; a pick walks only the set
+    bits of that mask, running the SM's residual [can_issue] check
+    (memory slots, register-policy state — the part with acquire-stall
+    side effects) on each candidate in increasing slot order. A pick
+    allocates nothing. *)
 
 type kind = Gto | Lrr | Two_level of int
 
@@ -23,6 +25,15 @@ type t
 val create : kind -> id:int -> n_schedulers:int -> t
 
 val owns : t -> slot:int -> bool
+
+(** Test hook: [(current, rr_pos, active_group)] — the greedy warp of
+    [Gto] ([-1] before the first pick), the round-robin position of [Lrr]
+    and the active fetch group of [Two_level]. *)
+val positions : t -> int * int * int
+
+(** [own_mask t ~n_slots] is the bitmask of the slots below [n_slots]
+    that [t] owns ([n_slots <= 62]). *)
+val own_mask : t -> n_slots:int -> int
 
 (** Width of the age field inside a packed ordering key; ages at or above
     [2^age_bits] saturate to {!age_mask} rather than corrupting the
@@ -37,10 +48,16 @@ val age_mask : int
     Smaller keys are scheduled first. *)
 val pack_key : priority:int -> age:int -> int
 
-(** [pick t ~soa ~cycle ~can_issue] returns the warp slot to issue from
-    this cycle, or [-1] when no owned slot can issue. [can_issue] is the
-    SM's residual eligibility check (beyond status/scoreboard, which are
-    read directly from [soa]); it may record acquire stalls, and is called
-    on candidate slots in increasing slot order exactly once per scan. *)
+(** [pick t ~soa ~eligible ~can_issue] returns the warp slot to issue
+    from this cycle, or [-1] when no slot of [eligible] can issue.
+    [eligible] is the bitmask of this scheduler's slots whose warp is
+    [Ready] with its scoreboard bound passed ([ready_at <= cycle]); it must
+    not hold a slot [t] does not own. [soa] supplies the ordering keys.
+    [can_issue] is the SM's residual eligibility check beyond
+    status/scoreboard; it may record acquire stalls, and is called on
+    slots of [eligible] in increasing slot order (from the round-robin
+    position, wrapping, under [Lrr]) exactly as a scan over every slot
+    would call it. An empty [eligible] returns [-1] at once and leaves the
+    scheduler untouched. *)
 val pick :
-  t -> soa:Warp.Soa.t -> cycle:int -> can_issue:(int -> bool) -> int
+  t -> soa:Warp.Soa.t -> eligible:int -> can_issue:(int -> bool) -> int

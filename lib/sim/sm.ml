@@ -47,6 +47,29 @@ type t = {
      context or closures. *)
   ctxs : Exec.ctx array;
   schedulers : Scheduler.t array;
+  own : int array;  (* per scheduler: the slots it owns, as a mask *)
+  (* Issue state, the simulator's version of the issue stage's warp-state
+     bitmasks (RegMutex §III-B1): every resident warp that has not exited
+     sits in exactly one of three slot masks, re-filed by [place] whenever
+     its status or [ready_at] changes — never rescanned per cycle.
+     - [elig]: [Ready] and [ready_at <= synced] — what the schedulers walk;
+     - [pend]: [Ready] but the scoreboard is busy until [ready_at];
+     - [at_bar]: parked at a barrier.
+     A [pend] warp also sits in wheel bucket [ready_at land 63]; [sync]
+     moves the warps due by the current cycle from [pend] to [elig] by
+     walking only the buckets of the cycles since the last sync. A warp
+     due 64 or more cycles out stays in its bucket for a later lap. *)
+  mutable elig : int;
+  mutable pend : int;
+  mutable at_bar : int;
+  wheel : int array;
+  mutable synced : int;  (* the cycle [elig]/[pend] are exact for *)
+  (* The schedulers' residual check, built once per SM: it reads the
+     memory-slot answer and the clock from these fields, so a pick
+     allocates no closure. *)
+  mutable mem_free : bool;
+  mutable now : int;
+  mutable can_issue : int -> bool;
   pstate : pstate;
   (* Per-PC precomputation. *)
   latency : int array;           (* result latency for non-global instrs *)
@@ -140,8 +163,9 @@ let srp_sections_for cfg ~policy ~kernel =
   let cta_capacity, wpc, regs_cta = compute_capacity cfg policy kernel in
   sections_at cfg policy ~cta_capacity ~wpc ~regs_cta
 
-let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0)
-    ?(lane_resolved = false) cfg ~sm_id
+(* The SM record without its residual-check closure, which [create]
+   installs once the checks below are defined. *)
+let make ?events ?telemetry ~simt ~corrupt_mask ~lane_resolved cfg ~sm_id
     ~policy ~kernel ~memory ~mem_sys ~stats ~record_stores ~trace_warp0 =
   let cta_capacity, wpc, regs_cta = compute_capacity cfg policy kernel in
   let prog = kernel.Kernel.program in
@@ -233,6 +257,12 @@ let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0)
       instrs
   in
   let n_slots = max (cta_capacity * wpc) 1 in
+  (* Warp slots are bits of one native int in the issue masks (and in the
+     SRP's warp bitmask). *)
+  if n_slots > 62 then
+    invalid_arg
+      (Printf.sprintf "Sm.create: %d warp slots per SM exceed the limit of 62"
+         n_slots);
   let n_regs = max prog.Program.n_regs 1 in
   let lanes = if simt then Some cfg.Arch_config.warp_size else None in
   let soa = Soa.create ?lanes ~n_slots ~n_regs () in
@@ -263,6 +293,16 @@ let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0)
           lane_regs = [||];
         })
   in
+  let schedulers =
+    let kind =
+      match cfg.Arch_config.scheduler with
+      | Arch_config.Gto -> Scheduler.Gto
+      | Arch_config.Lrr -> Scheduler.Lrr
+      | Arch_config.Two_level g -> Scheduler.Two_level g
+    in
+    Array.init cfg.n_schedulers (fun id ->
+        Scheduler.create kind ~id ~n_schedulers:cfg.n_schedulers)
+  in
   {
     cfg;
     sm_id;
@@ -278,15 +318,16 @@ let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0)
     ctas = Array.make (max cta_capacity 1) None;
     soa;
     ctxs;
-    schedulers =
-      (let kind =
-         match cfg.Arch_config.scheduler with
-         | Arch_config.Gto -> Scheduler.Gto
-         | Arch_config.Lrr -> Scheduler.Lrr
-         | Arch_config.Two_level g -> Scheduler.Two_level g
-       in
-       Array.init cfg.n_schedulers (fun id ->
-           Scheduler.create kind ~id ~n_schedulers:cfg.n_schedulers));
+    schedulers;
+    own = Array.map (fun sc -> Scheduler.own_mask sc ~n_slots) schedulers;
+    elig = 0;
+    pend = 0;
+    at_bar = 0;
+    wheel = Array.make 64 0;
+    synced = -1;
+    mem_free = false;
+    now = 0;
+    can_issue = (fun _ -> false);
     pstate;
     latency;
     rfv_live;
@@ -345,6 +386,66 @@ let srp_in_use t =
 let resident_ctas t = t.resident_ctas
 let resident_warps t = t.resident_warps
 let retired_ctas t = t.retired
+
+(* --- issue state ------------------------------------------------------ *)
+
+(* Index of the lowest set bit of a non-zero word ([Gpu_isa.Bits.lowest]),
+   repeated so it inlines into the mask walks below (the dev profile's
+   [-opaque] keeps cross-module calls out of line). *)
+let[@inline] lowest x =
+  let x = (x land -x) - 1 in
+  let x = x - ((x lsr 1) land 0x1555555555555555) in
+  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
+  (x * 0x0101010101010101) lsr 56
+
+(* Re-file [slot] from its status and [ready_at]. Called wherever either
+   can change: CTA launch, every pc move ([advance], after the scoreboard
+   bound is refreshed), barrier release and warp exit. The slot is never
+   in [pend] here — only an eligible warp issues, and a barrier-parked or
+   freshly launched one is not pending — so its wheel bucket needs no
+   clearing. *)
+let place t ~slot =
+  let soa = t.soa in
+  let bit = 1 lsl slot in
+  t.elig <- t.elig land lnot bit;
+  t.at_bar <- t.at_bar land lnot bit;
+  let st = soa.Soa.status.(slot) in
+  if st = Soa.st_ready then begin
+    let r = soa.Soa.ready_at.(slot) in
+    if r <= t.synced then t.elig <- t.elig lor bit
+    else begin
+      t.pend <- t.pend lor bit;
+      let b = r land 63 in
+      t.wheel.(b) <- t.wheel.(b) lor bit
+    end
+  end
+  else if st = Soa.st_barrier then t.at_bar <- t.at_bar lor bit
+
+(* Bring [elig]/[pend] up to [cycle]: walk the wheel buckets of the cycles
+   since the last sync (all 64 at most, after a fast-forward jump) and move
+   the warps whose scoreboard bound has passed. *)
+let sync t ~cycle =
+  let from = t.synced in
+  if cycle > from then begin
+    let ready_at = t.soa.Soa.ready_at in
+    let n = if cycle - from > 64 then 64 else cycle - from in
+    for c = from + 1 to from + n do
+      let b = c land 63 in
+      let m = ref t.wheel.(b) in
+      while !m <> 0 do
+        let s = lowest !m in
+        let bit = !m land (- !m) in
+        m := !m lxor bit;
+        if ready_at.(s) <= cycle then begin
+          t.wheel.(b) <- t.wheel.(b) lxor bit;
+          t.pend <- t.pend lxor bit;
+          t.elig <- t.elig lor bit
+        end
+      done
+    done;
+    t.synced <- cycle
+  end
 
 (* --- CTA launch and retirement ------------------------------------- *)
 
@@ -419,7 +520,8 @@ let try_launch t ~global_cta ~cycle =
           | Ps_static | Ps_srp _ | Ps_paired _ | Ps_owf -> ());
           let ctx = t.ctxs.(wslot) in
           ctx.Exec.ctaid <- global_cta;
-          ctx.Exec.shared <- cta.shared
+          ctx.Exec.shared <- cta.shared;
+          place t ~slot:wslot
         done;
         t.resident_ctas <- t.resident_ctas + 1;
         t.resident_warps <- t.resident_warps + n_warps;
@@ -504,18 +606,21 @@ let rfv_peek_next t ~slot instr =
 (* Forward-progress anchor for RFV: the oldest warp that could actually
    issue (barrier-parked warps are waiting on others and must not anchor
    the override, or a register-starved CTA deadlocks against it). The
-   answer depends only on statuses and ages, which change solely at
-   launches and issues, so it is memoized on [state_gen] — a scheduler
-   scan under register pressure probes many candidates per cycle and pays
-   the O(slots) sweep once instead of per candidate. *)
+   [Ready] warps are exactly [elig lor pend]. The answer depends only on
+   statuses and ages, which change solely at launches and issues, so it is
+   memoized on [state_gen] — a scheduler scan under register pressure
+   probes many candidates per cycle and walks the mask once instead of per
+   candidate. *)
 let oldest_ready_age t =
   if t.oldest_gen = t.state_gen then t.oldest_cache
   else begin
-    let soa = t.soa in
+    let age = t.soa.Soa.age in
     let acc = ref max_int in
-    for slot = 0 to soa.Soa.n_slots - 1 do
-      if soa.Soa.status.(slot) = Soa.st_ready && soa.Soa.age.(slot) < !acc then
-        acc := soa.Soa.age.(slot)
+    let m = ref (t.elig lor t.pend) in
+    while !m <> 0 do
+      let slot = lowest !m in
+      m := !m land (!m - 1);
+      if age.(slot) < !acc then acc := age.(slot)
     done;
     t.oldest_gen <- t.state_gen;
     t.oldest_cache <- !acc;
@@ -599,9 +704,8 @@ let check_ready ~probe t ~mem_free ~slot ~cycle =
 
 (* [check_warp] answers "can this warp issue right now, and if not, why?"
    for any resident warp — the status/scoreboard prefix plus
-   {!check_ready}. The issue path never calls this (the schedulers read
-   the prefix straight off the SoA arrays); it serves the idle
-   classification and diagnostics. *)
+   {!check_ready}. Only {!diagnose} calls it: the issue path and the idle
+   classification read the prefix off the issue masks. *)
 let check_warp ?(probe = false) t ~mem_free ~slot ~cycle =
   let soa = t.soa in
   let st = soa.Soa.status.(slot) in
@@ -615,6 +719,33 @@ let check_warp ?(probe = false) t ~mem_free ~slot ~cycle =
   then Blocked_deps
   else check_ready ~probe t ~mem_free ~slot ~cycle
 
+let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0)
+    ?(lane_resolved = false) cfg ~sm_id ~policy ~kernel ~memory ~mem_sys ~stats
+    ~record_stores ~trace_warp0 =
+  let t =
+    make ?events ?telemetry ~simt ~corrupt_mask ~lane_resolved cfg ~sm_id
+      ~policy ~kernel ~memory ~mem_sys ~stats ~record_stores ~trace_warp0
+  in
+  (* Under the static policy the residual check is pure and collapses to
+     the memory-slot bit. *)
+  t.can_issue <-
+    (match t.pstate with
+    | Ps_static ->
+        fun slot ->
+          stats.Stats.issue_candidates <- stats.Stats.issue_candidates + 1;
+          t.mem_free || not t.is_global.(t.soa.Soa.pc.(slot))
+    | Ps_srp _ | Ps_paired _ | Ps_owf | Ps_rfv _ -> (
+        fun slot ->
+          stats.Stats.issue_candidates <- stats.Stats.issue_candidates + 1;
+          match
+            check_ready ~probe:false t ~mem_free:t.mem_free ~slot ~cycle:t.now
+          with
+          | Can_issue -> true
+          | Blocked_deps | Blocked_mem | Blocked_acquire | Blocked_regs
+          | Blocked_barrier | Blocked_done ->
+              false));
+  t
+
 (* --- barrier handling ------------------------------------------------ *)
 
 let maybe_release_barrier t ~cycle cta =
@@ -624,8 +755,10 @@ let maybe_release_barrier t ~cycle cta =
     let soa = t.soa in
     for w = 0 to cta.n_warps - 1 do
       let slot = (cta.cta_slot * t.warps_per_cta) + w in
-      if soa.Soa.status.(slot) = Soa.st_barrier then
-        soa.Soa.status.(slot) <- Soa.st_ready
+      if soa.Soa.status.(slot) = Soa.st_barrier then begin
+        soa.Soa.status.(slot) <- Soa.st_ready;
+        place t ~slot
+      end
     done
   end
 
@@ -709,6 +842,7 @@ let poison_ext t ~slot =
 let warp_done t ~cycle ~slot cta =
   let soa = t.soa in
   soa.Soa.status.(slot) <- Soa.st_done;
+  place t ~slot;
   emit t ~cycle
     (Event_trace.Warp_exited
        { sm = t.sm_id; cta = soa.Soa.global_cta.(slot);
@@ -745,7 +879,8 @@ let warp_done t ~cycle ~slot cta =
 let advance t ~slot ~next =
   rfv_move t ~slot ~next_pc:next;
   t.soa.Soa.pc.(slot) <- next;
-  Soa.refresh_ready_at t.soa ~slot ~touched:t.pc_regs.(next)
+  Soa.refresh_ready_at t.soa ~slot ~touched:t.pc_regs.(next);
+  place t ~slot
 
 let mem_sample t ~cycle ~completion =
   match t.probe with
@@ -1007,62 +1142,85 @@ let stall_reason_of_block = function
   | Blocked_regs -> Stats.Stall_regs
   | Blocked_barrier -> Stats.Stall_barrier
 
-(* One scan over the resident warps yields both the idle classification
-   (the most specific blockage, see {!classify_idle}) and the min-wakeup
-   summary: the earliest future cycle at which any warp's issue
-   eligibility could change. Scoreboard stalls end at the warp's
-   [ready_at]; structural memory stalls end when the SM's earliest slot
-   completes; acquire, RFV-register and barrier stalls only end through
-   another warp's issue, so while the whole GPU is idle they never end —
-   they contribute no wakeup bound. Probing is side-effect free. *)
+(* The idle classification and the min-wakeup summary are read off the
+   issue masks: only the eligible warps need the residual check — a
+   non-empty [pend] is a scoreboard stall ending at its earliest
+   [ready_at], a non-empty [at_bar] a barrier stall — so the cost is
+   O(eligible warps), plus O(pending warps) for the wakeup bound. The
+   blockage reported is the highest-ranked one among all warps. Scoreboard
+   stalls end at the warp's [ready_at]; structural memory stalls end when
+   the SM's earliest slot completes; acquire, RFV-register and barrier
+   stalls only end through another warp's issue, so while the whole GPU is
+   idle they never end — they contribute no wakeup bound. Probing changes
+   no warp state; the residual checks count as issue candidates. *)
 let idle_summary t ~cycle =
-  let soa = t.soa in
+  sync t ~cycle;
   let best = ref Blocked_done in
   let wake = ref max_int in
   let mem_free = Mem_system.slot_free t.mem_sys ~sm:t.sm_id ~cycle in
-  for slot = 0 to soa.Soa.n_slots - 1 do
-    if soa.Soa.status.(slot) < Soa.st_done then begin
-      let reason = check_warp ~probe:true t ~mem_free ~slot ~cycle in
-      if rank_block reason > rank_block !best then best := reason;
-      match reason with
-      | Blocked_deps ->
-          if soa.Soa.ready_at.(slot) < !wake then wake := soa.Soa.ready_at.(slot)
-      | Blocked_mem ->
-          let c = Mem_system.next_completion t.mem_sys ~sm:t.sm_id in
-          if c < !wake then wake := c
-      | Can_issue -> if cycle + 1 < !wake then wake := cycle + 1
-      | Blocked_acquire | Blocked_regs | Blocked_barrier | Blocked_done -> ()
-    end
+  let m = ref t.elig in
+  while !m <> 0 do
+    let slot = lowest !m in
+    m := !m land (!m - 1);
+    t.stats.Stats.issue_candidates <- t.stats.Stats.issue_candidates + 1;
+    let reason = check_ready ~probe:true t ~mem_free ~slot ~cycle in
+    if rank_block reason > rank_block !best then best := reason;
+    match reason with
+    | Blocked_mem ->
+        let c = Mem_system.next_completion t.mem_sys ~sm:t.sm_id in
+        if c < !wake then wake := c
+    | Can_issue -> if cycle + 1 < !wake then wake := cycle + 1
+    | Blocked_deps | Blocked_acquire | Blocked_regs | Blocked_barrier
+    | Blocked_done ->
+        ()
   done;
+  if t.pend <> 0 then begin
+    if rank_block Blocked_deps > rank_block !best then best := Blocked_deps;
+    let ready_at = t.soa.Soa.ready_at in
+    let m = ref t.pend in
+    while !m <> 0 do
+      let slot = lowest !m in
+      m := !m land (!m - 1);
+      if ready_at.(slot) < !wake then wake := ready_at.(slot)
+    done
+  end;
+  if t.at_bar <> 0 && rank_block Blocked_barrier > rank_block !best then
+    best := Blocked_barrier;
   (stall_reason_of_block !best, !wake)
 
 (* Per-cycle idle attribution: only the most specific blockage is needed,
-   not the wakeup bound, and the blockage ranking is bounded by the
-   policy ([Blocked_regs] only under RFV, [Blocked_acquire] only under
-   SRP/paired/OWF) — so the scan stops as soon as the policy's top rank
-   is found instead of visiting every slot. Runs on every cycle where
-   some scheduler finds nothing to issue. *)
-let classify_idle t ~cycle =
-  let soa = t.soa in
-  let status = soa.Soa.status in
+   not the wakeup bound. The ranking is bounded by the policy
+   ([Blocked_regs] only under RFV, [Blocked_acquire] only under
+   SRP/paired/OWF), so the walk over the eligible warps stops as soon as
+   the policy's top rank is found; the pending and barrier masks rank
+   below every residual blockage. Runs on every cycle where some
+   scheduler finds nothing to issue; [count] charges the walked warps to
+   the [issue_candidates] work counter (the simulator's own
+   classifications do, an outside probe does not). *)
+let classify ~count t ~cycle =
+  sync t ~cycle;
   let best = ref Blocked_done in
   let best_rank = ref 0 in
-  let n = soa.Soa.n_slots in
   let mem_free = Mem_system.slot_free t.mem_sys ~sm:t.sm_id ~cycle in
-  let slot = ref 0 in
-  while !slot < n && !best_rank < t.max_rank do
-    let s = !slot in
-    if status.(s) < Soa.st_done then begin
-      let reason = check_warp ~probe:true t ~mem_free ~slot:s ~cycle in
-      let rk = rank_block reason in
-      if rk > !best_rank then begin
-        best_rank := rk;
-        best := reason
-      end
-    end;
-    slot := s + 1
+  let m = ref t.elig in
+  while !m <> 0 && !best_rank < t.max_rank do
+    let slot = lowest !m in
+    m := !m land (!m - 1);
+    if count then
+      t.stats.Stats.issue_candidates <- t.stats.Stats.issue_candidates + 1;
+    let reason = check_ready ~probe:true t ~mem_free ~slot ~cycle in
+    let rk = rank_block reason in
+    if rk > !best_rank then begin
+      best_rank := rk;
+      best := reason
+    end
   done;
-  stall_reason_of_block !best
+  if !best_rank < rank_block Blocked_deps && t.pend <> 0 then Stats.Stall_deps
+  else if !best_rank < rank_block Blocked_barrier && t.at_bar <> 0 then
+    Stats.Stall_barrier
+  else stall_reason_of_block !best
+
+let classify_idle t ~cycle = classify ~count:false t ~cycle
 
 (* --- diagnostics ------------------------------------------------------ *)
 
@@ -1178,36 +1336,29 @@ let finalize_probe t ~cycle =
 let can_launch t = t.resident_ctas < t.cta_capacity && rfv_can_admit t
 
 let step t ~cycle =
+  sync t ~cycle;
+  t.now <- cycle;
   (* Idle classification is pure and the SM state only changes when a
      scheduler issues, so consecutive idle schedulers in the same cycle
-     share one classification instead of rescanning the warps. *)
+     share one classification instead of re-walking the warps. *)
   let idle_valid = ref false in
   let idle_reason = ref Stats.Stall_empty in
   let issued_any = ref false in
-  let is_static =
-    match t.pstate with
-    | Ps_static -> true
-    | Ps_srp _ | Ps_paired _ | Ps_owf | Ps_rfv _ -> false
-  in
   let scheds = t.schedulers in
   for i = 0 to Array.length scheds - 1 do
-    (* One scheduler's scan issues nothing, so the memory-slot answer is
-       constant across its candidates and is captured per pick (an earlier
-       scheduler's issue this cycle may have consumed the last slot, so it
-       cannot be hoisted above the loop). Under the static policy the
-       eligibility residual is pure and collapses to that one bit. *)
-    let mem_free = Mem_system.slot_free t.mem_sys ~sm:t.sm_id ~cycle in
-    let can_issue =
-      if is_static then fun slot ->
-        mem_free || not t.is_global.(t.soa.Soa.pc.(slot))
-      else fun slot ->
-        match check_ready ~probe:false t ~mem_free ~slot ~cycle with
-        | Can_issue -> true
-        | Blocked_deps | Blocked_mem | Blocked_acquire | Blocked_regs
-        | Blocked_barrier | Blocked_done ->
-            false
+    (* [elig] is re-read per scheduler: an earlier scheduler's issue this
+       cycle re-files its own warp (and may release a barrier). *)
+    let eligible = t.elig land t.own.(i) in
+    let slot =
+      if eligible = 0 then -1
+      else begin
+        (* One pick issues nothing, so the memory-slot answer is constant
+           across its candidates; an earlier scheduler's issue this cycle
+           may have consumed the last slot, so it is read per pick. *)
+        t.mem_free <- Mem_system.slot_free t.mem_sys ~sm:t.sm_id ~cycle;
+        Scheduler.pick scheds.(i) ~soa:t.soa ~eligible ~can_issue:t.can_issue
+      end
     in
-    let slot = Scheduler.pick scheds.(i) ~soa:t.soa ~cycle ~can_issue in
     if slot >= 0 then begin
       idle_valid := false;
       if not !issued_any then begin
@@ -1223,7 +1374,7 @@ let step t ~cycle =
       let reason =
         if !idle_valid then !idle_reason
         else begin
-          let r = classify_idle t ~cycle in
+          let r = classify ~count:true t ~cycle in
           idle_valid := true;
           idle_reason := r;
           r
@@ -1243,3 +1394,30 @@ let step t ~cycle =
   | Some p when (not !issued_any) && t.resident_warps > 0 ->
       if !idle_valid then Probe.note_idle p ~cycle ~reason:!idle_reason
   | Some _ | None -> ()
+
+let issue_state_ok t ~cycle =
+  sync t ~cycle;
+  let soa = t.soa in
+  let elig = ref 0 and pend = ref 0 and at_bar = ref 0 and filed = ref true in
+  for slot = 0 to soa.Soa.n_slots - 1 do
+    let bit = 1 lsl slot in
+    let st = soa.Soa.status.(slot) in
+    let r = soa.Soa.ready_at.(slot) in
+    if st = Soa.st_barrier then at_bar := !at_bar lor bit
+    else if st = Soa.st_ready then
+      if r <= cycle then elig := !elig lor bit
+      else begin
+        pend := !pend lor bit;
+        if t.wheel.(r land 63) land bit = 0 then filed := false
+      end
+  done;
+  (* Every pending slot sits in its own bucket, the buckets are disjoint,
+     and together they hold nothing but the pending slots. *)
+  let union = ref 0 and disjoint = ref true in
+  for b = 0 to 63 do
+    let m = t.wheel.(b) in
+    if !union land m <> 0 then disjoint := false;
+    union := !union lor m
+  done;
+  t.synced = cycle && t.elig = !elig && t.pend = !pend && t.at_bar = !at_bar
+  && !filed && !disjoint && !union = !pend

@@ -19,7 +19,9 @@ type t
     initial active mask — a fault-injection hook for the fuzz oracle's
     per-lane-trace self-test (never set in normal runs); such warps launch
     expanded. [lane_resolved] (default [false]) launches every warp
-    expanded, the reference the differential tests compare against. *)
+    expanded, the reference the differential tests compare against.
+    @raise Invalid_argument when the SM would hold more than 62 warp slots
+    (slots are bits of one native int in the issue masks). *)
 val create :
   ?events:Event_trace.t ->
   ?telemetry:Telemetry.Sink.t ->
@@ -73,13 +75,20 @@ val try_launch : t -> global_cta:int -> cycle:int -> bool
     whether CTA dispatch bounds the clock jump. *)
 val can_launch : t -> bool
 
-(** Advance one cycle: every scheduler issues at most one instruction. *)
+(** Advance one cycle: every scheduler issues at most one instruction.
+    Each scheduler walks only its eligible warps (see {!issue_state_ok});
+    a scheduler with none costs one mask test. *)
 val step : t -> cycle:int -> unit
 
 (** Attribute an idle scheduler slot to the most specific blockage among
     the resident warps. Pure observation: probing never mutates warp
     state, statistics, or the event trace, no matter how many idle
-    schedulers classify the same cycle. *)
+    schedulers classify the same cycle.
+
+    Cost: O(eligible warps). Only the warps that are [Ready] with their
+    scoreboard bound passed get the residual (memory slot, register
+    policy) check, stopping at the policy's top rank; scoreboard and
+    barrier stalls are read off the non-emptiness of their masks. *)
 val classify_idle : t -> cycle:int -> Stats.stall_reason
 
 (** [idle_summary t ~cycle] is {!classify_idle} plus the SM's min-wakeup
@@ -88,7 +97,13 @@ val classify_idle : t -> cycle:int -> Stats.stall_reason
     issues anywhere — scoreboard completions ([Warp.ready_at]) and memory
     slot completions. Stalls that only another warp's issue can end
     (acquire, RFV registers, barriers) contribute no bound; [max_int]
-    means "asleep until an external event". Pure observation. *)
+    means "asleep until an external event". Pure observation, except that
+    the residual checks count in [Stats.issue_candidates] (the GPU driver
+    calls this on every frozen cycle).
+
+    Cost: O(eligible warps) for the classification as in {!classify_idle}
+    (without the early stop), plus O(pending warps) for the earliest
+    scoreboard completion. *)
 val idle_summary : t -> cycle:int -> Stats.stall_reason * int
 
 (** [account_idle_span t ~from ~reason ~span] records [span] fully idle
@@ -99,6 +114,15 @@ val idle_summary : t -> cycle:int -> Stats.stall_reason * int
     warps. *)
 val account_idle_span :
   t -> from:int -> reason:Stats.stall_reason -> span:int -> unit
+
+(** [issue_state_ok t ~cycle] — test hook: after bringing the issue state
+    up to [cycle] (as {!step} does first), do the SM's issue masks equal a
+    from-scratch recomputation from every slot's status and [ready_at]?
+    Eligible: [Ready] and [ready_at <= cycle]; pending: [Ready] and
+    [ready_at > cycle], each filed in wakeup-wheel bucket
+    [ready_at land 63]; parked: at a barrier. Call it between steps, with
+    the cycle just stepped or a later one. *)
+val issue_state_ok : t -> cycle:int -> bool
 
 (** Close the telemetry probe's open spans at the run's final cycle (the
     GPU driver calls this once after the main loop). No-op without a

@@ -27,6 +27,7 @@ type t = {
   mutable predicated_lane_cycles : int;
   mutable divergent_branches : int;
   mutable lane_expansions : int;
+  mutable issue_candidates : int;
   stall_cycles : int array;
   mutable ctas_retired : int;
   mutable timed_out : bool;
@@ -76,6 +77,7 @@ let create () =
     predicated_lane_cycles = 0;
     divergent_branches = 0;
     lane_expansions = 0;
+    issue_candidates = 0;
     stall_cycles = Array.make n_reasons 0;
     ctas_retired = 0;
     timed_out = false;

@@ -52,6 +52,15 @@ type t = {
           first [%laneid] read). A work counter, not a result: it differs
           between collapsed and lane-resolved runs by design, so it stays
           out of run fingerprints, equivalence checks and {!pp} *)
+  mutable issue_candidates : int;
+      (** warps whose residual issue eligibility (memory slot, register
+          policy) was evaluated, by a scheduler's pick or by the
+          simulator's idle classification. Compare it with
+          [resident_warp_cycles], the warps a rescan of every resident
+          warp on every cycle would touch. A work counter: it differs
+          between fast-forward and brute-force stepping, so like
+          [lane_expansions] it stays out of fingerprints, equivalence
+          checks and {!pp} *)
   stall_cycles : int array;
       (** per-reason idle-slot counters, indexed by {!reason_index}; use
           {!bump_stall} / {!stall_count} rather than indexing directly *)

@@ -1,7 +1,8 @@
 (** Per-warp execution state, stored structure-of-arrays.
 
-    The simulator hot loop walks every warp slot every cycle, so the hot
-    mutable fields ([pc], [ready_at], [status], the acquire/SRP state,
+    The simulator hot loop reads warp state by slot on every cycle (the
+    SM's issue masks name the slots worth reading), so the hot mutable
+    fields ([pc], [ready_at], [status], the acquire/SRP state,
     issue counters) live in packed [int array]s indexed by warp slot —
     one cache-friendly {!Soa.t} per SM — instead of one boxed record per
     warp. Registers hold warp-uniform values (see DESIGN.md);

@@ -13,8 +13,21 @@ let pool ?(priority = fun _ -> 0) slots_ages =
     slots_ages;
   soa
 
+(* The eligible mask the SM would hand [sched]: its owned slots whose warp
+   is [Ready] with the scoreboard bound passed. *)
+let eligible ~cycle sched (soa : Soa.t) =
+  let m = ref 0 in
+  for s = 0 to soa.Soa.n_slots - 1 do
+    if
+      Scheduler.owns sched ~slot:s
+      && soa.Soa.status.(s) = Soa.st_ready
+      && soa.Soa.ready_at.(s) <= cycle
+    then m := !m lor (1 lsl s)
+  done;
+  !m
+
 let pick ?(cycle = 0) ?(can = fun _ -> true) sched soa =
-  Scheduler.pick sched ~soa ~cycle ~can_issue:can
+  Scheduler.pick sched ~soa ~eligible:(eligible ~cycle sched soa) ~can_issue:can
 
 let test_gto_oldest_first () =
   let sched = Scheduler.create Scheduler.Gto ~id:0 ~n_schedulers:1 in
@@ -176,6 +189,189 @@ let test_pick_near_age_limit () =
   in
   Alcotest.(check int) "saturated owner still first" 0 (pick sched2 soa2)
 
+(* --- differential property: mask-driven picks vs a full slot scan ------- *)
+
+(* The reference: the array-scanning pickers the mask-driven ones replaced.
+   They visit every slot, apply the status/scoreboard prefix themselves and
+   call [can_issue] on the survivors in increasing slot order. *)
+type ref_state = {
+  kind : Scheduler.kind;
+  id : int;
+  n_schedulers : int;
+  mutable current : int;
+  mutable rr_pos : int;
+  mutable active_group : int;
+}
+
+let ref_owns r slot = slot mod r.n_schedulers = r.id
+
+let ref_runnable (soa : Soa.t) ~cycle s =
+  soa.Soa.status.(s) = Soa.st_ready && soa.Soa.ready_at.(s) <= cycle
+
+let ref_scan_best r (soa : Soa.t) ~cycle ~can_issue =
+  let best = ref (-1) and best_key = ref max_int in
+  let slot = ref r.id in
+  while !slot < soa.Soa.n_slots do
+    let s = !slot in
+    if ref_runnable soa ~cycle s && can_issue s then begin
+      let k = soa.Soa.key.(s) in
+      if k < !best_key then begin
+        best_key := k;
+        best := s
+      end
+    end;
+    slot := s + r.n_schedulers
+  done;
+  !best
+
+let ref_pick_gto r soa ~cycle ~can_issue =
+  let cur = r.current in
+  if cur >= 0 && cur < soa.Soa.n_slots && ref_runnable soa ~cycle cur && can_issue cur
+  then cur
+  else begin
+    let s = ref_scan_best r soa ~cycle ~can_issue in
+    if s >= 0 then r.current <- s;
+    s
+  end
+
+let ref_pick_lrr r (soa : Soa.t) ~cycle ~can_issue =
+  let n_slots = soa.Soa.n_slots in
+  let rec go tried slot =
+    if tried >= n_slots then -1
+    else
+      let slot = if slot >= n_slots then 0 else slot in
+      if ref_owns r slot && ref_runnable soa ~cycle slot && can_issue slot then begin
+        r.rr_pos <- slot + 1;
+        slot
+      end
+      else go (tried + 1) (slot + 1)
+  in
+  go 0 r.rr_pos
+
+let ref_pick_two_level r ~group_size (soa : Soa.t) ~cycle ~can_issue =
+  let n_slots = soa.Soa.n_slots in
+  let n_groups = (n_slots + group_size - 1) / group_size in
+  let scan_group g =
+    let best = ref (-1) and best_key = ref max_int in
+    for slot = g * group_size to min n_slots ((g + 1) * group_size) - 1 do
+      if ref_owns r slot && ref_runnable soa ~cycle slot && can_issue slot then begin
+        let k = soa.Soa.key.(slot) in
+        if k < !best_key then begin
+          best_key := k;
+          best := slot
+        end
+      end
+    done;
+    !best
+  in
+  let rec rotate tried g =
+    if tried >= n_groups then -1
+    else
+      let s = scan_group g in
+      if s >= 0 then begin
+        r.active_group <- g;
+        s
+      end
+      else rotate (tried + 1) ((g + 1) mod n_groups)
+  in
+  rotate 0 (r.active_group mod max n_groups 1)
+
+let ref_pick r soa ~cycle ~can_issue =
+  match r.kind with
+  | Scheduler.Gto -> ref_pick_gto r soa ~cycle ~can_issue
+  | Scheduler.Lrr -> ref_pick_lrr r soa ~cycle ~can_issue
+  | Scheduler.Two_level group_size ->
+      ref_pick_two_level r ~group_size soa ~cycle ~can_issue
+
+(* One pick round: per slot a status (absent / ready / barrier / done), a
+   scoreboard bound around the clock, an ordering key (ties on purpose)
+   and the residual answer [can_issue] gives for it. *)
+type slot_gen = { st : int; ready_off : int; prio : int; age : int; can : bool }
+
+let gen_case =
+  let open QCheck2.Gen in
+  let* n_slots = int_range 1 62 in
+  let* n_schedulers = int_range 1 4 in
+  let* id = int_bound (n_schedulers - 1) in
+  let* kind =
+    oneof
+      [ return Scheduler.Gto; return Scheduler.Lrr;
+        map (fun g -> Scheduler.Two_level g) (int_range 1 9) ]
+  in
+  let slot =
+    let* st =
+      frequency
+        [ (1, return Soa.st_absent); (5, return Soa.st_ready);
+          (1, return Soa.st_barrier); (1, return Soa.st_done) ]
+    in
+    let* ready_off = int_range (-3) 3 in
+    let* prio = int_bound 1 in
+    let* age = int_bound 20 in
+    let* can = frequency [ (3, return true); (1, return false) ] in
+    return { st; ready_off; prio; age; can }
+  in
+  let* rounds = list_size (int_range 1 6) (array_size (return n_slots) slot) in
+  return (n_slots, n_schedulers, id, kind, rounds)
+
+let print_case (n_slots, n_schedulers, id, kind, rounds) =
+  Printf.sprintf "n_slots=%d n_schedulers=%d id=%d kind=%s rounds=[%s]" n_slots
+    n_schedulers id
+    (match kind with
+    | Scheduler.Gto -> "gto"
+    | Scheduler.Lrr -> "lrr"
+    | Scheduler.Two_level g -> Printf.sprintf "two-level %d" g)
+    (String.concat "; "
+       (List.map
+          (fun a ->
+            String.concat ","
+              (Array.to_list
+                 (Array.map
+                    (fun g ->
+                      Printf.sprintf "%d/%+d/%d.%d/%b" g.st g.ready_off g.prio
+                        g.age g.can)
+                    a)))
+          rounds))
+
+let prop_mask_pick_matches_scan =
+  let cycle = 10 in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~print:print_case
+       ~name:"mask-driven pick matches the full slot scan" gen_case
+       (fun (n_slots, n_schedulers, id, kind, rounds) ->
+         let sched = Scheduler.create kind ~id ~n_schedulers in
+         let r =
+           { kind; id; n_schedulers; current = -1; rr_pos = 0; active_group = 0 }
+         in
+         let soa = Soa.create ~n_slots ~n_regs:1 () in
+         List.for_all
+           (fun round ->
+             Array.iteri
+               (fun s g ->
+                 soa.Soa.status.(s) <- g.st;
+                 soa.Soa.ready_at.(s) <- cycle + g.ready_off;
+                 soa.Soa.key.(s) <-
+                   (if g.st = Soa.st_absent then max_int
+                    else Scheduler.pack_key ~priority:g.prio ~age:g.age))
+               round;
+             let recording () =
+               let calls = ref [] in
+               ( calls,
+                 fun s ->
+                   calls := s :: !calls;
+                   round.(s).can )
+             in
+             let ref_calls, ref_can = recording () in
+             let got_calls, got_can = recording () in
+             let want = ref_pick r soa ~cycle ~can_issue:ref_can in
+             let got =
+               Scheduler.pick sched ~soa
+                 ~eligible:(eligible ~cycle sched soa)
+                 ~can_issue:got_can
+             in
+             got = want && !got_calls = !ref_calls
+             && Scheduler.positions sched = (r.current, r.rr_pos, r.active_group))
+           rounds))
+
 let suite =
   [ Alcotest.test_case "GTO picks oldest" `Quick test_gto_oldest_first;
     Alcotest.test_case "GTO greedy behaviour" `Quick test_gto_greedy;
@@ -190,4 +386,5 @@ let suite =
     Alcotest.test_case "warp scoreboard" `Quick test_warp_deps_ready;
     Alcotest.test_case "packed key order" `Quick test_packed_key_order;
     Alcotest.test_case "packed key saturation" `Quick test_packed_key_saturation;
-    Alcotest.test_case "pick near the age limit" `Quick test_pick_near_age_limit ]
+    Alcotest.test_case "pick near the age limit" `Quick test_pick_near_age_limit;
+    prop_mask_pick_matches_scan ]

@@ -284,10 +284,18 @@ let test_end_to_end_export () =
       Test_fast_forward.contended
   in
   let sink = Telemetry.Sink.create () in
-  let _ =
+  let stats, _ =
     run_mode ~arch:Util.small_arch ~technique:Technique.Regmutex ~kernel
       ~fast_forward:true ~telemetry:(Some sink)
   in
+  (* The issue-candidate work counter reaches the metric registry. *)
+  Alcotest.(check bool) "issue candidates counted" true
+    (stats.Gpu_sim.Stats.issue_candidates > 0);
+  Alcotest.(check int) "issue candidates exported"
+    stats.Gpu_sim.Stats.issue_candidates
+    (Metrics.counter_value
+       (Metrics.counter sink.Telemetry.Sink.metrics
+          "regmutex_issue_candidates_total"));
   let out = Format.asprintf "%a" Trace.export_chrome sink.Telemetry.Sink.trace in
   (match Json_check.validate_chrome_trace out with
   | Ok _ -> ()
