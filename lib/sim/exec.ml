@@ -172,28 +172,7 @@ let write ctx space addr v =
       ctx.stats.Stats.spill_stores <- ctx.stats.Stats.spill_stores + 1;
       ctx.shared.(spill_index ctx addr) <- v
 
-(* Register-file port activity per executed instruction, for the energy
-   model: one read per register operand (duplicates count — each is a
-   port access), one write per defined register. Counted here, at
-   execution granularity, so the totals are identical under fast-forward
-   and brute-force stepping (scheduler re-probes such as the RFV peek
-   are cycle-dependent and must not contribute). *)
-let is_reg = function Instr.Reg _ -> 1 | Instr.Imm _ | Instr.Special _ | Instr.Param _ -> 0
-
-let rf_accesses = function
-  | Instr.Bin (_, _, a, b) | Instr.Cmp (_, _, a, b) -> (is_reg a + is_reg b, 1)
-  | Instr.Un (_, _, a) | Instr.Mov (_, a) -> (is_reg a, 1)
-  | Instr.Mad (_, a, b, c) | Instr.Sel (_, a, b, c) ->
-      (is_reg a + is_reg b + is_reg c, 1)
-  | Instr.Load (_, _, addr, _) -> (is_reg addr, 1)
-  | Instr.Store (_, addr, v, _) -> (is_reg addr + is_reg v, 0)
-  | Instr.Jump_if (c, _) | Instr.Jump_ifz (c, _) -> (is_reg c, 0)
-  | Instr.Jump _ | Instr.Bar | Instr.Acquire | Instr.Release | Instr.Exit -> (0, 0)
-
 let step ctx instr =
-  let reads, writes = rf_accesses instr in
-  ctx.stats.Stats.rf_reads <- ctx.stats.Stats.rf_reads + reads;
-  ctx.stats.Stats.rf_writes <- ctx.stats.Stats.rf_writes + writes;
   let v = operand ctx in
   match instr with
   | Instr.Bin (op, d, a, b) ->
@@ -231,8 +210,8 @@ let step ctx instr =
 (* --- per-lane (SIMT) execution ----------------------------------------- *)
 
 (* Pure evaluation of a conditional branch's per-lane outcome: the mask of
-   active lanes whose condition takes the branch. Never counts register
-   ports (the RFV peek calls this every scheduler probe). [None] for
+   active lanes whose condition takes the branch. Counts nothing (the RFV
+   peek calls this every scheduler probe). [None] for
    non-conditional instructions. A [collapsed] warp's lanes all hold
    [regs], so only [%laneid] tells them apart. *)
 let branch_masks ?(collapsed = false) ctx instr ~mask =
@@ -255,7 +234,7 @@ let branch_masks ?(collapsed = false) ctx instr ~mask =
   | _ -> None
 
 (* Evaluate one instruction for every lane in [mask]. Counter discipline:
-   register-port and shared/spill traffic counters advance once per
+   shared/spill traffic counters advance once per
    instruction (the same totals the warp-uniform model produces for the
    same dynamic instruction stream), and [shared_oob] is clamped to at
    most one bump per instruction. The architectural (warp-level) store
@@ -263,9 +242,6 @@ let branch_masks ?(collapsed = false) ctx instr ~mask =
    is bit-identical to the uniform trace; the full lane-resolved trace is
    recorded separately per lane. *)
 let step_simt ctx instr ~mask =
-  let reads, writes = rf_accesses instr in
-  ctx.stats.Stats.rf_reads <- ctx.stats.Stats.rf_reads + reads;
-  ctx.stats.Stats.rf_writes <- ctx.stats.Stats.rf_writes + writes;
   let n = ctx.n_regs in
   let set lane d value = ctx.lane_regs.((lane * n) + d) <- value in
   let each f =

@@ -83,7 +83,7 @@ val branch_masks :
     set in [mask] against the lane-resolved register file.
 
     Counter contract (the bit-identity contract with the warp-uniform
-    model): register-port and shared/spill traffic counters advance once
+    model): shared/spill traffic counters advance once
     per executed instruction regardless of how many lanes are active, and
     [stats.shared_oob] bumps at most once per instruction. The warp-level
     store trace records the lowest active lane; every active lane is

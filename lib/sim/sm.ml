@@ -75,6 +75,8 @@ type t = {
   latency : int array;           (* result latency for non-global instrs *)
   rfv_live : int array;          (* RFV: physical packs demanded at each pc *)
   def_reg : int array;           (* destination register, -1 none, -2 invalid *)
+  rf_reads : int array;          (* register-file read ports used at issue *)
+  rf_writes : int array;         (* register-file write ports used at issue *)
   pc_regs : int array array;     (* registers read or written, ascending *)
   top_reg : int array;           (* highest of [pc_regs], -1 when empty; an
                                     extended-set access when >= bs *)
@@ -221,6 +223,31 @@ let make ?events ?telemetry ~simt ~corrupt_mask ~lane_resolved cfg ~sm_id
         | _ :: _ :: _ -> -2)
       instrs
   in
+  (* Register-file port activity, for the energy model: one read per
+     register operand (duplicates count — each is a port access), one write
+     per defined register. Counted at issue, so the totals are identical
+     under fast-forward and brute-force stepping (scheduler re-probes such
+     as the RFV peek are cycle-dependent and must not contribute). *)
+  let rf_reads =
+    let reg = function
+      | Instr.Reg _ -> 1
+      | Instr.Imm _ | Instr.Special _ | Instr.Param _ -> 0
+    in
+    Array.map
+      (function
+        | Instr.Bin (_, _, a, b) | Instr.Cmp (_, _, a, b) -> reg a + reg b
+        | Instr.Un (_, _, a) | Instr.Mov (_, a) -> reg a
+        | Instr.Mad (_, a, b, c) | Instr.Sel (_, a, b, c) ->
+            reg a + reg b + reg c
+        | Instr.Load (_, _, addr, _) -> reg addr
+        | Instr.Store (_, addr, v, _) -> reg addr + reg v
+        | Instr.Jump_if (c, _) | Instr.Jump_ifz (c, _) -> reg c
+        | Instr.Jump _ | Instr.Bar | Instr.Acquire | Instr.Release | Instr.Exit
+          ->
+            0)
+      instrs
+  in
+  let rf_writes = Array.map (fun d -> if d = -1 then 0 else 1) def_reg in
   let pc_regs =
     Array.map (fun i -> Array.of_list (Regset.to_list (Instr.regs i))) instrs
   in
@@ -332,6 +359,8 @@ let make ?events ?telemetry ~simt ~corrupt_mask ~lane_resolved cfg ~sm_id
     latency;
     rfv_live;
     def_reg;
+    rf_reads;
+    rf_writes;
     pc_regs;
     top_reg;
     is_global;
@@ -980,6 +1009,8 @@ let issue t ~slot ~cycle =
   if completion < 0 then false
   else begin
     t.state_gen <- t.state_gen + 1;
+    t.stats.Stats.rf_reads <- t.stats.Stats.rf_reads + t.rf_reads.(pc);
+    t.stats.Stats.rf_writes <- t.stats.Stats.rf_writes + t.rf_writes.(pc);
     (* OWF: silent one-time acquire at the first extended access. *)
     (match t.pstate with
     | Ps_owf when t.top_reg.(pc) >= t.bs && soa.Soa.owns_ext.(slot) = 0 ->
