@@ -50,7 +50,8 @@ let run_experiment cfg name =
    again with one worker per core, and again serially with fast-forward
    disabled — each from a cold in-memory cache and no disk store — and
    compare wall time and results. A divergence between fast-forward and
-   brute force is a simulator bug and fails the run. *)
+   brute force is a simulator bug and fails the run, and so does a mode
+   that makes a different (or zero) number of machine runs. *)
 let sweep_bench cfg =
   let row_builders : (Experiments.Exp_config.t -> string list) list =
     [ (fun cfg ->
@@ -89,29 +90,40 @@ let sweep_bench cfg =
     Engine.set_jobs jobs;
     Engine.set_fast_forward fast_forward;
     let sims_before = Engine.simulations () in
+    let runs_before = Engine.machine_runs () in
     let t0 = Unix.gettimeofday () in
     let results = List.concat_map (fun f -> f cfg) row_builders in
     let dt = Unix.gettimeofday () -. t0 in
     Engine.set_fast_forward true;
-    (dt, Engine.simulations () - sims_before, results)
+    ( dt,
+      Engine.simulations () - sims_before,
+      Engine.machine_runs () - runs_before,
+      results )
   in
-  let serial_t, serial_sims, serial_r = timed 1 in
-  Printf.printf "serial:   %4d simulations in %6.2fs (1 worker)\n%!" serial_sims
-    serial_t;
+  let serial_t, serial_sims, serial_runs, serial_r = timed 1 in
+  Printf.printf "serial:   %4d simulations, %4d machine runs in %6.2fs (1 worker)\n%!"
+    serial_sims serial_runs serial_t;
   let jobs = Engine.auto_jobs () in
-  let par_t, par_sims, par_r = timed 0 in
-  Printf.printf "parallel: %4d simulations in %6.2fs (%d worker%s)\n%!" par_sims
-    par_t jobs
+  let par_t, par_sims, par_runs, par_r = timed 0 in
+  Printf.printf "parallel: %4d simulations, %4d machine runs in %6.2fs (%d worker%s)\n%!"
+    par_sims par_runs par_t jobs
     (if jobs = 1 then "" else "s");
-  let brute_t, brute_sims, brute_r = timed ~fast_forward:false 1 in
-  Printf.printf "brute:    %4d simulations in %6.2fs (1 worker, no fast-forward)\n%!"
-    brute_sims brute_t;
+  let brute_t, brute_sims, brute_runs, brute_r = timed ~fast_forward:false 1 in
+  Printf.printf
+    "brute:    %4d simulations, %4d machine runs in %6.2fs (1 worker, no fast-forward)\n%!"
+    brute_sims brute_runs brute_t;
   Printf.printf "parallel speedup:     %.2fx; results %s\n" (serial_t /. par_t)
     (if serial_r = par_r then "identical" else "DIFFER");
   Printf.printf "fast-forward speedup: %.2fx; results %s\n" (brute_t /. serial_t)
     (if serial_r = brute_r then "identical" else "DIFFER");
+  (* Every mode must simulate the same inputs for real: a brute-force
+     pass served from fast-forwarded statistics would compare nothing. *)
+  let runs_agree =
+    serial_runs > 0 && par_runs = serial_runs && brute_runs = serial_runs
+  in
+  if not runs_agree then print_endline "machine runs DIFFER";
   Engine.set_jobs 1;
-  if serial_r <> par_r || serial_r <> brute_r then exit 1
+  if serial_r <> par_r || serial_r <> brute_r || not runs_agree then exit 1
 
 (* Cycle-skip microbenchmark: every suite cell (workload x technique on
    that workload's evaluation architecture) simulated twice, brute force

@@ -475,8 +475,9 @@ let sweep_cmd =
       let t0 = Unix.gettimeofday () in
       with_profile profile (fun () -> Suite.run cfg entries);
       (* Stderr, so stdout stays comparable across job counts and runs. *)
-      Printf.eprintf "sweep: %d simulation(s) in %.1fs (%d worker%s%s%s)\n"
-        (Engine.simulations ())
+      Printf.eprintf
+        "sweep: %d simulation(s), %d distinct, in %.1fs (%d worker%s%s%s)\n"
+        (Engine.simulations ()) (Engine.machine_runs ())
         (Unix.gettimeofday () -. t0)
         (Engine.jobs ())
         (if Engine.jobs () = 1 then "" else "s")

@@ -21,7 +21,7 @@ type run = {
 let prepare_phase = Telemetry.Profile.phase "runner.prepare"
 let simulate_phase = Telemetry.Profile.phase "runner.simulate"
 
-let execute ?options ?(record_stores = false) ?(trace_warp0 = false)
+let prepare ?options ?(record_stores = false) ?(trace_warp0 = false)
     ?(max_cycles = 20_000_000) ?(fast_forward = true) ?(corrupt_mask = 0)
     ?(lane_resolved = false) ?telemetry cfg technique kernel =
   let prepared =
@@ -33,7 +33,7 @@ let execute ?options ?(record_stores = false) ?(trace_warp0 = false)
     | Some o -> o.Technique.simt
     | None -> Technique.default_options.Technique.simt
   in
-  let config =
+  ( prepared,
     {
       Gpu.arch = cfg;
       policy = prepared.Technique.policy;
@@ -46,16 +46,19 @@ let execute ?options ?(record_stores = false) ?(trace_warp0 = false)
       simt;
       corrupt_mask;
       lane_resolved;
-    }
-  in
+    } )
+
+let simulate config prepared =
+  Telemetry.Profile.time simulate_phase (fun () ->
+      Gpu.run config prepared.Technique.kernel)
+
+let of_stats config prepared stats =
   let kernel' = prepared.Technique.kernel in
-  let stats =
-    Telemetry.Profile.time simulate_phase (fun () -> Gpu.run config kernel')
-  in
+  let cfg = config.Gpu.arch in
   let theoretical_warps = Gpu.theoretical_warps config kernel' in
   {
-    technique;
-    kernel_name = kernel.Kernel.name;
+    technique = prepared.Technique.technique;
+    kernel_name = kernel'.Kernel.name;
     cycles = stats.Stats.cycles;
     instructions = stats.Stats.instructions;
     theoretical_warps;
@@ -68,6 +71,14 @@ let execute ?options ?(record_stores = false) ?(trace_warp0 = false)
     stats;
     prepared;
   }
+
+let execute ?options ?record_stores ?trace_warp0 ?max_cycles ?fast_forward
+    ?corrupt_mask ?lane_resolved ?telemetry cfg technique kernel =
+  let prepared, config =
+    prepare ?options ?record_stores ?trace_warp0 ?max_cycles ?fast_forward
+      ?corrupt_mask ?lane_resolved ?telemetry cfg technique kernel
+  in
+  of_stats config prepared (simulate config prepared)
 
 (* Stable digest of everything the figures read off a run. Two runs of the
    same cell must produce the same fingerprint no matter which domain (or

@@ -13,10 +13,13 @@ type run = {
   acquire_ratio : float;          (** successful acquires / acquire instrs *)
   srp_sections : int;
   stats : Gpu_sim.Stats.t;
+      (** read-only: runs the experiment engine builds from one memoised
+          simulation physically share it *)
   prepared : Technique.prepared;
 }
 
-(** [execute ?fast_forward cfg technique kernel] prepares and simulates.
+(** [execute ?fast_forward cfg technique kernel] prepares and simulates:
+    {!of_stats} of {!simulate} of {!prepare}.
     [fast_forward] (default [true]) selects event-driven cycle skipping in
     the simulator; it is semantics-preserving, so the resulting [run] (and
     its {!fingerprint}) is identical either way — [false] exists as the
@@ -41,6 +44,35 @@ val execute :
   Technique.t ->
   Gpu_sim.Kernel.t ->
   run
+
+(** The compile-time half of {!execute} (profiled as [runner.prepare]):
+    the prepared technique and the exact machine input [Gpu.run] gets,
+    with the same optional arguments and defaults. The simulated [run]
+    is a function of the returned config and [prepared.kernel] alone,
+    which is what lets the experiment engine simulate each distinct
+    input once. *)
+val prepare :
+  ?options:Technique.options ->
+  ?record_stores:bool ->
+  ?trace_warp0:bool ->
+  ?max_cycles:int ->
+  ?fast_forward:bool ->
+  ?corrupt_mask:int ->
+  ?lane_resolved:bool ->
+  ?telemetry:Telemetry.Sink.t ->
+  Gpu_uarch.Arch_config.t ->
+  Technique.t ->
+  Gpu_sim.Kernel.t ->
+  Technique.prepared * Gpu_sim.Gpu.run_config
+
+(** [simulate config prepared] runs [prepared.kernel] on the machine
+    (profiled as [runner.simulate]). *)
+val simulate : Gpu_sim.Gpu.run_config -> Technique.prepared -> Gpu_sim.Stats.t
+
+(** [of_stats config prepared stats] derives the figure metrics of
+    [stats], a simulation of [prepared] under [config]. *)
+val of_stats :
+  Gpu_sim.Gpu.run_config -> Technique.prepared -> Gpu_sim.Stats.t -> run
 
 (** Stable digest of the metrics the figures read. Identical for two runs
     of the same configuration regardless of which domain or process

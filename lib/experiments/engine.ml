@@ -232,9 +232,9 @@ let key ?es_override ?options ?variant cfg ~arch technique spec =
 
 (* --- in-memory and on-disk caches ------------------------------------ *)
 
-(* The in-memory table may be touched from any domain that runs cells,
-   so accesses go through one mutex. Computation never happens under the
-   lock. *)
+(* The in-memory tables may be touched from any domain that runs cells,
+   so accesses go through one mutex each. Computation never happens under
+   a lock. *)
 let cache : (string, Runner.run) Hashtbl.t = Hashtbl.create 64
 
 let cache_lock = Mutex.create ()
@@ -249,11 +249,41 @@ let mem_add k run = with_cache (fun () -> Hashtbl.replace cache k run)
 
 let mem_mem k = with_cache (fun () -> Hashtbl.mem cache k)
 
+(* The third level: the statistics of every machine input simulated since
+   the last [clear], keyed by the input's marshalled bytes themselves (not
+   a digest of them), so a hit always means an equal input. Cells that
+   differ in how they were requested but prepare to the same kernel and
+   run config share one simulation. *)
+let memo : (string, Gpu_sim.Stats.t) Hashtbl.t = Hashtbl.create 64
+
+let memo_lock = Mutex.create ()
+
+let with_memo f =
+  Mutex.lock memo_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock memo_lock) f
+
+let memo_find input = with_memo (fun () -> Hashtbl.find_opt memo input)
+
+(* The first simulation of an input stays the memoised one. *)
+let memo_add input stats =
+  with_memo (fun () ->
+      match Hashtbl.find_opt memo input with
+      | Some first -> first
+      | None ->
+          Hashtbl.add memo input stats;
+          stats)
+
 let misses = Atomic.make 0
 
 let simulations () = Atomic.get misses
 
-let clear () = with_cache (fun () -> Hashtbl.reset cache)
+let runs = Atomic.make 0
+
+let machine_runs () = Atomic.get runs
+
+let clear () =
+  with_cache (fun () -> Hashtbl.reset cache);
+  with_memo (fun () -> Hashtbl.reset memo)
 
 (* --- execution -------------------------------------------------------- *)
 
@@ -266,6 +296,34 @@ let compute cfg c =
   let kernel = Exp_config.kernel_of cfg c.spec in
   Runner.execute ~options ~fast_forward:!ff c.arch c.technique kernel
 
+(* A cell's machine input: the prepared technique, the run config, and
+   the memo key. The config carries every field [Gpu.run] reads,
+   [fast_forward] included, and no sink ([events] and [telemetry] are
+   [None]), so its bytes with the prepared kernel's are the whole
+   input. *)
+type input = {
+  prepared : Technique.prepared;
+  config : Gpu_sim.Gpu.run_config;
+  bytes : string;
+}
+
+let prepare cfg c =
+  let options = resolved_options c in
+  let kernel = Exp_config.kernel_of cfg c.spec in
+  let prepared, config =
+    Runner.prepare ~options ~fast_forward:!ff c.arch c.technique kernel
+  in
+  {
+    prepared;
+    config;
+    bytes =
+      Marshal.to_string (config, prepared.Technique.kernel) [ Marshal.No_sharing ];
+  }
+
+let simulate i =
+  Atomic.incr runs;
+  Runner.simulate i.config i.prepared
+
 let lookup cfg c =
   let k = key_of_cell cfg c in
   match mem_find k with
@@ -277,7 +335,13 @@ let lookup cfg c =
           run
       | None ->
           Atomic.incr misses;
-          let run = compute cfg c in
+          let i = prepare cfg c in
+          let stats =
+            match memo_find i.bytes with
+            | Some stats -> stats
+            | None -> memo_add i.bytes (simulate i)
+          in
+          let run = Runner.of_stats i.config i.prepared stats in
           mem_add k run;
           Result_store.store k run;
           run)
@@ -303,7 +367,7 @@ let prefetch ?jobs:requested cfg cells =
     | None -> !default_jobs
   in
   (* Deduplicate by key and drop every cell either cache layer already
-     holds; only genuinely missing cells are simulated. *)
+     holds; only genuinely missing cells are prepared. *)
   let queued = Hashtbl.create 16 in
   let pending =
     List.filter_map
@@ -322,7 +386,34 @@ let prefetch ?jobs:requested cfg cells =
   in
   if pending <> [] then begin
     let tasks = Array.of_list pending in
-    let runs = parallel_map ~jobs tasks (fun (_, c) -> compute cfg c) in
+    let inputs = parallel_map ~jobs tasks (fun (_, c) -> prepare cfg c) in
+    (* Group by input bytes in submission order: each input the memo
+       lacks is simulated once, by one domain. *)
+    let batch = Hashtbl.create 16 in
+    let fresh =
+      Array.fold_left
+        (fun acc i ->
+          if Hashtbl.mem batch i.bytes then acc
+          else begin
+            let known = memo_find i.bytes in
+            Hashtbl.replace batch i.bytes known;
+            if Option.is_none known then i :: acc else acc
+          end)
+        [] inputs
+      |> List.rev |> Array.of_list
+    in
+    let stats = parallel_map ~jobs fresh simulate in
+    Array.iteri
+      (fun j i ->
+        Hashtbl.replace batch i.bytes (Some (memo_add i.bytes stats.(j))))
+      fresh;
+    let results =
+      Array.map
+        (fun i ->
+          Runner.of_stats i.config i.prepared
+            (Option.get (Hashtbl.find batch i.bytes)))
+        inputs
+    in
     (* Merge on the coordinator, in submission order: figure output is
        byte-identical whatever the worker count or completion order. *)
     Telemetry.Profile.time merge_phase (fun () ->
@@ -332,7 +423,7 @@ let prefetch ?jobs:requested cfg cells =
             Atomic.incr misses;
             mem_add k run;
             Result_store.store k run)
-          runs)
+          results)
   end
 
 let run_batch ?jobs cfg cells =

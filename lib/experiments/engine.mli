@@ -2,14 +2,25 @@
 
     Several figures share the same (architecture, technique, kernel)
     simulations — Figure 7's RegMutex runs reappear in Figures 9(a), 12(a)
-    and 13 — so results are cached at two levels:
+    and 13 — so results are cached at three levels:
 
-    - an in-memory table for the lifetime of the process;
+    - an in-memory table of runs by cell key ({!key}), for the lifetime
+      of the process (until {!clear});
     - optionally (see {!set_cache_dir}) an on-disk store with one file per
       cache key under [<dir>/<version tag>/] (see
       {!Result_store.version_tag}), so repeated CLI or figure runs skip
       simulation entirely. A rebuilt simulator gets a fresh version
-      directory; stale results are never replayed.
+      directory; stale results are never replayed;
+    - an in-memory memo of simulator statistics by machine input: the
+      marshalled bytes of the run config and the prepared kernel
+      ({!Regmutex.Runner.prepare}). A cell that misses both layers above
+      is prepared, and simulated only when no earlier cell prepared to
+      the same input — e.g. an OWF cell that falls back to the baseline
+      kernel, or two |Es| overrides that prepare to the same program.
+
+    So a cell is counted twice: {!simulations} counts cells that missed
+    the first two levels, {!machine_runs} counts the simulations the memo
+    could not serve.
 
     Batches of cells ({!prefetch}, {!run_batch}) are deduplicated and
     fanned out over worker domains (see {!set_jobs}); results are merged
@@ -107,9 +118,12 @@ val shutdown_pool : unit -> unit
     runs. *)
 val parallel_map : jobs:int -> 'a array -> ('a -> 'b) -> 'b array
 
-(** [prefetch ?jobs cfg cells] simulates every cell not already cached,
-    fanning the unique missing cells out over [jobs] worker domains
-    (default {!jobs}; [0] means {!auto_jobs}). On return every cell is a
+(** [prefetch ?jobs cfg cells] computes every cell not already cached
+    over [jobs] worker domains (default {!jobs}; [0] means {!auto_jobs}):
+    it prepares the unique missing cells in parallel, groups them by
+    machine input in submission order, simulates each input the memo
+    lacks once in parallel, and merges in submission order — so output
+    and counts are identical for any [jobs]. On return every cell is a
     cache hit. Figures call this up front so their row builders never
     simulate serially. *)
 val prefetch : ?jobs:int -> Exp_config.t -> cell list -> unit
@@ -144,14 +158,21 @@ val set_cache_dir : string option -> unit
 
 val cache_dir : unit -> string option
 
-(** Drop all in-memory cached runs (tests use this to control sharing).
-    The on-disk store, if enabled, is untouched. *)
+(** Drop all in-memory cached runs and the machine-input memo (tests use
+    this to control sharing). The on-disk store, if enabled, is
+    untouched. *)
 val clear : unit -> unit
 
-(** Simulate unconditionally, bypassing both cache layers. Safe on any
-    domain. *)
+(** Simulate unconditionally, bypassing every cache level (the memo
+    included): the uncached reference. Safe on any domain. *)
 val compute : Exp_config.t -> cell -> Regmutex.Runner.run
 
-(** Number of simulations actually executed by this process (misses in
-    both cache layers). *)
+(** Number of cells this process computed: misses in the run table and
+    the on-disk store. Unchanged by the memo — a cell it serves still
+    counts. *)
 val simulations : unit -> int
+
+(** Number of [Gpu.run] calls the engine made: the cells among
+    {!simulations} whose machine input the memo did not hold. Never
+    more than {!simulations}; {!compute} counts in neither. *)
+val machine_runs : unit -> int

@@ -96,16 +96,87 @@ let test_parallel_determinism () =
   let fingerprints () =
     E.Engine.clear ();
     let sims0 = E.Engine.simulations () in
+    let runs0 = E.Engine.machine_runs () in
     let rows = E.Fig7.rows tiny in
-    (E.Engine.simulations () - sims0, rows)
+    (E.Engine.simulations () - sims0, E.Engine.machine_runs () - runs0, rows)
   in
   E.Engine.set_jobs 1;
-  let serial_sims, serial = fingerprints () in
+  let serial_sims, serial_runs, serial = fingerprints () in
   E.Engine.set_jobs 4;
-  let parallel_sims, parallel = fingerprints () in
+  let parallel_sims, parallel_runs, parallel = fingerprints () in
   Alcotest.(check bool) "rows simulate" true (serial_sims > 0);
   Alcotest.(check int) "same simulation count" serial_sims parallel_sims;
+  Alcotest.(check int) "same machine-run count" serial_runs parallel_runs;
   Alcotest.(check bool) "identical rows" true (serial = parallel)
+
+(* Cells requested differently can prepare to one machine input: on BFS,
+   OWF falls back to the baseline kernel, and |Es| overrides can prepare
+   to the heuristic's program or to each other's. *)
+let memo_requests =
+  let module T = Regmutex.Technique in
+  (T.Baseline, None) :: (T.Owf, None) :: (T.Regmutex, None)
+  :: List.map (fun es -> (T.Regmutex, Some es)) E.Fig10.es_values
+
+let memo_bfs = Workloads.Registry.find "BFS"
+
+let test_engine_memo () =
+  with_engine_defaults @@ fun () ->
+  let arch = tiny.E.Exp_config.arch in
+  let cells =
+    List.map
+      (fun (t, es_override) -> E.Engine.cell ?es_override ~arch t memo_bfs)
+      memo_requests
+  in
+  let n = List.length cells in
+  let reference =
+    List.map (fun c -> Regmutex.Runner.fingerprint (E.Engine.compute tiny c)) cells
+  in
+  (* Deltas of (cells computed, machine runs) over [f]. *)
+  let counted f =
+    let s0 = E.Engine.simulations () and r0 = E.Engine.machine_runs () in
+    let runs = f () in
+    (E.Engine.simulations () - s0, E.Engine.machine_runs () - r0, runs)
+  in
+  let check_pass name (sims, machine, runs) =
+    Alcotest.(check int) (name ^ ": every cell computed") n sims;
+    Alcotest.(check bool) (name ^ ": fewer machine runs than cells") true
+      (machine > 0 && machine < sims);
+    Alcotest.(check (list string)) (name ^ ": fingerprints match compute")
+      reference
+      (List.map Regmutex.Runner.fingerprint runs);
+    machine
+  in
+  E.Engine.clear ();
+  let batched =
+    check_pass "batch" (counted (fun () -> E.Engine.run_batch ~jobs:4 tiny cells))
+  in
+  E.Engine.clear ();
+  let single =
+    check_pass "single lookups"
+      (counted (fun () ->
+           List.map
+             (fun (t, es_override) -> E.Engine.run ?es_override tiny ~arch t memo_bfs)
+             memo_requests))
+  in
+  Alcotest.(check int) "both paths run the same inputs" batched single;
+  E.Engine.clear ();
+  let again = check_pass "after clear" (counted (fun () -> E.Engine.run_batch tiny cells)) in
+  Alcotest.(check int) "clear drops the memo" batched again;
+  (* A new variant label is a new cell on an already simulated input. *)
+  let relabelled () =
+    E.Engine.run ~variant:(Printf.sprintf "ff-%b" (E.Engine.fast_forward ()))
+      tiny ~arch Regmutex.Technique.Baseline memo_bfs
+  in
+  let sims, machine, _ = counted (fun () -> [ relabelled () ]) in
+  Alcotest.(check (pair int int)) "relabelled cell served by the memo" (1, 0)
+    (sims, machine);
+  Fun.protect ~finally:(fun () -> E.Engine.set_fast_forward true) @@ fun () ->
+  E.Engine.set_fast_forward false;
+  let sims, machine, runs = counted (fun () -> [ relabelled () ]) in
+  Alcotest.(check (pair int int)) "brute force is another input" (1, 1)
+    (sims, machine);
+  Alcotest.(check string) "brute force agrees" (List.hd reference)
+    (Regmutex.Runner.fingerprint (List.hd runs))
 
 let rec rm_rf path =
   if Sys.is_directory path then begin
@@ -339,4 +410,5 @@ let suite =
     Alcotest.test_case "pool map order" `Quick test_pool_map_order;
     Alcotest.test_case "pool zero workers" `Quick test_pool_zero_workers;
     Alcotest.test_case "pool exception" `Quick test_pool_exception;
-    Alcotest.test_case "pool shutdown drains" `Quick test_pool_shutdown_drains ]
+    Alcotest.test_case "pool shutdown drains" `Quick test_pool_shutdown_drains;
+    Alcotest.test_case "engine machine-input memo" `Slow test_engine_memo ]
