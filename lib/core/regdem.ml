@@ -64,15 +64,19 @@ let scan ~keep prog =
   done;
   (!scratch, !spills, !fills)
 
-let permute_for ~widen ~keep prog =
-  let liveness = Liveness.analyze ~widen prog in
+let permute ~keep prog liveness =
   Compaction.permute prog (Compaction.pressure_ranking ~bs:keep prog liveness)
 
-let candidate_of cfg kernel ~keep ~widen =
+let permute_for ~widen ~keep prog =
+  permute ~keep prog (Liveness.analyze ~widen prog)
+
+(* [liveness] is the analysis of the kernel's program: it does not depend
+   on [keep], so one analysis serves the whole sweep. *)
+let candidate_of cfg kernel ~liveness ~keep =
   let prog = kernel.Kernel.program in
   let n_regs = prog.Program.n_regs in
   let wpc = Kernel.warps_per_cta cfg kernel in
-  let permuted = permute_for ~widen ~keep prog in
+  let permuted = permute ~keep prog liveness in
   let scratch, static_spills, static_fills = scan ~keep permuted in
   let demoted = n_regs - keep in
   let allocated = keep + scratch in
@@ -113,9 +117,10 @@ let baseline_warps cfg kernel =
 let choose ?(widen = true) cfg kernel =
   let n_regs = Kernel.regs_per_thread kernel in
   let base = baseline_warps cfg kernel in
+  let liveness = Liveness.analyze ~widen kernel.Kernel.program in
   let candidates =
     List.init (max 0 (n_regs - 1)) (fun i ->
-        candidate_of cfg kernel ~keep:(n_regs - 1 - i) ~widen)
+        candidate_of cfg kernel ~liveness ~keep:(n_regs - 1 - i))
   in
   let better a b =
     a.c_warps > b.c_warps

@@ -212,17 +212,6 @@ let apply_fault fault ~bs p =
          mutation; handled by the SIMT branch of the oracle. *)
       (p, false)
 
-(* --- baseline reference ----------------------------------------------- *)
-
-let static_config prog =
-  {
-    (Gpu.default_config arch0
-       (Policy.Static { regs_per_thread = prog.Program.n_regs }))
-    with
-    Gpu.record_stores = true;
-    max_cycles;
-  }
-
 (* --- forced Bs/Es split ------------------------------------------------ *)
 
 (* Capacity pinned to exactly two resident CTAs, with exactly [sections]
@@ -366,7 +355,8 @@ let oob_delta ~strict_oob ~base_oob ~label (stats : Stats.t) =
       }
   else None
 
-let technique_failures (case : Gen.t) ~expected ~base_oob ~strict_oob =
+(* [base] is the baseline phase's [(prepared, config, stats)]. *)
+let technique_failures (case : Gen.t) ~base ~expected ~base_oob ~strict_oob =
   let kern = Gen.kernel case in
   let failures = ref [] in
   let fail kind detail = failures := { kind; detail } :: !failures in
@@ -374,23 +364,26 @@ let technique_failures (case : Gen.t) ~expected ~base_oob ~strict_oob =
   List.iter
     (fun tech ->
       let name = Technique.name tech in
-      match Runner.execute ~record_stores:true ~max_cycles arch0 tech kern with
-      | run ->
-          if run.Runner.stats.Stats.timed_out then
+      match
+        let prepared, config =
+          Runner.prepare ~record_stores:true ~max_cycles arch0 tech kern
+        in
+        (prepared, config, Runner.simulate config prepared)
+      with
+      | (_, _, stats) as run ->
+          if stats.Stats.timed_out then
             fail Timeout (Printf.sprintf "%s: exceeded %d cycles" name max_cycles)
           else (
             (match
                Checker.diff_store_traces ~expected
-                 ~actual:(Stats.store_traces run.Runner.stats)
+                 ~actual:(Stats.store_traces stats)
              with
             | Some d -> fail Divergence (Printf.sprintf "%s: %s" name d)
             | None -> ());
-            (match
-               oob_delta ~strict_oob ~base_oob ~label:name run.Runner.stats
-             with
+            (match oob_delta ~strict_oob ~base_oob ~label:name stats with
             | Some f -> failures := f :: !failures
             | None -> ());
-            successes := tech :: !successes)
+            successes := (tech, run) :: !successes)
       | exception Gpu.Deadlock d ->
           fail Deadlock (Format.asprintf "%s: %a" name Gpu.pp_deadlock d)
       | exception Sm.Verification_failure m ->
@@ -403,27 +396,28 @@ let technique_failures (case : Gen.t) ~expected ~base_oob ~strict_oob =
                violations))
     (List.filter (fun t -> t <> Technique.Baseline) Technique.all);
   (* Fast-forward equivalence through the heuristic path: baseline (memory
-     and barrier stalls) and RegMutex (acquire stalls on top). *)
+     and barrier stalls) and RegMutex (acquire stalls on top). The
+     fast-forward side is the run the case already has; the brute-force
+     side re-simulates its prepared input. *)
+  let runs = (Technique.Baseline, base) :: !successes in
   List.iter
     (fun tech ->
       let name = Technique.name tech in
-      if tech = Technique.Baseline || List.mem tech !successes then
-        match
-          ( Runner.execute ~record_stores:true ~max_cycles arch0 tech kern,
-            Runner.execute ~record_stores:true ~max_cycles ~fast_forward:false
-              arch0 tech kern )
-        with
-        | ff, bf -> (
-            match
-              diff_stats ~label:(name ^ " (heuristic)") ff.Runner.stats
-                bf.Runner.stats
-            with
-            | Some d -> fail Stats_mismatch d
-            | None -> ())
-        | exception Gpu.Deadlock d ->
-            fail Deadlock (Format.asprintf "%s brute-force: %a" name Gpu.pp_deadlock d)
-        | exception Sm.Verification_failure m ->
-            fail Verification (Printf.sprintf "%s brute-force: %s" name m))
+      match List.assoc_opt tech runs with
+      | None -> ()
+      | Some (prepared, config, ff) -> (
+          match
+            Runner.simulate { config with Gpu.fast_forward = false } prepared
+          with
+          | bf -> (
+              match diff_stats ~label:(name ^ " (heuristic)") ff bf with
+              | Some d -> fail Stats_mismatch d
+              | None -> ())
+          | exception Gpu.Deadlock d ->
+              fail Deadlock
+                (Format.asprintf "%s brute-force: %a" name Gpu.pp_deadlock d)
+          | exception Sm.Verification_failure m ->
+              fail Verification (Printf.sprintf "%s brute-force: %s" name m)))
     [ Technique.Baseline; Technique.Regmutex ];
   List.rev !failures
 
@@ -707,9 +701,15 @@ let simt_phase = Telemetry.Profile.phase "oracle.simt"
 let test_case ?inject ?(strict_shared_oob = true) (case : Gen.t) =
   try
     let prog = case.Gen.program in
+    (* Prepared through [Runner] like every technique, so the baseline
+       run is the same machine input as the heuristic path's baseline. *)
+    let base_prepared, base_config =
+      Runner.prepare ~record_stores:true ~max_cycles arch0 Technique.Baseline
+        (Gen.kernel case)
+    in
     match
       Telemetry.Profile.time baseline_phase (fun () ->
-          simulate (static_config prog) (Gen.kernel case))
+          simulate base_config base_prepared.Technique.kernel)
     with
     | Dead d ->
         { failures = [ { kind = Deadlock; detail = "baseline: " ^ d } ]; injected = false }
@@ -759,7 +759,9 @@ let test_case ?inject ?(strict_shared_oob = true) (case : Gen.t) =
                 ( Telemetry.Profile.time roundtrip_phase (fun () ->
                       roundtrip_failures prog)
                   @ Telemetry.Profile.time techniques_phase (fun () ->
-                        technique_failures case ~expected ~base_oob ~strict_oob)
+                        technique_failures case
+                          ~base:(base_prepared, base_config, base)
+                          ~expected ~base_oob ~strict_oob)
                   @ split_failures @ regdem_failures @ simt (),
                   false )
           in

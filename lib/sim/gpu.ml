@@ -173,6 +173,9 @@ let run ?observe ?(observe_every = 1) config kernel =
   let cycle = ref 0 in
   (* Per-SM idle reason of the current frozen cycle. *)
   let reasons = Array.make n_sms Stats.Stall_empty in
+  (* Brute-force stepping: the wakeup of the current frozen span, 0 when
+     the last cycle was not frozen. *)
+  let span_wake = ref 0 in
   (* Grid completion reads the retirement counter the SMs maintain (every
      retire bumps [ctas_retired]) instead of re-folding over the SMs each
      cycle. *)
@@ -219,13 +222,16 @@ let run ?observe ?(observe_every = 1) config kernel =
        rules out forever) the run can never terminate, so it raises a
        structured [Deadlock] instead of spinning (or jumping) to the
        watchdog. Both modes see the same first frozen cycle, so detection
-       is mode-independent. *)
+       is mode-independent. Brute-force stepping summarises a frozen span
+       once: nothing can change before the wakeup its first cycle found,
+       so the later cycles below it skip the per-SM summary. *)
     let frozen =
       stats.Stats.instructions = instrs_before
       && retired () < grid
       && not (!next_cta < grid && Array.exists Sm.can_launch sms)
     in
-    if frozen then begin
+    if not frozen then span_wake := 0;
+    if frozen && (config.fast_forward || !cycle >= !span_wake) then begin
       let wake = ref max_int in
       for i = 0 to n_sms - 1 do
         let sm = sms.(i) in
@@ -262,6 +268,7 @@ let run ?observe ?(observe_every = 1) config kernel =
                         })
                       sms);
              });
+      span_wake := !wake;
       if config.fast_forward then begin
         let wake = min !wake config.max_cycles in
         let wake =

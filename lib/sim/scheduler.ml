@@ -1,3 +1,4 @@
+module Bits = Gpu_isa.Bits
 module Soa = Warp.Soa
 
 type kind = Gto | Lrr | Two_level of int
@@ -40,17 +41,6 @@ let age_bits = 50
 let age_mask = (1 lsl age_bits) - 1
 let pack_key ~priority ~age = (priority lsl age_bits) lor min age age_mask
 
-(* Index of the lowest set bit of a non-zero word ([Gpu_isa.Bits.lowest]).
-   Repeated here so it inlines into the scan loops: dune's dev profile
-   compiles with [-opaque], so no call across a module boundary is ever
-   inlined, and these loops are the hottest in the simulator. *)
-let[@inline] lowest x =
-  let x = (x land -x) - 1 in
-  let x = x - ((x lsr 1) land 0x1555555555555555) in
-  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
-  let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
-  (x * 0x0101010101010101) lsr 56
-
 (* The caller has already applied the slot-local prefix — [eligible] holds
    exactly the owned slots that are [Ready] with their scoreboard bound
    passed — so a scan only runs the residual [can_issue] check (memory
@@ -64,7 +54,7 @@ let scan_best ~(soa : Soa.t) ~eligible ~can_issue =
   let best_key = ref max_int in
   let m = ref eligible in
   while !m <> 0 do
-    let s = lowest !m in
+    let s = Bits.lowest !m in
     m := !m land (!m - 1);
     if can_issue s then begin
       let k = key.(s) in
@@ -91,7 +81,7 @@ let pick_lrr t ~eligible ~can_issue =
   let rec first m =
     if m = 0 then -1
     else
-      let s = lowest m in
+      let s = Bits.lowest m in
       if can_issue s then s else first (m land (m - 1))
   in
   let above = eligible land (-1 lsl t.rr_pos) in
@@ -116,7 +106,7 @@ let pick_two_level t ~group_size ~(soa : Soa.t) ~eligible ~can_issue =
   let rec rotate m =
     if m = 0 then -1
     else
-      let g = lowest m / group_size in
+      let g = Bits.lowest m / group_size in
       let bits = group_bits g in
       let s = scan_best ~soa ~eligible:(m land bits) ~can_issue in
       if s >= 0 then begin

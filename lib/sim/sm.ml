@@ -1,3 +1,4 @@
+module Bits = Gpu_isa.Bits
 module Instr = Gpu_isa.Instr
 module Program = Gpu_isa.Program
 module Regset = Gpu_isa.Regset
@@ -418,16 +419,6 @@ let retired_ctas t = t.retired
 
 (* --- issue state ------------------------------------------------------ *)
 
-(* Index of the lowest set bit of a non-zero word ([Gpu_isa.Bits.lowest]),
-   repeated so it inlines into the mask walks below (the dev profile's
-   [-opaque] keeps cross-module calls out of line). *)
-let[@inline] lowest x =
-  let x = (x land -x) - 1 in
-  let x = x - ((x lsr 1) land 0x1555555555555555) in
-  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
-  let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
-  (x * 0x0101010101010101) lsr 56
-
 (* Re-file [slot] from its status and [ready_at]. Called wherever either
    can change: CTA launch, every pc move ([advance], after the scoreboard
    bound is refreshed), barrier release and warp exit. The slot is never
@@ -463,7 +454,7 @@ let sync t ~cycle =
       let b = c land 63 in
       let m = ref t.wheel.(b) in
       while !m <> 0 do
-        let s = lowest !m in
+        let s = Bits.lowest !m in
         let bit = !m land (- !m) in
         m := !m lxor bit;
         if ready_at.(s) <= cycle then begin
@@ -647,7 +638,7 @@ let oldest_ready_age t =
     let acc = ref max_int in
     let m = ref (t.elig lor t.pend) in
     while !m <> 0 do
-      let slot = lowest !m in
+      let slot = Bits.lowest !m in
       m := !m land (!m - 1);
       if age.(slot) < !acc then acc := age.(slot)
     done;
@@ -676,8 +667,7 @@ let note_acquire_stall t ~slot ~cycle =
 
    [mem_free] is [Mem_system.slot_free] evaluated once by the caller: a
    scheduler scan (or classification sweep) issues nothing, so the answer
-   cannot change between the candidates of one scan — hoisting it turns a
-   per-candidate cross-module call into an argument read. *)
+   cannot change between the candidates of one scan. *)
 let check_ready ~probe t ~mem_free ~slot ~cycle =
   let soa = t.soa in
   let pc = soa.Soa.pc.(slot) in
@@ -1042,7 +1032,7 @@ let issue t ~slot ~cycle =
     let louts =
       if lanes then begin
         let mask = Soa.simt_active soa ~slot in
-        let on = Gpu_isa.Bits.popcount mask in
+        let on = Bits.popcount mask in
         t.stats.Stats.active_lane_cycles <-
           t.stats.Stats.active_lane_cycles + on;
         t.stats.Stats.predicated_lane_cycles <-
@@ -1191,7 +1181,7 @@ let idle_summary t ~cycle =
   let mem_free = Mem_system.slot_free t.mem_sys ~sm:t.sm_id ~cycle in
   let m = ref t.elig in
   while !m <> 0 do
-    let slot = lowest !m in
+    let slot = Bits.lowest !m in
     m := !m land (!m - 1);
     t.stats.Stats.issue_candidates <- t.stats.Stats.issue_candidates + 1;
     let reason = check_ready ~probe:true t ~mem_free ~slot ~cycle in
@@ -1210,7 +1200,7 @@ let idle_summary t ~cycle =
     let ready_at = t.soa.Soa.ready_at in
     let m = ref t.pend in
     while !m <> 0 do
-      let slot = lowest !m in
+      let slot = Bits.lowest !m in
       m := !m land (!m - 1);
       if ready_at.(slot) < !wake then wake := ready_at.(slot)
     done
@@ -1235,7 +1225,7 @@ let classify ~count t ~cycle =
   let mem_free = Mem_system.slot_free t.mem_sys ~sm:t.sm_id ~cycle in
   let m = ref t.elig in
   while !m <> 0 && !best_rank < t.max_rank do
-    let slot = lowest !m in
+    let slot = Bits.lowest !m in
     m := !m land (!m - 1);
     if count then
       t.stats.Stats.issue_candidates <- t.stats.Stats.issue_candidates + 1;

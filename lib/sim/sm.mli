@@ -99,7 +99,8 @@ val classify_idle : t -> cycle:int -> Stats.stall_reason
     (acquire, RFV registers, barriers) contribute no bound; [max_int]
     means "asleep until an external event". Pure observation, except that
     the residual checks count in [Stats.issue_candidates] (the GPU driver
-    calls this on every frozen cycle).
+    calls this on every frozen cycle a fast-forward run visits; brute-force
+    stepping skips the frozen cycles before the last summary's wakeup).
 
     Cost: O(eligible warps) for the classification as in {!classify_idle}
     (without the early stop), plus O(pending warps) for the earliest

@@ -103,34 +103,52 @@ let test_oracle_clean_sweep () =
 let test_deadlock_guard () =
   (* An SRP with zero sections and a kernel that acquires: no warp can
      ever issue again and no wakeup exists — the simulator must raise the
-     structured Deadlock, identically in both stepping modes. *)
-  let prog =
-    Program.create ~name:"dl"
-      [| Instr.Acquire; Instr.Mov (0, Instr.Imm 1); Instr.Release; Instr.Exit |]
-  in
+     structured Deadlock, identically in both stepping modes. The second
+     kernel first idles on a global load (a frozen span with a finite
+     wakeup), so brute-force stepping must drop that span's wakeup once
+     the load returns and re-check the later frozen cycles. *)
   let arch =
     { Util.small_arch with Gpu_uarch.Arch_config.regfile_regs = 32; max_ctas = 1 }
   in
-  let kern =
-    Gpu_sim.Kernel.make ~name:"dl" ~grid_ctas:1 ~cta_threads:32 ~params:[||] prog
-  in
   let policy = Gpu_sim.Policy.Srp { bs = 1; es = 1; verify = false } in
-  let cycle_of fast_forward =
-    let config =
-      { (Gpu_sim.Gpu.default_config arch policy) with
-        Gpu_sim.Gpu.max_cycles = 10_000;
-        fast_forward }
+  let check body =
+    let prog = Program.create ~name:"dl" body in
+    let kern =
+      Gpu_sim.Kernel.make ~name:"dl" ~grid_ctas:1 ~cta_threads:32 ~params:[||] prog
     in
-    match Gpu_sim.Gpu.run config kern with
-    | _ -> Alcotest.fail "deadlock not detected"
-    | exception Gpu_sim.Gpu.Deadlock info ->
-        Alcotest.(check int) "nothing retired" 0 info.Gpu_sim.Gpu.dl_retired;
-        Alcotest.(check bool) "per-SM diagnostics present" true
-          (info.Gpu_sim.Gpu.dl_sms <> []);
-        info.Gpu_sim.Gpu.dl_cycle
+    let cycle_of fast_forward =
+      let config =
+        { (Gpu_sim.Gpu.default_config arch policy) with
+          Gpu_sim.Gpu.max_cycles = 10_000;
+          fast_forward }
+      in
+      match Gpu_sim.Gpu.run config kern with
+      | _ -> Alcotest.fail "deadlock not detected"
+      | exception Gpu_sim.Gpu.Deadlock info ->
+          Alcotest.(check int) "nothing retired" 0 info.Gpu_sim.Gpu.dl_retired;
+          Alcotest.(check bool) "per-SM diagnostics present" true
+            (info.Gpu_sim.Gpu.dl_sms <> []);
+          info.Gpu_sim.Gpu.dl_cycle
+    in
+    let cycle = cycle_of true in
+    Alcotest.(check int) "same detection cycle in both modes" (cycle_of false)
+      cycle;
+    cycle
   in
-  Alcotest.(check int) "same detection cycle in both modes" (cycle_of false)
-    (cycle_of true)
+  let at_once =
+    check [| Instr.Acquire; Instr.Mov (0, Instr.Imm 1); Instr.Release; Instr.Exit |]
+  in
+  let after_load =
+    check
+      [| Instr.Load (Instr.Global, 0, Instr.Imm 0, 0);
+         Instr.Bin (Instr.Add, 0, Instr.Reg 0, Instr.Imm 1);
+         Instr.Acquire;
+         Instr.Mov (0, Instr.Imm 1);
+         Instr.Release;
+         Instr.Exit |]
+  in
+  Alcotest.(check bool) "deadlock follows the load's wait" true
+    (after_load > at_once)
 
 let find_caught_injection fault ~max_seed =
   let rec go seed =

@@ -205,6 +205,59 @@ let test_spill_roundtrips () =
   Alcotest.check Util.program "decode (encode p) = p" prog
     (Codec.decode_program ~name:prog.Program.name (Codec.encode_program prog))
 
+(* [choose] analyses liveness once for its whole keep sweep; each
+   candidate must equal one rebuilt from [Regdem.transform], which permutes
+   with a fresh analysis per keep count. *)
+let test_choose_matches_transform () =
+  let reference cfg kernel keep =
+    let wpc = Kernel.warps_per_cta cfg kernel in
+    let plan = Regdem.transform ~keep ~wpc kernel.Kernel.program in
+    let spill_words = plan.Regdem.spill_words in
+    let shmem_bytes = Regdem.shmem_bytes_with_window kernel ~spill_words in
+    let capacity =
+      Gpu_sim.Sm.cta_capacity_for cfg
+        ~policy:
+          (Policy.Regdem { regs_per_thread = plan.Regdem.allocated; spill_words })
+        ~kernel:(Kernel.with_shmem_bytes kernel shmem_bytes)
+    in
+    { Regdem.c_keep = keep;
+      c_scratch = plan.Regdem.scratch;
+      c_allocated = plan.Regdem.allocated;
+      c_demoted = plan.Regdem.demoted;
+      c_spill_words = spill_words;
+      c_shmem_bytes = shmem_bytes;
+      c_warps = capacity * wpc;
+      c_static_spills = plan.Regdem.n_spills;
+      c_static_fills = plan.Regdem.n_fills }
+  in
+  let check name cfg kernel =
+    let choice = Regdem.choose cfg kernel in
+    let n_regs = Kernel.regs_per_thread kernel in
+    Alcotest.(check int) (name ^ ": one candidate per keep") (max 0 (n_regs - 1))
+      (List.length choice.Regdem.candidates);
+    List.iter
+      (fun c ->
+        let r = reference cfg kernel c.Regdem.c_keep in
+        if c <> r then
+          Alcotest.failf "%s: choose gave %a, per-keep reference %a" name
+            Regdem.pp_candidate c Regdem.pp_candidate r)
+      choice.Regdem.candidates
+  in
+  let cfg = Experiments.Exp_config.quick in
+  List.iter
+    (fun spec ->
+      check spec.Workloads.Spec.name
+        (Experiments.Exp_config.eval_arch cfg spec)
+        (Experiments.Exp_config.kernel_of cfg spec))
+    (Workloads.Registry.all @ Workloads.Registry.latency_bound
+   @ Workloads.Registry.divergent);
+  for seed = 0 to 49 do
+    check
+      (Printf.sprintf "fuzz seed %d" seed)
+      Gpu_uarch.Arch_config.gtx480
+      (Fuzz.Gen.kernel (Fuzz.Gen.generate ~seed))
+  done
+
 let suite =
   [ Alcotest.test_case "plan accounting" `Quick test_plan_accounting;
     Alcotest.test_case "argument validation" `Quick test_transform_validation;
@@ -218,4 +271,6 @@ let suite =
       test_prepare_fallback;
     Alcotest.test_case "out-of-window spill is counted" `Quick
       test_oob_spill_is_counted;
-    Alcotest.test_case "spill programs round-trip" `Quick test_spill_roundtrips ]
+    Alcotest.test_case "spill programs round-trip" `Quick test_spill_roundtrips;
+    Alcotest.test_case "choose matches per-keep transform" `Quick
+      test_choose_matches_transform ]
