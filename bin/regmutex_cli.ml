@@ -482,7 +482,13 @@ let sweep_cmd =
         (Engine.jobs ())
         (if Engine.jobs () = 1 then "" else "s")
         (if no_cache then ", no store" else ", store: _results/")
-        (if no_ff then ", brute-force" else "")
+        (if no_ff then ", brute-force" else "");
+      let instructions = Engine.simulated_instructions () in
+      Printf.eprintf "sweep: %d warp-instruction(s) simulated%s\n" instructions
+        (if instructions = 0 then ""
+         else
+           Printf.sprintf ", %.0f host ns each (summed over workers)"
+             (Engine.simulation_seconds () *. 1e9 /. float_of_int instructions))
     end
   in
   Cmd.v (Cmd.info "sweep" ~doc)

@@ -320,9 +320,22 @@ let prepare cfg c =
       Marshal.to_string (config, prepared.Technique.kernel) [ Marshal.No_sharing ];
   }
 
+(* Simulated warp-instructions and host nanoseconds spent simulating them,
+   summed over the machine runs of every domain. *)
+let instructions = Atomic.make 0
+let simulate_ns = Atomic.make 0
+
+let simulated_instructions () = Atomic.get instructions
+let simulation_seconds () = float_of_int (Atomic.get simulate_ns) *. 1e-9
+
 let simulate i =
   Atomic.incr runs;
-  Runner.simulate i.config i.prepared
+  let t0 = Unix.gettimeofday () in
+  let stats = Runner.simulate i.config i.prepared in
+  let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+  ignore (Atomic.fetch_and_add simulate_ns ns);
+  ignore (Atomic.fetch_and_add instructions stats.Gpu_sim.Stats.instructions);
+  stats
 
 let lookup cfg c =
   let k = key_of_cell cfg c in

@@ -176,3 +176,11 @@ val simulations : unit -> int
     {!simulations} whose machine input the memo did not hold. Never
     more than {!simulations}; {!compute} counts in neither. *)
 val machine_runs : unit -> int
+
+(** Warp-instructions simulated by the {!machine_runs}
+    ([Stats.instructions] summed over them). *)
+val simulated_instructions : unit -> int
+
+(** Host wall-clock seconds spent in the {!machine_runs}' simulations,
+    summed over the domains that ran them. *)
+val simulation_seconds : unit -> float

@@ -173,39 +173,124 @@ let write ctx space addr v =
       ctx.shared.(spill_index ctx addr) <- v
 
 let step ctx instr =
-  let v = operand ctx in
   match instr with
   | Instr.Bin (op, d, a, b) ->
-      ctx.regs.(d) <- binop op (v a) (v b);
+      ctx.regs.(d) <- binop op (operand ctx a) (operand ctx b);
       Next
   | Instr.Un (op, d, a) ->
-      ctx.regs.(d) <- unop op (v a);
+      ctx.regs.(d) <- unop op (operand ctx a);
       Next
   | Instr.Mad (d, a, b, c) ->
-      ctx.regs.(d) <- (v a * v b) + v c;
+      ctx.regs.(d) <- (operand ctx a * operand ctx b) + operand ctx c;
       Next
   | Instr.Mov (d, a) ->
-      ctx.regs.(d) <- v a;
+      ctx.regs.(d) <- operand ctx a;
       Next
   | Instr.Cmp (op, d, a, b) ->
-      ctx.regs.(d) <- cmpop op (v a) (v b);
+      ctx.regs.(d) <- cmpop op (operand ctx a) (operand ctx b);
       Next
   | Instr.Sel (d, c, a, b) ->
-      ctx.regs.(d) <- (if v c <> 0 then v a else v b);
+      ctx.regs.(d) <- (if operand ctx c <> 0 then operand ctx a else operand ctx b);
       Next
   | Instr.Load (space, d, addr, ofs) ->
-      ctx.regs.(d) <- read ctx space (v addr + ofs);
+      ctx.regs.(d) <- read ctx space (operand ctx addr + ofs);
       Next
   | Instr.Store (space, addr, value, ofs) ->
-      write ctx space (v addr + ofs) (v value);
+      write ctx space (operand ctx addr + ofs) (operand ctx value);
       Next
   | Instr.Jump t -> Goto t
-  | Instr.Jump_if (c, t) -> if v c <> 0 then Goto t else Next
-  | Instr.Jump_ifz (c, t) -> if v c = 0 then Goto t else Next
+  | Instr.Jump_if (c, t) -> if operand ctx c <> 0 then Goto t else Next
+  | Instr.Jump_ifz (c, t) -> if operand ctx c = 0 then Goto t else Next
   | Instr.Bar -> Sync
   | Instr.Acquire -> Acq
   | Instr.Release -> Rel
   | Instr.Exit -> Stop
+
+(* --- pre-decoded execution --------------------------------------------- *)
+
+(* The forms the register-allocated workloads run most, specialised on
+   opcode and operand kinds so an issue reads its operands straight from
+   the register row: no [operand] dispatch, no per-issue closure, and the
+   branch outcomes are allocated here once. Every other form defers to
+   [step], the reference these closures are tested against. *)
+let decode instr =
+  match instr with
+  | Instr.Bin (op, d, Instr.Reg a, Instr.Reg b) ->
+      fun ctx ->
+        let r = ctx.regs in
+        r.(d) <- binop op r.(a) r.(b);
+        Next
+  | Instr.Bin (op, d, Instr.Reg a, Instr.Imm b) ->
+      fun ctx ->
+        let r = ctx.regs in
+        r.(d) <- binop op r.(a) b;
+        Next
+  | Instr.Bin (op, d, Instr.Imm a, Instr.Reg b) ->
+      fun ctx ->
+        let r = ctx.regs in
+        r.(d) <- binop op a r.(b);
+        Next
+  | Instr.Mov (d, Instr.Reg a) ->
+      fun ctx ->
+        let r = ctx.regs in
+        r.(d) <- r.(a);
+        Next
+  | Instr.Mov (d, Instr.Imm n) ->
+      fun ctx ->
+        ctx.regs.(d) <- n;
+        Next
+  | Instr.Mad (d, Instr.Reg a, Instr.Reg b, Instr.Reg c) ->
+      fun ctx ->
+        let r = ctx.regs in
+        r.(d) <- (r.(a) * r.(b)) + r.(c);
+        Next
+  | Instr.Mad (d, Instr.Reg a, Instr.Imm b, Instr.Reg c) ->
+      fun ctx ->
+        let r = ctx.regs in
+        r.(d) <- (r.(a) * b) + r.(c);
+        Next
+  | Instr.Mad (d, Instr.Reg a, Instr.Reg b, Instr.Imm c) ->
+      fun ctx ->
+        let r = ctx.regs in
+        r.(d) <- (r.(a) * r.(b)) + c;
+        Next
+  | Instr.Mad (d, Instr.Reg a, Instr.Imm b, Instr.Imm c) ->
+      fun ctx ->
+        let r = ctx.regs in
+        r.(d) <- (r.(a) * b) + c;
+        Next
+  | Instr.Cmp (op, d, Instr.Reg a, Instr.Reg b) ->
+      fun ctx ->
+        let r = ctx.regs in
+        r.(d) <- cmpop op r.(a) r.(b);
+        Next
+  | Instr.Cmp (op, d, Instr.Reg a, Instr.Imm b) ->
+      fun ctx ->
+        let r = ctx.regs in
+        r.(d) <- cmpop op r.(a) b;
+        Next
+  | Instr.Jump t ->
+      let taken = Goto t in
+      fun _ -> taken
+  | Instr.Jump_if (Instr.Reg c, t) ->
+      let taken = Goto t in
+      fun ctx -> if ctx.regs.(c) <> 0 then taken else Next
+  | Instr.Jump_ifz (Instr.Reg c, t) ->
+      let taken = Goto t in
+      fun ctx -> if ctx.regs.(c) = 0 then taken else Next
+  | Instr.Load (Instr.Global, d, Instr.Reg a, ofs) ->
+      fun ctx ->
+        let r = ctx.regs in
+        r.(d) <- Memory.read_global ctx.memory (r.(a) + ofs);
+        Next
+  | Instr.Bar -> fun _ -> Sync
+  | Instr.Acquire -> fun _ -> Acq
+  | Instr.Release -> fun _ -> Rel
+  | Instr.Exit -> fun _ -> Stop
+  | Instr.Bin _ | Instr.Un _ | Instr.Mad _ | Instr.Mov _ | Instr.Cmp _
+  | Instr.Sel _ | Instr.Load _ | Instr.Store _ | Instr.Jump_if _
+  | Instr.Jump_ifz _ ->
+      fun ctx -> step ctx instr
 
 (* --- per-lane (SIMT) execution ----------------------------------------- *)
 

@@ -71,6 +71,15 @@ val lane_operand : ctx -> int -> Gpu_isa.Instr.operand -> int
     recorded store lands in every lane's trace as well. *)
 val step : ctx -> Gpu_isa.Instr.t -> outcome
 
+(** [decode instr] is [fun ctx -> step ctx instr], decoded once: the
+    register/immediate forms of [Bin], [Mov], [Mad] and [Cmp], the
+    branches on a register and global loads through a register become
+    closures specialised on opcode and operand kinds, whose [Goto]
+    outcomes are allocated at decode time; every other form calls
+    {!step}. The SM decodes each pc once and runs warp-uniform (and
+    collapsed [--simt]) issues through the result. *)
+val decode : Gpu_isa.Instr.t -> ctx -> outcome
+
 (** [branch_masks ctx instr ~mask] — pure per-lane evaluation of a
     conditional branch: [Some (taken_mask, target)], or [None] for
     non-conditional instructions. Counts nothing (safe to call from

@@ -91,7 +91,7 @@ let finalize_metrics (sink : Telemetry.Sink.t) config stats mem_sys =
     ~help:"SIMT warps that left the collapsed state at a %laneid read"
     stats.Stats.lane_expansions;
   count "regmutex_issue_candidates_total"
-    ~help:"warps whose residual issue eligibility was evaluated"
+    ~help:"residual issue checks run (not counting warps their issue class decides)"
     stats.Stats.issue_candidates;
   count "regmutex_predicated_lane_cycles_total"
     ~help:"lanes predicated off over issued instructions (SIMT)"

@@ -1,11 +1,18 @@
+(* Every completion is [ceil (max cycle dram_free) + lat_global], and both
+   terms only grow (the clock never runs backwards and the channel horizon
+   only advances), so completions are issued in non-decreasing order. An
+   SM's slots therefore fill and drain in FIFO order: its slots form a ring
+   whose head is at once the oldest request, the earliest completion and
+   the slot the next request claims — no scan to find the minimum. *)
 type t = {
   lat_global : int;
   dram_interval : float;
-  slots : int array array;    (* per SM: busy-until cycle per slot *)
-  min_slot : int array;       (* per SM: index of the slot with the smallest
-                                 busy-until — free iff any slot is free, and
-                                 its value is the SM's earliest completion *)
-  mutable dram_free : float;  (* earliest cycle the service channel is free *)
+  n_slots : int;
+  busy : int array;         (* SM [sm]'s ring: busy-until cycle per slot, at
+                               [sm * n_slots ..] *)
+  head : int array;         (* per SM: ring index of its earliest completion *)
+  dram_free : float array;  (* one cell: earliest cycle the service channel is
+                               free (a float array keeps it unboxed) *)
   mutable issued : int;
   mutable total_latency : int;
 }
@@ -14,47 +21,39 @@ let create (cfg : Gpu_uarch.Arch_config.t) ~n_sms =
   {
     lat_global = cfg.lat_global;
     dram_interval = cfg.dram_interval;
-    slots = Array.init n_sms (fun _ -> Array.make cfg.mem_slots 0);
-    min_slot = Array.make n_sms 0;
-    dram_free = 0.;
+    n_slots = cfg.mem_slots;
+    busy = Array.make (n_sms * cfg.mem_slots) 0;
+    head = Array.make n_sms 0;
+    dram_free = [| 0. |];
     issued = 0;
     total_latency = 0;
   }
 
-let refresh_min_slot t ~sm =
-  let slots = t.slots.(sm) in
-  let best = ref 0 in
-  for i = 1 to Array.length slots - 1 do
-    if slots.(i) < slots.(!best) then best := i
-  done;
-  t.min_slot.(sm) <- !best
+let next_completion t ~sm = t.busy.((sm * t.n_slots) + t.head.(sm))
 
-(* Which free slot a request claims is unobservable (slots are symmetric and
-   their indices never escape), so the common-path queries read the cached
-   minimum instead of rescanning the array. *)
-let slot_free t ~sm ~cycle = t.slots.(sm).(t.min_slot.(sm)) <= cycle
-
-let find_slot t ~sm ~cycle =
-  let i = t.min_slot.(sm) in
-  if t.slots.(sm).(i) <= cycle then Some i else None
-
-let next_completion t ~sm = t.slots.(sm).(t.min_slot.(sm))
+let slot_free t ~sm ~cycle = next_completion t ~sm <= cycle
 
 let issue_global t ~sm ~cycle =
-  match find_slot t ~sm ~cycle with
-  | None -> `No_slot
-  | Some i ->
-      let start = Float.max (float_of_int cycle) t.dram_free in
-      let completion = int_of_float (Float.ceil start) + t.lat_global in
-      t.dram_free <- start +. t.dram_interval;
-      t.slots.(sm).(i) <- completion;
-      refresh_min_slot t ~sm;
-      t.issued <- t.issued + 1;
-      t.total_latency <- t.total_latency + (completion - cycle);
-      `Completion completion
+  let i = (sm * t.n_slots) + t.head.(sm) in
+  if t.busy.(i) > cycle then -1
+  else begin
+    let now = float_of_int cycle and free = t.dram_free.(0) in
+    let start = if now > free then now else free in
+    let completion = int_of_float (Float.ceil start) + t.lat_global in
+    t.dram_free.(0) <- start +. t.dram_interval;
+    t.busy.(i) <- completion;
+    t.head.(sm) <- (if t.head.(sm) + 1 = t.n_slots then 0 else t.head.(sm) + 1);
+    t.issued <- t.issued + 1;
+    t.total_latency <- t.total_latency + (completion - cycle);
+    completion
+  end
 
 let busy_slots t ~sm ~cycle =
-  Array.fold_left (fun acc b -> if b > cycle then acc + 1 else acc) 0 t.slots.(sm)
+  let n = ref 0 in
+  for i = sm * t.n_slots to ((sm + 1) * t.n_slots) - 1 do
+    if t.busy.(i) > cycle then incr n
+  done;
+  !n
 
 let issued t = t.issued
 

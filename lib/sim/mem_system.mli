@@ -16,8 +16,7 @@ type t
 val create : Gpu_uarch.Arch_config.t -> n_sms:int -> t
 
 (** [slot_free t ~sm ~cycle] — can SM [sm] start a global access now?
-    O(1): the free-slot summary is maintained at issue time rather than
-    rescanned per query. *)
+    O(1): an SM's slots drain in issue order, so the oldest one answers. *)
 val slot_free : t -> sm:int -> cycle:int -> bool
 
 (** [next_completion t ~sm] — the earliest busy-until cycle over SM [sm]'s
@@ -26,12 +25,14 @@ val slot_free : t -> sm:int -> cycle:int -> bool
 val next_completion : t -> sm:int -> int
 
 (** [issue_global t ~sm ~cycle] claims a slot and returns its completion
-    cycle, or [`No_slot] when every slot is busy — structured
-    back-pressure the issue stage turns into a re-stall of the warp
-    (rather than a crash), even though schedulers normally consult
-    {!slot_free} first. *)
-val issue_global :
-  t -> sm:int -> cycle:int -> [ `Completion of int | `No_slot ]
+    cycle, or [-1] when every slot is busy — structured back-pressure the
+    issue stage turns into a re-stall of the warp (rather than a crash),
+    even though schedulers normally consult {!slot_free} first. A refused
+    request is not counted. [cycle] must never decrease from one call to
+    the next (the simulator's clock does not); completions then come out
+    in non-decreasing order, which is what lets each SM's slots work as a
+    FIFO. Allocates nothing. *)
+val issue_global : t -> sm:int -> cycle:int -> int
 
 (** [busy_slots t ~sm ~cycle] — how many of SM [sm]'s slots are in flight
     at [cycle]. O(slots) scan; only the telemetry probe reads it. *)

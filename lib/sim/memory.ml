@@ -12,11 +12,13 @@ let default_value addr =
   let v = mask addr * 2654435761 in
   (v lxor (v lsr 15)) land 0xffff
 
+(* [Hashtbl.find] rather than [find_opt]: a global load is on the issue
+   path, and the option would be allocated on every hit. *)
 let read_global t addr =
   let addr = mask addr in
-  match Hashtbl.find_opt t.global addr with
-  | Some v -> v
-  | None -> default_value addr
+  match Hashtbl.find t.global addr with
+  | v -> v
+  | exception Not_found -> default_value addr
 
 let write_global t addr v = Hashtbl.replace t.global (mask addr) v
 

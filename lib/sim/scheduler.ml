@@ -44,11 +44,14 @@ let pack_key ~priority ~age = (priority lsl age_bits) lor min age age_mask
 (* The caller has already applied the slot-local prefix — [eligible] holds
    exactly the owned slots that are [Ready] with their scoreboard bound
    passed — so a scan only runs the residual [can_issue] check (memory
-   slots and register-policy state, owned by the SM). That check carries
-   the acquire-stall side effects of a real issue attempt, so candidates
-   are visited in increasing slot order, exactly as a scan over every
-   slot would visit them. *)
-let scan_best ~(soa : Soa.t) ~eligible ~can_issue =
+   slots and register-policy state, owned by the SM), and only on the
+   slots outside [plain], whose check the SM knows would pass. That check
+   carries the acquire-stall side effects of a real issue attempt, so
+   candidates are visited in increasing slot order, exactly as a scan over
+   every slot would visit them. *)
+let passes ~plain ~can_issue s = (plain lsr s) land 1 = 1 || can_issue s
+
+let scan_best ~(soa : Soa.t) ~eligible ~plain ~can_issue =
   let key = soa.Soa.key in
   let best = ref (-1) in
   let best_key = ref max_int in
@@ -56,7 +59,7 @@ let scan_best ~(soa : Soa.t) ~eligible ~can_issue =
   while !m <> 0 do
     let s = Bits.lowest !m in
     m := !m land (!m - 1);
-    if can_issue s then begin
+    if passes ~plain ~can_issue s then begin
       let k = key.(s) in
       if k < !best_key then begin
         best_key := k;
@@ -66,27 +69,30 @@ let scan_best ~(soa : Soa.t) ~eligible ~can_issue =
   done;
   !best
 
-let pick_gto t ~soa ~eligible ~can_issue =
+let pick_gto t ~soa ~eligible ~plain ~can_issue =
   let cur = t.current in
-  if cur >= 0 && (eligible lsr cur) land 1 = 1 && can_issue cur then cur
+  if cur >= 0 && (eligible lsr cur) land 1 = 1 && passes ~plain ~can_issue cur
+  then cur
   else begin
-    let s = scan_best ~soa ~eligible ~can_issue in
+    let s = scan_best ~soa ~eligible ~plain ~can_issue in
     if s >= 0 then t.current <- s;
     s
   end
 
+(* The lowest slot of [m] that passes. *)
+let rec first ~plain ~can_issue m =
+  if m = 0 then -1
+  else
+    let s = Bits.lowest m in
+    if passes ~plain ~can_issue s then s
+    else first ~plain ~can_issue (m land (m - 1))
+
 (* Loose round-robin: the first candidate at or after [rr_pos], wrapping
    around once. *)
-let pick_lrr t ~eligible ~can_issue =
-  let rec first m =
-    if m = 0 then -1
-    else
-      let s = Bits.lowest m in
-      if can_issue s then s else first (m land (m - 1))
-  in
+let pick_lrr t ~eligible ~plain ~can_issue =
   let above = eligible land (-1 lsl t.rr_pos) in
-  let s = first above in
-  let s = if s >= 0 then s else first (eligible lxor above) in
+  let s = first ~plain ~can_issue above in
+  let s = if s >= 0 then s else first ~plain ~can_issue (eligible lxor above) in
   if s >= 0 then t.rr_pos <- s + 1;
   s
 
@@ -94,7 +100,7 @@ let pick_lrr t ~eligible ~can_issue =
    rotate to the next group that does. Groups partition the slots into
    contiguous runs of [group_size]; a group with no eligible slot is
    skipped without a visit, since scanning it would call nothing. *)
-let pick_two_level t ~group_size ~(soa : Soa.t) ~eligible ~can_issue =
+let pick_two_level t ~group_size ~(soa : Soa.t) ~eligible ~plain ~can_issue =
   let n_slots = soa.Soa.n_slots in
   let n_groups = (n_slots + group_size - 1) / group_size in
   let group_bits g =
@@ -108,7 +114,7 @@ let pick_two_level t ~group_size ~(soa : Soa.t) ~eligible ~can_issue =
     else
       let g = Bits.lowest m / group_size in
       let bits = group_bits g in
-      let s = scan_best ~soa ~eligible:(m land bits) ~can_issue in
+      let s = scan_best ~soa ~eligible:(m land bits) ~plain ~can_issue in
       if s >= 0 then begin
         t.active_group <- g;
         s
@@ -120,11 +126,11 @@ let pick_two_level t ~group_size ~(soa : Soa.t) ~eligible ~can_issue =
   let s = rotate above in
   if s >= 0 then s else rotate (eligible lxor above)
 
-let pick t ~soa ~eligible ~can_issue =
+let pick t ~soa ~eligible ~plain ~can_issue =
   if eligible = 0 then -1
   else
     match t.kind with
-    | Gto -> pick_gto t ~soa ~eligible ~can_issue
-    | Lrr -> pick_lrr t ~eligible ~can_issue
+    | Gto -> pick_gto t ~soa ~eligible ~plain ~can_issue
+    | Lrr -> pick_lrr t ~eligible ~plain ~can_issue
     | Two_level group_size ->
-        pick_two_level t ~group_size ~soa ~eligible ~can_issue
+        pick_two_level t ~group_size ~soa ~eligible ~plain ~can_issue

@@ -13,10 +13,10 @@
     set of warps that are [Ready] and past their scoreboard bound as a
     slot bitmask (the issue stage's warp-state bitmasks, RegMutex §III-B1)
     and hands each scheduler its owned part; a pick walks only the set
-    bits of that mask, running the SM's residual [can_issue] check
+    bits of that mask. A candidate in the SM's [plain] mask passes at
+    once; every other one gets the SM's residual [can_issue] check
     (memory slots, register-policy state — the part with acquire-stall
-    side effects) on each candidate in increasing slot order. A pick
-    allocates nothing. *)
+    side effects), in increasing slot order. A pick allocates nothing. *)
 
 type kind = Gto | Lrr | Two_level of int
 
@@ -48,16 +48,24 @@ val age_mask : int
     Smaller keys are scheduled first. *)
 val pack_key : priority:int -> age:int -> int
 
-(** [pick t ~soa ~eligible ~can_issue] returns the warp slot to issue
-    from this cycle, or [-1] when no slot of [eligible] can issue.
+(** [pick t ~soa ~eligible ~plain ~can_issue] returns the warp slot to
+    issue from this cycle, or [-1] when no slot of [eligible] can issue.
     [eligible] is the bitmask of this scheduler's slots whose warp is
     [Ready] with its scoreboard bound passed ([ready_at <= cycle]); it must
     not hold a slot [t] does not own. [soa] supplies the ordering keys.
     [can_issue] is the SM's residual eligibility check beyond
-    status/scoreboard; it may record acquire stalls, and is called on
-    slots of [eligible] in increasing slot order (from the round-robin
-    position, wrapping, under [Lrr]) exactly as a scan over every slot
-    would call it. An empty [eligible] returns [-1] at once and leaves the
-    scheduler untouched. *)
+    status/scoreboard; it may record acquire stalls. [plain] is a slot
+    mask (it may hold slots outside [eligible]) whose slots the caller
+    knows pass that check: they pass without a call. The pick is the one
+    a scan calling [can_issue] on every eligible slot would make, and
+    [can_issue] is called on that scan's sequence of slots — increasing
+    slot order (from the round-robin position, wrapping, under [Lrr]) —
+    with the [plain] slots left out. An empty [eligible] returns [-1] at
+    once and leaves the scheduler untouched. *)
 val pick :
-  t -> soa:Warp.Soa.t -> eligible:int -> can_issue:(int -> bool) -> int
+  t ->
+  soa:Warp.Soa.t ->
+  eligible:int ->
+  plain:int ->
+  can_issue:(int -> bool) ->
+  int

@@ -26,6 +26,13 @@ type pstate =
   | Ps_owf
   | Ps_rfv of { mutable used : int; capacity : int }
 
+(* What a pc's residual issue check ([check_ready]) can depend on. *)
+type issue_class =
+  | Plain     (* nothing: the check can only answer [Can_issue] *)
+  | Global    (* a free memory slot, and nothing else *)
+  | Stateful  (* policy state *)
+  | Owf_ext   (* stateful until the warp owns its OWF pair's registers *)
+
 type t = {
   cfg : Arch_config.t;
   sm_id : int;
@@ -65,6 +72,13 @@ type t = {
   mutable at_bar : int;
   wheel : int array;
   mutable synced : int;  (* the cycle [elig]/[pend] are exact for *)
+  (* Every [Ready] warp also sits in at most one of two class masks, filed
+     from its pc by [place] (see [pc_class]): [plain] when its residual
+     check can only answer [Can_issue], [global] when its only condition
+     is a free memory slot. The schedulers pass such warps without calling
+     the residual check; only the rest ("stateful" warps) run it. *)
+  mutable plain : int;
+  mutable global : int;
   (* The schedulers' residual check, built once per SM: it reads the
      memory-slot answer and the clock from these fields, so a pick
      allocates no closure. *)
@@ -84,6 +98,9 @@ type t = {
   is_global : bool array;        (* occupies a global-memory slot at issue *)
   is_acquire : bool array;
   reads_laneid : bool array;     (* SIMT: a collapsed warp expands here *)
+  decoded : (Exec.ctx -> Exec.outcome) array;
+      (* [Exec.decode] of every pc: the warp-uniform interpreter *)
+  pc_class : issue_class array;  (* see [class_of] *)
   max_rank : int;
       (* highest [rank_block] value the policy can produce; bounds the
          early exit in [classify_idle] *)
@@ -117,6 +134,8 @@ type t = {
   bs : int;  (* base-set size for SRP/paired/OWF policies; max_int otherwise *)
   es : int;
   verify : bool;
+  mapping : Gpu_uarch.Reg_mapping.config;  (* the Figure 6 mapping [verify]
+                                              drives every access through *)
 }
 
 (* Resident-CTA capacity under the policy's register accounting, combined
@@ -284,6 +303,22 @@ let make ?events ?telemetry ~simt ~corrupt_mask ~lane_resolved cfg ~sm_id
             false)
       instrs
   in
+  (* What each pc's residual check ([check_ready]) can depend on. Only a
+     global access waits for a memory slot; only an acquire under SRP or
+     paired warps asks the section pool; OWF's extended accesses ask the
+     partner until the warp owns its pair's registers; RFV peeks at every
+     pc's register demand. *)
+  let pc_class =
+    Array.init n (fun pc ->
+        let base = if is_global.(pc) then Global else Plain in
+        match pstate with
+        | Ps_static -> base
+        | Ps_srp _ | Ps_paired _ -> if is_acquire.(pc) then Stateful else base
+        | Ps_owf ->
+            if (not is_acquire.(pc)) && top_reg.(pc) >= bs then Owf_ext
+            else base
+        | Ps_rfv _ -> Stateful)
+  in
   let n_slots = max (cta_capacity * wpc) 1 in
   (* Warp slots are bits of one native int in the issue masks (and in the
      SRP's warp bitmask). *)
@@ -351,6 +386,8 @@ let make ?events ?telemetry ~simt ~corrupt_mask ~lane_resolved cfg ~sm_id
     elig = 0;
     pend = 0;
     at_bar = 0;
+    plain = 0;
+    global = 0;
     wheel = Array.make 64 0;
     synced = -1;
     mem_free = false;
@@ -367,6 +404,8 @@ let make ?events ?telemetry ~simt ~corrupt_mask ~lane_resolved cfg ~sm_id
     is_global;
     is_acquire;
     reads_laneid;
+    decoded = Array.map Exec.decode instrs;
+    pc_class;
     max_rank =
       (match pstate with
       | Ps_rfv _ -> 5 (* Blocked_regs *)
@@ -398,6 +437,13 @@ let make ?events ?telemetry ~simt ~corrupt_mask ~lane_resolved cfg ~sm_id
     bs;
     es;
     verify;
+    mapping =
+      {
+        Gpu_uarch.Reg_mapping.bs;
+        es;
+        srp_offset =
+          Gpu_uarch.Reg_mapping.srp_offset_for ~bs ~resident_warps:n_slots;
+      };
   }
 
 let emit t ~cycle event =
@@ -419,19 +465,37 @@ let retired_ctas t = t.retired
 
 (* --- issue state ------------------------------------------------------ *)
 
-(* Re-file [slot] from its status and [ready_at]. Called wherever either
-   can change: CTA launch, every pc move ([advance], after the scoreboard
-   bound is refreshed), barrier release and warp exit. The slot is never
-   in [pend] here — only an eligible warp issues, and a barrier-parked or
-   freshly launched one is not pending — so its wheel bucket needs no
-   clearing. *)
+(* The issue class of a [Ready] warp at [pc]. OWF's extended accesses are
+   the one per-warp refinement: once the warp owns its pair's registers
+   (which only its own issue grants, and only its exit takes back) they
+   check nothing beyond the memory slot. *)
+let class_of t ~slot ~pc =
+  match t.pc_class.(pc) with
+  | (Plain | Global | Stateful) as c -> c
+  | Owf_ext ->
+      if t.soa.Soa.owns_ext.(slot) = 0 then Stateful
+      else if t.is_global.(pc) then Global
+      else Plain
+
+(* Re-file [slot] from its status, [ready_at] and issue class. Called
+   wherever one of them can change: CTA launch, every pc move ([advance],
+   after the scoreboard bound is refreshed; the OWF grant precedes it),
+   barrier release and warp exit. The slot is never in [pend] here — only
+   an eligible warp issues, and a barrier-parked or freshly launched one
+   is not pending — so its wheel bucket needs no clearing. *)
 let place t ~slot =
   let soa = t.soa in
   let bit = 1 lsl slot in
   t.elig <- t.elig land lnot bit;
   t.at_bar <- t.at_bar land lnot bit;
+  t.plain <- t.plain land lnot bit;
+  t.global <- t.global land lnot bit;
   let st = soa.Soa.status.(slot) in
   if st = Soa.st_ready then begin
+    (match class_of t ~slot ~pc:soa.Soa.pc.(slot) with
+    | Plain -> t.plain <- t.plain lor bit
+    | Global -> t.global <- t.global lor bit
+    | Stateful | Owf_ext -> ());
     let r = soa.Soa.ready_at.(slot) in
     if r <= t.synced then t.elig <- t.elig lor bit
     else begin
@@ -675,7 +739,7 @@ let check_ready ~probe t ~mem_free ~slot ~cycle =
   else if t.is_acquire.(pc) then begin
     match t.pstate with
     | Ps_srp srp ->
-        if Srp.holds srp ~warp:slot <> None || Srp.free_sections srp > 0 then
+        if Srp.held srp ~warp:slot >= 0 || Srp.free_sections srp > 0 then
           Can_issue
         else begin
           if not probe then note_acquire_stall t ~slot ~cycle;
@@ -745,24 +809,17 @@ let create ?events ?telemetry ?(simt = false) ?(corrupt_mask = 0)
     make ?events ?telemetry ~simt ~corrupt_mask ~lane_resolved cfg ~sm_id
       ~policy ~kernel ~memory ~mem_sys ~stats ~record_stores ~trace_warp0
   in
-  (* Under the static policy the residual check is pure and collapses to
-     the memory-slot bit. *)
+  (* Only stateful warps reach the check (plain and global ones are
+     decided off the class masks), so every call is a residual check that
+     actually runs. *)
   t.can_issue <-
-    (match t.pstate with
-    | Ps_static ->
-        fun slot ->
-          stats.Stats.issue_candidates <- stats.Stats.issue_candidates + 1;
-          t.mem_free || not t.is_global.(t.soa.Soa.pc.(slot))
-    | Ps_srp _ | Ps_paired _ | Ps_owf | Ps_rfv _ -> (
-        fun slot ->
-          stats.Stats.issue_candidates <- stats.Stats.issue_candidates + 1;
-          match
-            check_ready ~probe:false t ~mem_free:t.mem_free ~slot ~cycle:t.now
-          with
-          | Can_issue -> true
-          | Blocked_deps | Blocked_mem | Blocked_acquire | Blocked_regs
-          | Blocked_barrier | Blocked_done ->
-              false));
+    (fun slot ->
+      stats.Stats.issue_candidates <- stats.Stats.issue_candidates + 1;
+      match check_ready ~probe:false t ~mem_free:t.mem_free ~slot ~cycle:t.now with
+      | Can_issue -> true
+      | Blocked_deps | Blocked_mem | Blocked_acquire | Blocked_regs
+      | Blocked_barrier | Blocked_done ->
+          false);
   t
 
 (* --- barrier handling ------------------------------------------------ *)
@@ -783,46 +840,38 @@ let maybe_release_barrier t ~cycle cta =
 
 (* --- issue ----------------------------------------------------------- *)
 
+(* Called when verification is on and [pc] touches the extended set. *)
 let verify_access t ~slot pc =
   let top = t.top_reg.(pc) in
-  if t.verify && top >= t.bs then begin
-    if top >= t.bs + t.es then
+  if top >= t.bs + t.es then
+    raise
+      (Verification_failure
+         (Printf.sprintf "pc %d references r%d beyond |Bs|+|Es| = %d" pc top
+            (t.bs + t.es)));
+  (* The held section, -1 for none: ints rather than options, so a
+     verified issue allocates nothing. *)
+  let section =
+    match t.pstate with
+    | Ps_srp srp -> Srp.held srp ~warp:slot
+    | Ps_paired srp ->
+        if Srp_paired.holds srp ~warp:slot then Srp_paired.pair_of_warp ~warp:slot
+        else -1
+    | Ps_static | Ps_owf | Ps_rfv _ -> 0
+  in
+  (* Drive every referenced register through the Figure 6 two-segment
+     mapping: it must produce a valid physical index (and trips exactly
+     when the warp holds no section). *)
+  let regs = t.pc_regs.(pc) in
+  for i = 0 to Array.length regs - 1 do
+    let x = regs.(i) in
+    let p = Gpu_uarch.Reg_mapping.physical t.mapping ~widx:slot ~section ~x in
+    if p < 0 then
       raise
         (Verification_failure
-           (Printf.sprintf "pc %d references r%d beyond |Bs|+|Es| = %d" pc top
-              (t.bs + t.es)));
-    let section =
-      match t.pstate with
-      | Ps_srp srp -> Srp.holds srp ~warp:slot
-      | Ps_paired srp ->
-          if Srp_paired.holds srp ~warp:slot then
-            Some (Srp_paired.pair_of_warp ~warp:slot)
-          else None
-      | Ps_static | Ps_owf | Ps_rfv _ -> Some 0
-    in
-    (* Drive every referenced register through the Figure 6 two-segment
-       mapping: it must produce a valid physical index (and trips exactly
-       when the warp holds no section). *)
-    let mapping =
-      {
-        Gpu_uarch.Reg_mapping.bs = t.bs;
-        es = t.es;
-        srp_offset =
-          Gpu_uarch.Reg_mapping.srp_offset_for ~bs:t.bs
-            ~resident_warps:t.soa.Soa.n_slots;
-      }
-    in
-    Array.iter
-      (fun x ->
-        match Gpu_uarch.Reg_mapping.regmutex mapping ~widx:slot ~section ~x with
-        | Ok _ -> ()
-        | Error e ->
-            raise
-              (Verification_failure
-                 (Format.asprintf "pc %d, register r%d: %a" pc x
-                    Gpu_uarch.Reg_mapping.pp_error e)))
-      t.pc_regs.(pc)
-  end
+           (Format.asprintf "pc %d, register r%d: %a" pc x
+              Gpu_uarch.Reg_mapping.pp_error
+              (Gpu_uarch.Reg_mapping.error_of_code p)))
+  done
 
 let rfv_move t ~slot ~next_pc =
   match t.pstate with
@@ -971,6 +1020,107 @@ let expand t ~slot =
     Soa.simt_expand t.soa ~slot ~rpc:t.reconv_sentinel;
   t.stats.Stats.lane_expansions <- t.stats.Stats.lane_expansions + 1
 
+(* Bookkeeping common to every executed issue: the instruction count and
+   the destination's scoreboard entry. *)
+let account_issue t ~slot ~cycle ~pc ~completion =
+  let soa = t.soa in
+  t.stats.Stats.instructions <- t.stats.Stats.instructions + 1;
+  soa.Soa.issued.(slot) <- soa.Soa.issued.(slot) + 1;
+  (* Timing: set the destination's ready cycle. *)
+  let d = t.def_reg.(pc) in
+  if d >= 0 then begin
+    let ready =
+      if t.is_global.(pc) then begin
+        mem_sample t ~cycle ~completion;
+        completion
+      end
+      else cycle + t.latency.(pc)
+    in
+    soa.Soa.reg_ready.(slot).(d) <- ready
+  end
+  else if d = -1 then begin
+    (* Global stores still consume a memory slot. *)
+    if t.is_global.(pc) then mem_sample t ~cycle ~completion
+  end
+  else multi_def_error t ~slot ~pc
+
+let cta_of t ~slot =
+  match t.ctas.(t.soa.Soa.cta_slot.(slot)) with
+  | Some c -> c
+  | None -> invalid_arg "Sm.issue: orphan warp"
+
+(* Act on a warp-level control outcome: move the pc (through the
+   reconvergence stack when [lanes]), park at a barrier, exit, or run the
+   policy side of an acquire/release. *)
+let follow t ~slot ~cycle ~pc ~lanes outcome =
+  let soa = t.soa in
+  match outcome with
+  | Exec.Next -> advance t ~slot ~next:(route t ~slot ~lanes (pc + 1))
+  | Exec.Goto tgt -> advance t ~slot ~next:(route t ~slot ~lanes tgt)
+  | Exec.Stop ->
+      if lanes then (
+        match Soa.simt_exit soa ~slot with
+        | None -> warp_done t ~cycle ~slot (cta_of t ~slot)
+        | Some next -> advance t ~slot ~next)
+      else warp_done t ~cycle ~slot (cta_of t ~slot)
+  | Exec.Sync ->
+      let cta = cta_of t ~slot in
+      soa.Soa.status.(slot) <- Soa.st_barrier;
+      advance t ~slot ~next:(route t ~slot ~lanes (pc + 1));
+      cta.arrived <- cta.arrived + 1;
+      emit t ~cycle
+        (Event_trace.Barrier_arrived
+           { sm = t.sm_id; cta = soa.Soa.global_cta.(slot);
+             warp = soa.Soa.warp_in_cta.(slot) });
+      maybe_release_barrier t ~cycle cta
+  | Exec.Acq -> (
+      let grant =
+        match t.pstate with
+        | Ps_srp srp -> (
+            match Srp.acquire srp ~warp:slot with
+            | Srp.Granted s ->
+                granted t ~cycle ~slot ~section:s ~in_use:(Srp.in_use srp);
+                true
+            | Srp.Already_held _ -> true
+            | Srp.Stall -> false)
+        | Ps_paired srp -> (
+            match Srp_paired.acquire srp ~warp:slot with
+            | Srp_paired.Granted ->
+                granted t ~cycle ~slot
+                  ~section:(Srp_paired.pair_of_warp ~warp:slot)
+                  ~in_use:(Srp_paired.in_use srp);
+                true
+            | Srp_paired.Already_held -> true
+            | Srp_paired.Stall -> false)
+        | Ps_static | Ps_owf | Ps_rfv _ -> true
+      in
+      match grant with
+      | true ->
+          t.stats.Stats.acquire_execs <- t.stats.Stats.acquire_execs + 1;
+          if soa.Soa.acquire_stalled.(slot) = 0 then
+            t.stats.Stats.acquire_first_try <- t.stats.Stats.acquire_first_try + 1;
+          soa.Soa.acquire_stalled.(slot) <- 0;
+          advance t ~slot ~next:(route t ~slot ~lanes (pc + 1))
+      | false ->
+          (* Lost a same-cycle race for the last section; retry later. *)
+          soa.Soa.acquire_stalled.(slot) <- 1)
+  | Exec.Rel ->
+      (match t.pstate with
+      | Ps_srp srp -> (
+          match Srp.release srp ~warp:slot with
+          | Srp.Released s ->
+              released t ~cycle ~slot ~section:s ~in_use:(Srp.in_use srp)
+          | Srp.Not_held -> ())
+      | Ps_paired srp -> (
+          match Srp_paired.release srp ~warp:slot with
+          | Srp_paired.Released ->
+              released t ~cycle ~slot
+                ~section:(Srp_paired.pair_of_warp ~warp:slot)
+                ~in_use:(Srp_paired.in_use srp)
+          | Srp_paired.Not_held -> ())
+      | Ps_static | Ps_owf | Ps_rfv _ -> ());
+      advance t ~slot ~next:(route t ~slot ~lanes (pc + 1))
+
 (* [issue] executes the warp's current instruction; returns [false] when a
    global access found every memory slot busy at the claim stage (the warp
    is re-stalled untouched and retries when a slot frees — structured
@@ -978,23 +1128,14 @@ let expand t ~slot =
 let issue t ~slot ~cycle =
   let soa = t.soa in
   let pc = soa.Soa.pc.(slot) in
-  let instr = t.instrs.(pc) in
-  let cta =
-    match t.ctas.(soa.Soa.cta_slot.(slot)) with
-    | Some c -> c
-    | None -> invalid_arg "Sm.issue: orphan warp"
-  in
-  verify_access t ~slot pc;
+  if t.verify && t.top_reg.(pc) >= t.bs then verify_access t ~slot pc;
   (* Global accesses claim their memory slot before any architectural
-     state changes, so a [`No_slot] answer leaves nothing to undo. The
-     completion cycle depends only on the clock and DRAM horizon, never on
-     this instruction's execution. *)
+     state changes, so a refusal leaves nothing to undo. The completion
+     cycle depends only on the clock and DRAM horizon, never on this
+     instruction's execution. *)
   let completion =
     if not t.is_global.(pc) then 0
-    else
-      match Mem_system.issue_global t.mem_sys ~sm:t.sm_id ~cycle with
-      | `Completion c -> c
-      | `No_slot -> -1
+    else Mem_system.issue_global t.mem_sys ~sm:t.sm_id ~cycle
   in
   if completion < 0 then false
   else begin
@@ -1022,126 +1163,43 @@ let issue t ~slot ~cycle =
       && soa.Soa.warp_in_cta.(slot) = 0
     then t.stats.Stats.pc_trace <- pc :: t.stats.Stats.pc_trace;
     (* Execute: per-lane under the active mask for an expanded SIMT warp,
-       warp-uniform otherwise (including a collapsed SIMT warp, all of
-       whose lanes are active and equal). Lane-occupancy statistics are
-       kept with the same convention everywhere (every uniform issue is a
-       full warp), so warp-uniform programs report identical totals. *)
+       through the pc's decoded closure otherwise (including a collapsed
+       SIMT warp, all of whose lanes are active and equal). Lane-occupancy
+       statistics are kept with the same convention everywhere (every
+       uniform issue is a full warp), so warp-uniform programs report
+       identical totals. *)
     if t.simt && t.reads_laneid.(pc) && Soa.simt_collapsed soa ~slot then
       expand t ~slot;
-    let lanes = t.simt && not (Soa.simt_collapsed soa ~slot) in
-    let louts =
-      if lanes then begin
-        let mask = Soa.simt_active soa ~slot in
-        let on = Bits.popcount mask in
-        t.stats.Stats.active_lane_cycles <-
-          t.stats.Stats.active_lane_cycles + on;
-        t.stats.Stats.predicated_lane_cycles <-
-          t.stats.Stats.predicated_lane_cycles + (t.cfg.warp_size - on);
-        Exec.step_simt t.ctxs.(slot) instr ~mask
-      end
-      else begin
-        t.stats.Stats.active_lane_cycles <-
-          t.stats.Stats.active_lane_cycles + t.cfg.warp_size;
-        Exec.L_uniform (Exec.step t.ctxs.(slot) instr)
-      end
-    in
-    t.stats.Stats.instructions <- t.stats.Stats.instructions + 1;
-    soa.Soa.issued.(slot) <- soa.Soa.issued.(slot) + 1;
-    (* Timing: set the destination's ready cycle. *)
-    let d = t.def_reg.(pc) in
-    if d >= 0 then begin
-      let ready =
-        if t.is_global.(pc) then begin
-          mem_sample t ~cycle ~completion;
-          completion
-        end
-        else cycle + t.latency.(pc)
-      in
-      soa.Soa.reg_ready.(slot).(d) <- ready
+    if t.simt && not (Soa.simt_collapsed soa ~slot) then begin
+      let mask = Soa.simt_active soa ~slot in
+      let on = Bits.popcount mask in
+      t.stats.Stats.active_lane_cycles <- t.stats.Stats.active_lane_cycles + on;
+      t.stats.Stats.predicated_lane_cycles <-
+        t.stats.Stats.predicated_lane_cycles + (t.cfg.warp_size - on);
+      let lout = Exec.step_simt t.ctxs.(slot) t.instrs.(pc) ~mask in
+      account_issue t ~slot ~cycle ~pc ~completion;
+      match lout with
+      | Exec.L_diverge { taken; tgt } ->
+          (* Both arms land on pc+1 when the target is the fall-through:
+             no divergence to track. Otherwise suspend the continuation and
+             the taken arm and run the fall-through arm first (routing pops
+             the taken arm immediately when the branch is a loop exit). *)
+          if tgt = pc + 1 then
+            advance t ~slot ~next:(route t ~slot ~lanes:true (pc + 1))
+          else begin
+            t.stats.Stats.divergent_branches <- t.stats.Stats.divergent_branches + 1;
+            Soa.simt_diverge soa ~slot ~tgt ~taken ~rpc:t.reconv.(pc);
+            advance t ~slot ~next:(Soa.simt_next soa ~slot (pc + 1))
+          end
+      | Exec.L_uniform outcome -> follow t ~slot ~cycle ~pc ~lanes:true outcome
     end
-    else if d = -1 then begin
-      (* Global stores still consume a memory slot. *)
-      if t.is_global.(pc) then mem_sample t ~cycle ~completion
-    end
-    else multi_def_error t ~slot ~pc;
-    (match louts with
-    | Exec.L_diverge { taken; tgt } ->
-        (* Both arms land on pc+1 when the target is the fall-through:
-           no divergence to track. Otherwise suspend the continuation and
-           the taken arm and run the fall-through arm first (routing pops
-           the taken arm immediately when the branch is a loop exit). *)
-        if tgt = pc + 1 then advance t ~slot ~next:(route t ~slot ~lanes (pc + 1))
-        else begin
-          t.stats.Stats.divergent_branches <-
-            t.stats.Stats.divergent_branches + 1;
-          Soa.simt_diverge soa ~slot ~tgt ~taken ~rpc:t.reconv.(pc);
-          advance t ~slot ~next:(Soa.simt_next soa ~slot (pc + 1))
-        end
-    | Exec.L_uniform Exec.Next -> advance t ~slot ~next:(route t ~slot ~lanes (pc + 1))
-    | Exec.L_uniform (Exec.Goto tgt) -> advance t ~slot ~next:(route t ~slot ~lanes tgt)
-    | Exec.L_uniform Exec.Stop ->
-        if lanes then (
-          match Soa.simt_exit soa ~slot with
-          | None -> warp_done t ~cycle ~slot cta
-          | Some next -> advance t ~slot ~next)
-        else warp_done t ~cycle ~slot cta
-    | Exec.L_uniform Exec.Sync ->
-        soa.Soa.status.(slot) <- Soa.st_barrier;
-        advance t ~slot ~next:(route t ~slot ~lanes (pc + 1));
-        cta.arrived <- cta.arrived + 1;
-        emit t ~cycle
-          (Event_trace.Barrier_arrived
-             { sm = t.sm_id; cta = soa.Soa.global_cta.(slot);
-               warp = soa.Soa.warp_in_cta.(slot) });
-        maybe_release_barrier t ~cycle cta
-    | Exec.L_uniform Exec.Acq -> (
-        let grant =
-          match t.pstate with
-          | Ps_srp srp -> (
-              match Srp.acquire srp ~warp:slot with
-              | Srp.Granted s ->
-                  granted t ~cycle ~slot ~section:s ~in_use:(Srp.in_use srp);
-                  true
-              | Srp.Already_held _ -> true
-              | Srp.Stall -> false)
-          | Ps_paired srp -> (
-              match Srp_paired.acquire srp ~warp:slot with
-              | Srp_paired.Granted ->
-                  granted t ~cycle ~slot
-                    ~section:(Srp_paired.pair_of_warp ~warp:slot)
-                    ~in_use:(Srp_paired.in_use srp);
-                  true
-              | Srp_paired.Already_held -> true
-              | Srp_paired.Stall -> false)
-          | Ps_static | Ps_owf | Ps_rfv _ -> true
-        in
-        match grant with
-        | true ->
-            t.stats.Stats.acquire_execs <- t.stats.Stats.acquire_execs + 1;
-            if soa.Soa.acquire_stalled.(slot) = 0 then
-              t.stats.Stats.acquire_first_try <-
-                t.stats.Stats.acquire_first_try + 1;
-            soa.Soa.acquire_stalled.(slot) <- 0;
-            advance t ~slot ~next:(route t ~slot ~lanes (pc + 1))
-        | false ->
-            (* Lost a same-cycle race for the last section; retry later. *)
-            soa.Soa.acquire_stalled.(slot) <- 1)
-    | Exec.L_uniform Exec.Rel ->
-        (match t.pstate with
-        | Ps_srp srp -> (
-            match Srp.release srp ~warp:slot with
-            | Srp.Released s ->
-                released t ~cycle ~slot ~section:s ~in_use:(Srp.in_use srp)
-            | Srp.Not_held -> ())
-        | Ps_paired srp -> (
-            match Srp_paired.release srp ~warp:slot with
-            | Srp_paired.Released ->
-                released t ~cycle ~slot
-                  ~section:(Srp_paired.pair_of_warp ~warp:slot)
-                  ~in_use:(Srp_paired.in_use srp)
-            | Srp_paired.Not_held -> ())
-        | Ps_static | Ps_owf | Ps_rfv _ -> ());
-        advance t ~slot ~next:(route t ~slot ~lanes (pc + 1)));
+    else begin
+      t.stats.Stats.active_lane_cycles <-
+        t.stats.Stats.active_lane_cycles + t.cfg.warp_size;
+      let outcome = t.decoded.(pc) t.ctxs.(slot) in
+      account_issue t ~slot ~cycle ~pc ~completion;
+      follow t ~slot ~cycle ~pc ~lanes:false outcome
+    end;
     true
   end
 
@@ -1164,22 +1222,33 @@ let stall_reason_of_block = function
   | Blocked_barrier -> Stats.Stall_barrier
 
 (* The idle classification and the min-wakeup summary are read off the
-   issue masks: only the eligible warps need the residual check — a
+   issue masks: only the eligible stateful warps need the residual check.
+   An eligible plain warp can issue; an eligible global warp can issue
+   when a memory slot is free and is a memory stall otherwise; a
    non-empty [pend] is a scoreboard stall ending at its earliest
-   [ready_at], a non-empty [at_bar] a barrier stall — so the cost is
-   O(eligible warps), plus O(pending warps) for the wakeup bound. The
-   blockage reported is the highest-ranked one among all warps. Scoreboard
-   stalls end at the warp's [ready_at]; structural memory stalls end when
-   the SM's earliest slot completes; acquire, RFV-register and barrier
-   stalls only end through another warp's issue, so while the whole GPU is
-   idle they never end — they contribute no wakeup bound. Probing changes
-   no warp state; the residual checks count as issue candidates. *)
+   [ready_at], a non-empty [at_bar] a barrier stall. So the cost is
+   O(eligible stateful warps), plus O(pending warps) for the wakeup bound.
+   The blockage reported is the highest-ranked one among all warps.
+   Scoreboard stalls end at the warp's [ready_at]; structural memory
+   stalls end when the SM's earliest slot completes; acquire,
+   RFV-register and barrier stalls only end through another warp's issue,
+   so while the whole GPU is idle they never end — they contribute no
+   wakeup bound. Probing changes no warp state; the residual checks that
+   run count as issue candidates. *)
 let idle_summary t ~cycle =
   sync t ~cycle;
   let best = ref Blocked_done in
   let wake = ref max_int in
   let mem_free = Mem_system.slot_free t.mem_sys ~sm:t.sm_id ~cycle in
-  let m = ref t.elig in
+  let global = t.elig land t.global in
+  if global <> 0 && not mem_free then begin
+    best := Blocked_mem;
+    wake := Mem_system.next_completion t.mem_sys ~sm:t.sm_id
+  end;
+  (* A warp that can issue bounds the wakeup by the next cycle, below any
+     memory completion (no slot is free at [cycle]). *)
+  if t.elig land t.plain <> 0 || (global <> 0 && mem_free) then wake := cycle + 1;
+  let m = ref (t.elig land lnot (t.plain lor t.global)) in
   while !m <> 0 do
     let slot = Bits.lowest !m in
     m := !m land (!m - 1);
@@ -1210,20 +1279,26 @@ let idle_summary t ~cycle =
   (stall_reason_of_block !best, !wake)
 
 (* Per-cycle idle attribution: only the most specific blockage is needed,
-   not the wakeup bound. The ranking is bounded by the policy
-   ([Blocked_regs] only under RFV, [Blocked_acquire] only under
-   SRP/paired/OWF), so the walk over the eligible warps stops as soon as
-   the policy's top rank is found; the pending and barrier masks rank
-   below every residual blockage. Runs on every cycle where some
-   scheduler finds nothing to issue; [count] charges the walked warps to
-   the [issue_candidates] work counter (the simulator's own
-   classifications do, an outside probe does not). *)
+   not the wakeup bound. Eligible plain and global warps rank off the
+   class masks ([Can_issue], or [Blocked_mem] when no memory slot is
+   free). The ranking is bounded by the policy ([Blocked_regs] only under
+   RFV, [Blocked_acquire] only under SRP/paired/OWF), so the walk over the
+   eligible stateful warps stops as soon as the policy's top rank is
+   found; the pending and barrier masks rank below every residual
+   blockage. Runs on every cycle where some scheduler finds nothing to
+   issue; [count] charges the residual checks run to the
+   [issue_candidates] work counter (the simulator's own classifications
+   do, an outside probe does not). *)
 let classify ~count t ~cycle =
   sync t ~cycle;
   let best = ref Blocked_done in
   let best_rank = ref 0 in
   let mem_free = Mem_system.slot_free t.mem_sys ~sm:t.sm_id ~cycle in
-  let m = ref t.elig in
+  if (not mem_free) && t.elig land t.global <> 0 then begin
+    best := Blocked_mem;
+    best_rank := rank_block Blocked_mem
+  end;
+  let m = ref (t.elig land lnot (t.plain lor t.global)) in
   while !m <> 0 && !best_rank < t.max_rank do
     let slot = Bits.lowest !m in
     m := !m land (!m - 1);
@@ -1375,9 +1450,17 @@ let step t ~cycle =
       else begin
         (* One pick issues nothing, so the memory-slot answer is constant
            across its candidates; an earlier scheduler's issue this cycle
-           may have consumed the last slot, so it is read per pick. *)
+           may have consumed the last slot, so it is read per pick. It
+           decides every global warp at once: with a free slot they pass
+           like plain warps, without one none of them can issue. *)
         t.mem_free <- Mem_system.slot_free t.mem_sys ~sm:t.sm_id ~cycle;
-        Scheduler.pick scheds.(i) ~soa:t.soa ~eligible ~can_issue:t.can_issue
+        if t.mem_free then
+          Scheduler.pick scheds.(i) ~soa:t.soa ~eligible
+            ~plain:(t.plain lor t.global) ~can_issue:t.can_issue
+        else
+          Scheduler.pick scheds.(i) ~soa:t.soa
+            ~eligible:(eligible land lnot t.global) ~plain:t.plain
+            ~can_issue:t.can_issue
       end
     in
     if slot >= 0 then begin
@@ -1420,17 +1503,32 @@ let issue_state_ok t ~cycle =
   sync t ~cycle;
   let soa = t.soa in
   let elig = ref 0 and pend = ref 0 and at_bar = ref 0 and filed = ref true in
+  let plain = ref 0 and global = ref 0 and classes_sound = ref true in
   for slot = 0 to soa.Soa.n_slots - 1 do
     let bit = 1 lsl slot in
     let st = soa.Soa.status.(slot) in
     let r = soa.Soa.ready_at.(slot) in
     if st = Soa.st_barrier then at_bar := !at_bar lor bit
-    else if st = Soa.st_ready then
+    else if st = Soa.st_ready then begin
       if r <= cycle then elig := !elig lor bit
       else begin
         pend := !pend lor bit;
         if t.wheel.(r land 63) land bit = 0 then filed := false
-      end
+      end;
+      (* The class the warp's pc gives it, and what the residual check
+         really answers for it: a plain warp can issue whatever the memory
+         slots say, a global one exactly when a slot is free. *)
+      let answer mem_free = check_ready ~probe:true t ~mem_free ~slot ~cycle in
+      match class_of t ~slot ~pc:soa.Soa.pc.(slot) with
+      | Plain ->
+          plain := !plain lor bit;
+          if answer false <> Can_issue then classes_sound := false
+      | Global ->
+          global := !global lor bit;
+          if answer true <> Can_issue || answer false <> Blocked_mem then
+            classes_sound := false
+      | Stateful | Owf_ext -> ()
+    end
   done;
   (* Every pending slot sits in its own bucket, the buckets are disjoint,
      and together they hold nothing but the pending slots. *)
@@ -1442,3 +1540,4 @@ let issue_state_ok t ~cycle =
   done;
   t.synced = cycle && t.elig = !elig && t.pend = !pend && t.at_bar = !at_bar
   && !filed && !disjoint && !union = !pend
+  && t.plain = !plain && t.global = !global && !classes_sound

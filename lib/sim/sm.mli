@@ -77,7 +77,11 @@ val can_launch : t -> bool
 
 (** Advance one cycle: every scheduler issues at most one instruction.
     Each scheduler walks only its eligible warps (see {!issue_state_ok});
-    a scheduler with none costs one mask test. *)
+    a scheduler with none costs one mask test. Each pc is decoded once,
+    when the SM is built, into an {!Exec.decode} closure and an issue
+    class; warps whose class settles the residual check (plain warps, and
+    global-access warps once the memory-slot answer is known) are decided
+    off per-class masks, so the check runs only for the rest. *)
 val step : t -> cycle:int -> unit
 
 (** Attribute an idle scheduler slot to the most specific blockage among
@@ -85,10 +89,11 @@ val step : t -> cycle:int -> unit
     state, statistics, or the event trace, no matter how many idle
     schedulers classify the same cycle.
 
-    Cost: O(eligible warps). Only the warps that are [Ready] with their
-    scoreboard bound passed get the residual (memory slot, register
-    policy) check, stopping at the policy's top rank; scoreboard and
-    barrier stalls are read off the non-emptiness of their masks. *)
+    Cost: O(eligible stateful warps). Only the warps that are [Ready]
+    with their scoreboard bound passed and whose class does not settle
+    the answer get the residual (memory slot, register policy) check,
+    stopping at the policy's top rank; plain, global, scoreboard and
+    barrier warps are read off their masks. *)
 val classify_idle : t -> cycle:int -> Stats.stall_reason
 
 (** [idle_summary t ~cycle] is {!classify_idle} plus the SM's min-wakeup
@@ -98,13 +103,13 @@ val classify_idle : t -> cycle:int -> Stats.stall_reason
     slot completions. Stalls that only another warp's issue can end
     (acquire, RFV registers, barriers) contribute no bound; [max_int]
     means "asleep until an external event". Pure observation, except that
-    the residual checks count in [Stats.issue_candidates] (the GPU driver
+    the residual checks that run count in [Stats.issue_candidates] (the GPU driver
     calls this on every frozen cycle a fast-forward run visits; brute-force
     stepping skips the frozen cycles before the last summary's wakeup).
 
-    Cost: O(eligible warps) for the classification as in {!classify_idle}
-    (without the early stop), plus O(pending warps) for the earliest
-    scoreboard completion. *)
+    Cost: O(eligible stateful warps) for the classification as in
+    {!classify_idle} (without the early stop), plus O(pending warps) for
+    the earliest scoreboard completion. *)
 val idle_summary : t -> cycle:int -> Stats.stall_reason * int
 
 (** [account_idle_span t ~from ~reason ~span] records [span] fully idle
@@ -121,8 +126,12 @@ val account_idle_span :
     from-scratch recomputation from every slot's status and [ready_at]?
     Eligible: [Ready] and [ready_at <= cycle]; pending: [Ready] and
     [ready_at > cycle], each filed in wakeup-wheel bucket
-    [ready_at land 63]; parked: at a barrier. Call it between steps, with
-    the cycle just stepped or a later one. *)
+    [ready_at land 63]; parked: at a barrier. The class masks must also
+    equal a recomputation from every [Ready] warp's pc (plain: the
+    residual check can only answer "can issue"; global: its only
+    condition is a free memory slot), and the residual check must agree
+    with each such warp's class. Call it between steps, with the cycle
+    just stepped or a later one. *)
 val issue_state_ok : t -> cycle:int -> bool
 
 (** Close the telemetry probe's open spans at the run's final cycle (the

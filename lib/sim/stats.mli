@@ -53,9 +53,12 @@ type t = {
           between collapsed and lane-resolved runs by design, so it stays
           out of run fingerprints, equivalence checks and {!pp} *)
   mutable issue_candidates : int;
-      (** warps whose residual issue eligibility (memory slot, register
-          policy) was evaluated, by a scheduler's pick or by the
-          simulator's idle classification. Compare it with
+      (** residual issue checks (memory slot, register policy) that
+          actually ran, in a scheduler's pick or in the simulator's idle
+          classification. Warps whose pc's issue class settles the answer
+          (plain warps, and global-access warps given the SM's memory-slot
+          answer) are decided off the SM's class masks and never counted,
+          so under the static policy this stays 0. Compare it with
           [resident_warp_cycles], the warps a rescan of every resident
           warp on every cycle would touch. A work counter: it differs
           between fast-forward and brute-force stepping, so like

@@ -10,13 +10,24 @@ type error =
 
 let baseline ~coeff ~widx ~x = x + (coeff * widx)
 
+let out_of_range = -1
+let not_acquired = -2
+
+let physical cfg ~widx ~section ~x =
+  if x < 0 || x >= cfg.bs + cfg.es then out_of_range
+  else if x < cfg.bs then (widx * cfg.bs) + x
+  else if section < 0 then not_acquired
+  else cfg.srp_offset + (section * cfg.es) + (x - cfg.bs)
+
+let error_of_code code =
+  if code = out_of_range then Out_of_range
+  else if code = not_acquired then Extended_not_acquired
+  else invalid_arg "Reg_mapping.error_of_code: not an error code"
+
 let regmutex cfg ~widx ~section ~x =
-  if x < 0 || x >= cfg.bs + cfg.es then Error Out_of_range
-  else if x < cfg.bs then Ok ((widx * cfg.bs) + x)
-  else
-    match section with
-    | None -> Error Extended_not_acquired
-    | Some s -> Ok (cfg.srp_offset + (s * cfg.es) + (x - cfg.bs))
+  let section = match section with Some s -> s | None -> -1 in
+  let p = physical cfg ~widx ~section ~x in
+  if p = out_of_range || p = not_acquired then Error (error_of_code p) else Ok p
 
 let srp_offset_for ~bs ~resident_warps = bs * resident_warps
 

@@ -28,6 +28,17 @@ val baseline : coeff:int -> widx:int -> x:int -> int
     if any. *)
 val regmutex : config -> widx:int -> section:int option -> x:int -> (int, error) result
 
+(** [physical cfg ~widx ~section ~x] is {!regmutex} without the result
+    box, for per-issue checks that must not allocate: [section] is the
+    held section, or a negative number when the warp holds none, and an
+    error comes back as a negative code ({!error_of_code} names it).
+    Valid arguments ([widx >= 0], sections [>= 0]) map to indices [>= 0]. *)
+val physical : config -> widx:int -> section:int -> x:int -> int
+
+(** The error a negative {!physical} result stands for.
+    @raise Invalid_argument on any other number. *)
+val error_of_code : int -> error
+
 (** [srp_offset_for cfg ~resident_warps] computes the canonical SRP base:
     physical packs [0 .. resident_warps×bs) hold base sets, the SRP region
     starts right after. *)

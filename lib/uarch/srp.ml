@@ -21,8 +21,11 @@ let create ~n_warps ~sections =
     lut = Array.make n_warps 0;
   }
 
+let held t ~warp = if Bitmask.test t.status warp then t.lut.(warp) else -1
+
 let holds t ~warp =
-  if Bitmask.test t.status warp then Some t.lut.(warp) else None
+  let s = held t ~warp in
+  if s < 0 then None else Some s
 
 let acquire t ~warp =
   match holds t ~warp with

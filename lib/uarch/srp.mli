@@ -28,6 +28,10 @@ val release : t -> warp:int -> release_result
 (** Section currently held by the warp, if any. *)
 val holds : t -> warp:int -> int option
 
+(** [held t ~warp] is {!holds} as an int, [-1] when the warp holds no
+    section; it allocates nothing. *)
+val held : t -> warp:int -> int
+
 val n_sections : t -> int
 val free_sections : t -> int
 val in_use : t -> int

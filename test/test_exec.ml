@@ -129,6 +129,129 @@ let test_outcomes () =
   Alcotest.(check bool) "acq" true (step ctx I.Acquire = Exec.Acq);
   Alcotest.(check bool) "rel" true (step ctx I.Release = Exec.Rel)
 
+(* [Exec.decode] against [Exec.step], the reference: one random
+   instruction on two identical random contexts must give the same
+   outcome, registers, shared and global memory, store traces (warp and
+   lane) and statistics. The generator reaches every opcode and operand
+   kind, parameters past the end of the array, zero divisors, shift counts
+   past 31, shared and spill addresses on both sides of their windows,
+   and store recording with and without lane traces. *)
+type exec_case = {
+  instr : I.t;
+  regs : int array;
+  params : int array;
+  shared_words : int;
+  spill_words : int;
+  record_stores : bool;
+  lanes : int;
+  written : (int * int) list;  (* global words stored before the step *)
+}
+
+let gen_exec_case =
+  let open QCheck2.Gen in
+  let n_regs = 6 in
+  let reg = int_bound (n_regs - 1) in
+  (* Registers and immediates dominate, so every specialised form of
+     [decode] is drawn many times per run. *)
+  let operand =
+    frequency
+      [ (3, map (fun r -> I.Reg r) reg);
+        ( 3,
+          map (fun n -> I.Imm n)
+            (oneof [ int_range (-40) 40; oneofl [ 0; 31; 33; 64 ] ]) );
+        ( 1,
+          map (fun sp -> I.Special sp)
+            (oneofl [ I.Tid; I.Ctaid; I.Ntid; I.Nctaid; I.Warp_id; I.Lane_id ]) );
+        (1, map (fun i -> I.Param i) (int_bound 4)) ]
+  in
+  let space = oneofl [ I.Global; I.Shared; I.Spill ] in
+  let target = int_bound 20 in
+  let ofs = int_range (-4) 24 in
+  let instr =
+    oneof
+      [ map4 (fun op d a b -> I.Bin (op, d, a, b))
+          (oneofl
+             [ I.Add; I.Sub; I.Mul; I.Div; I.Rem; I.Min; I.Max; I.And; I.Or; I.Xor;
+               I.Shl; I.Shr ])
+          reg operand operand;
+        map3
+          (fun op d a -> I.Un (op, d, a))
+          (oneofl [ I.Neg; I.Not; I.Abs ])
+          reg operand;
+        map4 (fun d a b c -> I.Mad (d, a, b, c)) reg operand operand operand;
+        map2 (fun d a -> I.Mov (d, a)) reg operand;
+        map4 (fun op d a b -> I.Cmp (op, d, a, b))
+          (oneofl [ I.Eq; I.Ne; I.Lt; I.Le; I.Gt; I.Ge ])
+          reg operand operand;
+        map4 (fun d c a b -> I.Sel (d, c, a, b)) reg operand operand operand;
+        map4 (fun sp d a o -> I.Load (sp, d, a, o)) space reg operand ofs;
+        map4 (fun sp a v o -> I.Store (sp, a, v, o)) space operand operand ofs;
+        map (fun t -> I.Jump t) target;
+        map2 (fun c t -> I.Jump_if (c, t)) operand target;
+        map2 (fun c t -> I.Jump_ifz (c, t)) operand target;
+        oneofl [ I.Bar; I.Acquire; I.Release; I.Exit ] ]
+  in
+  let* instr = instr in
+  let* regs =
+    array_size (return n_regs) (oneof [ int_range (-20) 40; oneofl [ 0; 32; 35 ] ])
+  in
+  let* params = array_size (int_bound 3) (int_range (-5) 50) in
+  let* shared_words = int_range 8 16 in
+  let* spill_words = int_bound 4 in
+  let* record_stores = bool in
+  let* lanes = oneofl [ 0; 3 ] in
+  let* written =
+    list_size (int_bound 3) (pair (int_range (-10) 40) (int_bound 99))
+  in
+  return
+    { instr; regs; params; shared_words; spill_words; record_stores; lanes; written }
+
+let print_exec_case c =
+  Printf.sprintf "%s regs=[%s] params=[%s] shared=%d spill=%d record=%b lanes=%d"
+    (I.to_string c.instr)
+    (String.concat ";" (Array.to_list (Array.map string_of_int c.regs)))
+    (String.concat ";" (Array.to_list (Array.map string_of_int c.params)))
+    c.shared_words c.spill_words c.record_stores c.lanes
+
+let exec_ctx c =
+  let memory = Memory.create () in
+  List.iter (fun (a, v) -> Memory.write_global memory a v) c.written;
+  {
+    Exec.regs = Array.copy c.regs;
+    params = c.params;
+    tid = 32;
+    ctaid = 2;
+    ntid = 128;
+    nctaid = 4;
+    warp_id = 1;
+    shared = Array.init c.shared_words (fun i -> 100 + i);
+    spill_words = c.spill_words;
+    memory;
+    stats = Stats.create ();
+    record_stores = c.record_stores;
+    lanes = c.lanes;
+    n_regs = Array.length c.regs;
+    lane_regs = [||];
+  }
+
+let prop_decode_matches_step =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~print:print_exec_case
+       ~name:"decode matches step" gen_exec_case (fun c ->
+         let want_ctx = exec_ctx c and got_ctx = exec_ctx c in
+         let want = Exec.step want_ctx c.instr in
+         let got = Exec.decode c.instr got_ctx in
+         got = want
+         && got_ctx.Exec.regs = want_ctx.Exec.regs
+         && got_ctx.Exec.shared = want_ctx.Exec.shared
+         && Memory.written got_ctx.Exec.memory = Memory.written want_ctx.Exec.memory
+         && Stats.store_traces got_ctx.Exec.stats
+            = Stats.store_traces want_ctx.Exec.stats
+         && Stats.lane_store_traces got_ctx.Exec.stats
+            = Stats.lane_store_traces want_ctx.Exec.stats
+         (* Every counter, and the recorded traces once more. *)
+         && got_ctx.Exec.stats = want_ctx.Exec.stats))
+
 let suite =
   [ Alcotest.test_case "binary operators" `Quick test_binops;
     Alcotest.test_case "unops / cmp / sel" `Quick test_unops_cmp_sel;
@@ -137,4 +260,5 @@ let suite =
     Alcotest.test_case "memory operations" `Quick test_memory_ops;
     Alcotest.test_case "shared OOB wraps and counts" `Quick test_shared_oob_wraps;
     Alcotest.test_case "store recording" `Quick test_store_recording;
-    Alcotest.test_case "control outcomes" `Quick test_outcomes ]
+    Alcotest.test_case "control outcomes" `Quick test_outcomes;
+    prop_decode_matches_step ]

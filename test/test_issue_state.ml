@@ -86,6 +86,33 @@ let test_quick_grid ~simt () =
     (Workloads.Registry.all @ Workloads.Registry.latency_bound
    @ Workloads.Registry.divergent)
 
+(* OWF's first extended access is the one per-warp issue class: stateful
+   (the partner may own the pair's registers) until the warp owns them,
+   plain after. The registry cells never make a partner wait there, so
+   this kernel does: both warps of each pair reach the extended registers
+   together, and the later one must stall until its partner exits. The
+   masks and the class of every warp are checked on every cycle. *)
+let test_owf_partner_wait () =
+  let prog = Test_policies.owf_kernel in
+  let kernel = Kernel.make ~name:"owf" ~grid_ctas:2 ~cta_threads:64 prog in
+  let config =
+    Gpu.default_config Util.small_arch (Policy.Owf { bs = 3; es = 2 })
+  in
+  let observe ~cycle sms =
+    Array.iteri
+      (fun i sm ->
+        if not (Sm.issue_state_ok sm ~cycle) then
+          Alcotest.failf "SM %d issue state wrong at cycle %d" i cycle)
+      sms
+  in
+  List.iter
+    (fun fast_forward ->
+      let stats = Gpu.run ~observe { config with Gpu.fast_forward } kernel in
+      Alcotest.(check int) "one acquire per warp" 4 stats.Stats.acquire_execs;
+      Alcotest.(check bool) "a partner waited for the pair's registers" true
+        (stats.Stats.acquire_first_try < stats.Stats.acquire_execs))
+    [ true; false ]
+
 (* Every shipped configuration has 48 warp slots; an SM whose slots would
    not fit the masks' native int is rejected up front. *)
 let test_slot_limit () =
@@ -112,4 +139,6 @@ let suite =
       (test_quick_grid ~simt:false);
     Alcotest.test_case "masks exact on the quick grid (simt)" `Quick
       (test_quick_grid ~simt:true);
-    Alcotest.test_case "more than 62 warp slots rejected" `Quick test_slot_limit ]
+    Alcotest.test_case "more than 62 warp slots rejected" `Quick test_slot_limit;
+    Alcotest.test_case "OWF partner wait keeps classes exact" `Quick
+      test_owf_partner_wait ]

@@ -32,12 +32,12 @@ let test_written () =
   Alcotest.(check (list (pair int int))) "sorted" [ (10, 1); (20, 2); (30, 3) ]
     (Memory.written m)
 
-(* Unwrap a successful issue; the slot-availability cases below check
-   [`No_slot] explicitly. *)
+(* Unwrap a successful issue; the slot-availability cases below check the
+   refusal ([-1]) explicitly. *)
 let issue ms ~sm ~cycle =
-  match Mem_system.issue_global ms ~sm ~cycle with
-  | `Completion c -> c
-  | `No_slot -> Alcotest.fail "unexpected `No_slot"
+  let c = Mem_system.issue_global ms ~sm ~cycle in
+  if c < 0 then Alcotest.fail "unexpected refusal (no slot)";
+  c
 
 let test_mem_system_slots () =
   let arch = { Util.small_arch with Gpu_uarch.Arch_config.mem_slots = 2 } in
@@ -55,11 +55,10 @@ let test_mem_system_no_slot () =
   let arch = { Util.small_arch with Gpu_uarch.Arch_config.mem_slots = 1 } in
   let ms = Mem_system.create arch ~n_sms:2 in
   let c1 = issue ms ~sm:0 ~cycle:0 in
-  (* Structured back-pressure: a full SM answers [`No_slot] instead of
-     raising, without counting the refused request as issued. *)
-  (match Mem_system.issue_global ms ~sm:0 ~cycle:0 with
-  | `No_slot -> ()
-  | `Completion _ -> Alcotest.fail "expected `No_slot on a full SM");
+  (* Structured back-pressure: a full SM answers [-1] instead of raising,
+     without counting the refused request as issued. *)
+  Alcotest.(check int) "refused on a full SM" (-1)
+    (Mem_system.issue_global ms ~sm:0 ~cycle:0);
   Alcotest.(check int) "refusal not counted" 1 (Mem_system.issued ms);
   (* Slots are per-SM: the other SM still issues. *)
   let _ = issue ms ~sm:1 ~cycle:0 in
@@ -89,6 +88,90 @@ let test_mem_system_idle_recovers () =
   let c = issue ms ~sm:0 ~cycle:1000 in
   Alcotest.(check int) "no residual queue" (1000 + arch.Gpu_uarch.Arch_config.lat_global) c
 
+(* The reference the FIFO ring is checked against: every SM's slots as a
+   plain array, the earliest completion found by a scan, and a request
+   claiming the slot with that earliest completion when it has passed. *)
+type model = {
+  m_lat : int;
+  m_interval : float;
+  m_slots : int array array;
+  mutable m_dram_free : float;
+}
+
+let model_earliest m ~sm = Array.fold_left min max_int m.m_slots.(sm)
+
+let model_issue m ~sm ~cycle =
+  let slots = m.m_slots.(sm) in
+  let free = ref 0 in
+  Array.iteri (fun i b -> if b < slots.(!free) then free := i) slots;
+  if slots.(!free) > cycle then -1
+  else begin
+    let start = Float.max (float_of_int cycle) m.m_dram_free in
+    let completion = int_of_float (Float.ceil start) + m.m_lat in
+    m.m_dram_free <- start +. m.m_interval;
+    slots.(!free) <- completion;
+    completion
+  end
+
+let model_busy m ~sm ~cycle =
+  Array.fold_left (fun acc b -> if b > cycle then acc + 1 else acc) 0 m.m_slots.(sm)
+
+(* Random multi-SM request streams on a clock that never runs backwards,
+   with DRAM intervals of 0, whole and fractional cycles: after every
+   request, every SM's [slot_free], [next_completion] and [busy_slots]
+   agree with the array scan, and so does the request's answer. *)
+let prop_fifo_matches_scan =
+  let gen =
+    QCheck2.Gen.(
+      let* n_sms = int_range 1 3 in
+      let* mem_slots = int_range 1 5 in
+      let* lat = int_range 1 40 in
+      let* interval = oneofl [ 0.; 0.25; 0.5; 1.; 1.5; 2.75; 7.; 13.3 ] in
+      let* reqs =
+        list_size (int_range 1 80) (pair (int_bound 6) (int_bound (n_sms - 1)))
+      in
+      return (n_sms, mem_slots, lat, interval, reqs))
+  in
+  let print (n_sms, mem_slots, lat, interval, reqs) =
+    Printf.sprintf "n_sms=%d slots=%d lat=%d interval=%g reqs=[%s]" n_sms mem_slots
+      lat interval
+      (String.concat "; "
+         (List.map (fun (dt, sm) -> Printf.sprintf "+%d@%d" dt sm) reqs))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:500 ~print ~name:"mem system: FIFO slots match a scan"
+       gen (fun (n_sms, mem_slots, lat, interval, reqs) ->
+         let arch =
+           { Util.small_arch with
+             Gpu_uarch.Arch_config.mem_slots;
+             lat_global = lat;
+             dram_interval = interval }
+         in
+         let ms = Mem_system.create arch ~n_sms in
+         let m =
+           { m_lat = lat;
+             m_interval = interval;
+             m_slots = Array.init n_sms (fun _ -> Array.make mem_slots 0);
+             m_dram_free = 0. }
+         in
+         let cycle = ref 0 in
+         let agree () =
+           List.for_all
+             (fun sm ->
+               let cycle = !cycle in
+               Mem_system.slot_free ms ~sm ~cycle = (model_earliest m ~sm <= cycle)
+               && Mem_system.next_completion ms ~sm = model_earliest m ~sm
+               && Mem_system.busy_slots ms ~sm ~cycle = model_busy m ~sm ~cycle)
+             (List.init n_sms Fun.id)
+         in
+         agree ()
+         && List.for_all
+              (fun (dt, sm) ->
+                cycle := !cycle + dt;
+                let want = model_issue m ~sm ~cycle:!cycle in
+                Mem_system.issue_global ms ~sm ~cycle:!cycle = want && agree ())
+              reqs))
+
 let suite =
   [ Alcotest.test_case "default pattern" `Quick test_default_pattern;
     Alcotest.test_case "write / read" `Quick test_write_read;
@@ -97,4 +180,6 @@ let suite =
     Alcotest.test_case "mem system: slots" `Quick test_mem_system_slots;
     Alcotest.test_case "mem system: no-slot back-pressure" `Quick test_mem_system_no_slot;
     Alcotest.test_case "mem system: queueing" `Quick test_mem_system_queueing;
-    Alcotest.test_case "mem system: idle recovery" `Quick test_mem_system_idle_recovers ]
+    Alcotest.test_case "mem system: idle recovery" `Quick
+      test_mem_system_idle_recovers;
+    prop_fifo_matches_scan ]

@@ -27,7 +27,8 @@ let eligible ~cycle sched (soa : Soa.t) =
   !m
 
 let pick ?(cycle = 0) ?(can = fun _ -> true) sched soa =
-  Scheduler.pick sched ~soa ~eligible:(eligible ~cycle sched soa) ~can_issue:can
+  Scheduler.pick sched ~soa ~eligible:(eligible ~cycle sched soa) ~plain:0
+    ~can_issue:can
 
 let test_gto_oldest_first () =
   let sched = Scheduler.create Scheduler.Gto ~id:0 ~n_schedulers:1 in
@@ -284,9 +285,17 @@ let ref_pick r soa ~cycle ~can_issue =
       ref_pick_two_level r ~group_size soa ~cycle ~can_issue
 
 (* One pick round: per slot a status (absent / ready / barrier / done), a
-   scoreboard bound around the clock, an ordering key (ties on purpose)
-   and the residual answer [can_issue] gives for it. *)
-type slot_gen = { st : int; ready_off : int; prio : int; age : int; can : bool }
+   scoreboard bound around the clock, an ordering key (ties on purpose),
+   the residual answer [can_issue] gives for it, and whether the SM files
+   it as plain (its check would pass, so the pick must not call it). *)
+type slot_gen = {
+  st : int;
+  ready_off : int;
+  prio : int;
+  age : int;
+  can : bool;
+  plain : bool;
+}
 
 let gen_case =
   let open QCheck2.Gen in
@@ -298,6 +307,9 @@ let gen_case =
       [ return Scheduler.Gto; return Scheduler.Lrr;
         map (fun g -> Scheduler.Two_level g) (int_range 1 9) ]
   in
+  (* Half the cases keep the plain mask empty: exactly the unclassified
+     pick. *)
+  let* with_plain = bool in
   let slot =
     let* st =
       frequency
@@ -308,7 +320,8 @@ let gen_case =
     let* prio = int_bound 1 in
     let* age = int_bound 20 in
     let* can = frequency [ (3, return true); (1, return false) ] in
-    return { st; ready_off; prio; age; can }
+    let* plain = if with_plain then bool else return false in
+    return { st; ready_off; prio; age; can; plain }
   in
   let* rounds = list_size (int_range 1 6) (array_size (return n_slots) slot) in
   return (n_slots, n_schedulers, id, kind, rounds)
@@ -327,8 +340,9 @@ let print_case (n_slots, n_schedulers, id, kind, rounds) =
               (Array.to_list
                  (Array.map
                     (fun g ->
-                      Printf.sprintf "%d/%+d/%d.%d/%b" g.st g.ready_off g.prio
-                        g.age g.can)
+                      Printf.sprintf "%d/%+d/%d.%d/%b%s" g.st g.ready_off
+                        g.prio g.age g.can
+                        (if g.plain then "/plain" else ""))
                     a)))
           rounds))
 
@@ -353,12 +367,19 @@ let prop_mask_pick_matches_scan =
                    (if g.st = Soa.st_absent then max_int
                     else Scheduler.pack_key ~priority:g.prio ~age:g.age))
                round;
+             (* A plain slot always passes; the reference scan still
+                asks about it, the mask-driven pick must not. *)
+             let passes s = round.(s).plain || round.(s).can in
+             let plain = ref 0 in
+             Array.iteri
+               (fun s g -> if g.plain then plain := !plain lor (1 lsl s))
+               round;
              let recording () =
                let calls = ref [] in
                ( calls,
                  fun s ->
                    calls := s :: !calls;
-                   round.(s).can )
+                   passes s )
              in
              let ref_calls, ref_can = recording () in
              let got_calls, got_can = recording () in
@@ -366,9 +387,10 @@ let prop_mask_pick_matches_scan =
              let got =
                Scheduler.pick sched ~soa
                  ~eligible:(eligible ~cycle sched soa)
-                 ~can_issue:got_can
+                 ~plain:!plain ~can_issue:got_can
              in
-             got = want && !got_calls = !ref_calls
+             got = want
+             && !got_calls = List.filter (fun s -> not round.(s).plain) !ref_calls
              && Scheduler.positions sched = (r.current, r.rr_pos, r.active_group))
            rounds))
 

@@ -146,6 +146,39 @@ let test_theoretical_warps () =
   let config = Gpu.default_config Gpu_uarch.Arch_config.gtx480 (Policy.Static { regs_per_thread = 24 }) in
   Alcotest.(check int) "5 CTAs x 8 warps" 40 (Gpu.theoretical_warps config kernel)
 
+(* The simulator's issue path allocates next to nothing: every pc is
+   decoded once when the SM is built, memory-slot claims and pre-decoded
+   outcomes are unboxed or preallocated, and the schedulers' residual
+   check is a closure built once per SM. Minor-heap words per simulated
+   warp instruction, set-up included, stay under a small budget for every
+   technique on three Table I kernels (a simulator that allocated an
+   operand closure, an outcome box or a boxed memory completion per issue
+   spent 7.5 to 12.4 words on these cells). *)
+let test_allocation_budget () =
+  let cfg = Experiments.Exp_config.quick in
+  List.iter
+    (fun name ->
+      let spec = Workloads.Registry.find name in
+      let kernel = Experiments.Exp_config.kernel_of cfg spec in
+      let arch = Experiments.Exp_config.eval_arch cfg spec in
+      List.iter
+        (fun technique ->
+          let prepared = Regmutex.Technique.prepare arch technique kernel in
+          let config =
+            Gpu.default_config arch prepared.Regmutex.Technique.policy
+          in
+          let before = Gc.minor_words () in
+          let stats = Gpu.run config prepared.Regmutex.Technique.kernel in
+          let words = Gc.minor_words () -. before in
+          let per_instr = words /. float_of_int stats.Stats.instructions in
+          if per_instr >= 3. then
+            Alcotest.failf "%s/%s: %.2f minor words per instruction (budget 3)"
+              name
+              (Regmutex.Technique.name technique)
+              per_instr)
+        Regmutex.Technique.all)
+    [ "BFS"; "SAD"; "HotSpot3D" ]
+
 let suite =
   [ Alcotest.test_case "functional results" `Quick test_functional_result;
     Alcotest.test_case "stats basics" `Quick test_stats_basics;
@@ -156,4 +189,6 @@ let suite =
     Alcotest.test_case "multi-SM dispatch" `Quick test_multi_sm_dispatch;
     Alcotest.test_case "occupancy accounting" `Quick test_occupancy_accounting;
     Alcotest.test_case "per-warp instruction counts" `Quick test_per_warp_instruction_counts;
-    Alcotest.test_case "theoretical warps" `Quick test_theoretical_warps ]
+    Alcotest.test_case "theoretical warps" `Quick test_theoretical_warps;
+    Alcotest.test_case "allocation budget per instruction" `Quick
+      test_allocation_budget ]
