@@ -566,10 +566,17 @@ let fuzz_cmd =
         do_shrink = not no_shrink;
       }
     in
+    let t0 = Unix.gettimeofday () in
     let summary =
       with_profile profile (fun () ->
           Fuzz.Driver.run Format.std_formatter config)
     in
+    (* Stderr, so stdout stays comparable across job counts and runs. *)
+    Printf.eprintf "fuzz: %d simulation(s), %d distinct, in %.1fs (%d worker%s)\n"
+      (Fuzz.Oracle.simulations ()) (Fuzz.Oracle.machine_runs ())
+      (Unix.gettimeofday () -. t0)
+      config.Fuzz.Driver.jobs
+      (if config.Fuzz.Driver.jobs = 1 then "" else "s");
     exit (Fuzz.Driver.exit_code config summary)
   in
   Cmd.v (Cmd.info "fuzz" ~doc)

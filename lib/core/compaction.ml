@@ -4,7 +4,7 @@ module Regset = Gpu_isa.Regset
 module Liveness = Gpu_analysis.Liveness
 module Cfg = Gpu_analysis.Cfg
 
-let pressure_ranking ~bs prog (liveness : Liveness.t) =
+let pressure_ranking prog (liveness : Liveness.t) =
   let n_regs = prog.Program.n_regs in
   let n = Program.length prog in
   let duration = Array.make n_regs 0 in
@@ -17,57 +17,66 @@ let pressure_ranking ~bs prog (liveness : Liveness.t) =
           (Regset.union liveness.Liveness.live_in.(i) liveness.Liveness.live_out.(i)))
   in
   Array.iter (fun set -> Regset.iter (fun r -> duration.(r) <- duration.(r) + 1) set) live;
-  let low i = Liveness.pressure_at liveness i <= bs in
-  if n_regs <= bs then Array.init n_regs (fun r -> r)
-  else begin
-    (* Greedy selection of the high set: instructions whose pressure
-       exceeds the base set are in the acquire state no matter what; each
-       round exiles the register that drags the fewest additional
-       low-pressure instructions into it. *)
-    let n_high = n_regs - bs in
-    let covered = Array.init n (fun i -> not (low i)) in
-    let is_high = Array.make n_regs false in
-    let extra_cost r =
-      let cost = ref 0 in
-      for i = 0 to n - 1 do
-        if (not covered.(i)) && Regset.mem r live.(i) then incr cost
-      done;
-      !cost
-    in
-    for _ = 1 to n_high do
-      let best = ref (-1) and best_key = ref (max_int, max_int, 0) in
-      for r = 0 to n_regs - 1 do
-        if not is_high.(r) then begin
-          let key = (extra_cost r, duration.(r), -r) in
-          if key < !best_key then begin
-            best := r;
-            best_key := key
-          end
-        end
-      done;
-      let r = !best in
-      is_high.(r) <- true;
-      for i = 0 to n - 1 do
-        if Regset.mem r live.(i) then covered.(i) <- true
-      done
+  let pressure = Liveness.profile liveness in
+  (* Low registers keep relative order by duration (long-lived first);
+     high registers likewise above the boundary. *)
+  let ranked is_high select =
+    let regs = ref [] in
+    for r = n_regs - 1 downto 0 do
+      if is_high.(r) = select then regs := r :: !regs
     done;
-    (* Low registers keep relative order by duration (long-lived first);
-       high registers likewise above the boundary. *)
-    let ranked select =
-      let regs = ref [] in
-      for r = n_regs - 1 downto 0 do
-        if is_high.(r) = select then regs := r :: !regs
+    List.sort
+      (fun a b ->
+        match compare duration.(b) duration.(a) with 0 -> compare a b | c -> c)
+      !regs
+  in
+  fun ~bs ->
+    if n_regs <= bs then Array.init n_regs (fun r -> r)
+    else begin
+      (* Greedy selection of the high set: instructions whose pressure
+         exceeds the base set are in the acquire state no matter what; each
+         round exiles the register that drags the fewest additional
+         low-pressure instructions into it. *)
+      let n_high = n_regs - bs in
+      let covered = Array.init n (fun i -> pressure.(i) > bs) in
+      (* [cost.(r)]: the uncovered instructions [r] is resident at, i.e.
+         the low-pressure instructions exiling [r] would drag into the
+         acquire state. Kept current as instructions are covered, so a
+         round is one scan of the registers instead of one of the program
+         per register. *)
+      let cost = Array.make n_regs 0 in
+      Array.iteri
+        (fun i set ->
+          if not covered.(i) then Regset.iter (fun r -> cost.(r) <- cost.(r) + 1) set)
+        live;
+      let is_high = Array.make n_regs false in
+      for _ = 1 to n_high do
+        (* The lowest (cost, duration), ties to the highest register. *)
+        let best = ref (-1) in
+        for r = 0 to n_regs - 1 do
+          if not is_high.(r) then begin
+            let b = !best in
+            if
+              b < 0
+              || cost.(r) < cost.(b)
+              || (cost.(r) = cost.(b) && duration.(r) <= duration.(b))
+            then best := r
+          end
+        done;
+        let r = !best in
+        is_high.(r) <- true;
+        for i = 0 to n - 1 do
+          if (not covered.(i)) && Regset.mem r live.(i) then begin
+            covered.(i) <- true;
+            Regset.iter (fun r' -> cost.(r') <- cost.(r') - 1) live.(i)
+          end
+        done
       done;
-      List.sort
-        (fun a b ->
-          match compare duration.(b) duration.(a) with 0 -> compare a b | c -> c)
-        !regs
-    in
-    let order = Array.of_list (ranked false @ ranked true) in
-    let perm = Array.make n_regs 0 in
-    Array.iteri (fun rank old -> perm.(old) <- rank) order;
-    perm
-  end
+      let order = Array.of_list (ranked is_high false @ ranked is_high true) in
+      let perm = Array.make n_regs 0 in
+      Array.iteri (fun rank old -> perm.(old) <- rank) order;
+      perm
+    end
 
 let permute prog perm =
   let n_regs = prog.Program.n_regs in

@@ -21,15 +21,17 @@
       compacted safely simply remain in the acquire state, which is
       correct, merely less profitable. *)
 
-(** [pressure_ranking ~bs prog liveness] maps old register index → new
+(** [pressure_ranking prog liveness ~bs] maps old register index → new
     index. The [n_regs - bs] registers placed above the base-set boundary
     are chosen greedily to minimise the number of {e additional}
     low-pressure instructions dragged into the acquire state: instructions
     whose pressure already exceeds [bs] are in it regardless, so a register
     whose live range hides inside them is free to exile. Within each side
-    of the boundary, longer-lived registers get lower indices. *)
+    of the boundary, longer-lived registers get lower indices. Applied to
+    the program and its liveness alone, it computes their residency once
+    for a sweep over several [bs]. *)
 val pressure_ranking :
-  bs:int -> Gpu_isa.Program.t -> Gpu_analysis.Liveness.t -> int array
+  Gpu_isa.Program.t -> Gpu_analysis.Liveness.t -> bs:int -> int array
 
 (** Apply a bijective renaming. @raise Invalid_argument if [perm] is not
     a permutation of [0 .. n_regs-1]. *)

@@ -4,8 +4,10 @@ type stats = { entries : int; bytes : int }
 
 (* Results are versioned by a schema tag plus the simulator's git-describe:
    a rebuilt simulator writes into a fresh directory, so stale results are
-   never replayed and need no explicit invalidation scan. *)
-let schema_version = 1
+   never replayed and need no explicit invalidation scan. The schema tag
+   moves with the marshalled [Runner.run] layout (2: [Stats.t]'s per-warp
+   tables key on packed ints). *)
+let schema_version = 2
 
 (* Every uncommitted build of one commit describes as "<rev>-dirty" (and
    every build without git as "unversioned"); marshalled records from a

@@ -94,3 +94,14 @@ val test_case : ?inject:fault -> ?strict_shared_oob:bool -> Gen.t -> report
 val test_seed : ?inject:fault -> ?strict_shared_oob:bool -> int -> Gen.t * report
 
 val pp_failure : Format.formatter -> failure -> unit
+
+(** Simulations the oracle has asked for since the program started, summed
+    over every case and domain. Each case memoises statistics by machine
+    input (the marshalled run config and kernel), so two phases that reach
+    the same input share one run; only {!machine_runs} of them simulated. *)
+val simulations : unit -> int
+
+(** Machine runs (calls of {!Gpu_sim.Gpu.run}) the oracle has made: one per
+    distinct input of each case, plus every run watched cycle by cycle
+    (those never come from the memo). *)
+val machine_runs : unit -> int

@@ -16,24 +16,19 @@ type pre =
   | P_jump_if of Instr.operand * target
   | P_jump_ifz of Instr.operand * target
 
-let find_substring s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
-  in
-  go 0
+(* Index of the first [#] or [//] in [line] at or after [i], or -1. *)
+let rec comment_start line i =
+  if i >= String.length line then -1
+  else
+    match String.unsafe_get line i with
+    | '#' -> i
+    | '/' when i + 1 < String.length line && String.unsafe_get line (i + 1) = '/' -> i
+    | _ -> comment_start line (i + 1)
 
+(* The line up to its comment; the scan allocates nothing, and a line
+   without a comment is returned as is. *)
 let strip_comment line =
-  let s =
-    match String.index_opt line '#' with
-    | Some i -> String.sub line 0 i
-    | None -> line
-  in
-  match find_substring s "//" with
-  | Some i -> String.sub s 0 i
-  | None -> s
+  match comment_start line 0 with -1 -> line | i -> String.sub line 0 i
 
 let is_digit c = c >= '0' && c <= '9'
 

@@ -7,6 +7,28 @@ type stall_reason =
   | Stall_empty
   | Stall_mem_retry
 
+(* The per-warp tables key on one int: the CTA id in the high bits, then
+   [warp_bits] bits of warp-in-CTA, then [lane_bits] bits of lane (0 in
+   the warp-level tables). Int order on a key is (CTA, warp, lane) order,
+   so the sorted views need no tuple compares. *)
+module Key_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+
+  (* The table indexes buckets by the hash's low bits, which are the
+     warp and lane ids; the multiply-xorshift folds the CTA in. *)
+  let hash k =
+    let h = k * 0x2545F4914F6CDD1D in
+    (h lxor (h lsr 29)) land max_int
+end)
+
+let lane_bits = 6
+let warp_bits = 10
+let max_lane = (1 lsl lane_bits) - 1
+let max_warp = (1 lsl warp_bits) - 1
+let max_cta = max_int lsr (warp_bits + lane_bits)
+
 type t = {
   mutable cycles : int;
   mutable instructions : int;
@@ -32,10 +54,9 @@ type t = {
   mutable ctas_retired : int;
   mutable timed_out : bool;
   mutable pc_trace : int list;
-  stores : (int * int, (Gpu_isa.Instr.space * int * int) list ref) Hashtbl.t;
-  lane_stores :
-    (int * int * int, (Gpu_isa.Instr.space * int * int) list ref) Hashtbl.t;
-  warp_instructions : (int * int, int) Hashtbl.t;
+  stores : (Gpu_isa.Instr.space * int * int) list ref Key_table.t;
+  lane_stores : (Gpu_isa.Instr.space * int * int) list ref Key_table.t;
+  warp_instructions : int Key_table.t;
 }
 
 let all_reasons =
@@ -82,9 +103,9 @@ let create () =
     ctas_retired = 0;
     timed_out = false;
     pc_trace = [];
-    stores = Hashtbl.create 64;
-    lane_stores = Hashtbl.create 64;
-    warp_instructions = Hashtbl.create 64;
+    stores = Key_table.create 16;
+    lane_stores = Key_table.create 16;
+    warp_instructions = Key_table.create 16;
   }
 
 let bump_stall t reason =
@@ -110,44 +131,58 @@ let acquire_success_ratio t =
 
 let trace t = Array.of_list (List.rev t.pc_trace)
 
+let check_ids ~cta ~warp ~lane =
+  if cta < 0 || cta > max_cta || warp < 0 || warp > max_warp || lane < 0
+     || lane > max_lane
+  then
+    invalid_arg
+      (Printf.sprintf "Stats: ids (cta %d, warp %d, lane %d) out of range" cta
+         warp lane)
+
+let warp_key ~cta ~warp =
+  check_ids ~cta ~warp ~lane:0;
+  ((cta lsl warp_bits) lor warp) lsl lane_bits
+
+let lane_key ~cta ~warp ~lane =
+  check_ids ~cta ~warp ~lane;
+  (((cta lsl warp_bits) lor warp) lsl lane_bits) lor lane
+
+let cta_of key = key lsr (warp_bits + lane_bits)
+let warp_of key = (key lsr lane_bits) land max_warp
+let lane_of key = key land max_lane
+
+(* [find] rather than [find_opt]: a store is on the issue path, and the
+   option would be allocated on every hit. *)
+let push tbl key entry =
+  match Key_table.find tbl key with
+  | cell -> cell := entry :: !cell
+  | exception Not_found -> Key_table.add tbl key (ref [ entry ])
+
+(* The table's bindings as (key, value) pairs, sorted by key. *)
+let sorted tbl f =
+  Key_table.fold (fun key v acc -> (key, f v) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
 let record_store t ~cta ~warp space addr value =
-  let key = (cta, warp) in
-  let cell =
-    match Hashtbl.find_opt t.stores key with
-    | Some c -> c
-    | None ->
-        let c = ref [] in
-        Hashtbl.add t.stores key c;
-        c
-  in
-  cell := (space, addr, value) :: !cell
+  push t.stores (warp_key ~cta ~warp) (space, addr, value)
 
 let record_lane_store t ~cta ~warp ~lane space addr value =
-  let key = (cta, warp, lane) in
-  let cell =
-    match Hashtbl.find_opt t.lane_stores key with
-    | Some c -> c
-    | None ->
-        let c = ref [] in
-        Hashtbl.add t.lane_stores key c;
-        c
-  in
-  cell := (space, addr, value) :: !cell
+  push t.lane_stores (lane_key ~cta ~warp ~lane) (space, addr, value)
 
 let lane_store_traces t =
-  Hashtbl.fold (fun key cell acc -> (key, List.rev !cell) :: acc) t.lane_stores []
-  |> List.sort compare
+  sorted t.lane_stores (fun cell -> List.rev !cell)
+  |> List.map (fun (key, trace) -> ((cta_of key, warp_of key, lane_of key), trace))
 
 let record_warp_done t ~cta ~warp ~instructions =
-  Hashtbl.replace t.warp_instructions (cta, warp) instructions
+  Key_table.replace t.warp_instructions (warp_key ~cta ~warp) instructions
 
 let warp_instruction_counts t =
-  Hashtbl.fold (fun key n acc -> (key, n) :: acc) t.warp_instructions []
-  |> List.sort compare
+  sorted t.warp_instructions Fun.id
+  |> List.map (fun (key, n) -> ((cta_of key, warp_of key), n))
 
 let store_traces t =
-  Hashtbl.fold (fun key cell acc -> ((key, List.rev !cell)) :: acc) t.stores []
-  |> List.sort compare
+  sorted t.stores (fun cell -> List.rev !cell)
+  |> List.map (fun (key, trace) -> ((cta_of key, warp_of key), trace))
 
 let reason_name = function
   | Stall_deps -> "deps"

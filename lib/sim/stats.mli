@@ -12,6 +12,19 @@ type stall_reason =
           the issue stage (the slot vanished after the scheduler's
           eligibility check) and was re-stalled for retry *)
 
+(** The per-warp tables of {!type-t} key on one packed int per
+    (CTA, warp, lane) — lane 0 in the warp-level tables — whose int order
+    is the tuple's order. Read them through {!store_traces},
+    {!lane_store_traces} and {!warp_instruction_counts}. *)
+module Key_table : Hashtbl.S with type key = int
+
+(** The largest ids a key packs: recording a store or a warp exit with an
+    id outside [0 .. max] raises [Invalid_argument]. A warp holds at most
+    62 lanes and a CTA far fewer than [max_warp] warps. *)
+val max_cta : int
+val max_warp : int
+val max_lane : int
+
 type t = {
   mutable cycles : int;
   mutable instructions : int;
@@ -70,13 +83,12 @@ type t = {
   mutable ctas_retired : int;
   mutable timed_out : bool;
   mutable pc_trace : int list;    (** reverse-order PC trace of warp 0 *)
-  stores : (int * int, (Gpu_isa.Instr.space * int * int) list ref) Hashtbl.t;
+  stores : (Gpu_isa.Instr.space * int * int) list ref Key_table.t;
       (** (global CTA, warp-in-CTA) → reverse-order store trace *)
-  lane_stores :
-    (int * int * int, (Gpu_isa.Instr.space * int * int) list ref) Hashtbl.t;
+  lane_stores : (Gpu_isa.Instr.space * int * int) list ref Key_table.t;
       (** (global CTA, warp-in-CTA, lane) → reverse-order lane-resolved
           store trace; only populated under [--simt] with store recording *)
-  warp_instructions : (int * int, int) Hashtbl.t;
+  warp_instructions : int Key_table.t;
       (** (global CTA, warp-in-CTA) → dynamic instructions issued, recorded
           when the warp exits (divergent kernels show non-uniform counts) *)
 }

@@ -213,6 +213,86 @@ let test_acquire_region_in_loop_body () =
     (s2.Gpu_sim.Stats.acquire_execs >= 2 * trips);
   Util.check_same_traces "loop-nested region" (Util.traces s1) (Util.traces s2)
 
+(* The exile greedy as first written: every round rescans the program to
+   recount each candidate's cost, and compares (cost, duration, -r) tuple
+   keys. [Compaction.pressure_ranking] keeps the costs incrementally; this
+   is its reference model. *)
+let reference_ranking ~bs prog (liveness : Liveness.t) =
+  let module Regset = Gpu_isa.Regset in
+  let n_regs = prog.Program.n_regs in
+  let n = Program.length prog in
+  let duration = Array.make n_regs 0 in
+  let live =
+    Array.init n (fun i ->
+        Regset.union
+          (I.regs (Program.get prog i))
+          (Regset.union liveness.Liveness.live_in.(i) liveness.Liveness.live_out.(i)))
+  in
+  Array.iter (fun set -> Regset.iter (fun r -> duration.(r) <- duration.(r) + 1) set) live;
+  let low i = Liveness.pressure_at liveness i <= bs in
+  if n_regs <= bs then Array.init n_regs (fun r -> r)
+  else begin
+    let covered = Array.init n (fun i -> not (low i)) in
+    let is_high = Array.make n_regs false in
+    let extra_cost r =
+      let cost = ref 0 in
+      for i = 0 to n - 1 do
+        if (not covered.(i)) && Regset.mem r live.(i) then incr cost
+      done;
+      !cost
+    in
+    for _ = 1 to n_regs - bs do
+      let best = ref (-1) and best_key = ref (max_int, max_int, 0) in
+      for r = 0 to n_regs - 1 do
+        if not is_high.(r) then begin
+          let key = (extra_cost r, duration.(r), -r) in
+          if key < !best_key then begin
+            best := r;
+            best_key := key
+          end
+        end
+      done;
+      is_high.(!best) <- true;
+      for i = 0 to n - 1 do
+        if Regset.mem !best live.(i) then covered.(i) <- true
+      done
+    done;
+    let ranked select =
+      List.filter (fun r -> is_high.(r) = select) (List.init n_regs Fun.id)
+      |> List.stable_sort (fun a b -> compare duration.(b) duration.(a))
+    in
+    let perm = Array.make n_regs 0 in
+    List.iteri (fun rank old -> perm.(old) <- rank) (ranked false @ ranked true);
+    perm
+  end
+
+(* Every base-set size (0 through n_regs, both sides of the shortcut) of
+   a program, with and without divergence widening. *)
+let ranking_mismatch prog =
+  List.find_map
+    (fun widen ->
+      let liveness = Liveness.analyze ~widen prog in
+      let rank = Compaction.pressure_ranking prog liveness in
+      List.find_map
+        (fun bs ->
+          if rank ~bs = reference_ranking ~bs prog liveness then None
+          else Some (bs, widen))
+        (List.init (prog.Program.n_regs + 1) Fun.id))
+    [ true; false ]
+
+let test_ranking_matches_reference_on_fuzz_kernels () =
+  for seed = 0 to 299 do
+    match ranking_mismatch (Fuzz.Gen.generate ~seed).Fuzz.Gen.program with
+    | None -> ()
+    | Some (bs, widen) ->
+        Alcotest.failf "fuzz seed %d, bs=%d, widen=%b: ranking differs" seed bs widen
+  done
+
+let prop_ranking_matches_reference =
+  Util.qtest ~count:100 "ranking matches the rescanning greedy"
+    (Util.gen_structured ~n_regs:10)
+    (fun prog -> ranking_mismatch prog = None)
+
 let suite =
   [ Alcotest.test_case "permute identity" `Quick test_permute_identity;
     Alcotest.test_case "permute swap" `Quick test_permute_swap;
@@ -232,4 +312,7 @@ let suite =
     Alcotest.test_case "release point with zero live extended registers" `Quick
       test_release_with_zero_live_ext;
     Alcotest.test_case "acquire region nested in a loop body" `Quick
-      test_acquire_region_in_loop_body ]
+      test_acquire_region_in_loop_body;
+    Alcotest.test_case "ranking matches the rescanning greedy (fuzz kernels)"
+      `Quick test_ranking_matches_reference_on_fuzz_kernels;
+    prop_ranking_matches_reference ]

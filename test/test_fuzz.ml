@@ -100,6 +100,21 @@ let test_oracle_clean_sweep () =
       report.Fuzz.Oracle.failures
   done
 
+(* The per-case memo serves a repeated machine input (a technique that
+   falls back to the baseline's input, the forced split's paired run)
+   from the first run of it. The counts over seeds 0..14 are pinned: a key
+   that dropped part of the input would serve a brute-force or SIMT run
+   the statistics of another input, and report fewer machine runs. *)
+let test_oracle_memo () =
+  let s0 = Fuzz.Oracle.simulations () and m0 = Fuzz.Oracle.machine_runs () in
+  for seed = 0 to 14 do
+    ignore (Fuzz.Oracle.test_seed seed)
+  done;
+  let sims = Fuzz.Oracle.simulations () - s0
+  and runs = Fuzz.Oracle.machine_runs () - m0 in
+  Alcotest.(check (pair int int)) "simulations, machine runs" (210, 180)
+    (sims, runs)
+
 let test_deadlock_guard () =
   (* An SRP with zero sections and a kernel that acquires: no warp can
      ever issue again and no wakeup exists — the simulator must raise the
@@ -260,4 +275,5 @@ let suite =
       test_strict_oob_rule;
     Alcotest.test_case "drop-mov shrinks below 20 instructions" `Slow
       test_shrink_drop_mov;
-    Alcotest.test_case "corpus round-trip" `Quick test_corpus_roundtrip ]
+    Alcotest.test_case "corpus round-trip" `Quick test_corpus_roundtrip;
+    Alcotest.test_case "oracle memo counts on seeds 0..14" `Slow test_oracle_memo ]

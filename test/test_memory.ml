@@ -32,6 +32,39 @@ let test_written () =
   Alcotest.(check (list (pair int int))) "sorted" [ (10, 1); (20, 2); (30, 3) ]
     (Memory.written m)
 
+(* The open-addressed table against a [Hashtbl] model: random writes and
+   reads over a few clustered and scattered address ranges (negative and
+   past-30-bit addresses included, which alias by masking), enough of them
+   to grow the table several times. *)
+let prop_table_matches_model =
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_range 0 400)
+        (triple bool
+           (oneof
+              [ int_range 0 64; int_range 0x40000000 0x40000040;
+                int_range (-64) 0; int_bound 0x3fffffff ])
+           (int_bound 0xffff)))
+  in
+  Util.qtest ~count:200 "table matches a Hashtbl model" gen (fun ops ->
+      let m = Memory.create () and model = Hashtbl.create 16 in
+      List.for_all
+        (fun (write, addr, v) ->
+          let key = addr land 0x3fffffff in
+          if write then begin
+            Memory.write_global m addr v;
+            Hashtbl.replace model key v;
+            true
+          end
+          else
+            Memory.read_global m addr
+            = (match Hashtbl.find_opt model key with
+              | Some v -> v
+              | None -> Memory.default_value key))
+        ops
+      && Memory.footprint m = Hashtbl.length model
+      && Memory.written m = List.sort compare (List.of_seq (Hashtbl.to_seq model)))
+
 (* Unwrap a successful issue; the slot-availability cases below check the
    refusal ([-1]) explicitly. *)
 let issue ms ~sm ~cycle =
@@ -182,4 +215,5 @@ let suite =
     Alcotest.test_case "mem system: queueing" `Quick test_mem_system_queueing;
     Alcotest.test_case "mem system: idle recovery" `Quick
       test_mem_system_idle_recovers;
-    prop_fifo_matches_scan ]
+    prop_fifo_matches_scan;
+    prop_table_matches_model ]

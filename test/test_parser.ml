@@ -23,6 +23,28 @@ let test_basic () =
     (Program.get p 2);
   Alcotest.check Util.instr "cmp" (I.Cmp (I.Lt, 3, I.Reg 1, I.Imm 100)) (Program.get p 3)
 
+(* A comment starts at the first [#] or [//] of a line, whichever comes
+   first; a lone [/] is not one. *)
+let test_comments () =
+  let p =
+    parse
+      "mov r0, 1 // x # y\n\
+       mov r1, 2 # x // y\n\
+       mov r2, 3#\n\
+       mov r3, 4//\n\
+       # mov r4, 5\n\
+       // mov r4, 6\n\
+       exit"
+  in
+  Alcotest.(check int) "five instructions" 5 (Program.length p);
+  List.iteri
+    (fun i v ->
+      Alcotest.check Util.instr "comment stripped" (I.Mov (i, I.Imm v)) (Program.get p i))
+    [ 1; 2; 3; 4 ];
+  match parse "mov r0, 1 / 2\nexit" with
+  | _ -> Alcotest.fail "a lone '/' was taken for a comment"
+  | exception Parser.Parse_error _ -> ()
+
 let test_memory_ops () =
   let p =
     parse
@@ -121,4 +143,5 @@ let suite =
     Alcotest.test_case "error cases" `Quick test_errors;
     Alcotest.test_case "error location" `Quick test_error_location;
     Alcotest.test_case "workload disassembly roundtrip" `Quick test_disassembly_roundtrip;
-    prop_roundtrip_random ]
+    prop_roundtrip_random;
+    Alcotest.test_case "comments" `Quick test_comments ]

@@ -179,6 +179,29 @@ let test_allocation_budget () =
         Regmutex.Technique.all)
     [ "BFS"; "SAD"; "HotSpot3D" ]
 
+(* Set-up budget: a run's set-up scales with its kernel. One run of a
+   1-CTA kernel on one SM must allocate almost nothing on the major heap
+   (an array over 256 words goes there directly); a simulator that sized
+   its memory table for a large kernel up front spent 4,097 words here on
+   every run. *)
+let test_setup_budget () =
+  let kernel =
+    Kernel.make ~name:"setup" ~grid_ctas:1 ~cta_threads:64 arith_kernel
+  in
+  let config =
+    { (Gpu.default_config Util.small_arch (Util.static_policy arith_kernel)) with
+      Gpu.record_stores = true }
+  in
+  ignore (Gpu.run config kernel);
+  Gc.minor ();
+  let _, _, before = Gc.counters () in
+  let stats = Gpu.run config kernel in
+  let _, _, after = Gc.counters () in
+  Alcotest.(check int) "the CTA ran" 1 stats.Stats.ctas_retired;
+  let words = after -. before in
+  if words >= 1024. then
+    Alcotest.failf "one 1-CTA run allocated %.0f major-heap words (budget 1024)" words
+
 let suite =
   [ Alcotest.test_case "functional results" `Quick test_functional_result;
     Alcotest.test_case "stats basics" `Quick test_stats_basics;
@@ -191,4 +214,5 @@ let suite =
     Alcotest.test_case "per-warp instruction counts" `Quick test_per_warp_instruction_counts;
     Alcotest.test_case "theoretical warps" `Quick test_theoretical_warps;
     Alcotest.test_case "allocation budget per instruction" `Quick
-      test_allocation_budget ]
+      test_allocation_budget;
+    Alcotest.test_case "set-up budget of a 1-CTA run" `Quick test_setup_budget ]
