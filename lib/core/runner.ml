@@ -52,6 +52,12 @@ let simulate config prepared =
   Telemetry.Profile.time simulate_phase (fun () ->
       Gpu.run config prepared.Technique.kernel)
 
+let input_key config kernel =
+  match config.Gpu.events, config.Gpu.telemetry with
+  | None, None -> Marshal.to_string (config, kernel) [ Marshal.No_sharing ]
+  | Some _, _ | _, Some _ ->
+      invalid_arg "Runner.input_key: a run with a sink has no input key"
+
 let of_stats config prepared stats =
   let kernel' = prepared.Technique.kernel in
   let cfg = config.Gpu.arch in

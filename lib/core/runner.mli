@@ -69,6 +69,16 @@ val prepare :
     (profiled as [runner.simulate]). *)
 val simulate : Gpu_sim.Gpu.run_config -> Technique.prepared -> Gpu_sim.Stats.t
 
+(** [input_key config kernel] is the whole machine input of
+    [Gpu.run config kernel] as bytes: two runs with equal keys produce
+    equal statistics, which is what lets the experiment engine and the
+    fuzz oracle simulate each distinct input once. [config] carries every
+    field [Gpu.run] reads; a sink is not part of the input, so a config
+    with one has no key.
+    @raise Invalid_argument when [config] has an [events] or [telemetry]
+    sink. *)
+val input_key : Gpu_sim.Gpu.run_config -> Gpu_sim.Kernel.t -> string
+
 (** [of_stats config prepared stats] derives the figure metrics of
     [stats], a simulation of [prepared] under [config]. *)
 val of_stats :

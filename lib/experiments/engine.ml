@@ -297,10 +297,8 @@ let compute cfg c =
   Runner.execute ~options ~fast_forward:!ff c.arch c.technique kernel
 
 (* A cell's machine input: the prepared technique, the run config, and
-   the memo key. The config carries every field [Gpu.run] reads,
-   [fast_forward] included, and no sink ([events] and [telemetry] are
-   [None]), so its bytes with the prepared kernel's are the whole
-   input. *)
+   the memo key ([Runner.input_key]; [Runner.prepare] gives the engine's
+   configs no sink). *)
 type input = {
   prepared : Technique.prepared;
   config : Gpu_sim.Gpu.run_config;
@@ -316,8 +314,7 @@ let prepare cfg c =
   {
     prepared;
     config;
-    bytes =
-      Marshal.to_string (config, prepared.Technique.kernel) [ Marshal.No_sharing ];
+    bytes = Runner.input_key config prepared.Technique.kernel;
   }
 
 (* Simulated warp-instructions and host nanoseconds spent simulating them,

@@ -178,6 +178,33 @@ let test_engine_memo () =
   Alcotest.(check string) "brute force agrees" (List.hd reference)
     (Regmutex.Runner.fingerprint (List.hd runs))
 
+(* The engine and the fuzz oracle key their memos on [Runner.input_key]:
+   equal machine inputs give equal keys, any field [Gpu.run] reads moves
+   the key, and a config with a sink has none. *)
+let test_input_key () =
+  let arch = Util.small_arch in
+  let prepare ?fast_forward () =
+    Regmutex.Runner.prepare ?fast_forward arch Regmutex.Technique.Baseline
+      (Workloads.Registry.find "BFS").Workloads.Spec.kernel
+  in
+  let key (prepared, config) =
+    Regmutex.Runner.input_key config prepared.Regmutex.Technique.kernel
+  in
+  let a = prepare () in
+  Alcotest.(check string) "equal inputs, equal keys" (key a) (key (prepare ()));
+  Alcotest.(check bool) "fast_forward is part of the input" false
+    (key a = key (prepare ~fast_forward:false ()));
+  let prepared, config = a in
+  let raises label config =
+    Alcotest.(check bool) label true
+      (try ignore (key (prepared, config)); false
+       with Invalid_argument _ -> true)
+  in
+  raises "events sink refused"
+    { config with Gpu_sim.Gpu.events = Some (Gpu_sim.Event_trace.create ()) };
+  raises "telemetry sink refused"
+    { config with Gpu_sim.Gpu.telemetry = Some (Telemetry.Sink.create ()) }
+
 let rec rm_rf path =
   if Sys.is_directory path then begin
     Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
@@ -411,4 +438,5 @@ let suite =
     Alcotest.test_case "pool zero workers" `Quick test_pool_zero_workers;
     Alcotest.test_case "pool exception" `Quick test_pool_exception;
     Alcotest.test_case "pool shutdown drains" `Quick test_pool_shutdown_drains;
-    Alcotest.test_case "engine machine-input memo" `Slow test_engine_memo ]
+    Alcotest.test_case "engine machine-input memo" `Slow test_engine_memo;
+    Alcotest.test_case "machine-input key" `Quick test_input_key ]

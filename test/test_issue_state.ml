@@ -126,8 +126,8 @@ let test_slot_limit () =
   let prog = Util.straight in
   let kernel = Kernel.make ~name:"wide" ~grid_ctas:64 ~cta_threads:32 prog in
   let create () =
-    Sm.create arch ~sm_id:0 ~policy:(Util.static_policy prog) ~kernel
-      ~memory:(Memory.create ()) ~mem_sys:(Mem_system.create arch ~n_sms:1)
+    Sm.create (Sm.tables arch ~policy:(Util.static_policy prog) ~kernel)
+      ~sm_id:0 ~memory:(Memory.create ()) ~mem_sys:(Mem_system.create arch ~n_sms:1)
       ~stats:(Stats.create ()) ~record_stores:false ~trace_warp0:false
   in
   Alcotest.check_raises "64 warp slots"

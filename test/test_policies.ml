@@ -194,7 +194,7 @@ let test_rfv_admits_beyond_static_limit () =
    built by [Sm.create] reports, for every registry kernel under every
    technique's policy on its quick evaluation arch. *)
 let built_sm arch policy kernel =
-  Sm.create arch ~sm_id:0 ~policy ~kernel ~memory:(Memory.create ())
+  Sm.create (Sm.tables arch ~policy ~kernel) ~sm_id:0 ~memory:(Memory.create ())
     ~mem_sys:(Mem_system.create arch ~n_sms:1)
     ~stats:(Stats.create ()) ~record_stores:false ~trace_warp0:false
 

@@ -205,9 +205,10 @@ let test_spill_roundtrips () =
   Alcotest.check Util.program "decode (encode p) = p" prog
     (Codec.decode_program ~name:prog.Program.name (Codec.encode_program prog))
 
-(* [choose] analyses liveness once for its whole keep sweep; each
-   candidate must equal one rebuilt from [Regdem.transform], which permutes
-   with a fresh analysis per keep count. *)
+(* [choose] scores its whole keep sweep from one liveness analysis and
+   one ranking sweep, on the original program; each candidate must equal
+   one rebuilt from [Regdem.transform], which renames the program per
+   keep count (with a fresh analysis) and scans the renamed program. *)
 let test_choose_matches_transform () =
   let reference cfg kernel keep =
     let wpc = Kernel.warps_per_cta cfg kernel in

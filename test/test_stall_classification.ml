@@ -27,7 +27,8 @@ let starved_sm () =
   let stats = Stats.create () in
   let events = E.create () in
   let sm =
-    Sm.create ~events arch ~sm_id:0 ~policy ~kernel ~memory:(Memory.create ())
+    Sm.create ~events (Sm.tables arch ~policy ~kernel) ~sm_id:0
+      ~memory:(Memory.create ())
       ~mem_sys:(Mem_system.create arch ~n_sms:1)
       ~stats ~record_stores:false ~trace_warp0:false
   in
