@@ -46,7 +46,7 @@ let no_fast_forward_flag =
     & info [ "no-fast-forward" ]
         ~doc:
           "Step the simulator cycle by cycle instead of fast-forwarding \
-           over fully idle spans. Statistics and event traces are \
+           over fully idle spans. Statistics and telemetry records are \
            bit-identical in both modes; this is the brute-force reference \
            (and much slower on memory-bound kernels).")
 
@@ -339,6 +339,20 @@ let run_file_cmd =
     Arg.(value & opt (list int) [ 8 ] & info [ "params" ] ~doc:"Launch parameters.")
   in
   let run path half technique grid threads params no_ff simt =
+    let arch = arch_of half in
+    (* A launch shape no SM can hold is a usage error, not a crash. *)
+    let usage_error fmt =
+      Format.kasprintf
+        (fun msg ->
+          Format.eprintf "regmutex run-file: %s@." msg;
+          exit 2)
+        fmt
+    in
+    let max_threads = arch.Gpu_uarch.Arch_config.max_threads in
+    if grid < 1 then usage_error "--grid must be at least 1 (got %d)" grid;
+    if threads < 1 || threads > max_threads then
+      usage_error "--threads must be between 1 and %d, the SM's thread capacity (got %d)"
+        max_threads threads;
     match Gpu_isa.Parser.parse_file path with
     | exception Gpu_isa.Parser.Parse_error e ->
         Format.eprintf "%s: %a@." path Gpu_isa.Parser.pp_error e;
@@ -348,7 +362,6 @@ let run_file_cmd =
           Gpu_sim.Kernel.make ~name:program.Gpu_isa.Program.name ~grid_ctas:grid
             ~cta_threads:threads ~params:(Array.of_list params) program
         in
-        let arch = arch_of half in
         let options = { Regmutex.Technique.default_options with simt } in
         let run =
           Regmutex.Runner.execute ~options ~fast_forward:(not no_ff) arch

@@ -1,51 +1,65 @@
-(* Timeline: watch the SRP at work. Runs one workload under RegMutex with
-   the event trace attached and prints the first acquire/release/barrier
-   events plus a per-section occupancy summary.
+(* Timeline: watch the SRP at work. Runs one workload under RegMutex with a
+   telemetry sink attached and prints the first acquire/release/barrier
+   events plus a per-section occupancy summary, all read off the sink's
+   records.
 
    Run with: dune exec examples/timeline.exe [workload] *)
 
-module E = Gpu_sim.Event_trace
+module Trace = Telemetry.Trace
 module Technique = Regmutex.Technique
+
+let pp_record ppf (r : Trace.record) =
+  let arg = Option.value r.arg ~default:(-1) in
+  Format.fprintf ppf "%8d  sm%d: " r.ts r.pid;
+  match r.name with
+  | "cta-launch" -> Format.fprintf ppf "launch cta %d" arg
+  | "cta-retire" -> Format.fprintf ppf "retire cta %d" arg
+  | "srp-hold" ->
+      Format.fprintf ppf "slot %d holds section %d for %d cycles" r.tid arg r.dur
+  | "acquire-stall" -> Format.fprintf ppf "slot %d stalls on acquire" r.tid
+  | "barrier-arrive" -> Format.fprintf ppf "slot %d at barrier" r.tid
+  | "barrier-release" -> Format.fprintf ppf "cta %d barrier released" arg
+  | name -> Format.pp_print_string ppf name
 
 let () =
   let name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "SAD" in
   let spec = Workloads.Spec.with_grid (Workloads.Registry.find name) 8 in
   let arch = { Gpu_uarch.Arch_config.gtx480 with n_sms = 1 } in
   let prepared = Technique.prepare arch Technique.Regmutex spec.Workloads.Spec.kernel in
-  let events = E.create () in
+  let sink = Telemetry.Sink.create () in
   let config =
     { (Gpu_sim.Gpu.default_config arch prepared.Technique.policy) with
-      Gpu_sim.Gpu.events = Some events }
+      Gpu_sim.Gpu.telemetry = Some sink }
   in
   let stats = Gpu_sim.Gpu.run config prepared.Technique.kernel in
-  Format.printf "%s under RegMutex: %d cycles, %d events recorded%s@."
-    spec.Workloads.Spec.name stats.Gpu_sim.Stats.cycles (E.length events)
-    (if E.truncated events then " (truncated)" else "");
-
+  let trace = sink.Telemetry.Sink.trace in
+  Format.printf "%s under RegMutex: %d cycles, %d records@."
+    spec.Workloads.Spec.name stats.Gpu_sim.Stats.cycles (Trace.length trace);
+  (* The instants and the SRP holds; a hold span is pushed at its release,
+     so order the timeline by start. *)
+  let events = ref [] in
+  Trace.iter trace (fun r ->
+      if r.Trace.kind = Trace.Instant || r.Trace.name = "srp-hold" then
+        events := r :: !events);
+  let events =
+    List.stable_sort (fun a b -> compare a.Trace.ts b.Trace.ts) (List.rev !events)
+  in
   Format.printf "@.First 24 events:@.";
-  List.iteri
-    (fun i e -> if i < 24 then Format.printf "  %a@." E.pp_entry e)
-    (E.entries events);
+  List.iteri (fun i r -> if i < 24 then Format.printf "  %a@." pp_record r) events;
 
-  (* How long does each section stay acquired, on average? *)
+  (* How long does each section stay acquired, on average? A hold span's
+     duration is its grant-to-release time. *)
   let holds = Hashtbl.create 16 in
-  let acquired_at = Hashtbl.create 64 in
   List.iter
-    (fun e ->
-      match e.E.event with
-      | E.Acquire_granted { cta; warp; section; _ } ->
-          Hashtbl.replace acquired_at (cta, warp) (section, e.E.cycle)
-      | E.Release { cta; warp; section; _ } -> (
-          match Hashtbl.find_opt acquired_at (cta, warp) with
-          | Some (s, t0) when s = section ->
-              let total, count =
-                Option.value ~default:(0, 0) (Hashtbl.find_opt holds section)
-              in
-              Hashtbl.replace holds section (total + e.E.cycle - t0, count + 1);
-              Hashtbl.remove acquired_at (cta, warp)
-          | _ -> ())
+    (fun (r : Trace.record) ->
+      match r.name, r.arg with
+      | "srp-hold", Some section ->
+          let total, count =
+            Option.value ~default:(0, 0) (Hashtbl.find_opt holds section)
+          in
+          Hashtbl.replace holds section (total + r.dur, count + 1)
       | _ -> ())
-    (E.entries events);
+    events;
   Format.printf "@.SRP section usage (mean hold time):@.";
   Hashtbl.fold (fun s v acc -> (s, v) :: acc) holds []
   |> List.sort compare

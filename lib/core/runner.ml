@@ -40,7 +40,6 @@ let prepare ?options ?(record_stores = false) ?(trace_warp0 = false)
       record_stores;
       trace_warp0;
       max_cycles;
-      events = None;
       telemetry;
       fast_forward;
       simt;
@@ -53,10 +52,9 @@ let simulate config prepared =
       Gpu.run config prepared.Technique.kernel)
 
 let input_key config kernel =
-  match config.Gpu.events, config.Gpu.telemetry with
-  | None, None -> Marshal.to_string (config, kernel) [ Marshal.No_sharing ]
-  | Some _, _ | _, Some _ ->
-      invalid_arg "Runner.input_key: a run with a sink has no input key"
+  match config.Gpu.telemetry with
+  | None -> Marshal.to_string (config, kernel) [ Marshal.No_sharing ]
+  | Some _ -> invalid_arg "Runner.input_key: a run with a sink has no input key"
 
 let of_stats config prepared stats =
   let kernel' = prepared.Technique.kernel in

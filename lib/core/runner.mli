@@ -75,8 +75,7 @@ val simulate : Gpu_sim.Gpu.run_config -> Technique.prepared -> Gpu_sim.Stats.t
     fuzz oracle simulate each distinct input once. [config] carries every
     field [Gpu.run] reads; a sink is not part of the input, so a config
     with one has no key.
-    @raise Invalid_argument when [config] has an [events] or [telemetry]
-    sink. *)
+    @raise Invalid_argument when [config] has a [telemetry] sink. *)
 val input_key : Gpu_sim.Gpu.run_config -> Gpu_sim.Kernel.t -> string
 
 (** [of_stats config prepared stats] derives the figure metrics of

@@ -232,29 +232,3 @@ let energy_counts cfg t (stats : Stats.t) =
 
 let energy ?constants cfg t stats =
   Energy_model.of_counts ?constants (energy_counts cfg t stats)
-
-(* --- plugin view ------------------------------------------------------ *)
-
-type plugin = {
-  variant : t;
-  plugin_name : string;
-  plugin_prepare :
-    options -> Gpu_uarch.Arch_config.t -> Gpu_sim.Kernel.t -> prepared;
-  plugin_storage : Storage_cost.technique;
-  plugin_energy :
-    Gpu_uarch.Arch_config.t -> Gpu_sim.Stats.t -> Energy_model.breakdown;
-}
-
-let plugin_of t =
-  {
-    variant = t;
-    plugin_name = name t;
-    plugin_prepare = (fun options cfg kernel -> prepare ~options cfg t kernel);
-    plugin_storage = to_storage t;
-    plugin_energy = (fun cfg stats -> energy cfg t stats);
-  }
-
-let plugins = List.map plugin_of all
-
-let find_plugin s =
-  match of_name s with None -> None | Some t -> Some (plugin_of t)

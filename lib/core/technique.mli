@@ -8,11 +8,7 @@
       (Jatala et al. [7]) — one-time acquire, no in-kernel release.
     - [Rfv]: register file virtualization (Jeon et al. [3]).
     - [Regdem]: register demotion to shared memory (Sakdhnagool et al.,
-      arXiv:1907.02894) — see {!Regdem}.
-
-    Besides the closed variant type, every technique is exposed through a
-    uniform {!plugin} record (prepare / storage / energy hooks), which is
-    what the experiment and bench layers iterate over. *)
+      arXiv:1907.02894) — see {!Regdem}. *)
 
 type t =
   | Baseline
@@ -83,19 +79,4 @@ val energy :
   Gpu_uarch.Arch_config.t -> t -> Gpu_sim.Stats.t ->
   Gpu_uarch.Energy_model.breakdown
 
-(** A technique as a uniform bundle of hooks — the open-ended interface
-    the experiment, bench and CLI layers program against. *)
-type plugin = {
-  variant : t;
-  plugin_name : string;
-  plugin_prepare :
-    options -> Gpu_uarch.Arch_config.t -> Gpu_sim.Kernel.t -> prepared;
-  plugin_storage : Gpu_uarch.Storage_cost.technique;
-  plugin_energy :
-    Gpu_uarch.Arch_config.t -> Gpu_sim.Stats.t ->
-    Gpu_uarch.Energy_model.breakdown;
-}
 
-val plugin_of : t -> plugin
-val plugins : plugin list
-val find_plugin : string -> plugin option

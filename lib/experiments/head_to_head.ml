@@ -12,9 +12,8 @@ type row = {
   mean_energy_overhead : float;  (* total energy vs baseline, % *)
 }
 
-(* Every registered technique — the figure iterates the plugin list, so a
-   technique added behind {!Technique.plugin_of} appears here without the
-   figure changing. *)
+(* Every technique in {!Technique.all}, so a new one appears here without
+   the figure changing. *)
 let specs () = Workloads.Registry.occupancy_limited
 
 let rows cfg =
@@ -24,8 +23,8 @@ let rows cfg =
     (List.concat_map
        (fun spec ->
          List.map
-           (fun p -> Engine.cell ~arch p.Technique.variant spec)
-           Technique.plugins)
+           (fun t -> Engine.cell ~arch t spec)
+           Technique.all)
        specs);
   let base_runs =
     List.map (fun spec -> Engine.run cfg ~arch Technique.Baseline spec) specs
@@ -37,13 +36,12 @@ let rows cfg =
       base_runs
   in
   List.map
-    (fun p ->
-      let t = p.Technique.variant in
+    (fun t ->
       let runs = List.map (fun spec -> Engine.run cfg ~arch t spec) specs in
       let energies =
         List.map
           (fun (r : Runner.run) ->
-            (p.Technique.plugin_energy arch r.Runner.stats).E.total_nj)
+            (Technique.energy arch t r.Runner.stats).E.total_nj)
           runs
       in
       {
@@ -62,7 +60,7 @@ let rows cfg =
           Table.mean
             (List.map2 (fun e b -> (e -. b) /. b *. 100.) energies base_energy);
       })
-    Technique.plugins
+    Technique.all
 
 (* --- divergence rows ---------------------------------------------------- *)
 
@@ -97,9 +95,8 @@ let divergent_rows cfg =
     (List.concat_map
        (fun spec ->
          List.map
-           (fun p ->
-             Engine.cell ~options:simt_options ~arch p.Technique.variant spec)
-           Technique.plugins)
+           (fun t -> Engine.cell ~options:simt_options ~arch t spec)
+           Technique.all)
        specs);
   let base_runs =
     List.map
@@ -108,8 +105,7 @@ let divergent_rows cfg =
       specs
   in
   List.map
-    (fun p ->
-      let t = p.Technique.variant in
+    (fun t ->
       let runs =
         List.map
           (fun spec -> Engine.run cfg ~options:simt_options ~arch t spec)
@@ -127,7 +123,7 @@ let divergent_rows cfg =
                base_runs runs);
         d_mean_lane_occ = Table.mean (List.map lane_occupancy runs);
       })
-    Technique.plugins
+    Technique.all
 
 let print cfg =
   let rs = rows cfg in

@@ -1,5 +1,5 @@
-(** Head-to-head capstone figure: every registered technique (via
-    {!Regmutex.Technique.plugins}) on the occupancy-limited workload set,
+(** Head-to-head capstone figure: every technique in
+    {!Regmutex.Technique.all} on the occupancy-limited workload set,
     reporting mean theoretical occupancy, mean cycle reduction vs
     baseline, hardware tracking-storage bits, and modelled energy
     ({!Gpu_uarch.Energy_model}) with its overhead relative to baseline. *)

@@ -326,13 +326,12 @@ let forced_split_failures memo (case : Gen.t) ~expected ~inject =
         let conservation = ref None in
         let observe ~cycle sms =
           if !conservation = None then
-            Array.iter
-              (fun sm ->
-                match Sm.srp_invariant sm with
-                | Some (Error msg) ->
-                    if !conservation = None then conservation := Some (cycle, msg)
-                | Some (Ok _) | None -> ())
-              sms
+            for i = 0 to Array.length sms - 1 do
+              match Sm.srp_invariant sms.(i) with
+              | Some msg ->
+                  if !conservation = None then conservation := Some (cycle, msg)
+              | None -> ()
+            done
         in
         (match
            simulate ~observe memo { config with Gpu.fast_forward = false } kern

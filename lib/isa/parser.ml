@@ -172,14 +172,31 @@ let strip_index tokens =
       rest
   | _ -> tokens
 
+(* The register count a [kernel NAME (N regs)] header declares. *)
+let parse_header line s =
+  let malformed () =
+    fail line "malformed kernel header %S (expected \"kernel NAME (N regs)\")" s
+  in
+  match String.rindex_opt s '(' with
+  | None -> malformed ()
+  | Some i -> (
+      let tail = String.sub s i (String.length s - i) in
+      match Scanf.sscanf_opt tail "(%d regs)%!" Fun.id with
+      | Some n when n >= 0 -> n
+      | Some _ | None -> malformed ())
+
 let parse ~name text =
   let labels = Hashtbl.create 16 in
   let pres = ref [] in
   let count = ref 0 in
+  let declared = ref None in
   let handle_line lineno raw =
     let s = String.trim (strip_comment raw) in
     if s = "" then ()
-    else if String.length s >= 7 && String.sub s 0 7 = "kernel " then ()
+    else if String.length s >= 7 && String.sub s 0 7 = "kernel " then begin
+      if !declared <> None then fail lineno "second kernel header";
+      declared := Some (parse_header lineno s)
+    end
     else begin
       let tokens = strip_index (tokenize s) in
       match tokens with
@@ -203,14 +220,28 @@ let parse ~name text =
         | Some t -> t
         | None -> fail lineno "unresolved label %S" l)
   in
+  (* Every register must fall within the header's declared count. *)
+  let check_regs lineno instr =
+    match !declared with
+    | Some n ->
+        let out = Regset.above n (Instr.regs instr) in
+        if not (Regset.is_empty out) then
+          fail lineno "r%d out of range: the kernel header declares %d regs"
+            (Regset.min_elt out) n
+    | None -> ()
+  in
   let instrs =
     List.map
       (fun (lineno, pre) ->
-        match pre with
-        | P_plain i -> i
-        | P_jump t -> Instr.Jump (resolve lineno t)
-        | P_jump_if (c, t) -> Instr.Jump_if (c, resolve lineno t)
-        | P_jump_ifz (c, t) -> Instr.Jump_ifz (c, resolve lineno t))
+        let instr =
+          match pre with
+          | P_plain i -> i
+          | P_jump t -> Instr.Jump (resolve lineno t)
+          | P_jump_if (c, t) -> Instr.Jump_if (c, resolve lineno t)
+          | P_jump_ifz (c, t) -> Instr.Jump_ifz (c, resolve lineno t)
+        in
+        check_regs lineno instr;
+        instr)
       pres
   in
   Program.create ~name (Array.of_list instrs)

@@ -23,7 +23,11 @@
 
     Numeric targets ([@7]) refer to instruction indices after label lines
     are removed, matching the disassembly {!Program.pp} prints — so
-    [parse (Format.asprintf "%a" Program.pp p)] reproduces [p]. *)
+    [parse (Format.asprintf "%a" Program.pp p)] reproduces [p].
+
+    An optional [kernel NAME (N regs)] header line (the first line
+    {!Program.pp} prints) declares the register count: every register
+    named afterwards must be below [N]. *)
 
 type error = {
   line : int;       (** 1-based line number *)
@@ -33,7 +37,8 @@ type error = {
 exception Parse_error of error
 
 (** [parse ~name text] assembles a program from its textual form.
-    @raise Parse_error on a malformed line.
+    @raise Parse_error on a malformed line, a malformed or repeated
+    kernel header, or a register at or above the header's count.
     @raise Builder.Unresolved_label / {!Program.Invalid} as in assembly. *)
 val parse : name:string -> string -> Program.t
 

@@ -4,7 +4,6 @@ type run_config = {
   record_stores : bool;
   trace_warp0 : bool;
   max_cycles : int;
-  events : Event_trace.t option;
   telemetry : Telemetry.Sink.t option;
   fast_forward : bool;
   simt : bool;
@@ -14,7 +13,7 @@ type run_config = {
 
 let default_config arch policy =
   { arch; policy; record_stores = false; trace_warp0 = false;
-    max_cycles = 20_000_000; events = None; telemetry = None;
+    max_cycles = 20_000_000; telemetry = None;
     fast_forward = true; simt = false; corrupt_mask = 0;
     lane_resolved = false }
 
@@ -62,7 +61,7 @@ let build_sms config kernel stats memory mem_sys =
     Sm.tables ~simt:config.simt config.arch ~policy:config.policy ~kernel
   in
   Array.init config.arch.Gpu_uarch.Arch_config.n_sms (fun sm_id ->
-      Sm.create ?events:config.events ?telemetry:config.telemetry
+      Sm.create ?telemetry:config.telemetry
         ~corrupt_mask:config.corrupt_mask ~lane_resolved:config.lane_resolved
         tables ~sm_id ~memory ~mem_sys ~stats ~record_stores:config.record_stores
         ~trace_warp0:(config.trace_warp0 && sm_id = 0))
@@ -73,7 +72,7 @@ let build_sms config kernel stats memory mem_sys =
    Pure reads of [stats] — a sink can never perturb the simulation
    results, only report them. Counter registration is idempotent, so
    repeated runs into one registry accumulate (the Prometheus model). *)
-let finalize_metrics (sink : Telemetry.Sink.t) config stats mem_sys =
+let finalize_metrics (sink : Telemetry.Sink.t) stats mem_sys =
   let m = sink.Telemetry.Sink.metrics in
   let count ?help name v = Telemetry.Metrics.(inc (counter ?help m name) v) in
   count "regmutex_cycles_total" ~help:"simulated cycles" stats.Stats.cycles;
@@ -111,12 +110,6 @@ let finalize_metrics (sink : Telemetry.Sink.t) config stats mem_sys =
         ~help:"idle scheduler slots attributed to this stall reason"
         (Stats.stall_count stats r))
     Stats.all_reasons;
-  (match config.events with
-  | Some tr ->
-      count "regmutex_event_trace_dropped_total"
-        ~help:"structured events lost to the Event_trace capacity bound"
-        (Event_trace.dropped tr)
-  | None -> ());
   count "regmutex_trace_dropped_total"
     ~help:"oldest trace records overwritten by the telemetry ring"
     (Telemetry.Trace.dropped sink.Telemetry.Sink.trace);
@@ -129,23 +122,15 @@ let finalize_metrics (sink : Telemetry.Sink.t) config stats mem_sys =
        (float_of_int stats.Stats.active_lane_cycles /. float_of_int issued));
   set "regmutex_mem_mean_latency_cycles" (Mem_system.mean_latency mem_sys)
 
-(* Satellite of the telemetry work: the structured event log used to drop
-   at capacity silently. Surface the loss once, at run end. *)
-let warn_dropped config =
-  (match config.events with
-  | Some tr when Event_trace.dropped tr > 0 ->
-      Format.eprintf
-        "warning: event trace dropped %d events past its %d-entry capacity@."
-        (Event_trace.dropped tr) (Event_trace.length tr)
-  | Some _ | None -> ());
-  match config.telemetry with
-  | Some sink when Telemetry.Trace.dropped sink.Telemetry.Sink.trace > 0 ->
-      Format.eprintf
-        "warning: telemetry ring dropped %d oldest records (capacity %d); \
-         the exported trace is the most recent window@."
-        (Telemetry.Trace.dropped sink.Telemetry.Sink.trace)
-        (Telemetry.Trace.capacity sink.Telemetry.Sink.trace)
-  | Some _ | None -> ()
+(* The telemetry ring drops its oldest records silently once full.
+   Surface the loss once, at run end. *)
+let warn_dropped (sink : Telemetry.Sink.t) =
+  let trace = sink.Telemetry.Sink.trace in
+  if Telemetry.Trace.dropped trace > 0 then
+    Format.eprintf
+      "warning: telemetry ring dropped %d oldest records (capacity %d); \
+       the exported trace is the most recent window@."
+      (Telemetry.Trace.dropped trace) (Telemetry.Trace.capacity trace)
 
 let run ?observe ?(observe_every = 1) config kernel =
   if observe_every < 1 then invalid_arg "Gpu.run: observe_every must be >= 1";
@@ -255,16 +240,10 @@ let run ?observe ?(observe_every = 1) config kernel =
                  Array.to_list
                    (Array.mapi
                       (fun i sm ->
-                        let in_use, sections =
-                          match Sm.srp_invariant sm with
-                          | Some (Ok (u, _, total)) -> (u, total)
-                          | Some (Error _) | None ->
-                              (Sm.srp_in_use sm, Sm.srp_sections sm)
-                        in
                         {
                           dl_sm = i;
-                          dl_srp_in_use = in_use;
-                          dl_srp_sections = sections;
+                          dl_srp_in_use = Sm.srp_in_use sm;
+                          dl_srp_sections = Sm.srp_sections sm;
                           dl_warps = Sm.diagnose sm ~cycle:!cycle;
                         })
                       sms);
@@ -304,9 +283,9 @@ let run ?observe ?(observe_every = 1) config kernel =
   (match config.telemetry with
   | Some sink ->
       Array.iter (fun sm -> Sm.finalize_probe sm ~cycle:!cycle) sms;
-      finalize_metrics sink config stats mem_sys
+      finalize_metrics sink stats mem_sys;
+      warn_dropped sink
   | None -> ());
-  warn_dropped config;
   stats
 
 let theoretical_warps { arch; policy; _ } kernel =

@@ -8,21 +8,21 @@ type run_config = {
   record_stores : bool;  (** collect per-warp store traces *)
   trace_warp0 : bool;    (** collect the PC trace of CTA 0 / warp 0 *)
   max_cycles : int;      (** watchdog; the run flags [timed_out] past it *)
-  events : Event_trace.t option;  (** structured event sink, off by default *)
   telemetry : Telemetry.Sink.t option;
-      (** trace-recorder + metrics sink, off by default. When present, the
-          SMs record warp/CTA lifetimes, SRP holds, stall episodes and
-          occupancy counters into the sink's ring ({!Probe}), and the run
-          mirrors its aggregate statistics into the sink's metric registry
-          at completion. The disabled path is a no-op: statistics, event
-          traces and fast-forward behaviour are bit-identical with and
-          without a sink (the bench suite enforces this). *)
+      (** trace-recorder + metrics sink, off by default — the simulator's
+          one event stream. When present, the SMs record warp/CTA
+          lifetimes, SRP holds, acquire stalls, barrier traffic, stall
+          episodes and occupancy counters into the sink's ring
+          ({!Probe}), and the run mirrors its aggregate statistics into
+          the sink's metric registry at completion. The disabled path is
+          a no-op: statistics and fast-forward behaviour are bit-identical
+          with and without a sink (the bench suite enforces this). *)
   fast_forward : bool;
       (** Event-driven cycle skipping (default [true]): when no warp on any
           SM can issue and no CTA can launch, the clock jumps straight to
           the earliest wakeup (scoreboard or memory-slot completion) and
           the skipped cycles' statistics are accounted in bulk. Strictly
-          semantics-preserving — statistics and event traces are
+          semantics-preserving — statistics and the sink's records are
           bit-identical to per-cycle stepping; [false] is the brute-force
           escape hatch the equivalence suite and benchmarks compare
           against. *)

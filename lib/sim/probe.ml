@@ -2,11 +2,14 @@ module Trace = Telemetry.Trace
 module Metrics = Telemetry.Metrics
 
 (* Chrome-track layout, per SM process [pid = sm_id]:
-     tid 0 .. n_slots-1      one track per warp slot
+     tid 0 .. n_slots-1      one track per warp slot: warp and SRP-hold
+                             spans, acquire-stall and barrier-arrive
+                             instants
      tid n_slots             "stalls": SM-wide idle episodes, one span per
                              maximal run of fully idle cycles sharing a
                              stall reason
-     tid n_slots+1 + slot    one track per resident-CTA slot
+     tid n_slots+1 + slot    one track per resident-CTA slot: CTA spans,
+                             launch, retire and barrier-release instants
    plus two counter tracks on the SM process ("srp-in-use",
    "mem-busy-slots") sampled at the issues that change them, so the
    record stream is identical under fast-forward and brute-force
@@ -22,6 +25,9 @@ type t = {
   n_cta : int;
   n_cta_launch : int;
   n_cta_retire : int;
+  n_acq_stall : int;
+  n_bar_arrive : int;
+  n_bar_release : int;
   n_srp : int;
   n_mem : int;
   stall_names : int array;  (* indexed like [Stats.all_reasons] *)
@@ -76,6 +82,9 @@ let create (sink : Telemetry.Sink.t) ~sm_id ~n_slots ~n_cta_slots ~n_mem_slots =
     n_cta = Trace.intern trace "cta";
     n_cta_launch = Trace.intern trace "cta-launch";
     n_cta_retire = Trace.intern trace "cta-retire";
+    n_acq_stall = Trace.intern trace "acquire-stall";
+    n_bar_arrive = Trace.intern trace "barrier-arrive";
+    n_bar_release = Trace.intern trace "barrier-release";
     n_srp = Trace.intern trace "srp-in-use";
     n_mem = Trace.intern trace "mem-busy-slots";
     stall_names =
@@ -138,6 +147,20 @@ let warp_close t ~cycle ~slot =
     Metrics.observe t.h_warp (cycle - start);
     t.warp_start.(slot) <- -1
   end
+
+(* --- acquire stalls and barriers ---------------------------------------- *)
+
+let acquire_stall t ~cycle ~slot ~global_cta =
+  Trace.instant t.trace ~ts:cycle ~pid:t.sm_pid ~tid:slot ~name:t.n_acq_stall
+    ~arg:global_cta
+
+let barrier_arrive t ~cycle ~slot ~global_cta =
+  Trace.instant t.trace ~ts:cycle ~pid:t.sm_pid ~tid:slot ~name:t.n_bar_arrive
+    ~arg:global_cta
+
+let barrier_release t ~cycle ~cta_slot ~global_cta =
+  Trace.instant t.trace ~ts:cycle ~pid:t.sm_pid ~tid:(t.n_slots + 1 + cta_slot)
+    ~name:t.n_bar_release ~arg:global_cta
 
 (* --- SRP holds and occupancy ------------------------------------------- *)
 

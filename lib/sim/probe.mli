@@ -2,8 +2,10 @@
     counter samples and metric observations on a {!Telemetry.Sink.t}.
 
     One probe per SM, all sharing the run's sink. The SM holds it as an
-    option mirroring the event-trace sink — [None] is the disabled path
-    and costs one pattern match per potential hook.
+    option — [None] is the disabled path and costs one pattern match per
+    potential hook. The sink is the simulator's only event stream: CTA
+    launch/retire, warp lifetimes, SRP holds, acquire stalls and barrier
+    traffic all arrive here.
 
     Every record the probe pushes is anchored at an {e issue} (or a CTA
     launch/retire, which only happen at visited cycles), and idle episodes
@@ -38,6 +40,19 @@ val warp_start : t -> cycle:int -> slot:int -> global_cta:int -> unit
 (** Closes the warp-lifetime span and observes its duration. No-op if the
     slot has no open span (idempotent). *)
 val warp_close : t -> cycle:int -> slot:int -> unit
+
+(** A failed acquire attempt opened a stall episode for the warp in
+    [slot]: an ["acquire-stall"] instant on its track, once per episode
+    (the SM only reports the transition into the stall). *)
+val acquire_stall : t -> cycle:int -> slot:int -> global_cta:int -> unit
+
+(** The warp in [slot] arrived at a barrier: a ["barrier-arrive"]
+    instant on its track. *)
+val barrier_arrive : t -> cycle:int -> slot:int -> global_cta:int -> unit
+
+(** Every running warp of the CTA in [cta_slot] arrived: a
+    ["barrier-release"] instant on the CTA-slot track. *)
+val barrier_release : t -> cycle:int -> cta_slot:int -> global_cta:int -> unit
 
 (** An SRP section (or paired/OWF extended set) granted to the warp. *)
 val hold_begin : t -> cycle:int -> slot:int -> section:int -> unit

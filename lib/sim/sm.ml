@@ -129,7 +129,6 @@ type t = {
   reconv_sentinel : int;    (* program length: the never-reached top rpc *)
   full_mask : int;          (* (1 lsl warp_size) - 1 when simt, else 0 *)
   corrupt_mask : int;       (* lanes cleared at launch (fuzz self-test) *)
-  events : Event_trace.t option;
   probe : Probe.t option;
   bs : int;  (* base-set size for SRP/paired/OWF policies; max_int otherwise *)
   es : int;
@@ -336,7 +335,7 @@ let tables ?(simt = false) (cfg : Arch_config.t) ~policy ~kernel =
 
 (* The SM record without its residual-check closure, which [create]
    installs once the checks below are defined. *)
-let make ?events ?telemetry ~corrupt_mask ~lane_resolved tb ~sm_id ~memory
+let make ?telemetry ~corrupt_mask ~lane_resolved tb ~sm_id ~memory
     ~mem_sys ~stats ~record_stores ~trace_warp0 =
   let cfg = tb.tb_cfg and policy = tb.tb_policy and kernel = tb.tb_kernel in
   let simt = tb.tb_simt in
@@ -465,7 +464,6 @@ let make ?events ?telemetry ~corrupt_mask ~lane_resolved tb ~sm_id ~memory
     reconv_sentinel = n;
     full_mask = (if simt then (1 lsl cfg.warp_size) - 1 else 0);
     corrupt_mask;
-    events;
     probe =
       Option.map
         (fun sink ->
@@ -483,11 +481,6 @@ let make ?events ?telemetry ~corrupt_mask ~lane_resolved tb ~sm_id ~memory
           Gpu_uarch.Reg_mapping.srp_offset_for ~bs ~resident_warps:n_slots;
       };
   }
-
-let emit t ~cycle event =
-  match t.events with
-  | Some tr -> Event_trace.emit tr ~cycle event
-  | None -> ()
 
 let cta_capacity t = t.cta_capacity
 let srp_sections t = t.srp_sections
@@ -649,7 +642,6 @@ let try_launch t ~global_cta ~cycle =
         t.resident_warps <- t.resident_warps + n_warps;
         t.launched_this_cycle <- cycle;
         t.state_gen <- t.state_gen + 1;
-        emit t ~cycle (Event_trace.Cta_launched { sm = t.sm_id; cta = global_cta });
         (match t.probe with
         | Some p ->
             Probe.cta_launch p ~cycle ~cta_slot:slot ~global_cta;
@@ -663,7 +655,6 @@ let try_launch t ~global_cta ~cycle =
     | Some _ -> false
 
 let retire_cta t ~cycle cta =
-  emit t ~cycle (Event_trace.Cta_retired { sm = t.sm_id; cta = cta.global_cta });
   (match t.probe with
   | Some p -> Probe.cta_retire p ~cycle ~cta_slot:cta.cta_slot
   | None -> ());
@@ -751,14 +742,14 @@ let oldest_ready_age t =
 
 (* A failed acquire attempt marks the start (or continuation) of a stall
    episode: the flag feeds the first-try statistic, and the transition
-   into it emits the [Acquire_stalled] trace event. *)
+   into it is the probe's [acquire-stall] instant. *)
 let note_acquire_stall t ~slot ~cycle =
   let soa = t.soa in
-  if soa.Soa.acquire_stalled.(slot) = 0 then
-    emit t ~cycle
-      (Event_trace.Acquire_stalled
-         { sm = t.sm_id; cta = soa.Soa.global_cta.(slot);
-           warp = soa.Soa.warp_in_cta.(slot) });
+  (if soa.Soa.acquire_stalled.(slot) = 0 then
+     match t.probe with
+     | Some p ->
+         Probe.acquire_stall p ~cycle ~slot ~global_cta:soa.Soa.global_cta.(slot)
+     | None -> ());
   soa.Soa.acquire_stalled.(slot) <- 1
 
 (* [check_ready] is the issue-eligibility residual for a warp that already
@@ -840,10 +831,10 @@ let check_warp ?(probe = false) t ~mem_free ~slot ~cycle =
   then Blocked_deps
   else check_ready ~probe t ~mem_free ~slot ~cycle
 
-let create ?events ?telemetry ?(corrupt_mask = 0) ?(lane_resolved = false)
+let create ?telemetry ?(corrupt_mask = 0) ?(lane_resolved = false)
     tables ~sm_id ~memory ~mem_sys ~stats ~record_stores ~trace_warp0 =
   let t =
-    make ?events ?telemetry ~corrupt_mask ~lane_resolved tables ~sm_id ~memory
+    make ?telemetry ~corrupt_mask ~lane_resolved tables ~sm_id ~memory
       ~mem_sys ~stats ~record_stores ~trace_warp0
   in
   (* Only stateful warps reach the check (plain and global ones are
@@ -864,7 +855,11 @@ let create ?events ?telemetry ?(corrupt_mask = 0) ?(lane_resolved = false)
 let maybe_release_barrier t ~cycle cta =
   if cta.running > 0 && cta.arrived = cta.running then begin
     cta.arrived <- 0;
-    emit t ~cycle (Event_trace.Barrier_released { sm = t.sm_id; cta = cta.global_cta });
+    (match t.probe with
+    | Some p ->
+        Probe.barrier_release p ~cycle ~cta_slot:cta.cta_slot
+          ~global_cta:cta.global_cta
+    | None -> ());
     let soa = t.soa in
     for w = 0 to cta.n_warps - 1 do
       let slot = (cta.cta_slot * t.warps_per_cta) + w in
@@ -948,10 +943,6 @@ let warp_done t ~cycle ~slot cta =
   let soa = t.soa in
   soa.Soa.status.(slot) <- Soa.st_done;
   place t ~slot;
-  emit t ~cycle
-    (Event_trace.Warp_exited
-       { sm = t.sm_id; cta = soa.Soa.global_cta.(slot);
-         warp = soa.Soa.warp_in_cta.(slot) });
   Stats.record_warp_done t.stats ~cta:soa.Soa.global_cta.(slot)
     ~warp:soa.Soa.warp_in_cta.(slot) ~instructions:soa.Soa.issued.(slot);
   cta.running <- cta.running - 1;
@@ -993,10 +984,6 @@ let mem_sample t ~cycle ~completion =
   | None -> ()
 
 let granted t ~cycle ~slot ~section ~in_use =
-  emit t ~cycle
-    (Event_trace.Acquire_granted
-       { sm = t.sm_id; cta = t.soa.Soa.global_cta.(slot);
-         warp = t.soa.Soa.warp_in_cta.(slot); section });
   t.soa.Soa.acquired_at.(slot) <- cycle;
   match t.probe with
   | Some p ->
@@ -1004,11 +991,7 @@ let granted t ~cycle ~slot ~section ~in_use =
       Probe.srp_sample p ~cycle ~in_use
   | None -> ()
 
-let released t ~cycle ~slot ~section ~in_use =
-  emit t ~cycle
-    (Event_trace.Release
-       { sm = t.sm_id; cta = t.soa.Soa.global_cta.(slot);
-         warp = t.soa.Soa.warp_in_cta.(slot); section });
+let released t ~cycle ~slot ~in_use =
   t.soa.Soa.acquired_at.(slot) <- -1;
   (match t.probe with
   | Some p ->
@@ -1105,10 +1088,10 @@ let follow t ~slot ~cycle ~pc ~lanes outcome =
       soa.Soa.status.(slot) <- Soa.st_barrier;
       advance t ~slot ~next:(route t ~slot ~lanes (pc + 1));
       cta.arrived <- cta.arrived + 1;
-      emit t ~cycle
-        (Event_trace.Barrier_arrived
-           { sm = t.sm_id; cta = soa.Soa.global_cta.(slot);
-             warp = soa.Soa.warp_in_cta.(slot) });
+      (match t.probe with
+      | Some p ->
+          Probe.barrier_arrive p ~cycle ~slot ~global_cta:soa.Soa.global_cta.(slot)
+      | None -> ());
       maybe_release_barrier t ~cycle cta
   | Exec.Acq -> (
       let grant =
@@ -1145,15 +1128,12 @@ let follow t ~slot ~cycle ~pc ~lanes outcome =
       (match t.pstate with
       | Ps_srp srp -> (
           match Srp.release srp ~warp:slot with
-          | Srp.Released s ->
-              released t ~cycle ~slot ~section:s ~in_use:(Srp.in_use srp)
+          | Srp.Released _ -> released t ~cycle ~slot ~in_use:(Srp.in_use srp)
           | Srp.Not_held -> ())
       | Ps_paired srp -> (
           match Srp_paired.release srp ~warp:slot with
           | Srp_paired.Released ->
-              released t ~cycle ~slot
-                ~section:(Srp_paired.pair_of_warp ~warp:slot)
-                ~in_use:(Srp_paired.in_use srp)
+              released t ~cycle ~slot ~in_use:(Srp_paired.in_use srp)
           | Srp_paired.Not_held -> ())
       | Ps_static | Ps_owf | Ps_rfv _ -> ());
       advance t ~slot ~next:(route t ~slot ~lanes (pc + 1))
@@ -1431,21 +1411,19 @@ let srp_invariant t =
       and sections = Srp.n_sections srp in
       if in_use + free <> sections then
         Some
-          (Error
-             (Printf.sprintf "SRP conservation broken: %d in use + %d free <> %d sections"
-                in_use free sections))
+          (Printf.sprintf "SRP conservation broken: %d in use + %d free <> %d sections"
+             in_use free sections)
       else if not (Srp.consistent srp) then
-        Some (Error "SRP status/bitmask/LUT bookkeeping out of sync")
-      else Some (Ok (in_use, free, sections))
+        Some "SRP status/bitmask/LUT bookkeeping out of sync"
+      else None
   | Ps_paired srp ->
       let in_use = Srp_paired.in_use srp
       and pairs = Srp_paired.n_pairs srp in
       if in_use < 0 || in_use > pairs then
         Some
-          (Error
-             (Printf.sprintf "paired SRP accounting broken: %d in use of %d pairs"
-                in_use pairs))
-      else Some (Ok (in_use, pairs - in_use, pairs))
+          (Printf.sprintf "paired SRP accounting broken: %d in use of %d pairs"
+             in_use pairs)
+      else None
   | Ps_static | Ps_owf | Ps_rfv _ -> None
 
 let account_idle_span t ~from ~reason ~span =

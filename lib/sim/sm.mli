@@ -40,7 +40,6 @@ val tables :
     @raise Invalid_argument when the SM would hold more than 62 warp slots
     (slots are bits of one native int in the issue masks). *)
 val create :
-  ?events:Event_trace.t ->
   ?telemetry:Telemetry.Sink.t ->
   ?corrupt_mask:int ->
   ?lane_resolved:bool ->
@@ -100,7 +99,7 @@ val step : t -> cycle:int -> unit
 
 (** Attribute an idle scheduler slot to the most specific blockage among
     the resident warps. Pure observation: probing never mutates warp
-    state, statistics, or the event trace, no matter how many idle
+    state, statistics, or the telemetry sink, no matter how many idle
     schedulers classify the same cycle.
 
     Cost: O(eligible stateful warps). Only the warps that are [Ready]
@@ -177,9 +176,9 @@ val diagnose : t -> cycle:int -> warp_diag list
 
 val pp_warp_diag : Format.formatter -> warp_diag -> unit
 
-(** SRP conservation cross-check, for the fuzz oracle: [None] for
-    policies without an acquire pool; [Some (Ok (in_use, free, total))]
-    when the accounting is consistent ([in_use + free = total] and, for
-    the full SRP engine, the status/bitmask/LUT structures agree);
-    [Some (Error msg)] otherwise. *)
-val srp_invariant : t -> (int * int * int, string) result option
+(** SRP conservation cross-check, for the fuzz oracle's per-cycle
+    sampler: [Some msg] when the accounting is broken (in use + free
+    <> total sections, or, for the full SRP engine, the
+    status/bitmask/LUT structures disagree); [None] when it holds or the
+    policy has no acquire pool. The [None] path allocates nothing. *)
+val srp_invariant : t -> string option

@@ -59,17 +59,16 @@ let reset_warp t ~warp =
    popcounts must agree. Walks the raw status bits, lowest first, rather
    than trusting any of the accessor invariants above; [seen] collects the
    sections met so far (sections are below the 61-bit mask width). *)
+let rec holders t ~valid held seen =
+  held = 0
+  ||
+  let s = t.lut.(Gpu_isa.Bits.lowest held) in
+  s >= 0 && s < valid && Bitmask.test t.srp s
+  && seen land (1 lsl s) = 0
+  && holders t ~valid (held land (held - 1)) (seen lor (1 lsl s))
+
 let consistent t =
-  let valid = Bitmask.valid t.srp in
-  let rec holders held seen =
-    held = 0
-    ||
-    let s = t.lut.(Gpu_isa.Bits.lowest held) in
-    s >= 0 && s < valid && Bitmask.test t.srp s
-    && seen land (1 lsl s) = 0
-    && holders (held land (held - 1)) (seen lor (1 lsl s))
-  in
-  holders (Bitmask.set_bits t.status) 0
+  holders t ~valid:(Bitmask.valid t.srp) (Bitmask.set_bits t.status) 0
   && Bitmask.popcount t.status = Bitmask.popcount t.srp
 
 let pp ppf t =

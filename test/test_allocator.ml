@@ -73,7 +73,8 @@ let test_semantics_preserved_workloads () =
     [ "Gaussian"; "SPMV"; "HeartWall" ]
 
 let prop_allocation_preserves_semantics =
-  Util.qtest ~count:40 "allocation preserves behaviour (random kernels)"
+  Util.qtest ~count:40 ~print:Util.print_program
+    "allocation preserves behaviour (random kernels)"
     (Util.gen_structured ~n_regs:8)
     (fun prog ->
       let minimized = Allocator.minimize prog in
@@ -82,7 +83,8 @@ let prop_allocation_preserves_semantics =
       Util.traces a = Util.traces b)
 
 let prop_coloring_valid =
-  Util.qtest ~count:40 "interfering names get distinct colors"
+  Util.qtest ~count:40 ~print:Util.print_program
+    "interfering names get distinct colors"
     (Util.gen_structured ~n_regs:8)
     (fun prog ->
       let t = Allocator.allocate prog in

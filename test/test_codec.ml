@@ -84,7 +84,8 @@ let test_decode_errors () =
      with Codec.Unencodable _ -> true)
 
 let prop_roundtrip_random =
-  Util.qtest ~count:80 "encode/decode roundtrip on random kernels"
+  Util.qtest ~count:80 ~print:Util.print_program
+    "encode/decode roundtrip on random kernels"
     (Util.gen_structured ~n_regs:8)
     (fun prog ->
       (not (Codec.encodable prog))

@@ -29,7 +29,9 @@ let test_permute_invalid () =
       ignore (Compaction.permute Util.straight [| 0 |]))
 
 let prop_permute_preserves_semantics =
-  Util.qtest ~count:40 "random permutation preserves behaviour"
+  Util.qtest ~count:40
+    ~print:QCheck2.Print.(pair Util.print_program int)
+    "random permutation preserves behaviour"
     QCheck2.Gen.(pair (Util.gen_structured ~n_regs:6) (int_bound 1000))
     (fun (prog, salt) ->
       let n = prog.Program.n_regs in
@@ -140,7 +142,7 @@ let test_mov_compact_no_opportunity () =
   Alcotest.(check int) "nothing to move" 0 moves
 
 let prop_mov_compact_preserves_semantics =
-  Util.qtest ~count:30 "mov compaction preserves behaviour"
+  Util.qtest ~count:30 ~print:Util.print_program "mov compaction preserves behaviour"
     (Util.gen_structured ~n_regs:8)
     (fun prog ->
       let liveness = Liveness.analyze prog in
@@ -289,7 +291,8 @@ let test_ranking_matches_reference_on_fuzz_kernels () =
   done
 
 let prop_ranking_matches_reference =
-  Util.qtest ~count:100 "ranking matches the rescanning greedy"
+  Util.qtest ~count:100 ~print:Util.print_program
+    "ranking matches the rescanning greedy"
     (Util.gen_structured ~n_regs:10)
     (fun prog -> ranking_mismatch prog = None)
 

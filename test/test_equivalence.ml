@@ -34,7 +34,8 @@ let check_technique_equivalence technique name () =
 
 (* Random structured programs through the full transform. *)
 let prop_transform_equivalence =
-  Util.qtest ~count:60 "transform preserves behaviour (random kernels)"
+  Util.qtest ~count:60 ~print:Util.print_program
+    "transform preserves behaviour (random kernels)"
     (Util.gen_structured ~n_regs:8)
     (fun prog ->
       let liveness = Gpu_analysis.Liveness.analyze prog in
@@ -52,7 +53,8 @@ let prop_transform_equivalence =
 
 (* Same under the paired policy (even warp count enforced by grid shape). *)
 let prop_transform_equivalence_paired =
-  Util.qtest ~count:30 "transform preserves behaviour (paired policy)"
+  Util.qtest ~count:30 ~print:Util.print_program
+    "transform preserves behaviour (paired policy)"
     (Util.gen_structured ~n_regs:8)
     (fun prog ->
       let liveness = Gpu_analysis.Liveness.analyze prog in
@@ -72,7 +74,8 @@ let prop_transform_equivalence_paired =
    conservative-enough basis for the ext predicate on any path actually
    executed. *)
 let prop_no_widen_equivalence =
-  Util.qtest ~count:30 "transform without widening preserves behaviour"
+  Util.qtest ~count:30 ~print:Util.print_program
+    "transform without widening preserves behaviour"
     (Util.gen_structured ~n_regs:8)
     (fun prog ->
       let liveness = Gpu_analysis.Liveness.analyze ~widen:false prog in

@@ -1,7 +1,11 @@
+(* The simulator's event stream, read off the telemetry sink: CTA
+   lifecycle, SRP holds and barrier traffic on the tracks the probe
+   documents. *)
+
 open Gpu_sim
-module E = Event_trace
 module B = Gpu_isa.Builder
 module I = Gpu_isa.Instr
+module Trace = Telemetry.Trace
 
 let srp_kernel =
   B.(
@@ -12,100 +16,62 @@ let srp_kernel =
       @ [ bar;
           store ~ofs:0x10000000 I.Global (r 0) (r 1); exit_ ]))
 
-let run_with_events ?(policy = Policy.Srp { bs = 3; es = 2; verify = true }) ?keep () =
-  let events = E.create ?keep () in
+let run_with_sink ?(policy = Policy.Srp { bs = 3; es = 2; verify = true }) () =
+  let sink = Telemetry.Sink.create () in
   let kernel = Kernel.make ~name:"ev" ~grid_ctas:2 ~cta_threads:64 srp_kernel in
   let config =
-    { (Gpu.default_config Util.small_arch policy) with Gpu.events = Some events }
+    { (Gpu.default_config Util.small_arch policy) with Gpu.telemetry = Some sink }
   in
   let stats = Gpu.run config kernel in
-  (events, stats)
+  (Util.records sink, stats)
 
 let test_lifecycle_events () =
-  let events, _ = run_with_events () in
-  let es = E.entries events in
-  let count pred = List.length (List.filter (fun e -> pred e.E.event) es) in
-  Alcotest.(check int) "2 launches"
-    2 (count (function E.Cta_launched _ -> true | _ -> false));
-  Alcotest.(check int) "2 retirements"
-    2 (count (function E.Cta_retired _ -> true | _ -> false));
-  Alcotest.(check int) "4 warp exits"
-    4 (count (function E.Warp_exited _ -> true | _ -> false));
-  (* 4 warps x 2 loop iterations of acquire/release. *)
-  Alcotest.(check int) "8 acquires"
-    8 (count (function E.Acquire_granted _ -> true | _ -> false));
-  Alcotest.(check int) "8 releases"
-    8 (count (function E.Release _ -> true | _ -> false));
-  Alcotest.(check int) "4 barrier arrivals"
-    4 (count (function E.Barrier_arrived _ -> true | _ -> false));
-  Alcotest.(check int) "2 barrier releases"
-    2 (count (function E.Barrier_released _ -> true | _ -> false))
+  let rs, stats = run_with_sink () in
+  let count name = List.length (Util.named name rs) in
+  Alcotest.(check int) "2 launches" 2 (count "cta-launch");
+  Alcotest.(check int) "2 retirements" 2 (count "cta-retire");
+  Alcotest.(check int) "2 CTA lifetimes" 2 (count "cta");
+  Alcotest.(check int) "4 warp exits" 4 (count "warp");
+  (* 4 warps x 2 loop iterations of acquire/release: one hold span each,
+     closed by its release. *)
+  Alcotest.(check int) "8 holds" 8 (count "srp-hold");
+  Alcotest.(check int) "8 acquires" 8 stats.Stats.acquire_execs;
+  Alcotest.(check int) "8 releases" 8 stats.Stats.release_execs;
+  Alcotest.(check int) "4 barrier arrivals" 4 (count "barrier-arrive");
+  Alcotest.(check int) "2 barrier releases" 2 (count "barrier-release")
 
 let test_event_ordering () =
-  let events, _ = run_with_events () in
-  (* Per warp: acquire and release strictly alternate, starting with an
-     acquire; cycles are non-decreasing. *)
-  let per_warp = E.for_warp events ~cta:0 ~warp:0 in
-  Alcotest.(check bool) "warp has events" true (per_warp <> []);
-  let rec check_alternation expecting_acquire last_cycle = function
-    | [] -> ()
-    | e :: rest ->
-        Alcotest.(check bool) "cycles monotone" true (e.E.cycle >= last_cycle);
-        (match e.E.event with
-        | E.Acquire_granted _ ->
-            Alcotest.(check bool) "acquire when expected" true expecting_acquire;
-            check_alternation false e.E.cycle rest
-        | E.Release _ ->
-            Alcotest.(check bool) "release when expected" true (not expecting_acquire);
-            check_alternation true e.E.cycle rest
-        | _ -> check_alternation expecting_acquire e.E.cycle rest)
-  in
-  check_alternation true 0 per_warp;
-  (* Launch precedes every other event; retire is last. *)
-  let all = E.entries events in
-  (match all with
-  | { E.event = E.Cta_launched _; _ } :: _ -> ()
-  | _ -> Alcotest.fail "first event must be a launch");
-  match List.rev all with
-  | { E.event = E.Cta_retired _; _ } :: _ -> ()
-  | _ -> Alcotest.fail "last event must be a retirement"
-
-let test_filtering () =
-  let keep = function E.Acquire_granted _ -> true | _ -> false in
-  let events, _ = run_with_events ~keep () in
-  Alcotest.(check int) "only acquires kept" 8 (E.length events);
+  let rs, _ = run_with_sink () in
+  (* Warp slot 0: its holds are disjoint and in order, and each hold and
+     barrier arrival lies within the lifetime of a warp the slot hosted. *)
+  let on_slot0 = List.filter (fun r -> r.Trace.pid = 0 && r.Trace.tid = 0) rs in
+  let holds = Util.named "srp-hold" on_slot0 in
+  Alcotest.(check bool) "slot holds" true (holds <> []);
+  ignore
+    (List.fold_left
+       (fun free_from h ->
+         Alcotest.(check bool) "holds disjoint and in order" true
+           (h.Trace.ts >= free_from);
+         h.Trace.ts + h.Trace.dur)
+       0 holds);
+  let warps = Util.named "warp" on_slot0 in
   List.iter
-    (fun e ->
-      match e.E.event with
-      | E.Acquire_granted _ -> ()
-      | _ -> Alcotest.fail "filter leaked an event")
-    (E.entries events)
-
-let test_capacity () =
-  let events = E.create ~capacity:3 () in
-  for i = 1 to 5 do
-    E.emit events ~cycle:i (E.Cta_launched { sm = 0; cta = i })
-  done;
-  Alcotest.(check int) "bounded" 3 (E.length events);
-  Alcotest.(check bool) "truncation flagged" true (E.truncated events);
-  Alcotest.(check int) "dropped counted" 2 (E.dropped events)
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
-let test_pp () =
-  let s =
-    Format.asprintf "%a" E.pp_entry
-      { E.cycle = 42;
-        event = E.Acquire_granted { sm = 1; cta = 2; warp = 3; section = 4 } }
-  in
-  Alcotest.(check bool) "mentions section" true (contains s "acquires section 4")
+    (fun r ->
+      Alcotest.(check bool) (r.Trace.name ^ " within a warp's life") true
+        (List.exists
+           (fun w ->
+             r.Trace.ts >= w.Trace.ts
+             && r.Trace.ts + r.Trace.dur <= w.Trace.ts + w.Trace.dur)
+           warps))
+    (holds @ Util.named "barrier-arrive" on_slot0);
+  (* Launch precedes every other record; retire is last. *)
+  (match rs with
+  | { Trace.name = "cta-launch"; _ } :: _ -> ()
+  | _ -> Alcotest.fail "first record must be a launch");
+  match List.rev rs with
+  | { Trace.name = "cta-retire"; _ } :: _ -> ()
+  | _ -> Alcotest.fail "last record must be a retirement"
 
 let suite =
   [ Alcotest.test_case "lifecycle events" `Quick test_lifecycle_events;
-    Alcotest.test_case "ordering invariants" `Quick test_event_ordering;
-    Alcotest.test_case "filtering" `Quick test_filtering;
-    Alcotest.test_case "capacity bound" `Quick test_capacity;
-    Alcotest.test_case "pretty printing" `Quick test_pp ]
+    Alcotest.test_case "ordering invariants" `Quick test_event_ordering ]

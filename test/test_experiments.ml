@@ -200,8 +200,6 @@ let test_input_key () =
       (try ignore (key (prepared, config)); false
        with Invalid_argument _ -> true)
   in
-  raises "events sink refused"
-    { config with Gpu_sim.Gpu.events = Some (Gpu_sim.Event_trace.create ()) };
   raises "telemetry sink refused"
     { config with Gpu_sim.Gpu.telemetry = Some (Telemetry.Sink.create ()) }
 

@@ -1,7 +1,7 @@
 (* Equivalence of event-driven fast-forward with brute-force stepping.
 
    Cycle skipping (Gpu.run_config.fast_forward) must be invisible: every
-   statistic, stall attribution, store trace and structured event must be
+   statistic, stall attribution, store trace and telemetry record must be
    bit-identical to stepping the clock one cycle at a time, across every
    register policy, scheduler kind and control-flow shape — including the
    acquire-stall- and barrier-heavy kernels whose wakeups are *not*
@@ -10,7 +10,7 @@
 open Gpu_sim
 module B = Gpu_isa.Builder
 module I = Gpu_isa.Instr
-module E = Event_trace
+module Trace = Telemetry.Trace
 module Technique = Regmutex.Technique
 module Runner = Regmutex.Runner
 module Engine = Experiments.Engine
@@ -97,41 +97,45 @@ let check_same_stats msg (a : Stats.t) (b : Stats.t) =
   Alcotest.(check bool) (msg ^ ": warp instruction counts") true
     (Stats.warp_instruction_counts a = Stats.warp_instruction_counts b)
 
-let check_same_events msg (a : E.t) (b : E.t) =
-  Alcotest.(check int) (msg ^ ": event count") (E.length a) (E.length b);
-  Alcotest.(check bool) (msg ^ ": truncated") (E.truncated a) (E.truncated b);
-  List.iter2
-    (fun ea eb ->
-      if ea <> eb then
-        Alcotest.failf "%s: events diverge: %a vs %a" msg E.pp_entry ea E.pp_entry
-          eb)
-    (E.entries a) (E.entries b)
+(* The sink's records without the fast-forward jump spans, which the
+   GPU model pushes on its own track in one stepping mode only. *)
+let sim_records sink =
+  List.filter (fun r -> r.Trace.name <> "fast-forward") (Util.records sink)
+
+let check_same_records msg a b =
+  Alcotest.(check int) (msg ^ ": record count") (List.length a) (List.length b);
+  List.iteri
+    (fun i ((ra : Trace.record), (rb : Trace.record)) ->
+      if ra <> rb then
+        Alcotest.failf "%s: record %d diverges: %s@%d vs %s@%d" msg i ra.name
+          ra.ts rb.name rb.ts)
+    (List.combine a b)
 
 (* --- the matrix -------------------------------------------------------- *)
 
 let run_mode ~arch ~technique ~kernel ~fast_forward =
   let prepared = Technique.prepare arch technique kernel in
-  let events = E.create () in
+  let sink = Telemetry.Sink.create () in
   let config =
     { (Gpu.default_config arch prepared.Technique.policy) with
       Gpu.record_stores = true;
       trace_warp0 = true;
-      events = Some events;
+      telemetry = Some sink;
       max_cycles = 2_000_000;
       fast_forward }
   in
   let stats = Gpu.run config prepared.Technique.kernel in
-  (stats, events)
+  (stats, sim_records sink)
 
 let check_cell ~arch ~technique ~kernel msg =
-  let brute_stats, brute_events =
+  let brute_stats, brute_records =
     run_mode ~arch ~technique ~kernel ~fast_forward:false
   in
-  let fast_stats, fast_events =
+  let fast_stats, fast_records =
     run_mode ~arch ~technique ~kernel ~fast_forward:true
   in
   check_same_stats msg brute_stats fast_stats;
-  check_same_events msg brute_events fast_events
+  check_same_records msg brute_records fast_records
 
 let test_matrix () =
   List.iter

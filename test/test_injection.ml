@@ -92,7 +92,8 @@ let test_loop_injection () =
   Util.check_same_traces "loop injection" (Util.traces s_orig) (Util.traces s_inj)
 
 let prop_injection_sound =
-  Util.qtest ~count:50 "injection always passes the checker"
+  Util.qtest ~count:50 ~print:Util.print_program
+    "injection always passes the checker"
     (Util.gen_structured ~n_regs:8)
     (fun prog ->
       let liveness = Liveness.analyze prog in

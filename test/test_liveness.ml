@@ -107,7 +107,8 @@ let test_live_at_barriers () =
 (* Property: the dataflow equations hold at fixpoint, and widening only
    enlarges live sets. *)
 let prop_dataflow_equations =
-  Util.qtest ~count:60 "dataflow equations hold" (Util.gen_structured ~n_regs:6)
+  Util.qtest ~count:60 ~print:Util.print_program "dataflow equations hold"
+    (Util.gen_structured ~n_regs:6)
     (fun prog ->
       let t = Liveness.analyze ~widen:false prog in
       let n = Program.length prog in
@@ -127,7 +128,8 @@ let prop_dataflow_equations =
       !ok)
 
 let prop_widening_monotone =
-  Util.qtest ~count:60 "widening only grows live sets" (Util.gen_structured ~n_regs:6)
+  Util.qtest ~count:60 ~print:Util.print_program "widening only grows live sets"
+    (Util.gen_structured ~n_regs:6)
     (fun prog ->
       let narrow = Liveness.analyze ~widen:false prog in
       let wide = Liveness.analyze ~widen:true prog in
@@ -139,7 +141,8 @@ let prop_widening_monotone =
       !ok)
 
 let prop_uses_live =
-  Util.qtest ~count:60 "uses are live on entry" (Util.gen_structured ~n_regs:6)
+  Util.qtest ~count:60 ~print:Util.print_program "uses are live on entry"
+    (Util.gen_structured ~n_regs:6)
     (fun prog ->
       let t = Liveness.analyze prog in
       let ok = ref true in

@@ -127,7 +127,9 @@ let test_extra_primitives_harmless () =
 let prop_mutations_caught =
   (* Randomly neutralise one primitive in random transformed kernels: the
      checker or the runtime must notice, or behaviour must be unchanged. *)
-  Util.qtest ~count:30 "random primitive mutations never corrupt silently"
+  Util.qtest ~count:30
+    ~print:QCheck2.Print.(pair Util.print_program int)
+    "random primitive mutations never corrupt silently"
     QCheck2.Gen.(pair (Util.gen_structured ~n_regs:8) (int_bound 1000))
     (fun (prog, salt) ->
       let liveness = Gpu_analysis.Liveness.analyze prog in

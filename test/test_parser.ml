@@ -128,11 +128,27 @@ let test_disassembly_roundtrip () =
     Workloads.Registry.all
 
 let prop_roundtrip_random =
-  Util.qtest ~count:60 "pp/parse roundtrip on random kernels"
+  Util.qtest ~count:60 ~print:Util.print_program
+    "pp/parse roundtrip on random kernels"
     (Util.gen_structured ~n_regs:8)
     (fun prog ->
       let text = Format.asprintf "%a" Program.pp prog in
       Program.equal prog (Parser.parse ~name:prog.Program.name text))
+
+(* The [kernel NAME (N regs)] header bounds the registers that follow; the
+   error points at the first line naming one at or above [N]. *)
+let test_kernel_header () =
+  let p = parse "kernel k (2 regs)\nmov r1, 1\nexit" in
+  Alcotest.(check int) "within the header" 2 p.Program.n_regs;
+  (match parse "kernel k (2 regs)\nmov r0, 1\nmov r9, 1\nmov r8, 1\nexit" with
+  | _ -> Alcotest.fail "r9 accepted under a 2-register header"
+  | exception Parser.Parse_error e ->
+      Alcotest.(check int) "line of the first out-of-range register" 3
+        e.Parser.line);
+  expect_error "kernel k (2 regs)\nbra.nz r2, @0\nexit";
+  expect_error "kernel k\nexit";
+  expect_error "kernel k (two regs)\nexit";
+  expect_error "kernel k (2 regs)\nkernel k (3 regs)\nexit"
 
 let suite =
   [ Alcotest.test_case "basic instructions" `Quick test_basic;
@@ -144,4 +160,5 @@ let suite =
     Alcotest.test_case "error location" `Quick test_error_location;
     Alcotest.test_case "workload disassembly roundtrip" `Quick test_disassembly_roundtrip;
     prop_roundtrip_random;
-    Alcotest.test_case "comments" `Quick test_comments ]
+    Alcotest.test_case "comments" `Quick test_comments;
+    Alcotest.test_case "kernel header" `Quick test_kernel_header ]

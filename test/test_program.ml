@@ -85,7 +85,7 @@ let test_count_equal () =
 (* Property: insertion never changes the simulated store trace (the
    inserted no-ops are Acquire/Release under a Static policy). *)
 let prop_insert_preserves_semantics =
-  Util.qtest ~count:40 "insert_before preserves behaviour"
+  Util.qtest ~count:40 ~print:Util.print_program "insert_before preserves behaviour"
     (Util.gen_structured ~n_regs:6)
     (fun prog ->
       let n = Program.length prog in

@@ -202,6 +202,45 @@ let test_setup_budget () =
   if words >= 1024. then
     Alcotest.failf "one 1-CTA run allocated %.0f major-heap words (budget 1024)" words
 
+(* The fuzz oracle samples [Sm.srp_invariant] on every brute-force cycle,
+   so the check must allocate nothing while the accounting holds. Sampled
+   mid-run on SAD while sections are held, under both SRP engines. *)
+let test_srp_invariant_allocation () =
+  let cfg = Experiments.Exp_config.quick in
+  let spec = Workloads.Registry.find "SAD" in
+  let kernel = Experiments.Exp_config.kernel_of cfg spec in
+  let arch = Experiments.Exp_config.eval_arch cfg spec in
+  List.iter
+    (fun technique ->
+      let prepared = Regmutex.Technique.prepare arch technique kernel in
+      let config = Gpu.default_config arch prepared.Regmutex.Technique.policy in
+      let calls = ref 0 and words = ref 0. in
+      let observe ~cycle:_ sms =
+        Array.iter
+          (fun sm ->
+            if Sm.srp_in_use sm > 0 then begin
+              let before = Gc.minor_words () in
+              for _ = 1 to 100 do
+                match Sm.srp_invariant sm with
+                | None -> ()
+                | Some msg -> Alcotest.fail msg
+              done;
+              words := !words +. (Gc.minor_words () -. before);
+              calls := !calls + 100
+            end)
+          sms
+      in
+      ignore
+        (Gpu.run ~observe ~observe_every:97 config
+           prepared.Regmutex.Technique.kernel);
+      let name = Regmutex.Technique.name technique in
+      Alcotest.(check bool) (name ^ ": sampled while sections were held") true
+        (!calls > 0);
+      let per_call = !words /. float_of_int !calls in
+      if per_call >= 0.1 then
+        Alcotest.failf "%s: %.2f minor words per srp_invariant call" name per_call)
+    [ Regmutex.Technique.Regmutex; Regmutex.Technique.Regmutex_paired ]
+
 let suite =
   [ Alcotest.test_case "functional results" `Quick test_functional_result;
     Alcotest.test_case "stats basics" `Quick test_stats_basics;
@@ -215,4 +254,6 @@ let suite =
     Alcotest.test_case "theoretical warps" `Quick test_theoretical_warps;
     Alcotest.test_case "allocation budget per instruction" `Quick
       test_allocation_budget;
-    Alcotest.test_case "set-up budget of a 1-CTA run" `Quick test_setup_budget ]
+    Alcotest.test_case "set-up budget of a 1-CTA run" `Quick test_setup_budget;
+    Alcotest.test_case "SRP invariant check allocates nothing" `Quick
+      test_srp_invariant_allocation ]

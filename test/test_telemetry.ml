@@ -1,9 +1,9 @@
 (* The telemetry subsystem: metrics registry semantics (bucket edges,
    idempotent registration), trace-ring wraparound and growth, Chrome
    trace-event export against the schema validator, and the zero-overhead
-   contract — attaching a sink must not perturb a single statistic or
-   structured event, in either stepping mode, and the record stream itself
-   must be bit-identical under fast-forward and brute force. *)
+   contract — attaching a sink must not perturb a single statistic, in
+   either stepping mode, and the record stream itself must be
+   bit-identical under fast-forward and brute force. *)
 
 module Metrics = Telemetry.Metrics
 module Trace = Telemetry.Trace
@@ -184,22 +184,19 @@ let test_profile_scopes () =
 
 let run_mode ~arch ~technique ~kernel ~fast_forward ~telemetry =
   let prepared = Technique.prepare arch technique kernel in
-  let events = Gpu_sim.Event_trace.create () in
   let config =
     { (Gpu.default_config arch prepared.Technique.policy) with
       Gpu.record_stores = true;
       trace_warp0 = true;
-      events = Some events;
       max_cycles = 2_000_000;
       fast_forward;
       telemetry }
   in
-  let stats = Gpu.run config prepared.Technique.kernel in
-  (stats, events)
+  Gpu.run config prepared.Technique.kernel
 
 (* The policy x scheduler matrix from the fast-forward suite, each cell
-   simulated with and without a sink: stats and structured events must be
-   bit-identical — the probe only observes. *)
+   simulated with and without a sink: stats must be bit-identical — the
+   probe only observes. *)
 let test_sink_off_on_identity () =
   List.iter
     (fun (sched_name, scheduler) ->
@@ -215,24 +212,18 @@ let test_sink_off_on_identity () =
                 Printf.sprintf "%s/%s/%s" sched_name (Technique.name technique)
                   kname
               in
-              let off_stats, off_events =
+              let off_stats =
                 run_mode ~arch ~technique ~kernel ~fast_forward:true
                   ~telemetry:None
               in
-              let on_stats, on_events =
+              let on_stats =
                 run_mode ~arch ~technique ~kernel ~fast_forward:true
                   ~telemetry:(Some (Telemetry.Sink.create ()))
               in
-              Test_fast_forward.check_same_stats msg off_stats on_stats;
-              Test_fast_forward.check_same_events msg off_events on_events)
+              Test_fast_forward.check_same_stats msg off_stats on_stats)
             Test_fast_forward.kernels)
         Test_fast_forward.techniques)
     Test_fast_forward.schedulers
-
-let records sink =
-  let acc = ref [] in
-  Trace.iter sink.Telemetry.Sink.trace (fun r -> acc := r :: !acc);
-  List.rev !acc
 
 (* The record stream itself is mode-independent: every probe record is
    anchored at an issue, so fast-forward and brute force emit identical
@@ -251,7 +242,7 @@ let test_trace_mode_identity () =
           run_mode ~arch:Util.small_arch ~technique ~kernel ~fast_forward
             ~telemetry:(Some sink)
         in
-        records sink
+        Util.records sink
       in
       let fast = with_mode true and brute = with_mode false in
       let jumps, fast_rest =
@@ -264,16 +255,8 @@ let test_trace_mode_identity () =
         (Technique.name technique ^ ": no jump spans under brute force")
         true
         (List.for_all (fun r -> r.Trace.name <> "fast-forward") brute);
-      Alcotest.(check int)
-        (Technique.name technique ^ ": same record count")
-        (List.length brute) (List.length fast_rest);
-      List.iteri
-        (fun i (b, f) ->
-          if b <> f then
-            Alcotest.failf "%s: record %d diverges: %s/%d vs %s/%d"
-              (Technique.name technique) i b.Trace.name b.Trace.ts f.Trace.name
-              f.Trace.ts)
-        (List.combine brute fast_rest))
+      Test_fast_forward.check_same_records (Technique.name technique) brute
+        fast_rest)
     Test_fast_forward.techniques
 
 (* The exported timeline of a real cell passes the schema validator and
@@ -284,7 +267,7 @@ let test_end_to_end_export () =
       Test_fast_forward.contended
   in
   let sink = Telemetry.Sink.create () in
-  let stats, _ =
+  let stats =
     run_mode ~arch:Util.small_arch ~technique:Technique.Regmutex ~kernel
       ~fast_forward:true ~telemetry:(Some sink)
   in
@@ -300,7 +283,7 @@ let test_end_to_end_export () =
   (match Json_check.validate_chrome_trace out with
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "schema: %s" msg);
-  let rs = records sink in
+  let rs = Util.records sink in
   let has name = List.exists (fun r -> r.Trace.name = name) rs in
   List.iter
     (fun name ->

@@ -65,7 +65,8 @@ let test_all_workloads_transform () =
     Workloads.Registry.all
 
 let prop_transform_sound =
-  Util.qtest ~count:40 "transform output always passes the checker"
+  Util.qtest ~count:40 ~print:Util.print_program
+    "transform output always passes the checker"
     (Util.gen_structured ~n_regs:8)
     (fun prog ->
       let liveness = Gpu_analysis.Liveness.analyze prog in

@@ -1,6 +1,7 @@
 (* Shared helpers for the test suite: tiny program builders, Alcotest
    testables, a generator of random structured (always-terminating)
-   kernels for property-based tests, and simulation shorthands. *)
+   kernels for property-based tests, simulation shorthands, and the
+   telemetry sink's record decoder. *)
 
 open Gpu_isa
 
@@ -123,6 +124,9 @@ let gen_structured ~n_regs : Program.t QCheck2.Gen.t =
   in
   return (Builder.assemble ~name:"gen" items)
 
+(* A generated kernel as QCheck shows a failing (shrunk) case. *)
+let print_program = Format.asprintf "%a" Program.pp
+
 (* --- simulation shorthands --------------------------------------------- *)
 
 let small_arch =
@@ -153,5 +157,15 @@ let check_same_traces msg a b =
   | None -> ()
   | Some diff -> Alcotest.failf "%s: %s" msg diff
 
-let qtest ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+(* The records a telemetry sink retained, oldest first: the one decoder of
+   the simulator's event stream the suites share. *)
+let records (sink : Telemetry.Sink.t) =
+  let acc = ref [] in
+  Telemetry.Trace.iter sink.Telemetry.Sink.trace (fun r -> acc := r :: !acc);
+  List.rev !acc
+
+let named name rs = List.filter (fun r -> r.Telemetry.Trace.name = name) rs
+
+(* [print] renders a failing (shrunk) input in the report. *)
+let qtest ?(count = 100) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
