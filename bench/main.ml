@@ -470,8 +470,9 @@ let regdem_bench ~quick cfg =
    against their mean. All four fingerprints must agree: the off/off pair
    shows the disabled sink perturbs nothing, and the on-ff/on-bf pair is
    the fast-forward equivalence suite re-run with telemetry enabled — the
-   probe's issue-anchored hooks must not disturb cycle skipping. Results
-   land in BENCH_telemetry_overhead.json for the CI artifact. *)
+   probe's issue-anchored hooks must not disturb cycle skipping; they are
+   the only gate. Results land in BENCH_telemetry_overhead.json for the
+   CI artifact. *)
 let telemetry_bench ~quick cfg =
   let module Runner = Regmutex.Runner in
   let module Technique = Regmutex.Technique in
@@ -532,8 +533,10 @@ let telemetry_bench ~quick cfg =
   let total_on =
     List.fold_left (fun a (_, _, _, o, _, _, _) -> a +. o) 0. cells
   in
-  (* The per-cell ratios are noisy on sub-millisecond runs; the aggregate
-     over the whole suite is the number the <3% budget is judged on. *)
+  (* The aggregate: total sink-on time over the mean sink-off time,
+     summed across the suite (per-cell ratios are noisy on
+     sub-millisecond runs). It is recorded, not gated: the bench fails
+     only when the fingerprints differ. *)
   let overhead_pct = ((total_on /. Float.max total_off 1e-9) -. 1.) *. 100. in
   let all_identical =
     List.for_all (fun (_, _, _, _, _, _, ok) -> ok) cells
@@ -570,7 +573,7 @@ let telemetry_bench ~quick cfg =
    fast-forward with every warp lane-resolved from launch) and all five
    run fingerprints must be bit-identical, the subsystem's core contract
    (a warp-uniform program must not observe the lane dimension; the
-   lane-resolved run keeps the per-lane interpreter in the comparison).
+   lane-resolved run is the all-lanes reference for the collapsed path).
    No warp of these cells reads %laneid, so none may leave the collapsed
    state: a nonzero [lane_expansions] fails the bench. The SIMT
    wall-time cost is the brute-force simt/uniform ratio, summarised as a

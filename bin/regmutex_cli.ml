@@ -363,9 +363,36 @@ let run_file_cmd =
             ~cta_threads:threads ~params:(Array.of_list params) program
         in
         let options = { Regmutex.Technique.default_options with simt } in
-        let run =
-          Regmutex.Runner.execute ~options ~fast_forward:(not no_ff) arch
+        let prepared, config =
+          Regmutex.Runner.prepare ~options ~fast_forward:(not no_ff) arch
             technique kernel
+        in
+        (* The machine refuses these shapes with [Invalid_argument]; they
+           are the user's launch choice, so say which flag to change. The
+           policy is the prepared one: a technique with nothing to share
+           falls back to static allocation, which has neither limit. *)
+        let policy = prepared.Regmutex.Technique.policy
+        and kernel = prepared.Regmutex.Technique.kernel in
+        if Gpu_sim.Sm.cta_capacity_for arch ~policy ~kernel = 0 then
+          usage_error
+            "--threads %d: one CTA does not fit on an SM%s (zero occupancy)"
+            threads
+            (if half then " with --half-rf" else "");
+        (match policy with
+        | Gpu_sim.Policy.Srp_paired _ | Gpu_sim.Policy.Owf _ ->
+            let wpc = Gpu_sim.Kernel.warps_per_cta arch kernel in
+            if wpc mod 2 <> 0 then
+              usage_error
+                "--threads %d gives %d warps per CTA; the %s policy pairs \
+                 warps and needs an even count"
+                threads wpc
+                (Regmutex.Technique.name technique)
+        | Gpu_sim.Policy.Static _ | Gpu_sim.Policy.Srp _ | Gpu_sim.Policy.Rfv _
+        | Gpu_sim.Policy.Regdem _ ->
+            ());
+        let run =
+          Regmutex.Runner.of_stats config prepared
+            (Regmutex.Runner.simulate config prepared)
         in
         Format.printf "%a@." Regmutex.Runner.pp run;
         Format.printf "%a@." Gpu_sim.Stats.pp run.Regmutex.Runner.stats;

@@ -27,10 +27,11 @@ type run = {
     [corrupt_mask] (default [0]) clears lanes from every warp's initial
     active mask — the fuzz oracle's fault-injection hook for its
     per-lane-trace self-test; meaningful only with [options.simt].
-    [lane_resolved] (default [false]) starts every SIMT warp on the
-    per-lane interpreter instead of collapsed on one register row; the
-    run (and its fingerprint) is identical either way — it is the
-    differential tests' reference for the per-lane interpreter. *)
+    [lane_resolved] (default [false]) starts every SIMT warp expanded,
+    running each instruction once per active lane, instead of collapsed
+    on one lane's register row; the run (and its fingerprint) is
+    identical either way — it is the all-lanes reference the collapsed
+    fast path is checked against. *)
 val execute :
   ?options:Technique.options ->
   ?record_stores:bool ->

@@ -196,7 +196,7 @@ let diff_stats ?(sides = ("fast-forward", "brute-force")) ~label (ff : Stats.t)
 let roundtrip_failures prog =
   let failures = ref [] in
   let fail detail = failures := { kind = Roundtrip; detail } :: !failures in
-  (let printed = Format.asprintf "%a" Program.pp prog in
+  (let printed = Program.to_string prog in
    match Parser.parse ~name:prog.Program.name printed with
    | reparsed ->
        if not (Program.equal reparsed prog) then
@@ -582,8 +582,8 @@ let simt_options = { Technique.default_options with Technique.simt = true }
    must reproduce the warp-uniform run bit-for-bit — counters, stall
    histogram and store traces. This is the fuzz-side enforcement of the
    two-execution-models contract. The SIMT run starts lane-resolved: a
-   collapsed warp would execute on the warp-uniform interpreter, and the
-   check would compare that interpreter with itself. *)
+   collapsed warp makes the same warp-level calls as the uniform run, and
+   the check would compare them with themselves. *)
 let simt_equiv_failures memo (case : Gen.t) ~base =
   match
     execute memo ~options:simt_options ~lane_resolved:true Technique.Baseline

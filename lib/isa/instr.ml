@@ -146,31 +146,122 @@ let special_name = function
   | Warp_id -> "%warpid"
   | Lane_id -> "%laneid"
 
-let pp_operand ppf = function
-  | Reg r -> Format.fprintf ppf "r%d" r
-  | Imm n -> Format.fprintf ppf "%d" n
-  | Special s -> Format.pp_print_string ppf (special_name s)
-  | Param i -> Format.fprintf ppf "param[%d]" i
+(* The printers write into a Buffer: the fuzz oracle's print/parse
+   round trip prints every kernel it tests, and Format's per-directive
+   machinery dominated that cost. *)
+(* Decimal digits straight into the buffer: [string_of_int] goes through
+   the C printf machinery once per call. *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
 
-let pp ppf instr =
-  let o = pp_operand in
+let add_int b n =
+  if n >= 0 then add_digits b n
+  else if n = min_int then Buffer.add_string b (string_of_int n)
+  else begin
+    Buffer.add_char b '-';
+    add_digits b (-n)
+  end
+
+let add_operand b = function
+  | Reg r ->
+      Buffer.add_char b 'r';
+      add_int b r
+  | Imm n -> add_int b n
+  | Special s -> Buffer.add_string b (special_name s)
+  | Param i ->
+      Buffer.add_string b "param[";
+      add_int b i;
+      Buffer.add_char b ']'
+
+(* ", " then an operand; " r" then a register; the "[a+ofs]" address. *)
+let add_reg b d =
+  Buffer.add_string b " r";
+  add_int b d
+
+let add_arg b o =
+  Buffer.add_string b ", ";
+  add_operand b o
+
+let add_addr b a ofs =
+  Buffer.add_char b '[';
+  add_operand b a;
+  Buffer.add_char b '+';
+  add_int b ofs;
+  Buffer.add_char b ']'
+
+let add_to_buffer b instr =
   match instr with
-  | Bin (op, d, a, b) -> Format.fprintf ppf "%s r%d, %a, %a" (binop_name op) d o a o b
-  | Un (op, d, a) -> Format.fprintf ppf "%s r%d, %a" (unop_name op) d o a
-  | Mad (d, a, b, c) -> Format.fprintf ppf "mad r%d, %a, %a, %a" d o a o b o c
-  | Mov (d, a) -> Format.fprintf ppf "mov r%d, %a" d o a
-  | Cmp (op, d, a, b) -> Format.fprintf ppf "set.%s r%d, %a, %a" (cmpop_name op) d o a o b
-  | Sel (d, c, a, b) -> Format.fprintf ppf "sel r%d, %a, %a, %a" d o c o a o b
-  | Load (sp, d, addr, ofs) ->
-      Format.fprintf ppf "ld.%s r%d, [%a+%d]" (space_name sp) d o addr ofs
-  | Store (sp, addr, v, ofs) ->
-      Format.fprintf ppf "st.%s [%a+%d], %a" (space_name sp) o addr ofs o v
-  | Jump t -> Format.fprintf ppf "bra @%d" t
-  | Jump_if (c, t) -> Format.fprintf ppf "bra.nz %a, @%d" o c t
-  | Jump_ifz (c, t) -> Format.fprintf ppf "bra.z %a, @%d" o c t
-  | Bar -> Format.pp_print_string ppf "bar.sync"
-  | Acquire -> Format.pp_print_string ppf "regmutex.acquire"
-  | Release -> Format.pp_print_string ppf "regmutex.release"
-  | Exit -> Format.pp_print_string ppf "exit"
+  | Bin (op, d, a, x) ->
+      Buffer.add_string b (binop_name op);
+      add_reg b d;
+      add_arg b a;
+      add_arg b x
+  | Un (op, d, a) ->
+      Buffer.add_string b (unop_name op);
+      add_reg b d;
+      add_arg b a
+  | Mad (d, a, x, c) ->
+      Buffer.add_string b "mad";
+      add_reg b d;
+      add_arg b a;
+      add_arg b x;
+      add_arg b c
+  | Mov (d, a) ->
+      Buffer.add_string b "mov";
+      add_reg b d;
+      add_arg b a
+  | Cmp (op, d, a, x) ->
+      Buffer.add_string b "set.";
+      Buffer.add_string b (cmpop_name op);
+      add_reg b d;
+      add_arg b a;
+      add_arg b x
+  | Sel (d, c, a, x) ->
+      Buffer.add_string b "sel";
+      add_reg b d;
+      add_arg b c;
+      add_arg b a;
+      add_arg b x
+  | Load (sp, d, a, ofs) ->
+      Buffer.add_string b "ld.";
+      Buffer.add_string b (space_name sp);
+      add_reg b d;
+      Buffer.add_string b ", ";
+      add_addr b a ofs
+  | Store (sp, a, v, ofs) ->
+      Buffer.add_string b "st.";
+      Buffer.add_string b (space_name sp);
+      Buffer.add_char b ' ';
+      add_addr b a ofs;
+      add_arg b v
+  | Jump t ->
+      Buffer.add_string b "bra @";
+      add_int b t
+  | Jump_if (c, t) ->
+      Buffer.add_string b "bra.nz ";
+      add_operand b c;
+      Buffer.add_string b ", @";
+      add_int b t
+  | Jump_ifz (c, t) ->
+      Buffer.add_string b "bra.z ";
+      add_operand b c;
+      Buffer.add_string b ", @";
+      add_int b t
+  | Bar -> Buffer.add_string b "bar.sync"
+  | Acquire -> Buffer.add_string b "regmutex.acquire"
+  | Release -> Buffer.add_string b "regmutex.release"
+  | Exit -> Buffer.add_string b "exit"
 
-let to_string i = Format.asprintf "%a" pp i
+let to_string i =
+  let b = Buffer.create 32 in
+  add_to_buffer b i;
+  Buffer.contents b
+
+let pp_operand ppf o =
+  let b = Buffer.create 16 in
+  add_operand b o;
+  Format.pp_print_string ppf (Buffer.contents b)
+
+let pp ppf i = Format.pp_print_string ppf (to_string i)
+

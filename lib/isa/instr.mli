@@ -100,6 +100,11 @@ val equal : t -> t -> bool
 (** Printable name of a memory space ("global" / "shared" / "spill"). *)
 val space_name : space -> string
 
+(** [add_to_buffer b i] appends the assembly text of [i] to [b] — the
+    syntax {!Parser} reads back; {!to_string} and {!pp} print the same
+    text. *)
+val add_to_buffer : Buffer.t -> t -> unit
+
 val pp_operand : Format.formatter -> operand -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -80,7 +80,24 @@ let equal a b =
   && Array.length a.body = Array.length b.body
   && Array.for_all2 Instr.equal a.body b.body
 
-let pp ppf p =
-  Format.fprintf ppf "@[<v>kernel %s (%d regs)@," p.name p.n_regs;
-  Array.iteri (fun i instr -> Format.fprintf ppf "%4d: %a@," i Instr.pp instr) p.body;
-  Format.fprintf ppf "@]"
+let to_string p =
+  let b = Buffer.create (64 + (24 * Array.length p.body)) in
+  Buffer.add_string b "kernel ";
+  Buffer.add_string b p.name;
+  Buffer.add_string b " (";
+  Buffer.add_string b (string_of_int p.n_regs);
+  Buffer.add_string b " regs)\n";
+  Array.iteri
+    (fun i instr ->
+      let index = string_of_int i in
+      for _ = String.length index to 3 do
+        Buffer.add_char b ' '
+      done;
+      Buffer.add_string b index;
+      Buffer.add_string b ": ";
+      Instr.add_to_buffer b instr;
+      Buffer.add_char b '\n')
+    p.body;
+  Buffer.contents b
+
+let pp ppf p = Format.pp_print_string ppf (to_string p)

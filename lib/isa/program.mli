@@ -40,4 +40,11 @@ val map_instrs : (int -> Instr.t -> Instr.t) -> t -> t
 val count : (Instr.t -> bool) -> t -> int
 
 val equal : t -> t -> bool
+
+(** The assembly listing {!Parser.parse} reads back: a
+    [kernel NAME (N regs)] header, then one [%4d: instr] line per pc,
+    each ending in a newline. *)
+val to_string : t -> string
+
+(** [to_string] for Format callers. *)
 val pp : Format.formatter -> t -> unit

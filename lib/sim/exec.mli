@@ -12,7 +12,11 @@
     direct on the context fields rather than through per-warp closures. *)
 
 type ctx = {
-  regs : int array;    (** the warp's register-file row (shared with the SM) *)
+  mutable regs : int array;
+      (** the warp slot's register row (shared with the SM), lane-major:
+          lane [l]'s register [r] at [l * n_regs + r]. A warp-uniform or
+          collapsed warp uses lane 0's segment; the SM rebinds the field
+          when the row grows at a warp's first expansion *)
   params : int array;
   tid : int;           (** linear thread id of the warp's first lane *)
   mutable ctaid : int; (** rebound at each CTA launch into the slot *)
@@ -29,14 +33,20 @@ type ctx = {
   stats : Stats.t;     (** shared-memory wrap counting, store recording *)
   record_stores : bool;
   lanes : int;         (** warp width under [--simt]; 0 in the warp-uniform
-                           model (the per-lane entry points are never called) *)
+                           model, which keeps no lane store traces *)
   n_regs : int;        (** architected registers per lane (row stride) *)
-  mutable lane_regs : int array;
-      (** lane-major per-lane register file for this slot,
-          [lanes * n_regs] words ([lane * n_regs + r]); [[||]] in the
-          warp-uniform model and until the slot first runs expanded
-          (the SM binds it then) *)
+  mutable base : int;  (** the executing lane's segment offset in [regs] *)
+  mutable lane : int;
+      (** the executing lane ([%laneid]), or [-1] for a warp-level call,
+          which reads [%laneid] as 0 and records a store in every lane's
+          trace *)
+  mutable leader : bool;
+      (** this call records a store in the warp-level trace *)
+  mutable taken : int;
+      (** after {!run_lanes}: the lanes whose outcome was a [Goto] *)
 }
+(** Between calls a context is at warp level: [base = 0], [lane = -1],
+    [leader = true]. {!run_lanes} leaves it there. *)
 
 type outcome =
   | Next         (** fall through to [pc + 1] *)
@@ -46,29 +56,15 @@ type outcome =
   | Acq          (** [Acquire] — policy handled by the SM *)
   | Rel          (** [Release] *)
 
-(** Per-lane control outcome: either every active lane agrees (including
-    conditional branches whose condition is warp-uniform in practice), or
-    the branch splits the active mask — reconvergence-stack handling lives
-    in {!Sm}. *)
-type lane_outcome =
-  | L_uniform of outcome
-  | L_diverge of { taken : int; tgt : int }
-      (** [taken] is the non-empty, proper sub-mask of active lanes whose
-          condition takes the branch to [tgt] *)
-
 val operand : ctx -> Gpu_isa.Instr.operand -> int
 
-(** [lane_operand ctx lane op] — the lane-resolved operand value.
-    [%laneid] is [lane]; a lane's linear thread id is [%tid + %laneid]. *)
-val lane_operand : ctx -> int -> Gpu_isa.Instr.operand -> int
-
-(** Evaluate the instruction: performs register writes and memory effects,
-    returns the control outcome. Division and remainder by zero yield 0;
-    shift counts are masked to 5 bits (32-bit GPU semantics). Shared
-    accesses outside the CTA's allocation wrap and bump
-    [stats.shared_oob]. Under [--simt] this is also the interpreter of a
-    collapsed warp (all lanes equal, on [regs]): with [lanes > 0] a
-    recorded store lands in every lane's trace as well. *)
+(** Evaluate the instruction on the executing lane's segment: performs
+    register writes and memory effects, returns the control outcome.
+    Division and remainder by zero yield 0; shift counts are masked to 5
+    bits (32-bit GPU semantics). Shared accesses outside the CTA's
+    allocation wrap and bump [stats.shared_oob]. Shared and spill traffic
+    counters are left to the caller (the SM counts them once per issued
+    instruction). The reference {!decode} is tested against. *)
 val step : ctx -> Gpu_isa.Instr.t -> outcome
 
 (** [decode instr] is [fun ctx -> step ctx instr], decoded once: the
@@ -76,26 +72,18 @@ val step : ctx -> Gpu_isa.Instr.t -> outcome
     branches on a register and global loads through a register become
     closures specialised on opcode and operand kinds, whose [Goto]
     outcomes are allocated at decode time; every other form calls
-    {!step}. The SM decodes each pc once and runs warp-uniform (and
-    collapsed [--simt]) issues through the result. *)
+    {!step}. The SM decodes each pc once and runs every issue through the
+    result. Branch closures only read, so scheduler peeks may call them. *)
 val decode : Gpu_isa.Instr.t -> ctx -> outcome
 
-(** [branch_masks ctx instr ~mask] — pure per-lane evaluation of a
-    conditional branch: [Some (taken_mask, target)], or [None] for
-    non-conditional instructions. Counts nothing (safe to call from
-    scheduler peeks). With [~collapsed:true] registers are read from the
-    warp-uniform [regs] row, as every lane of a collapsed warp holds it. *)
-val branch_masks :
-  ?collapsed:bool -> ctx -> Gpu_isa.Instr.t -> mask:int -> (int * int) option
+(** [run_lanes ctx f ~mask ~stride] — the n-lane driver: calls [f] once
+    for each lane [l] set in [mask], in ascending order, with [lane = l]
+    and [base = l * stride]. A warp-level call ([f ctx]) is the n = 1 case
+    of the same semantics.
 
-(** [step_simt ctx instr ~mask] evaluates the instruction for every lane
-    set in [mask] against the lane-resolved register file.
-
-    Counter contract (the bit-identity contract with the warp-uniform
-    model): shared/spill traffic counters advance once
-    per executed instruction regardless of how many lanes are active, and
-    [stats.shared_oob] bumps at most once per instruction. The warp-level
-    store trace records the lowest active lane; every active lane is
-    additionally recorded in the lane-resolved trace
-    (see {!Stats.lane_store_traces}). *)
-val step_simt : ctx -> Gpu_isa.Instr.t -> mask:int -> lane_outcome
+    Counter contract: [stats.shared_oob] bumps at most once per call. The
+    warp-level store trace records the lowest active lane; every active
+    lane is recorded in its own lane trace. Returns [Goto] when any lane
+    branched (and sets [taken] to those lanes), otherwise the lanes'
+    common outcome. *)
+val run_lanes : ctx -> (ctx -> outcome) -> mask:int -> stride:int -> outcome

@@ -37,12 +37,12 @@ type run_config = {
           Fault-injection hook for the fuzz oracle's per-lane-trace
           self-test; meaningful only with [simt]. *)
   lane_resolved : bool;
-      (** Test hook, meaningful only with [simt] (default [false]): start
-          every warp lane-resolved instead of collapsed. A collapsed warp
-          runs the warp-uniform interpreter on one register row until its
-          first [%laneid] read; the results are identical either way, and
-          [true] keeps the per-lane interpreter under differential test
-          on warp-uniform programs. *)
+      (** Reference run, meaningful only with [simt] (default [false]):
+          start every warp lane-resolved instead of collapsed. A collapsed
+          warp runs each instruction once, at warp level on one lane's
+          register row, until its first [%laneid] read; the results are
+          identical either way, and [true] is the all-lanes run the
+          collapsed fast path is checked against. *)
 }
 
 val default_config : Gpu_uarch.Arch_config.t -> Policy.t -> run_config

@@ -33,6 +33,10 @@ type issue_class =
   | Stateful  (* policy state *)
   | Owf_ext   (* stateful until the warp owns its OWF pair's registers *)
 
+(* The shared-memory traffic counter a pc bumps at issue: once per
+   instruction, however many lanes execute it. *)
+type smem_access = No_smem | Shared_read | Shared_write | Fill_load | Spill_store
+
 type t = {
   cfg : Arch_config.t;
   sm_id : int;
@@ -92,6 +96,7 @@ type t = {
   def_reg : int array;           (* destination register, -1 none, -2 invalid *)
   rf_reads : int array;          (* register-file read ports used at issue *)
   rf_writes : int array;         (* register-file write ports used at issue *)
+  smem : smem_access array;      (* shared/spill counter bumped at issue *)
   pc_regs : int array array;     (* registers read or written, ascending *)
   top_reg : int array;           (* highest of [pc_regs], -1 when empty; an
                                     extended-set access when >= bs *)
@@ -99,7 +104,8 @@ type t = {
   is_acquire : bool array;
   reads_laneid : bool array;     (* SIMT: a collapsed warp expands here *)
   decoded : (Exec.ctx -> Exec.outcome) array;
-      (* [Exec.decode] of every pc: the warp-uniform interpreter *)
+      (* [Exec.decode] of every pc: the interpreter, run once per issue
+         at warp level or once per active lane *)
   pc_class : issue_class array;  (* see [class_of] *)
   max_rank : int;
       (* highest [rank_block] value the policy can produce; bounds the
@@ -120,9 +126,10 @@ type t = {
      and the per-warp reconvergence stack. Timing stays warp-granular —
      only the values (and the lane occupancy statistics) are resolved per
      lane, so a warp-uniform program is bit-identical in both models. A
-     warp launched under the full mask runs collapsed on its uniform row
-     until it first reads [%laneid]; [lane_resolved] launches every warp
-     expanded instead (the differential tests' reference). *)
+     warp launched under the full mask runs collapsed, at warp level on
+     lane 0's segment, until it first reads [%laneid]; [lane_resolved]
+     launches every warp expanded instead — the all-lanes reference run
+     the collapsed fast path is checked against. *)
   simt : bool;
   lane_resolved : bool;
   reconv : int array;       (* per-pc reconvergence table ([||] unless simt) *)
@@ -208,6 +215,7 @@ type tables = {
   tb_def_reg : int array;
   tb_rf_reads : int array;
   tb_rf_writes : int array;
+  tb_smem : smem_access array;
   tb_pc_regs : int array array;
   tb_top_reg : int array;
   tb_is_global : bool array;
@@ -243,6 +251,7 @@ let tables ?(simt = false) (cfg : Arch_config.t) ~policy ~kernel =
   in
   let latency = Array.make n 0 and def_reg = Array.make n (-1) in
   let rf_reads = Array.make n 0 and rf_writes = Array.make n 0 in
+  let smem = Array.make n No_smem in
   let pc_regs = Array.make n [||] and top_reg = Array.make n (-1) in
   let is_global = Array.make n false and is_acquire = Array.make n false in
   let reads_laneid = Array.make n false in
@@ -281,12 +290,22 @@ let tables ?(simt = false) (cfg : Arch_config.t) ~policy ~kernel =
     | Instr.Mad (_, a, b, c) | Instr.Sel (_, a, b, c) ->
         rf_reads.(pc) <- reg a + reg b + reg c;
         reads_laneid.(pc) <- lane a || lane b || lane c
-    | Instr.Load (_, _, addr, _) ->
+    | Instr.Load (space, _, addr, _) ->
         rf_reads.(pc) <- reg addr;
-        reads_laneid.(pc) <- lane addr
-    | Instr.Store (_, addr, v, _) ->
+        reads_laneid.(pc) <- lane addr;
+        smem.(pc) <-
+          (match space with
+          | Instr.Global -> No_smem
+          | Instr.Shared -> Shared_read
+          | Instr.Spill -> Fill_load)
+    | Instr.Store (space, addr, v, _) ->
         rf_reads.(pc) <- reg addr + reg v;
-        reads_laneid.(pc) <- lane addr || lane v
+        reads_laneid.(pc) <- lane addr || lane v;
+        smem.(pc) <-
+          (match space with
+          | Instr.Global -> No_smem
+          | Instr.Shared -> Shared_write
+          | Instr.Spill -> Spill_store)
     | Instr.Jump_if (c, _) | Instr.Jump_ifz (c, _) ->
         rf_reads.(pc) <- reg c;
         reads_laneid.(pc) <- lane c
@@ -323,6 +342,7 @@ let tables ?(simt = false) (cfg : Arch_config.t) ~policy ~kernel =
     tb_def_reg = def_reg;
     tb_rf_reads = rf_reads;
     tb_rf_writes = rf_writes;
+    tb_smem = smem;
     tb_pc_regs = pc_regs;
     tb_top_reg = top_reg;
     tb_is_global = is_global;
@@ -390,7 +410,10 @@ let make ?telemetry ~corrupt_mask ~lane_resolved tb ~sm_id ~memory
           record_stores;
           lanes = (if simt then cfg.warp_size else 0);
           n_regs;
-          lane_regs = [||];
+          base = 0;
+          lane = -1;
+          leader = true;
+          taken = 0;
         })
   in
   let schedulers =
@@ -436,6 +459,7 @@ let make ?telemetry ~corrupt_mask ~lane_resolved tb ~sm_id ~memory
     def_reg = tb.tb_def_reg;
     rf_reads = tb.tb_rf_reads;
     rf_writes = tb.tb_rf_writes;
+    smem = tb.tb_smem;
     pc_regs = tb.tb_pc_regs;
     top_reg = tb.tb_top_reg;
     is_global = tb.tb_is_global;
@@ -615,7 +639,7 @@ let try_launch t ~global_cta ~cycle =
             ~age;
           if t.simt then
             if t.lane_resolved || t.corrupt_mask <> 0 then
-              t.ctxs.(wslot).Exec.lane_regs <-
+              t.ctxs.(wslot).Exec.regs <-
                 Soa.simt_reset soa ~slot:wslot
                   ~mask:(t.full_mask land lnot t.corrupt_mask)
                   ~rpc:t.reconv_sentinel
@@ -679,39 +703,40 @@ type block_reason =
   | Blocked_done
 
 (* RFV: the next instruction's demand, given this instruction's outcome.
-   Branch conditions are evaluated without side effects. Under SIMT the
-   computed next-pc is routed through the reconvergence stack (pure peek
-   variants), and a divergent branch executes its fall-through arm next —
-   unless the fall-through IS the reconvergence point (a loop exit), in
-   which case the suspended taken arm runs immediately. A collapsed warp
-   peeks like a warp-uniform one, except at a [%laneid] read: issuing it
-   expands the warp, so the peek evaluates that branch per lane. *)
+   Branch closures only read, so the peek runs the pc's decoded branch:
+   at warp level for a warp-uniform or collapsed warp, lane by lane under
+   the active mask for an expanded one. Under SIMT the computed next-pc is
+   routed through the reconvergence stack (pure peek variants), and a
+   divergent branch executes its fall-through arm next — unless the
+   fall-through IS the reconvergence point (a loop exit), in which case
+   the suspended taken arm runs immediately. A collapsed warp peeks like
+   a warp-uniform one, except at a [%laneid] read: issuing it expands the
+   warp, so the peek runs that branch for every lane on the collapsed
+   segment. *)
 let rfv_peek_next t ~slot instr =
   let pc = t.soa.Soa.pc.(slot) in
+  let ctx = t.ctxs.(slot) in
   let collapsed = t.simt && Soa.simt_collapsed t.soa ~slot in
   if not t.simt || (collapsed && not t.reads_laneid.(pc)) then
     match instr with
-    | Instr.Jump tgt -> tgt
-    | Instr.Jump_if (c, tgt) ->
-        if Exec.operand t.ctxs.(slot) c <> 0 then tgt else pc + 1
-    | Instr.Jump_ifz (c, tgt) ->
-        if Exec.operand t.ctxs.(slot) c = 0 then tgt else pc + 1
+    | Instr.Jump_if _ | Instr.Jump_ifz _ | Instr.Jump _ -> (
+        match t.decoded.(pc) ctx with Exec.Goto tgt -> tgt | _ -> pc + 1)
     | Instr.Exit -> pc
     | _ -> pc + 1
   else
     let soa = t.soa in
     match instr with
     | Instr.Jump tgt -> Soa.simt_peek_next soa ~slot tgt
-    | Instr.Jump_if _ | Instr.Jump_ifz _ -> (
+    | Instr.Jump_if (_, tgt) | Instr.Jump_ifz (_, tgt) ->
         let mask = Soa.simt_active soa ~slot in
-        match Exec.branch_masks ~collapsed t.ctxs.(slot) instr ~mask with
-        | Some (taken, tgt) ->
-            if taken = 0 || tgt = pc + 1 then Soa.simt_peek_next soa ~slot (pc + 1)
-            else if taken = mask then Soa.simt_peek_next soa ~slot tgt
-            else
-              let rpc = t.reconv.(pc) in
-              if pc + 1 = rpc then tgt else pc + 1
-        | None -> pc + 1)
+        let stride = if collapsed then 0 else soa.Soa.n_regs in
+        ignore (Exec.run_lanes ctx t.decoded.(pc) ~mask ~stride);
+        let taken = ctx.Exec.taken in
+        if taken = 0 || tgt = pc + 1 then Soa.simt_peek_next soa ~slot (pc + 1)
+        else if taken = mask then Soa.simt_peek_next soa ~slot tgt
+        else
+          let rpc = t.reconv.(pc) in
+          if pc + 1 = rpc then tgt else pc + 1
     | Instr.Exit -> (
         match Soa.simt_peek_exit soa ~slot with Some next -> next | None -> pc)
     | _ -> Soa.simt_peek_next soa ~slot (pc + 1)
@@ -923,21 +948,17 @@ let rfv_move t ~slot ~next_pc =
    extended register is live at a release point. *)
 let release_poison = 0xDEAD_BEEF
 
+(* Every lane segment the row holds is poisoned: a collapsed warp's stale
+   lanes are overwritten when it expands, so poisoning them is harmless. *)
 let poison_ext t ~slot =
-  let regs = t.soa.Soa.regs.(slot) in
-  for r = t.bs to Array.length regs - 1 do
-    regs.(r) <- release_poison
-  done;
-  match t.soa.Soa.simt with
-  | Some s when s.Soa.collapsed.(slot) = 0 ->
-      let row = s.Soa.lane_regs.(slot) in
-      let n = t.soa.Soa.n_regs in
-      for lane = 0 to s.Soa.lanes - 1 do
-        for r = t.bs to n - 1 do
-          row.((lane * n) + r) <- release_poison
-        done
-      done
-  | Some _ | None -> ()
+  let row = t.soa.Soa.regs.(slot) and n = t.soa.Soa.n_regs in
+  let base = ref 0 in
+  while !base < Array.length row do
+    for r = t.bs to n - 1 do
+      row.(!base + r) <- release_poison
+    done;
+    base := !base + n
+  done
 
 let warp_done t ~cycle ~slot cta =
   let soa = t.soa in
@@ -1032,19 +1053,26 @@ let multi_def_error t ~slot ~pc =
 let route t ~slot ~lanes next =
   if lanes then Soa.simt_next t.soa ~slot next else next
 
-(* A collapsed warp about to read [%laneid] becomes lane-resolved: its
-   uniform row is broadcast into every lane, which is exact because no
+(* A collapsed warp about to read [%laneid] becomes lane-resolved: lane
+   0's segment is broadcast into every lane, which is exact because no
    instruction it ran so far could tell the lanes apart. *)
 let expand t ~slot =
-  t.ctxs.(slot).Exec.lane_regs <-
+  t.ctxs.(slot).Exec.regs <-
     Soa.simt_expand t.soa ~slot ~rpc:t.reconv_sentinel;
   t.stats.Stats.lane_expansions <- t.stats.Stats.lane_expansions + 1
 
-(* Bookkeeping common to every executed issue: the instruction count and
-   the destination's scoreboard entry. *)
+(* Bookkeeping common to every executed issue: the instruction count, the
+   shared/spill traffic counter and the destination's scoreboard entry. *)
 let account_issue t ~slot ~cycle ~pc ~completion =
   let soa = t.soa in
-  t.stats.Stats.instructions <- t.stats.Stats.instructions + 1;
+  let st = t.stats in
+  st.Stats.instructions <- st.Stats.instructions + 1;
+  (match t.smem.(pc) with
+  | No_smem -> ()
+  | Shared_read -> st.Stats.shared_reads <- st.Stats.shared_reads + 1
+  | Shared_write -> st.Stats.shared_writes <- st.Stats.shared_writes + 1
+  | Fill_load -> st.Stats.fill_loads <- st.Stats.fill_loads + 1
+  | Spill_store -> st.Stats.spill_stores <- st.Stats.spill_stores + 1);
   soa.Soa.issued.(slot) <- soa.Soa.issued.(slot) + 1;
   (* Timing: set the destination's ready cycle. *)
   let d = t.def_reg.(pc) in
@@ -1179,41 +1207,45 @@ let issue t ~slot ~cycle =
       && soa.Soa.global_cta.(slot) = 0
       && soa.Soa.warp_in_cta.(slot) = 0
     then t.stats.Stats.pc_trace <- pc :: t.stats.Stats.pc_trace;
-    (* Execute: per-lane under the active mask for an expanded SIMT warp,
-       through the pc's decoded closure otherwise (including a collapsed
-       SIMT warp, all of whose lanes are active and equal). Lane-occupancy
-       statistics are kept with the same convention everywhere (every
-       uniform issue is a full warp), so warp-uniform programs report
+    (* Execute the pc's decoded closure: once at warp level (a
+       warp-uniform or collapsed warp, all of whose lanes are active and
+       equal), once per active lane for an expanded SIMT warp. Lane
+       occupancy is counted with the same convention everywhere (every
+       warp-level issue is a full warp), so warp-uniform programs report
        identical totals. *)
     if t.simt && t.reads_laneid.(pc) && Soa.simt_collapsed soa ~slot then
       expand t ~slot;
+    let ctx = t.ctxs.(slot) in
     if t.simt && not (Soa.simt_collapsed soa ~slot) then begin
       let mask = Soa.simt_active soa ~slot in
       let on = Bits.popcount mask in
       t.stats.Stats.active_lane_cycles <- t.stats.Stats.active_lane_cycles + on;
       t.stats.Stats.predicated_lane_cycles <-
         t.stats.Stats.predicated_lane_cycles + (t.cfg.warp_size - on);
-      let lout = Exec.step_simt t.ctxs.(slot) t.instrs.(pc) ~mask in
+      let outcome = Exec.run_lanes ctx t.decoded.(pc) ~mask ~stride:soa.Soa.n_regs in
       account_issue t ~slot ~cycle ~pc ~completion;
-      match lout with
-      | Exec.L_diverge { taken; tgt } ->
-          (* Both arms land on pc+1 when the target is the fall-through:
-             no divergence to track. Otherwise suspend the continuation and
-             the taken arm and run the fall-through arm first (routing pops
-             the taken arm immediately when the branch is a loop exit). *)
-          if tgt = pc + 1 then
-            advance t ~slot ~next:(route t ~slot ~lanes:true (pc + 1))
+      match outcome with
+      | Exec.Goto tgt when ctx.Exec.taken <> mask ->
+          (* The branch split the active mask. Both arms land on pc+1 when
+             the target is the fall-through: no divergence to track.
+             Otherwise suspend the continuation and the taken arm and run
+             the fall-through arm first (routing pops the taken arm
+             immediately when the branch is a loop exit). *)
+          if tgt = pc + 1 then advance t ~slot ~next:(route t ~slot ~lanes:true (pc + 1))
           else begin
             t.stats.Stats.divergent_branches <- t.stats.Stats.divergent_branches + 1;
-            Soa.simt_diverge soa ~slot ~tgt ~taken ~rpc:t.reconv.(pc);
+            Soa.simt_diverge soa ~slot ~tgt ~taken:ctx.Exec.taken ~rpc:t.reconv.(pc);
             advance t ~slot ~next:(Soa.simt_next soa ~slot (pc + 1))
           end
-      | Exec.L_uniform outcome -> follow t ~slot ~cycle ~pc ~lanes:true outcome
+      | _ -> follow t ~slot ~cycle ~pc ~lanes:true outcome
     end
     else begin
+      (* Each arm ends in its own [follow] with a constant [~lanes]: one
+         shared tail taking the flag at run time measured ~12% slower on
+         the quick sweep. *)
       t.stats.Stats.active_lane_cycles <-
         t.stats.Stats.active_lane_cycles + t.cfg.warp_size;
-      let outcome = t.decoded.(pc) t.ctxs.(slot) in
+      let outcome = t.decoded.(pc) ctx in
       account_issue t ~slot ~cycle ~pc ~completion;
       follow t ~slot ~cycle ~pc ~lanes:false outcome
     end;

@@ -6,20 +6,18 @@ module Soa = struct
   let st_done = 2
   let st_absent = 3
 
-  (* Per-slot SIMT execution state: a lane-resolved register file and the
-     immediate-post-dominator reconvergence stack. The running state is
-     the triple (pc.(slot), active.(slot), rpc.(slot)); suspended arms and
-     reconvergence continuations live on the stack, deepest scope first.
-     Stacks grow by doubling — a divergent loop pushes one continuation
-     per diverging iteration. A collapsed slot has not read [%laneid]
-     yet, so its lanes are equal: it runs on the warp-uniform [regs] row
-     under the full mask with an empty stack, and its lane row (allocated
-     at the first expansion, [||] before) is stale. *)
+  (* Per-slot SIMT execution state: the immediate-post-dominator
+     reconvergence stack. The running state is the triple (pc.(slot),
+     active.(slot), rpc.(slot)); suspended arms and reconvergence
+     continuations live on the stack, deepest scope first. Stacks grow by
+     doubling — a divergent loop pushes one continuation per diverging
+     iteration. A collapsed slot has not read [%laneid] yet, so its lanes
+     are equal: it runs on lane 0's segment of its register row under the
+     full mask with an empty stack. *)
   type simt = {
     lanes : int;
     full_mask : int;
-    lane_regs : int array array;  (* slot -> lane-major [lanes * n_regs] *)
-    collapsed : int array;        (* slot -> 1 while on the uniform row *)
+    collapsed : int array;        (* slot -> 1 while at warp level *)
     active : int array;           (* slot -> active-lane bitmask *)
     rpc : int array;              (* slot -> current reconvergence pc *)
     stk_pc : int array array;   (* slot -> entry pcs (rows grow by doubling) *)
@@ -63,7 +61,6 @@ module Soa = struct
             {
               lanes;
               full_mask = (1 lsl lanes) - 1;
-              lane_regs = Array.make n_slots [||];
               collapsed = Array.make n_slots 0;
               active = Array.make n_slots 0;
               rpc = Array.make n_slots 0;
@@ -151,10 +148,18 @@ module Soa = struct
     s.rpc.(slot) <- rpc;
     s.stk_depth.(slot) <- 0
 
+  (* A slot's row holds one lane until the slot first runs expanded, then
+     [lanes * n_regs] words from there on: warps that never expand never
+     pay for the lanes. Growing keeps lane 0's segment. *)
   let lane_row t s ~slot =
-    if Array.length s.lane_regs.(slot) = 0 then
-      s.lane_regs.(slot) <- Array.make (s.lanes * t.n_regs) 0;
-    s.lane_regs.(slot)
+    let row = t.regs.(slot) in
+    if Array.length row < s.lanes * t.n_regs then begin
+      let grown = Array.make (s.lanes * t.n_regs) 0 in
+      Array.blit row 0 grown 0 t.n_regs;
+      t.regs.(slot) <- grown;
+      grown
+    end
+    else row
 
   let simt_reset t ~slot ~mask ~rpc =
     let s = simt_get t in
@@ -174,9 +179,8 @@ module Soa = struct
   let simt_expand t ~slot ~rpc =
     let s = simt_get t in
     let row = lane_row t s ~slot in
-    let regs = t.regs.(slot) in
-    for lane = 0 to s.lanes - 1 do
-      Array.blit regs 0 row (lane * t.n_regs) t.n_regs
+    for lane = 1 to s.lanes - 1 do
+      Array.blit row 0 row (lane * t.n_regs) t.n_regs
     done;
     s.collapsed.(slot) <- 0;
     top_level s ~slot ~mask:s.full_mask ~rpc;

@@ -5,7 +5,8 @@
     fields ([pc], [ready_at], [status], the acquire/SRP state,
     issue counters) live in packed [int array]s indexed by warp slot —
     one cache-friendly {!Soa.t} per SM — instead of one boxed record per
-    warp. Registers hold warp-uniform values (see DESIGN.md);
+    warp. A slot's registers are one lane-major row, one lane wide
+    unless the warp runs lane-resolved (see DESIGN.md);
     [reg_ready.(slot).(r)] is the cycle at which the in-flight producer
     of [r] completes — the scoreboard consulted before issue.
 
@@ -26,26 +27,21 @@ module Soa : sig
   val st_done : int
   val st_absent : int
 
-  (** Per-slot SIMT execution state (allocated only under [--simt]): a
-      lane-resolved register file plus the immediate-post-dominator
-      reconvergence stack. The running state is the triple
-      [(pc.(slot), active.(slot), rpc.(slot))]; suspended branch arms and
-      reconvergence continuations live on the per-slot stack, deepest
-      enclosing scope first.
+  (** Per-slot SIMT execution state (allocated only under [--simt]): the
+      immediate-post-dominator reconvergence stack. The running state is
+      the triple [(pc.(slot), active.(slot), rpc.(slot))]; suspended
+      branch arms and reconvergence continuations live on the per-slot
+      stack, deepest enclosing scope first.
 
       A slot is either {e collapsed} or {e expanded}. A collapsed warp has
       not read [%laneid] yet, so its lanes hold equal values: it executes
-      on the warp-uniform [regs] row under the full mask, with an empty
-      stack and the sentinel [rpc], and its lane row is stale.
-      {!simt_expand} broadcasts [regs] into every lane and hands the warp
-      to the lane-resolved path for the rest of its life. *)
+      on lane 0's segment of its register row under the full mask, with an
+      empty stack and the sentinel [rpc]. {!simt_expand} broadcasts lane 0
+      into every lane and hands the warp to the n-lane path for the rest
+      of its life. *)
   type simt = {
     lanes : int;                  (** warp width (lanes per warp) *)
     full_mask : int;              (** [(1 lsl lanes) - 1] *)
-    lane_regs : int array array;
-        (** lane-major per-lane register file row per slot
-            ([lane * n_regs + r], [lanes * n_regs] words); [[||]] until
-            the slot first runs expanded *)
     collapsed : int array;        (** 1 while the slot is collapsed, else 0 *)
     active : int array;           (** active-lane bitmask per slot *)
     rpc : int array;
@@ -86,9 +82,12 @@ module Soa : sig
     global_cta : int array;       (** CTA index within the grid *)
     warp_in_cta : int array;
     cta_slot : int array;         (** resident-CTA slot within the SM *)
-    regs : int array array;       (** register file row per slot *)
+    regs : int array array;
+        (** register row per slot, lane-major ([lane * n_regs + r]):
+            [n_regs] words (lane 0) until the slot first runs expanded
+            under [--simt], [lanes * n_regs] from then on *)
     reg_ready : int array array;  (** scoreboard row per slot *)
-    simt : simt option;           (** lane-resolved state under [--simt] *)
+    simt : simt option;           (** reconvergence state under [--simt] *)
   }
 
   (** [create ?lanes ~n_slots ~n_regs ()] — passing [lanes] (the warp
@@ -133,22 +132,23 @@ module Soa : sig
       All operations raise [Invalid_argument] when the SoA was created
       without [lanes]. *)
 
-  (** Launch a slot expanded: zero the lane registers, install [mask] as
-      the active mask and [rpc] (the program-length sentinel) as the
-      top-level reconvergence pc, empty the stack. Returns the slot's lane
-      row (allocated on first use). *)
+  (** Launch a slot expanded: zero every lane's registers, install [mask]
+      as the active mask and [rpc] (the program-length sentinel) as the
+      top-level reconvergence pc, empty the stack. Returns the slot's
+      register row, grown to every lane on first use. *)
   val simt_reset : t -> slot:int -> mask:int -> rpc:int -> int array
 
   (** Launch a slot collapsed: full mask, [rpc] the sentinel, empty stack;
-      the lane row is left untouched. *)
+      only lane 0's segment of the row is live. *)
   val simt_collapse : t -> slot:int -> rpc:int -> unit
 
   (** Is the slot collapsed? *)
   val simt_collapsed : t -> slot:int -> bool
 
-  (** Expand a collapsed slot: copy its [regs] row into every lane, reset
-      the mask, [rpc] and stack as {!simt_collapse} does, and mark it
-      expanded. Returns the lane row. *)
+  (** Expand a collapsed slot: grow its row to every lane (on first use)
+      and copy lane 0's segment into the others, reset the mask, [rpc] and
+      stack as {!simt_collapse} does, and mark it expanded. Returns the
+      row. *)
   val simt_expand : t -> slot:int -> rpc:int -> int array
 
   (** Current active-lane bitmask. *)

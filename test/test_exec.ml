@@ -19,7 +19,10 @@ let make_ctx ?(regs = Array.make 8 0) ?(params = [| 10; 20 |]) () =
       record_stores = false;
       lanes = 0;
       n_regs = Array.length regs;
-      lane_regs = [||];
+      base = 0;
+      lane = -1;
+      leader = true;
+      taken = 0;
     },
     shared,
     memory )
@@ -147,7 +150,9 @@ type exec_case = {
   written : (int * int) list;  (* global words stored before the step *)
 }
 
-let gen_exec_case =
+let all_specials = [ I.Tid; I.Ctaid; I.Ntid; I.Nctaid; I.Warp_id; I.Lane_id ]
+
+let gen_exec_case_with ~specials =
   let open QCheck2.Gen in
   let n_regs = 6 in
   let reg = int_bound (n_regs - 1) in
@@ -161,7 +166,7 @@ let gen_exec_case =
             (oneof [ int_range (-40) 40; oneofl [ 0; 31; 33; 64 ] ]) );
         ( 1,
           map (fun sp -> I.Special sp)
-            (oneofl [ I.Tid; I.Ctaid; I.Ntid; I.Nctaid; I.Warp_id; I.Lane_id ]) );
+            (oneofl specials) );
         (1, map (fun i -> I.Param i) (int_bound 4)) ]
   in
   let space = oneofl [ I.Global; I.Shared; I.Spill ] in
@@ -206,6 +211,8 @@ let gen_exec_case =
   return
     { instr; regs; params; shared_words; spill_words; record_stores; lanes; written }
 
+let gen_exec_case = gen_exec_case_with ~specials:all_specials
+
 let print_exec_case c =
   Printf.sprintf "%s regs=[%s] params=[%s] shared=%d spill=%d record=%b lanes=%d"
     (I.to_string c.instr)
@@ -231,7 +238,10 @@ let exec_ctx c =
     record_stores = c.record_stores;
     lanes = c.lanes;
     n_regs = Array.length c.regs;
-    lane_regs = [||];
+    base = 0;
+    lane = -1;
+    leader = true;
+    taken = 0;
   }
 
 let prop_decode_matches_step =
@@ -252,6 +262,46 @@ let prop_decode_matches_step =
          (* Every counter, and the recorded traces once more. *)
          && got_ctx.Exec.stats = want_ctx.Exec.stats))
 
+(* Collapse is exact: one decoded instruction run through the n-lane
+   driver, every lane's segment holding the same row, must match the
+   warp-level (n = 1) call on that row — every lane ends with the row the
+   warp-level call leaves, the outcome agrees (a branch is taken by all
+   lanes or none), and so do memory, every counter including
+   [shared_oob], the warp store trace (one entry, from the leader) and
+   each lane's trace. [%laneid] is left out: it is the one operand that
+   tells lanes apart, and the SM expands a warp before reading it. *)
+let prop_lanes_match_warp_level =
+  let lanes = 4 in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~print:print_exec_case
+       ~name:"n-lane driver matches the warp-level call"
+       (QCheck2.Gen.map
+          (fun c -> { c with lanes })
+          (gen_exec_case_with
+             ~specials:(List.filter (( <> ) I.Lane_id) all_specials)))
+       (fun c ->
+         let n = Array.length c.regs and mask = (1 lsl lanes) - 1 in
+         let f = Exec.decode c.instr in
+         let want_ctx = exec_ctx c and got_ctx = exec_ctx c in
+         got_ctx.Exec.regs <- Array.concat (List.init lanes (fun _ -> c.regs));
+         let want = f want_ctx in
+         let got = Exec.run_lanes got_ctx f ~mask ~stride:n in
+         got = want
+         && got_ctx.Exec.taken
+            = (match want with Exec.Goto _ -> mask | _ -> 0)
+         && List.for_all
+              (fun l -> Array.sub got_ctx.Exec.regs (l * n) n = want_ctx.Exec.regs)
+              (List.init lanes Fun.id)
+         && got_ctx.Exec.shared = want_ctx.Exec.shared
+         && Memory.written got_ctx.Exec.memory = Memory.written want_ctx.Exec.memory
+         && Stats.store_traces got_ctx.Exec.stats
+            = Stats.store_traces want_ctx.Exec.stats
+         && Stats.lane_store_traces got_ctx.Exec.stats
+            = Stats.lane_store_traces want_ctx.Exec.stats
+         && got_ctx.Exec.stats = want_ctx.Exec.stats
+         (* The driver hands the context back at warp level. *)
+         && got_ctx.Exec.base = 0 && got_ctx.Exec.lane = -1 && got_ctx.Exec.leader))
+
 let suite =
   [ Alcotest.test_case "binary operators" `Quick test_binops;
     Alcotest.test_case "unops / cmp / sel" `Quick test_unops_cmp_sel;
@@ -261,4 +311,5 @@ let suite =
     Alcotest.test_case "shared OOB wraps and counts" `Quick test_shared_oob_wraps;
     Alcotest.test_case "store recording" `Quick test_store_recording;
     Alcotest.test_case "control outcomes" `Quick test_outcomes;
-    prop_decode_matches_step ]
+    prop_decode_matches_step;
+    prop_lanes_match_warp_level ]

@@ -187,8 +187,9 @@ let test_reconv_table_workloads () =
 (* The subsystem's core contract: a warp-uniform program (the Table I
    kernels never read [%laneid]) produces the same run fingerprint under
    the warp-uniform and per-lane models, in both stepping modes. The
-   per-lane runs start lane-resolved: a collapsed warp would run the
-   warp-uniform interpreter, and the check would compare it with itself. *)
+   per-lane runs start lane-resolved: a collapsed warp makes the same
+   warp-level calls as the uniform model, and the check would compare
+   them with themselves. *)
 let test_warp_uniform_fingerprints () =
   let cfg = Experiments.Exp_config.quick in
   let simt = { Technique.default_options with Technique.simt = true } in
@@ -367,8 +368,8 @@ let test_late_expansion () =
     [ true; false ]
 
 (* A RegMutex release before the first [%laneid] read poisons the
-   collapsed warp's uniform row; expansion must broadcast the poison into
-   every lane, exactly as a lane-resolved warp poisons each lane row. The
+   collapsed warp's lane-0 segment; expansion must broadcast the poison
+   into every lane, exactly as a lane-resolved warp poisons each lane. The
    program reads a released register on purpose (the checker would reject
    it) to make the poison observable. *)
 let test_release_poison_before_expansion () =
