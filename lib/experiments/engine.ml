@@ -359,6 +359,21 @@ let lookup cfg c =
 let run ?es_override ?options ?variant cfg ~arch technique spec =
   lookup cfg (cell ?es_override ?options ?variant ~arch technique spec)
 
+(* --- figure runs outside the cell grid -------------------------------- *)
+
+let input_digest config kernel =
+  Digest.to_hex (Digest.string (Runner.input_key config kernel))
+
+(* No in-memory layer: each figure reads its entries once per sweep. *)
+let memo ~key f =
+  match Result_store.load key with
+  | Some v -> v
+  | None ->
+      Atomic.incr runs;
+      let v = f () in
+      Result_store.store key v;
+      v
+
 (* Work-queue fan-out on the shared persistent pool: jobs claim indices
    and write into disjoint slots of the result array, so results come
    back in submission order whatever the worker count. Each task is a

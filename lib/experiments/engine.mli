@@ -22,6 +22,11 @@
     the first two levels, {!machine_runs} counts the simulations the memo
     could not serve.
 
+    The simulations a figure makes outside the cell grid (Figure 1's
+    traced warps, Figure 2's sampled timelines) go through {!memo}: the
+    on-disk store alone, counted in {!machine_runs}. So every simulation
+    a sweep makes goes through the engine, and a warm sweep makes none.
+
     Batches of cells ({!prefetch}, {!run_batch}) are deduplicated and
     fanned out over worker domains (see {!set_jobs}); results are merged
     deterministically, so figure output is byte-identical to a serial run. *)
@@ -66,6 +71,20 @@ val run :
   Regmutex.Technique.t ->
   Workloads.Spec.t ->
   Regmutex.Runner.run
+
+(** [input_digest config kernel] — hex digest of
+    {!Regmutex.Runner.input_key}: folded into a {!memo} key, it moves the
+    key whenever the machine input of [Gpu.run config kernel] does. *)
+val input_digest : Gpu_sim.Gpu.run_config -> Gpu_sim.Kernel.t -> string
+
+(** [memo ~key f] — the result store for one simulation a figure makes
+    outside the cell grid (a traced warp, a sampled timeline). On a store
+    hit it returns the stored value; on a miss, or with no store root, it
+    calls [f], stores the value and counts one {!machine_runs} ({!simulations}
+    counts cells only). [key] starts with the figure's name and folds in
+    the {!input_digest} of the run [f] makes; the value is what the
+    figure prints from, not the run's statistics. *)
+val memo : key:string -> (unit -> 'a) -> 'a
 
 (** Persistent worker pool: domains are spawned once at {!Pool.create}
     and reused across every {!Pool.map} / {!Pool.submit} until
@@ -173,14 +192,15 @@ val compute : Exp_config.t -> cell -> Regmutex.Runner.run
 val simulations : unit -> int
 
 (** Number of [Gpu.run] calls the engine made: the cells among
-    {!simulations} whose machine input the memo did not hold. Never
-    more than {!simulations}; {!compute} counts in neither. *)
+    {!simulations} whose machine input the memo did not hold, plus the
+    {!memo} misses. {!compute} is not counted. *)
 val machine_runs : unit -> int
 
-(** Warp-instructions simulated by the {!machine_runs}
-    ([Stats.instructions] summed over them). *)
+(** Warp-instructions simulated by the cells' machine runs
+    ([Stats.instructions] summed over them; {!memo} runs are not
+    included). *)
 val simulated_instructions : unit -> int
 
-(** Host wall-clock seconds spent in the {!machine_runs}' simulations,
-    summed over the domains that ran them. *)
+(** Host wall-clock seconds spent in the cells' machine runs, summed over
+    the domains that ran them. *)
 val simulation_seconds : unit -> float

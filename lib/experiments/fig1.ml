@@ -23,18 +23,23 @@ let row_of cfg spec =
       trace_warp0 = true;
     }
   in
-  let stats = Gpu_sim.Gpu.run config kernel in
-  let liveness = Liveness.analyze kernel.Gpu_sim.Kernel.program in
-  let profile =
-    Pressure.dynamic_profile ~liveness ~allocated (Gpu_sim.Stats.trace stats)
+  let app = spec.Workloads.Spec.name in
+  let key =
+    Printf.sprintf "fig1/%s/%s" app (Engine.input_digest config kernel)
   in
-  {
-    app = spec.Workloads.Spec.name;
-    dynamic_instructions = Array.length profile;
-    mean_ratio = Pressure.mean_ratio profile;
-    below_half = Pressure.fraction_below ~threshold:0.5 profile;
-    profile;
-  }
+  Engine.memo ~key (fun () ->
+      let stats = Gpu_sim.Gpu.run config kernel in
+      let liveness = Liveness.analyze kernel.Gpu_sim.Kernel.program in
+      let profile =
+        Pressure.dynamic_profile ~liveness ~allocated (Gpu_sim.Stats.trace stats)
+      in
+      {
+        app;
+        dynamic_instructions = Array.length profile;
+        mean_ratio = Pressure.mean_ratio profile;
+        below_half = Pressure.fraction_below ~threshold:0.5 profile;
+        profile;
+      })
 
 let rows cfg = List.map (row_of cfg) Workloads.Registry.figure1
 

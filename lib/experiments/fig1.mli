@@ -11,5 +11,7 @@ type row = {
   profile : Gpu_analysis.Pressure.point array;
 }
 
+(** One row per kernel, each read back from the engine's result store
+    when it holds it ({!Engine.memo}). *)
 val rows : Exp_config.t -> row list
 val print : Exp_config.t -> unit

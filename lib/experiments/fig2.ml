@@ -39,57 +39,45 @@ type result = {
 
 let buckets = 64
 
-let run_one policy allocated_of =
+(* One run of [program] under [policy], with the SM's allocated registers
+   sampled every cycle by [allocated_of] and averaged into [buckets]. *)
+let run_one ~label policy program allocated_of =
   let kernel = Gpu_sim.Kernel.make ~name:"fig2" ~grid_ctas:2 ~cta_threads:32 program in
   let config = Gpu_sim.Gpu.default_config machine policy in
-  let samples = ref [] in
-  let observe ~cycle:_ sms = samples := allocated_of sms.(0) :: !samples in
-  let stats = Gpu_sim.Gpu.run ~observe config kernel in
-  let samples = Array.of_list (List.rev !samples) in
-  let n = Array.length samples in
-  let timeline =
-    Array.init buckets (fun b ->
-        let lo = b * n / buckets and hi = max ((b + 1) * n / buckets) (b * n / buckets + 1) in
-        let sum = ref 0 in
-        for i = lo to min (hi - 1) (n - 1) do
-          sum := !sum + samples.(i)
-        done;
-        !sum / max 1 (min hi n - lo))
+  let key =
+    Printf.sprintf "fig2/%s/%s" label (Engine.input_digest config kernel)
   in
-  (stats.Gpu_sim.Stats.cycles, timeline)
+  Engine.memo ~key (fun () ->
+      let samples = ref [] in
+      let observe ~cycle:_ sms = samples := allocated_of sms.(0) :: !samples in
+      let stats = Gpu_sim.Gpu.run ~observe config kernel in
+      let samples = Array.of_list (List.rev !samples) in
+      let n = Array.length samples in
+      let timeline =
+        Array.init buckets (fun b ->
+            let lo = b * n / buckets in
+            let hi = max ((b + 1) * n / buckets) (lo + 1) in
+            let sum = ref 0 in
+            for i = lo to min (hi - 1) (n - 1) do
+              sum := !sum + samples.(i)
+            done;
+            !sum / max 1 (min hi n - lo))
+      in
+      (stats.Gpu_sim.Stats.cycles, timeline))
 
 let run () =
   let baseline_cycles, baseline_timeline =
-    run_one
+    run_one ~label:"baseline"
       (Gpu_sim.Policy.Static { regs_per_thread = 31 })
+      program
       (fun sm -> Gpu_sim.Sm.resident_warps sm * 31)
   in
   let plan = Regmutex.Transform.apply ~bs:16 ~es:16 program in
-  let transformed = plan.Regmutex.Transform.transformed in
   let regmutex_cycles, regmutex_timeline =
-    let kernel = Gpu_sim.Kernel.make ~name:"fig2" ~grid_ctas:2 ~cta_threads:32 transformed in
-    let config =
-      Gpu_sim.Gpu.default_config machine
-        (Gpu_sim.Policy.Srp { bs = 16; es = 16; verify = true })
-    in
-    let samples = ref [] in
-    let observe ~cycle:_ sms =
-      samples :=
-        ((Gpu_sim.Sm.resident_warps sms.(0) * 16) + (Gpu_sim.Sm.srp_in_use sms.(0) * 16))
-        :: !samples
-    in
-    let stats = Gpu_sim.Gpu.run ~observe config kernel in
-    let samples = Array.of_list (List.rev !samples) in
-    let n = Array.length samples in
-    ( stats.Gpu_sim.Stats.cycles,
-      Array.init buckets (fun b ->
-          let lo = b * n / buckets in
-          let hi = max ((b + 1) * n / buckets) (lo + 1) in
-          let sum = ref 0 in
-          for i = lo to min (hi - 1) (n - 1) do
-            sum := !sum + samples.(i)
-          done;
-          !sum / max 1 (min hi n - lo)) )
+    run_one ~label:"regmutex"
+      (Gpu_sim.Policy.Srp { bs = 16; es = 16; verify = true })
+      plan.Regmutex.Transform.transformed
+      (fun sm -> (Gpu_sim.Sm.resident_warps sm * 16) + (Gpu_sim.Sm.srp_in_use sm * 16))
   in
   { baseline_cycles; regmutex_cycles; baseline_timeline; regmutex_timeline }
 

@@ -11,5 +11,7 @@ type result = {
   regmutex_timeline : int array;
 }
 
+(** Both runs, each read back from the engine's result store when it
+    holds it ({!Engine.memo}). *)
 val run : unit -> result
 val print : Exp_config.t -> unit

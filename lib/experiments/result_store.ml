@@ -1,17 +1,15 @@
-module Runner = Regmutex.Runner
-
 type stats = { entries : int; bytes : int }
 
 (* Results are versioned by a schema tag plus the simulator's git-describe:
    a rebuilt simulator writes into a fresh directory, so stale results are
    never replayed and need no explicit invalidation scan. The schema tag
-   moves with the marshalled [Runner.run] layout (2: [Stats.t]'s per-warp
+   moves with the layout of the marshalled values (2: [Stats.t]'s per-warp
    tables key on packed ints). *)
 let schema_version = 2
 
 (* Every uncommitted build of one commit describes as "<rev>-dirty" (and
    every build without git as "unversioned"); marshalled records from a
-   build with another [Runner.run] layout would be undefined behaviour,
+   build with another value layout would be undefined behaviour,
    not a miss. The executable's size and mtime tell such builds apart
    without reading its bytes. *)
 let simulator_tag ~describe ~exe =
@@ -78,15 +76,13 @@ let load k =
             Fun.protect
               ~finally:(fun () -> close_in_noerr ic)
               (fun () ->
-                let stored_key, run =
-                  (Marshal.from_channel ic : string * Runner.run)
-                in
+                let stored_key, v = (Marshal.from_channel ic : string * 'a) in
                 (* The file name is a digest; storing the key guards
                    against the (unlikely) digest collision. *)
-                if String.equal stored_key k then Some run else None)
+                if String.equal stored_key k then Some v else None)
           with _ -> None))
 
-let store k run =
+let store k v =
   locked (fun () ->
       match !root_ref with
       | None -> ()
@@ -96,7 +92,7 @@ let store k run =
             mkdir_p (Filename.dirname path);
             let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
             let oc = open_out_bin tmp in
-            Marshal.to_channel oc (k, run) [];
+            Marshal.to_channel oc (k, v) [];
             close_out oc;
             Sys.rename tmp path
           with Sys_error _ | Unix.Unix_error _ -> ()))

@@ -1,6 +1,6 @@
 (** On-disk result store under [<root>/<version-tag>/].
 
-    One marshalled [(key, run)] file per cache key, written atomically
+    One marshalled [(key, value)] file per cache key, written atomically
     (tmp + rename). There is no index and no size bound: deleting the
     root directory (conventionally [_results/]) reclaims the space, and
     directories of other version tags are never read.
@@ -32,11 +32,16 @@ val simulator_tag : describe:string -> exe:(int * float) option -> string
 val version_tag : unit -> string
 
 (** [load key] reads the entry back; [None] when disabled, absent, or
-    unreadable (a truncated file, a digest collision). Never writes. *)
-val load : string -> Regmutex.Runner.run option
+    unreadable (a truncated file, a digest collision). Never writes.
 
-(** [store key run] writes atomically (tmp + rename). *)
-val store : string -> Regmutex.Runner.run -> unit
+    The value is unmarshalled at the caller's type, so a key must name
+    one type: the engine's cell keys hold a {!Regmutex.Runner.run}, and
+    every other user starts its keys with its own name (see
+    {!Engine.memo}). *)
+val load : string -> 'a option
+
+(** [store key v] writes [(key, v)] atomically (tmp + rename). *)
+val store : string -> 'a -> unit
 
 (** Counted from the current version directory on disk; zero when the
     store is disabled. *)

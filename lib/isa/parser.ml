@@ -214,6 +214,8 @@ let parse ~name text =
   List.iteri (fun i raw -> handle_line (i + 1) raw) (String.split_on_char '\n' text);
   let pres = List.rev !pres in
   let resolve lineno = function
+    | Abs t when t < 0 || t >= !count ->
+        fail lineno "branch target @%d outside the program's %d instructions" t !count
     | Abs t -> t
     | Sym l -> (
         match Hashtbl.find_opt labels l with
@@ -244,7 +246,21 @@ let parse ~name text =
         instr)
       pres
   in
-  Program.create ~name (Array.of_list instrs)
+  (* Whole-program faults point at the last instruction: where the body
+     ends without an [exit], falls through, or turns out register-free. *)
+  let last_line = List.fold_left (fun _ (lineno, _) -> lineno) 1 pres in
+  let program =
+    try Program.create ~name (Array.of_list instrs)
+    with Program.Invalid msg ->
+      let prefix = name ^ ": " in
+      fail last_line "%s"
+        (if String.starts_with ~prefix msg then
+           String.sub msg (String.length prefix) (String.length msg - String.length prefix)
+         else msg)
+  in
+  if program.Program.n_regs = 0 then
+    fail last_line "program uses no register: a kernel needs at least one";
+  program
 
 let parse_file path =
   let ic = open_in path in

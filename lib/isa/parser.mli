@@ -38,8 +38,11 @@ exception Parse_error of error
 
 (** [parse ~name text] assembles a program from its textual form.
     @raise Parse_error on a malformed line, a malformed or repeated
-    kernel header, or a register at or above the header's count.
-    @raise Builder.Unresolved_label / {!Program.Invalid} as in assembly. *)
+    kernel header, a register at or above the header's count, or an
+    absolute branch target outside the program; and, at the line of the
+    last instruction (line 1 when there is none), on a program
+    {!Program.create} refuses (empty, no [exit], falling through the end)
+    or one that uses no register. *)
 val parse : name:string -> string -> Program.t
 
 (** [parse_file path] reads and parses a file; the program is named after

@@ -210,9 +210,25 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
-let test_cache_round_trip () =
-  with_engine_defaults @@ fun () ->
-  let module Store = E.Result_store in
+(* What [f] prints on stdout. *)
+let capture f =
+  let file = Filename.temp_file "regmutex-stdout" ".txt" in
+  flush stdout;
+  let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o644 in
+  let saved = Unix.dup Unix.stdout in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved)
+    f;
+  let out = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  out
+
+let with_store_dir f =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "regmutex-store-%d" (Unix.getpid ()))
@@ -220,56 +236,103 @@ let test_cache_round_trip () =
   Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
   @@ fun () ->
   E.Engine.set_cache_dir (Some dir);
-  let gaussian = Workloads.Registry.find "Gaussian" in
-  let arch = tiny.E.Exp_config.arch in
-  let run () = E.Engine.run tiny ~arch Regmutex.Technique.Regmutex gaussian in
-  let key = E.Engine.key tiny ~arch Regmutex.Technique.Regmutex gaussian in
-  let version_dir = Filename.concat dir (Store.version_tag ()) in
-  let sims () = E.Engine.simulations () in
   E.Engine.clear ();
-  let sims0 = sims () in
-  let r1 = run () in
-  let fp1 = Regmutex.Runner.fingerprint r1 in
-  Alcotest.(check int) "cold store simulates" (sims0 + 1) (sims ());
-  (* Stats are the .run files on disk: one entry, its size. *)
-  (match Sys.readdir version_dir with
-  | [| file |] ->
-      let s = Store.stats () in
-      Alcotest.(check int) "stats counts the file" 1 s.Store.entries;
-      Alcotest.(check int) "stats sums its size"
-        (Unix.stat (Filename.concat version_dir file)).Unix.st_size
-        s.Store.bytes
-  | files -> Alcotest.failf "expected one store file, found %d" (Array.length files));
-  (* A root reset stands in for a new process: nothing in memory, the
-     entry must come back from disk alone. *)
+  f dir
+
+(* One user of the result store: its printed output, the engine counter
+   a store miss bumps, and the entries one print writes. *)
+type store_input = {
+  name : string;
+  output : unit -> string;
+  counter : unit -> int;
+  entries : int;
+}
+
+let store_inputs =
+  let gaussian = Workloads.Registry.find "Gaussian" in
+  [ { name = "cell";
+      output =
+        (fun () ->
+          Regmutex.Runner.fingerprint
+            (E.Engine.run tiny ~arch:tiny.E.Exp_config.arch
+               Regmutex.Technique.Regmutex gaussian));
+      counter = E.Engine.simulations;
+      entries = 1 };
+    { name = "fig1";
+      output = (fun () -> capture (fun () -> E.Fig1.print tiny));
+      counter = E.Engine.machine_runs;
+      entries = List.length Workloads.Registry.figure1 };
+    { name = "fig2";
+      output = (fun () -> capture (fun () -> E.Fig2.print tiny));
+      counter = E.Engine.machine_runs;
+      entries = 2 } ]
+
+let store_round_trip input =
+  with_store_dir @@ fun dir ->
+  let module Store = E.Result_store in
+  let label what = input.name ^ ": " ^ what in
+  let version_dir = Filename.concat dir (Store.version_tag ()) in
+  let count0 = input.counter () in
+  let computed () = input.counter () - count0 in
+  (* A root reset and [clear] stand in for a new process: nothing in
+     memory, every entry must come back from disk alone. *)
+  let fresh_process () =
+    E.Engine.set_cache_dir None;
+    E.Engine.set_cache_dir (Some dir);
+    E.Engine.clear ()
+  in
+  let cold = input.output () in
+  Alcotest.(check int) (label "cold store computes") input.entries (computed ());
+  (* Stats are the .run files on disk: their count and total size. *)
+  let files = Sys.readdir version_dir in
+  let s = Store.stats () in
+  Alcotest.(check int) (label "one file per entry") input.entries (Array.length files);
+  Alcotest.(check int) (label "stats counts the files") input.entries s.Store.entries;
+  Alcotest.(check int) (label "stats sums their size")
+    (Array.fold_left
+       (fun n f -> n + (Unix.stat (Filename.concat version_dir f)).Unix.st_size)
+       0 files)
+    s.Store.bytes;
+  fresh_process ();
+  Alcotest.(check string) (label "warm output identical") cold (input.output ());
+  Alcotest.(check int) (label "warm store computes nothing") input.entries (computed ());
+  (* A truncated entry is a miss: computed again, and rewritten whole. *)
+  let file = Filename.concat version_dir files.(0) in
+  Unix.truncate file ((Unix.stat file).Unix.st_size / 2);
+  fresh_process ();
+  Alcotest.(check string) (label "recomputed output identical") cold (input.output ());
+  Alcotest.(check int) (label "truncated entry recomputes") (input.entries + 1) (computed ());
+  fresh_process ();
+  ignore (input.output ());
+  Alcotest.(check int) (label "rewritten entry loads") (input.entries + 1) (computed ());
+  (* With no store root, every print computes. *)
+  E.Engine.set_cache_dir None;
+  E.Engine.clear ();
+  Alcotest.(check string) (label "storeless output identical") cold (input.output ());
+  Alcotest.(check int) (label "no root computes") ((2 * input.entries) + 1) (computed ());
+  (* Another version tag's directory is never read. *)
+  Sys.rename version_dir (Filename.concat dir "v0-stale");
+  fresh_process ();
+  Alcotest.(check int) (label "stale directory not counted") 0
+    (Store.stats ()).Store.entries;
+  ignore (input.output ());
+  Alcotest.(check int) (label "stale directory not replayed") ((3 * input.entries) + 1)
+    (computed ())
+
+let test_cache_round_trip () =
+  with_engine_defaults @@ fun () ->
+  List.iter store_round_trip store_inputs;
+  (* Prefetch also hits the store: no cell is simulated again. *)
+  with_store_dir @@ fun dir ->
+  let arch = tiny.E.Exp_config.arch in
+  let cell = E.Engine.cell ~arch Regmutex.Technique.Regmutex (Workloads.Registry.find "Gaussian") in
+  E.Engine.prefetch tiny [ cell ];
+  let sims = E.Engine.simulations () in
   E.Engine.set_cache_dir None;
   E.Engine.set_cache_dir (Some dir);
   E.Engine.clear ();
-  let r2 = run () in
-  Alcotest.(check int) "warm store does not simulate" (sims0 + 1) (sims ());
-  Alcotest.(check string) "identical result" fp1
-    (Regmutex.Runner.fingerprint r2);
-  (* Prefetch also hits the store: still no simulation. *)
-  E.Engine.clear ();
-  E.Engine.prefetch tiny [ E.Engine.cell ~arch Regmutex.Technique.Regmutex gaussian ];
-  Alcotest.(check int) "prefetch hits the store" (sims0 + 1) (sims ());
-  (* A truncated file is a miss, and the cell is simulated again. *)
-  let file = Filename.concat version_dir (Sys.readdir version_dir).(0) in
-  Unix.truncate file ((Unix.stat file).Unix.st_size / 2);
-  Alcotest.(check bool) "truncated entry does not load" true
-    (Store.load key = None);
-  E.Engine.clear ();
-  Alcotest.(check string) "re-simulated result" fp1
-    (Regmutex.Runner.fingerprint (run ()));
-  Alcotest.(check int) "truncated entry re-simulates" (sims0 + 2) (sims ());
-  Alcotest.(check bool) "rewritten entry loads" true (Store.load key <> None);
-  (* Another version tag's directory is never read. *)
-  Sys.rename version_dir (Filename.concat dir "v0-stale");
-  Alcotest.(check int) "stale directory not counted" 0
-    (Store.stats ()).Store.entries;
-  E.Engine.clear ();
-  ignore (run ());
-  Alcotest.(check int) "stale directory not replayed" (sims0 + 3) (sims ())
+  E.Engine.prefetch tiny [ cell ];
+  Alcotest.(check int) "prefetch hits the store" sims (E.Engine.simulations ())
 
 let test_store_version_tag () =
   let tag describe exe = E.Result_store.simulator_tag ~describe ~exe in

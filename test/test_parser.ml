@@ -111,11 +111,23 @@ let test_errors () =
   expect_error "bra nowhere\nexit";         (* unresolved label *)
   expect_error "x:\nx:\nexit"               (* duplicate label *)
 
+(* Programs [Program.create] or [Kernel.make] would refuse are parse
+   errors too, at the last instruction's line (line 1 when there is none),
+   so [run-file] reports them like any other malformed input. *)
 let test_error_location () =
-  match parse "mov r0, 1\nbogus r1\nexit" with
-  | _ -> Alcotest.fail "expected Parse_error"
-  | exception Parser.Parse_error e ->
-      Alcotest.(check int) "line number" 2 e.Parser.line
+  List.iter
+    (fun (label, text, line) ->
+      match parse text with
+      | _ -> Alcotest.failf "%s: expected Parse_error" label
+      | exception Parser.Parse_error e ->
+          Alcotest.(check int) (label ^ ": line") line e.Parser.line)
+    [ ("unknown instruction", "mov r0, 1\nbogus r1\nexit", 2);
+      ("empty file", "", 1);
+      ("comments only", "// nothing\n\n", 1);
+      ("no exit", "mov r0, 1\nadd r1, r0, 2\n", 2);
+      ("no register", "exit\n", 1);
+      ("falls through", "exit\nmov r0, 1", 2);
+      ("branch target outside", "mov r0, 1\nbra @7\nexit", 2) ]
 
 let test_disassembly_roundtrip () =
   (* parse (Program.pp p) = p for every workload kernel. *)
