@@ -7,11 +7,10 @@
      regmutex run BFS [--technique regmutex] [--half-rf] [--es N] [--grid N]
      regmutex metrics BFS [--format prom|json] [...run flags]
      regmutex trace BFS --out run.trace.json [--check] [...run flags]
+     regmutex run-file kernel.rmx [--technique regmutex] [--grid N] [--simt]
+     regmutex check
      regmutex sweep [fig7 fig9a ...] [--jobs N] [--no-cache] [--quick] [--profile]
-     regmutex serve [--socket PATH] [--jobs N] [--queue-depth N] [...]
-     regmutex client ping|metrics|stats|compact|shutdown [--socket PATH]
-     regmutex sweep --daemon [--socket PATH] [fig7 ...]
-     regmutex fuzz --daemon [--socket PATH] [--seeds N]
+     regmutex fuzz [--seeds N] [--seed0 N] [--jobs N] [--inject FAULT]
      regmutex report [--check] [--tolerance PCT] [--write-baseline]
      regmutex storage *)
 

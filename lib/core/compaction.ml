@@ -99,21 +99,19 @@ let try_one ~bs prog =
   let liveness = Liveness.analyze ~widen:true prog in
   let n = Program.length prog in
   let live_in = liveness.Liveness.live_in and live_out = liveness.Liveness.live_out in
+  let succs = Array.init n (Cfg.instr_succs prog) in
   let preds = Array.make n [] in
   for i = 0 to n - 1 do
-    List.iter (fun s -> preds.(s) <- i :: preds.(s)) (Cfg.instr_succs prog i)
+    List.iter (fun s -> preds.(s) <- i :: preds.(s)) succs.(i)
   done;
-  let touched_from f r =
-    (* r referenced or live anywhere at/after f *)
-    let rec go i =
-      i < n
-      && (Regset.mem r (Instr.regs (Program.get prog i))
-          || Regset.mem r live_in.(i)
-          || Regset.mem r live_out.(i)
-          || go (i + 1))
-    in
-    go f
-  in
+  (* [touched.(f)]: the registers referenced or live anywhere at/after f. *)
+  let touched = Array.make (n + 1) Regset.empty in
+  for i = n - 1 downto 0 do
+    touched.(i) <-
+      Regset.union
+        (Instr.regs (Program.get prog i))
+        (Regset.union live_in.(i) (Regset.union live_out.(i) touched.(i + 1)))
+  done;
   let range_confined f h =
     (* live range of h from f on never crosses back before f, and has no
        side entry after f *)
@@ -128,19 +126,23 @@ let try_one ~bs prog =
         List.iter
           (fun s ->
             if s > f && Regset.mem h live_in.(s) then ok := false)
-          (Cfg.instr_succs prog i)
+          succs.(i)
       end;
       if i > f && Regset.mem h live_in.(i) then
         List.iter (fun p -> if p < f then ok := false) preds.(i);
       if i >= f && Regset.mem h live_out.(i) then
         List.iter
           (fun s -> if s < f && Regset.mem h live_in.(s) then ok := false)
-          (Cfg.instr_succs prog i)
+          succs.(i)
     done;
     !ok
   in
   let find_slot f =
-    let rec go x = if x >= bs then None else if touched_from f x then go (x + 1) else Some x in
+    let rec go x =
+      if x >= bs then None
+      else if Regset.mem x touched.(f) then go (x + 1)
+      else Some x
+    in
     go 0
   in
   let result = ref None in
@@ -150,18 +152,19 @@ let try_one ~bs prog =
     if Liveness.pressure_at liveness i <= bs then begin
       (* Only registers that stay live past [i] are worth moving; this also
          guarantees progress (the inserted Mov is the new last use of [h],
-         so the same opportunity cannot retrigger). *)
+         so the same opportunity cannot retrigger). The free slot does not
+         depend on [h], so without one no range is worth testing. *)
       let high = Regset.above bs (Regset.inter live_in.(i) live_out.(i)) in
       let candidate =
-        Regset.fold
-          (fun h acc ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-                if range_confined i h then
-                  match find_slot i with Some x -> Some (h, x) | None -> None
-                else None)
-          high None
+        match find_slot i with
+        | None -> None
+        | Some x ->
+            Regset.fold
+              (fun h acc ->
+                match acc with
+                | Some _ -> acc
+                | None -> if range_confined i h then Some (h, x) else None)
+              high None
       in
       match candidate with
       | Some (h, x) ->

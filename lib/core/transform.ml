@@ -36,7 +36,12 @@ let identity prog =
     max_pressure = Liveness.max_pressure (Liveness.analyze prog);
   }
 
+(* The whole compile (analysis, permutation, mov-compaction, injection,
+   check) as one profile row. Registered before any domain spawns. *)
+let phase = Telemetry.Profile.phase "regmutex.transform"
+
 let apply ?(options = default_options) ~bs ~es prog =
+  Telemetry.Profile.time phase @@ fun () ->
   if bs + es < prog.Program.n_regs then
     invalid_arg
       (Printf.sprintf "Transform.apply: |Bs|+|Es| = %d cannot hold %d registers"

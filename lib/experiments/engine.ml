@@ -212,8 +212,29 @@ let resolved_options c =
    register-file size, latencies, ...) and every compile option into the
    key — two cells may share an architecture *name* yet differ in the
    record, as the scheduler ablation's variants do. *)
-let config_digest arch options =
+let digest_config arch options =
   Digest.to_hex (Digest.string (Marshal.to_string (arch, options) []))
+
+(* A sweep keys hundreds of cells on a few dozen configurations, so each
+   distinct (arch, options) value is digested once per process. The table
+   compares structurally; the first value seen stays the digested one. *)
+let digests : (Arch_config.t * Technique.options, string) Hashtbl.t =
+  Hashtbl.create 16
+
+let digests_lock = Mutex.create ()
+
+let config_digest arch options =
+  let k = (arch, options) in
+  match Mutex.protect digests_lock (fun () -> Hashtbl.find_opt digests k) with
+  | Some d -> d
+  | None ->
+      let d = digest_config arch options in
+      Mutex.protect digests_lock (fun () ->
+          match Hashtbl.find_opt digests k with
+          | Some first -> first
+          | None ->
+              Hashtbl.add digests k d;
+              d)
 
 let key_of_cell cfg c =
   let options = resolved_options c in

@@ -49,7 +49,8 @@ val cell :
 (** Cache key of a cell: human-readable prefix (arch, technique, workload,
     |Es|, full-precision grid scale, variant) plus a digest of the entire
     architecture record and compile options, so configurations that differ
-    in any parameter can never collide. *)
+    in any parameter can never collide. The digest is computed once per
+    distinct (arch, options) value per process. *)
 val key :
   ?es_override:int ->
   ?options:Regmutex.Technique.options ->
@@ -73,8 +74,10 @@ val run :
   Regmutex.Runner.run
 
 (** [input_digest config kernel] — hex digest of
-    {!Regmutex.Runner.input_key}: folded into a {!memo} key, it moves the
-    key whenever the machine input of [Gpu.run config kernel] does. *)
+    {!Regmutex.Runner.input_key}: folded into a {!memo} key with the
+    figure's source kernel, it moves the key whenever a compile input
+    (the kernel, or the run config whose policy carries |Bs| and |Es|)
+    does. *)
 val input_digest : Gpu_sim.Gpu.run_config -> Gpu_sim.Kernel.t -> string
 
 (** [memo ~key f] — the result store for one simulation a figure makes
@@ -82,8 +85,9 @@ val input_digest : Gpu_sim.Gpu.run_config -> Gpu_sim.Kernel.t -> string
     hit it returns the stored value; on a miss, or with no store root, it
     calls [f], stores the value and counts one {!machine_runs} ({!simulations}
     counts cells only). [key] starts with the figure's name and folds in
-    the {!input_digest} of the run [f] makes; the value is what the
-    figure prints from, not the run's statistics. *)
+    the {!input_digest} of the run's compile inputs, as cell keys do: any
+    compilation belongs inside [f], so a hit compiles nothing. The value
+    is what the figure prints from, not the run's statistics. *)
 val memo : key:string -> (unit -> 'a) -> 'a
 
 (** Persistent worker pool: domains are spawned once at {!Pool.create}

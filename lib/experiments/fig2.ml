@@ -39,9 +39,13 @@ type result = {
 
 let buckets = 64
 
-(* One run of [program] under [policy], with the SM's allocated registers
-   sampled every cycle by [allocated_of] and averaged into [buckets]. *)
-let run_one ~label policy program allocated_of =
+(* One run of [compile program] under [policy], with the SM's allocated
+   registers sampled every cycle by [allocated_of] and averaged into
+   [buckets]. The key names the compile inputs, as cell keys do: the
+   source kernel and the run config, whose policy carries |Bs| and |Es|.
+   So a store hit compiles nothing; the store's version tag moves with
+   any compiler change. *)
+let run_one ~label policy ~compile allocated_of =
   let kernel = Gpu_sim.Kernel.make ~name:"fig2" ~grid_ctas:2 ~cta_threads:32 program in
   let config = Gpu_sim.Gpu.default_config machine policy in
   let key =
@@ -50,7 +54,8 @@ let run_one ~label policy program allocated_of =
   Engine.memo ~key (fun () ->
       let samples = ref [] in
       let observe ~cycle:_ sms = samples := allocated_of sms.(0) :: !samples in
-      let stats = Gpu_sim.Gpu.run ~observe config kernel in
+      let compiled = Gpu_sim.Kernel.with_program kernel (compile program) in
+      let stats = Gpu_sim.Gpu.run ~observe config compiled in
       let samples = Array.of_list (List.rev !samples) in
       let n = Array.length samples in
       let timeline =
@@ -69,14 +74,14 @@ let run () =
   let baseline_cycles, baseline_timeline =
     run_one ~label:"baseline"
       (Gpu_sim.Policy.Static { regs_per_thread = 31 })
-      program
+      ~compile:Fun.id
       (fun sm -> Gpu_sim.Sm.resident_warps sm * 31)
   in
-  let plan = Regmutex.Transform.apply ~bs:16 ~es:16 program in
   let regmutex_cycles, regmutex_timeline =
     run_one ~label:"regmutex"
       (Gpu_sim.Policy.Srp { bs = 16; es = 16; verify = true })
-      plan.Regmutex.Transform.transformed
+      ~compile:(fun p ->
+        (Regmutex.Transform.apply ~bs:16 ~es:16 p).Regmutex.Transform.transformed)
       (fun sm -> (Gpu_sim.Sm.resident_warps sm * 16) + (Gpu_sim.Sm.srp_in_use sm * 16))
   in
   { baseline_cycles; regmutex_cycles; baseline_timeline; regmutex_timeline }

@@ -4,8 +4,9 @@ type stats = { entries : int; bytes : int }
    a rebuilt simulator writes into a fresh directory, so stale results are
    never replayed and need no explicit invalidation scan. The schema tag
    moves with the layout of the marshalled values (2: [Stats.t]'s per-warp
-   tables key on packed ints). *)
-let schema_version = 2
+   tables key on packed ints; 3: its per-warp instruction counts are one
+   flat int array). *)
+let schema_version = 3
 
 (* Every uncommitted build of one commit describes as "<rev>-dirty" (and
    every build without git as "unversioned"); marshalled records from a

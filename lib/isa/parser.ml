@@ -38,9 +38,14 @@ let parse_int line s =
   | None -> fail line "expected an integer, got %S" s
 
 let parse_reg line s =
-  if String.length s >= 2 && s.[0] = 'r' && String.for_all is_digit (String.sub s 1 (String.length s - 1))
-  then int_of_string (String.sub s 1 (String.length s - 1))
-  else fail line "expected a register, got %S" s
+  let n = String.length s in
+  let digits = if n >= 2 && s.[0] = 'r' then String.sub s 1 (n - 1) else "" in
+  match int_of_string_opt digits with
+  | Some r when String.for_all is_digit digits ->
+      if r > Regset.max_reg then
+        fail line "register %s out of range (r0 .. r%d)" s Regset.max_reg
+      else r
+  | _ -> fail line "expected a register, got %S" s
 
 let parse_operand line s =
   if s = "" then fail line "empty operand"
@@ -82,8 +87,11 @@ let parse_address line s =
     | None -> (parse_operand line inner, 0)
   end
 
-let parse_target s = if String.length s > 1 && s.[0] = '@' then
-    Abs (int_of_string (String.sub s 1 (String.length s - 1)))
+let parse_target line s =
+  if String.length s > 1 && s.[0] = '@' then
+    match int_of_string_opt (String.sub s 1 (String.length s - 1)) with
+    | Some t -> Abs t
+    | None -> fail line "expected an instruction index after '@', got %S" s
   else Sym s
 
 let binops =
@@ -153,9 +161,9 @@ let parse_instr line tokens =
                   | "st.spill", [ m; v ] ->
                       let addr, ofs = parse_address line m in
                       P_plain (Instr.Store (Instr.Spill, addr, parse_operand line v, ofs))
-                  | "bra", [ t ] -> P_jump (parse_target t)
-                  | "bra.nz", [ c; t ] -> P_jump_if (parse_operand line c, parse_target t)
-                  | "bra.z", [ c; t ] -> P_jump_ifz (parse_operand line c, parse_target t)
+                  | "bra", [ t ] -> P_jump (parse_target line t)
+                  | "bra.nz", [ c; t ] -> P_jump_if (parse_operand line c, parse_target line t)
+                  | "bra.z", [ c; t ] -> P_jump_ifz (parse_operand line c, parse_target line t)
                   | "bar.sync", [] | "bar", [] -> P_plain Instr.Bar
                   | "regmutex.acquire", [] -> P_plain Instr.Acquire
                   | "regmutex.release", [] -> P_plain Instr.Release

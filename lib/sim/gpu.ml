@@ -134,7 +134,11 @@ let warn_dropped (sink : Telemetry.Sink.t) =
 
 let run ?observe ?(observe_every = 1) config kernel =
   if observe_every < 1 then invalid_arg "Gpu.run: observe_every must be >= 1";
-  let stats = Stats.create () in
+  let stats =
+    Stats.create
+      ~warps:(kernel.Kernel.grid_ctas * Kernel.warps_per_cta config.arch kernel)
+      ()
+  in
   let memory = Memory.create () in
   let arch = config.arch in
   let mem_sys = Mem_system.create arch ~n_sms:arch.Gpu_uarch.Arch_config.n_sms in

@@ -7,9 +7,9 @@ type stall_reason =
   | Stall_empty
   | Stall_mem_retry
 
-(* The per-warp tables key on one int: the CTA id in the high bits, then
+(* The per-warp records key on one int: the CTA id in the high bits, then
    [warp_bits] bits of warp-in-CTA, then [lane_bits] bits of lane (0 in
-   the warp-level tables). Int order on a key is (CTA, warp, lane) order,
+   the warp-level records). Int order on a key is (CTA, warp, lane) order,
    so the sorted views need no tuple compares. *)
 module Key_table = Hashtbl.Make (struct
   type t = int
@@ -56,7 +56,8 @@ type t = {
   mutable pc_trace : int list;
   stores : (Gpu_isa.Instr.space * int * int) list ref Key_table.t;
   lane_stores : (Gpu_isa.Instr.space * int * int) list ref Key_table.t;
-  warp_instructions : int Key_table.t;
+  mutable warp_instructions : int array;
+  mutable warp_exits : int;
 }
 
 let all_reasons =
@@ -77,7 +78,7 @@ let reason_index = function
 
 let n_reasons = 7
 
-let create () =
+let create ?(warps = 0) () =
   {
     cycles = 0;
     instructions = 0;
@@ -105,7 +106,8 @@ let create () =
     pc_trace = [];
     stores = Key_table.create 16;
     lane_stores = Key_table.create 16;
-    warp_instructions = Key_table.create 16;
+    warp_instructions = Array.make (2 * max 0 warps) 0;
+    warp_exits = 0;
   }
 
 let bump_stall t reason =
@@ -173,11 +175,33 @@ let lane_store_traces t =
   sorted t.lane_stores (fun cell -> List.rev !cell)
   |> List.map (fun (key, trace) -> ((cta_of key, warp_of key, lane_of key), trace))
 
+(* Appended at warp exit, key at [2i], count at [2i + 1]; the array
+   doubles when full, so a run sized by [create ~warps] never grows it.
+   A flat int array is two words a warp in memory and a few bytes a warp
+   in the result store. *)
 let record_warp_done t ~cta ~warp ~instructions =
-  Key_table.replace t.warp_instructions (warp_key ~cta ~warp) instructions
+  let key = warp_key ~cta ~warp in
+  let i = 2 * t.warp_exits in
+  if i = Array.length t.warp_instructions then begin
+    let grown = Array.make (max 16 (2 * i)) 0 in
+    Array.blit t.warp_instructions 0 grown 0 i;
+    t.warp_instructions <- grown
+  end;
+  t.warp_instructions.(i) <- key;
+  t.warp_instructions.(i + 1) <- instructions;
+  t.warp_exits <- t.warp_exits + 1
 
+(* Sorted by key; of two exits of one warp the later one wins. *)
 let warp_instruction_counts t =
-  sorted t.warp_instructions Fun.id
+  let a = t.warp_instructions in
+  let pairs = List.init t.warp_exits (fun i -> (a.(2 * i), a.((2 * i) + 1))) in
+  let rec last_wins = function
+    | (k, _) :: ((k', _) :: _ as rest) when k = k' -> last_wins rest
+    | p :: rest -> p :: last_wins rest
+    | [] -> []
+  in
+  List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) pairs
+  |> last_wins
   |> List.map (fun (key, n) -> ((cta_of key, warp_of key), n))
 
 let store_traces t =

@@ -12,8 +12,8 @@ type stall_reason =
           the issue stage (the slot vanished after the scheduler's
           eligibility check) and was re-stalled for retry *)
 
-(** The per-warp tables of {!type-t} key on one packed int per
-    (CTA, warp, lane) — lane 0 in the warp-level tables — whose int order
+(** The per-warp records of {!type-t} key on one packed int per
+    (CTA, warp, lane) — lane 0 in the warp-level records — whose int order
     is the tuple's order. Read them through {!store_traces},
     {!lane_store_traces} and {!warp_instruction_counts}. *)
 module Key_table : Hashtbl.S with type key = int
@@ -88,9 +88,12 @@ type t = {
   lane_stores : (Gpu_isa.Instr.space * int * int) list ref Key_table.t;
       (** (global CTA, warp-in-CTA, lane) → reverse-order lane-resolved
           store trace; only populated under [--simt] with store recording *)
-  warp_instructions : int Key_table.t;
-      (** (global CTA, warp-in-CTA) → dynamic instructions issued, recorded
-          when the warp exits (divergent kernels show non-uniform counts) *)
+  mutable warp_instructions : int array;
+      (** packed (global CTA, warp-in-CTA) key and dynamic instructions
+          issued, as pairs appended when a warp exits, key first; only the
+          first [2 * warp_exits] slots are recorded (divergent kernels show
+          non-uniform counts) *)
+  mutable warp_exits : int;  (** pairs recorded in [warp_instructions] *)
 }
 
 (** All stall reasons, in a fixed order (for exhaustive per-reason
@@ -102,7 +105,9 @@ val reason_name : stall_reason -> string
 (** Dense index of a reason in {!type-t.stall_cycles} (declaration order). *)
 val reason_index : stall_reason -> int
 
-val create : unit -> t
+(** [create ?warps ()] — zeroed counters; [warps] (default 0) sizes the
+    per-warp instruction counts for that many warp exits up front. *)
+val create : ?warps:int -> unit -> t
 val bump_stall : t -> stall_reason -> unit
 
 (** [bump_stall_by t reason n] — [n] cycles' worth of [bump_stall] at once;
@@ -140,7 +145,8 @@ val record_lane_store :
 
 val record_warp_done : t -> cta:int -> warp:int -> instructions:int -> unit
 
-(** Per-warp dynamic instruction counts, sorted by (CTA, warp). *)
+(** Per-warp dynamic instruction counts, sorted by (CTA, warp); a warp
+    recorded twice keeps its last count. *)
 val warp_instruction_counts : t -> ((int * int) * int) list
 
 val pp : Format.formatter -> t -> unit

@@ -296,6 +296,115 @@ let prop_ranking_matches_reference =
     (Util.gen_structured ~n_regs:10)
     (fun prog -> ranking_mismatch prog = None)
 
+(* The mov-compaction attempt as first written: it rescans the program
+   for every touched-slot test, allocates successor lists inside the range
+   test's loop, and tests ranges before looking for a free slot.
+   [Compaction.mov_compact] computes the same thing with one successor
+   table and one backward suffix union per attempt; this is its
+   reference model. *)
+let reference_try_one ~bs prog =
+  let module Regset = Gpu_isa.Regset in
+  let module Cfg = Gpu_analysis.Cfg in
+  let liveness = Liveness.analyze ~widen:true prog in
+  let n = Program.length prog in
+  let live_in = liveness.Liveness.live_in and live_out = liveness.Liveness.live_out in
+  let preds = Array.make n [] in
+  for i = 0 to n - 1 do
+    List.iter (fun s -> preds.(s) <- i :: preds.(s)) (Cfg.instr_succs prog i)
+  done;
+  let touched_from f r =
+    let rec go i =
+      i < n
+      && (Regset.mem r (I.regs (Program.get prog i))
+          || Regset.mem r live_in.(i)
+          || Regset.mem r live_out.(i)
+          || go (i + 1))
+    in
+    go f
+  in
+  let range_confined f h =
+    let ok = ref true in
+    List.iter (fun p -> if p >= f then ok := false) preds.(f);
+    for i = 0 to n - 1 do
+      if i < f && (Regset.mem h live_in.(i) || Regset.mem h live_out.(i)) then
+        List.iter
+          (fun s -> if s > f && Regset.mem h live_in.(s) then ok := false)
+          (Cfg.instr_succs prog i);
+      if i > f && Regset.mem h live_in.(i) then
+        List.iter (fun p -> if p < f then ok := false) preds.(i);
+      if i >= f && Regset.mem h live_out.(i) then
+        List.iter
+          (fun s -> if s < f && Regset.mem h live_in.(s) then ok := false)
+          (Cfg.instr_succs prog i)
+    done;
+    !ok
+  in
+  let find_slot f =
+    let rec go x = if x >= bs then None else if touched_from f x then go (x + 1) else Some x in
+    go 0
+  in
+  let result = ref None in
+  let f = ref 0 in
+  while !result = None && !f < n do
+    let i = !f in
+    if Liveness.pressure_at liveness i <= bs then begin
+      let high = Regset.above bs (Regset.inter live_in.(i) live_out.(i)) in
+      let candidate =
+        Regset.fold
+          (fun h acc ->
+            match acc with
+            | Some _ -> acc
+            | None ->
+                if range_confined i h then
+                  match find_slot i with Some x -> Some (h, x) | None -> None
+                else None)
+          high None
+      in
+      match candidate with
+      | Some (h, x) ->
+          let rename r = if r = h then x else r in
+          let renamed =
+            Program.map_instrs
+              (fun j instr -> if j >= i then I.map_regs rename instr else instr)
+              prog
+          in
+          result := Some (Program.insert_before renamed [ (i, [ I.Mov (x, I.Reg h) ]) ])
+      | None -> incr f
+    end
+    else incr f
+  done;
+  !result
+
+let reference_mov_compact ~bs prog =
+  let rec go prog moves budget =
+    if budget = 0 then (prog, moves)
+    else
+      match reference_try_one ~bs prog with
+      | Some prog' -> go prog' (moves + 1) (budget - 1)
+      | None -> (prog, moves)
+  in
+  go prog 0 64
+
+(* Every base-set size of a fuzz kernel, on the program as generated and
+   as [Transform.apply] hands it to mov-compaction (permuted by the
+   pressure ranking): the moves and the program must match the
+   reference's. *)
+let test_mov_compact_matches_reference_on_fuzz_kernels () =
+  for seed = 0 to 299 do
+    let prog = (Fuzz.Gen.generate ~seed).Fuzz.Gen.program in
+    let rank = Compaction.pressure_ranking prog (Liveness.analyze prog) in
+    for bs = 0 to prog.Program.n_regs do
+      List.iter
+        (fun (label, p) ->
+          let got, moves = Compaction.mov_compact ~bs p in
+          let want, want_moves = reference_mov_compact ~bs p in
+          if moves <> want_moves || not (Program.equal got want) then
+            Alcotest.failf "fuzz seed %d, bs=%d, %s program: %d moves, reference %d"
+              seed bs label moves want_moves)
+        [ ("generated", prog); ("permuted", Compaction.permute prog (rank ~bs)) ]
+    done
+  done
+
 let suite =
   [ Alcotest.test_case "permute identity" `Quick test_permute_identity;
     Alcotest.test_case "permute swap" `Quick test_permute_swap;
@@ -318,4 +427,6 @@ let suite =
       test_acquire_region_in_loop_body;
     Alcotest.test_case "ranking matches the rescanning greedy (fuzz kernels)"
       `Quick test_ranking_matches_reference_on_fuzz_kernels;
-    prop_ranking_matches_reference ]
+    prop_ranking_matches_reference;
+    Alcotest.test_case "mov compaction matches the rescanning attempt (fuzz kernels)"
+      `Quick test_mov_compact_matches_reference_on_fuzz_kernels ]

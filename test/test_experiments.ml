@@ -240,13 +240,37 @@ let with_store_dir f =
   f dir
 
 (* One user of the result store: its printed output, the engine counter
-   a store miss bumps, and the entries one print writes. *)
+   a store miss bumps, the entries one print writes, and whether a cold
+   print compiles a kernel with RegMutex. *)
 type store_input = {
   name : string;
   output : unit -> string;
   counter : unit -> int;
   entries : int;
+  compiles : bool;
 }
+
+(* The profile phases a store hit must never enter: a warm replay
+   prepares no technique and transforms no kernel. *)
+let compile_phases = [ "runner.prepare"; "regmutex.transform" ]
+
+(* [f ()] with profiling on, and the calls each of [compile_phases]
+   recorded meanwhile. *)
+let with_phase_calls f =
+  let module Profile = Telemetry.Profile in
+  let calls () =
+    List.map
+      (fun name ->
+        match List.find_opt (fun (n, _, _) -> n = name) (Profile.report ()) with
+        | Some (_, _, c) -> c
+        | None -> 0)
+      compile_phases
+  in
+  let was = Profile.enabled () in
+  Profile.set_enabled true;
+  let before = calls () in
+  let v = Fun.protect ~finally:(fun () -> Profile.set_enabled was) f in
+  (v, List.combine compile_phases (List.map2 ( - ) (calls ()) before))
 
 let store_inputs =
   let gaussian = Workloads.Registry.find "Gaussian" in
@@ -257,15 +281,18 @@ let store_inputs =
             (E.Engine.run tiny ~arch:tiny.E.Exp_config.arch
                Regmutex.Technique.Regmutex gaussian));
       counter = E.Engine.simulations;
-      entries = 1 };
+      entries = 1;
+      compiles = true };
     { name = "fig1";
       output = (fun () -> capture (fun () -> E.Fig1.print tiny));
       counter = E.Engine.machine_runs;
-      entries = List.length Workloads.Registry.figure1 };
+      entries = List.length Workloads.Registry.figure1;
+      compiles = false };
     { name = "fig2";
       output = (fun () -> capture (fun () -> E.Fig2.print tiny));
       counter = E.Engine.machine_runs;
-      entries = 2 } ]
+      entries = 2;
+      compiles = true } ]
 
 let store_round_trip input =
   with_store_dir @@ fun dir ->
@@ -281,8 +308,11 @@ let store_round_trip input =
     E.Engine.set_cache_dir (Some dir);
     E.Engine.clear ()
   in
-  let cold = input.output () in
+  let cold, cold_calls = with_phase_calls input.output in
   Alcotest.(check int) (label "cold store computes") input.entries (computed ());
+  if input.compiles then
+    Alcotest.(check bool) (label "cold store transforms") true
+      (List.assoc "regmutex.transform" cold_calls > 0);
   (* Stats are the .run files on disk: their count and total size. *)
   let files = Sys.readdir version_dir in
   let s = Store.stats () in
@@ -294,8 +324,13 @@ let store_round_trip input =
        0 files)
     s.Store.bytes;
   fresh_process ();
-  Alcotest.(check string) (label "warm output identical") cold (input.output ());
+  let warm, warm_calls = with_phase_calls input.output in
+  Alcotest.(check string) (label "warm output identical") cold warm;
   Alcotest.(check int) (label "warm store computes nothing") input.entries (computed ());
+  List.iter
+    (fun (phase, calls) ->
+      Alcotest.(check int) (label ("warm store enters " ^ phase)) 0 calls)
+    warm_calls;
   (* A truncated entry is a miss: computed again, and rewritten whole. *)
   let file = Filename.concat version_dir files.(0) in
   Unix.truncate file ((Unix.stat file).Unix.st_size / 2);

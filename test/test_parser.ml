@@ -127,7 +127,10 @@ let test_error_location () =
       ("no exit", "mov r0, 1\nadd r1, r0, 2\n", 2);
       ("no register", "exit\n", 1);
       ("falls through", "exit\nmov r0, 1", 2);
-      ("branch target outside", "mov r0, 1\nbra @7\nexit", 2) ]
+      ("branch target outside", "mov r0, 1\nbra @7\nexit", 2);
+      ("malformed branch target", "mov r0, 1\nbra @x\nexit", 2);
+      ("register index out of range", "mov r0, 1\nmov r99999, 1\nexit", 2);
+      ("register index overflows", "mov r0, 1\nmov r99999999999999999999, 1\nexit", 2) ]
 
 let test_disassembly_roundtrip () =
   (* parse (Program.pp p) = p for every workload kernel. *)
