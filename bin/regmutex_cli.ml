@@ -61,8 +61,8 @@ let simt_flag =
            store traces with and without this flag; divergent programs \
            (e.g. bfs_frontier) require it.")
 
-let min_bs_of spec =
-  let prog = spec.Workloads.Spec.kernel.Gpu_sim.Kernel.program in
+let min_bs_of kernel =
+  let prog = kernel.Gpu_sim.Kernel.program in
   Gpu_analysis.Liveness.live_at_barriers prog (Gpu_analysis.Liveness.analyze prog)
 
 (* --- list ----------------------------------------------------------- *)
@@ -92,7 +92,8 @@ let occupancy_cmd =
     let base = Gpu_uarch.Occupancy.calculate arch demand in
     Format.printf "%s on %s: baseline %a@." spec.Workloads.Spec.name
       arch.Gpu_uarch.Arch_config.name Gpu_uarch.Occupancy.pp base;
-    match Regmutex.Es_heuristic.choose arch ~demand ~min_bs:(min_bs_of spec) () with
+    let min_bs = min_bs_of spec.Workloads.Spec.kernel in
+    match Regmutex.Es_heuristic.choose arch ~demand ~min_bs () with
     | None -> Format.printf "no viable |Es| candidate@."
     | Some c ->
         Format.printf "heuristic: %a@." Regmutex.Es_heuristic.pp c;
@@ -139,7 +140,7 @@ let transform_cmd =
       | _ -> (
           let demand = Gpu_sim.Kernel.demand kernel in
           match
-            Regmutex.Es_heuristic.choose arch ~demand ~min_bs:(min_bs_of spec) ()
+            Regmutex.Es_heuristic.choose arch ~demand ~min_bs:(min_bs_of kernel) ()
           with
           | Some c -> (c.Regmutex.Es_heuristic.bs, c.Regmutex.Es_heuristic.es)
           | None -> failwith "no viable split; pass --bs and --es")
@@ -161,6 +162,87 @@ let technique_conv =
   in
   Arg.conv (parse, fun ppf t -> Format.pp_print_string ppf (Regmutex.Technique.name t))
 
+(* --- launch validation ------------------------------------------------ *)
+
+(* A launch the machine cannot run, or a forced |Es| it cannot use, is a
+   usage error (exit 2): not a crash, and not a silent fallback. *)
+let usage_error cmd fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "regmutex %s: %s@." cmd msg;
+      exit 2)
+    fmt
+
+let check_grid cmd grid =
+  if grid < 1 then usage_error cmd "--grid must be at least 1 (got %d)" grid
+
+(* The deadlock rules can leave a forced |Es| no split; the techniques
+   would then run unshared, and the flag would be dropped without a
+   word. *)
+let check_es cmd arch kernel es =
+  let min_bs = min_bs_of kernel in
+  if Regmutex.Es_heuristic.with_es arch ~demand:(Gpu_sim.Kernel.demand kernel) ~min_bs ~es
+     = None
+  then
+    usage_error cmd
+      "--es %d leaves no viable |Bs|/|Es| split for %s (%d registers, %d live at \
+       a barrier; the SRP must also fit one extended set)"
+      es kernel.Gpu_sim.Kernel.name (Gpu_sim.Kernel.regs_per_thread kernel) min_bs
+
+(* The machine refuses these shapes with [Invalid_argument]; they are the
+   user's launch choice. The policy is the prepared one: a technique with
+   nothing to share falls back to static allocation, which has neither
+   limit. *)
+let check_launch cmd arch ~half technique prepared =
+  let policy = prepared.Regmutex.Technique.policy
+  and kernel = prepared.Regmutex.Technique.kernel in
+  let threads = kernel.Gpu_sim.Kernel.cta_threads in
+  if Gpu_sim.Sm.cta_capacity_for arch ~policy ~kernel = 0 then
+    usage_error cmd "a CTA of %d threads does not fit on an SM%s (zero occupancy)"
+      threads
+      (if half then " with --half-rf" else "");
+  match policy with
+  | Gpu_sim.Policy.Srp_paired _ | Gpu_sim.Policy.Owf _ ->
+      let wpc = Gpu_sim.Kernel.warps_per_cta arch kernel in
+      if wpc mod 2 <> 0 then
+        usage_error cmd
+          "%d threads per CTA give %d warps; the %s policy pairs warps and \
+           needs an even count"
+          threads wpc
+          (Regmutex.Technique.name technique)
+  | Gpu_sim.Policy.Static _ | Gpu_sim.Policy.Srp _ | Gpu_sim.Policy.Rfv _
+  | Gpu_sim.Policy.Regdem _ ->
+      ()
+
+(* One validated simulation: the shared body of run, run-file, metrics and
+   trace. *)
+let simulate ?telemetry cmd ~half technique kernel ~es no_ff simt =
+  let arch = arch_of half in
+  Option.iter (check_es cmd arch kernel) es;
+  let options =
+    { Regmutex.Technique.default_options with es_override = es; simt }
+  in
+  let prepared, config =
+    Regmutex.Runner.prepare ~options ~fast_forward:(not no_ff) ?telemetry arch
+      kernel technique
+  in
+  check_launch cmd arch ~half technique prepared;
+  Regmutex.Runner.of_stats config prepared (Regmutex.Runner.simulate config prepared)
+
+(* A registry workload, with its grid overridden. *)
+let workload_kernel cmd spec grid =
+  Option.iter (check_grid cmd) grid;
+  match grid with
+  | Some g -> (Workloads.Spec.with_grid spec g).Workloads.Spec.kernel
+  | None -> spec.Workloads.Spec.kernel
+
+let print_run run =
+  Format.printf "%a@." Regmutex.Runner.pp run;
+  Format.printf "%a@." Gpu_sim.Stats.pp run.Regmutex.Runner.stats;
+  match run.Regmutex.Runner.prepared.Regmutex.Technique.plan with
+  | Some plan -> Format.printf "%a@." Regmutex.Transform.pp_plan plan
+  | None -> ()
+
 let run_cmd =
   let doc = "Simulate a workload under a technique and print statistics." in
   let technique =
@@ -173,22 +255,8 @@ let run_cmd =
     Arg.(value & opt (some int) None & info [ "grid" ] ~doc:"Override grid CTAs.")
   in
   let run spec half technique es grid no_ff simt =
-    let arch = arch_of half in
-    let spec =
-      match grid with Some g -> Workloads.Spec.with_grid spec g | None -> spec
-    in
-    let options =
-      { Regmutex.Technique.default_options with es_override = es; simt }
-    in
-    let run =
-      Regmutex.Runner.execute ~options ~fast_forward:(not no_ff) arch technique
-        spec.Workloads.Spec.kernel
-    in
-    Format.printf "%a@." Regmutex.Runner.pp run;
-    Format.printf "%a@." Gpu_sim.Stats.pp run.Regmutex.Runner.stats;
-    match run.Regmutex.Runner.prepared.Regmutex.Technique.plan with
-    | Some plan -> Format.printf "%a@." Regmutex.Transform.pp_plan plan
-    | None -> ()
+    print_run
+      (simulate "run" ~half technique (workload_kernel "run" spec grid) ~es no_ff simt)
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
@@ -208,21 +276,10 @@ let technique_opt =
 
 (* Shared body of the observability commands: one simulation with a
    telemetry sink attached. *)
-let instrumented_run ?trace_capacity ?(simt = false) spec half technique es grid
-    no_ff =
-  let arch = arch_of half in
-  let spec =
-    match grid with Some g -> Workloads.Spec.with_grid spec g | None -> spec
-  in
-  let options =
-    { Regmutex.Technique.default_options with es_override = es; simt }
-  in
+let instrumented_run ?trace_capacity cmd spec half technique es grid no_ff simt =
   let sink = Telemetry.Sink.create ?trace_capacity () in
-  let run =
-    Regmutex.Runner.execute ~options ~fast_forward:(not no_ff) ~telemetry:sink
-      arch technique spec.Workloads.Spec.kernel
-  in
-  (sink, run)
+  let kernel = workload_kernel cmd spec grid in
+  (sink, simulate ~telemetry:sink cmd ~half technique kernel ~es no_ff simt)
 
 let metrics_cmd =
   let doc =
@@ -237,7 +294,9 @@ let metrics_cmd =
           ~doc:"Output format: $(b,prom) (Prometheus text) or $(b,json).")
   in
   let run spec half technique es grid no_ff simt format =
-    let sink, _run = instrumented_run ~simt spec half technique es grid no_ff in
+    let sink, _run =
+      instrumented_run "metrics" spec half technique es grid no_ff simt
+    in
     match format with
     | `Prom ->
         Format.printf "%a@." Telemetry.Metrics.pp_prometheus
@@ -280,8 +339,8 @@ let trace_cmd =
   in
   let run spec half technique es grid no_ff simt out capacity check =
     let sink, _run =
-      instrumented_run ?trace_capacity:capacity ~simt spec half technique es
-        grid no_ff
+      instrumented_run ?trace_capacity:capacity "trace" spec half technique es
+        grid no_ff simt
     in
     let trace = sink.Telemetry.Sink.trace in
     let path =
@@ -338,19 +397,11 @@ let run_file_cmd =
     Arg.(value & opt (list int) [ 8 ] & info [ "params" ] ~doc:"Launch parameters.")
   in
   let run path half technique grid threads params no_ff simt =
-    let arch = arch_of half in
-    (* A launch shape no SM can hold is a usage error, not a crash. *)
-    let usage_error fmt =
-      Format.kasprintf
-        (fun msg ->
-          Format.eprintf "regmutex run-file: %s@." msg;
-          exit 2)
-        fmt
-    in
-    let max_threads = arch.Gpu_uarch.Arch_config.max_threads in
-    if grid < 1 then usage_error "--grid must be at least 1 (got %d)" grid;
+    let max_threads = (arch_of half).Gpu_uarch.Arch_config.max_threads in
+    check_grid "run-file" grid;
     if threads < 1 || threads > max_threads then
-      usage_error "--threads must be between 1 and %d, the SM's thread capacity (got %d)"
+      usage_error "run-file"
+        "--threads must be between 1 and %d, the SM's thread capacity (got %d)"
         max_threads threads;
     match Gpu_isa.Parser.parse_file path with
     | exception Gpu_isa.Parser.Parse_error e ->
@@ -361,43 +412,7 @@ let run_file_cmd =
           Gpu_sim.Kernel.make ~name:program.Gpu_isa.Program.name ~grid_ctas:grid
             ~cta_threads:threads ~params:(Array.of_list params) program
         in
-        let options = { Regmutex.Technique.default_options with simt } in
-        let prepared, config =
-          Regmutex.Runner.prepare ~options ~fast_forward:(not no_ff) arch
-            technique kernel
-        in
-        (* The machine refuses these shapes with [Invalid_argument]; they
-           are the user's launch choice, so say which flag to change. The
-           policy is the prepared one: a technique with nothing to share
-           falls back to static allocation, which has neither limit. *)
-        let policy = prepared.Regmutex.Technique.policy
-        and kernel = prepared.Regmutex.Technique.kernel in
-        if Gpu_sim.Sm.cta_capacity_for arch ~policy ~kernel = 0 then
-          usage_error
-            "--threads %d: one CTA does not fit on an SM%s (zero occupancy)"
-            threads
-            (if half then " with --half-rf" else "");
-        (match policy with
-        | Gpu_sim.Policy.Srp_paired _ | Gpu_sim.Policy.Owf _ ->
-            let wpc = Gpu_sim.Kernel.warps_per_cta arch kernel in
-            if wpc mod 2 <> 0 then
-              usage_error
-                "--threads %d gives %d warps per CTA; the %s policy pairs \
-                 warps and needs an even count"
-                threads wpc
-                (Regmutex.Technique.name technique)
-        | Gpu_sim.Policy.Static _ | Gpu_sim.Policy.Srp _ | Gpu_sim.Policy.Rfv _
-        | Gpu_sim.Policy.Regdem _ ->
-            ());
-        let run =
-          Regmutex.Runner.of_stats config prepared
-            (Regmutex.Runner.simulate config prepared)
-        in
-        Format.printf "%a@." Regmutex.Runner.pp run;
-        Format.printf "%a@." Gpu_sim.Stats.pp run.Regmutex.Runner.stats;
-        (match run.Regmutex.Runner.prepared.Regmutex.Technique.plan with
-        | Some plan -> Format.printf "%a@." Regmutex.Transform.pp_plan plan
-        | None -> ())
+        print_run (simulate "run-file" ~half technique kernel ~es:None no_ff simt)
   in
   Cmd.v (Cmd.info "run-file" ~doc)
     Term.(

@@ -13,6 +13,8 @@ type t = {
   prog : Program.t;
   blocks : block array;
   block_of_instr : int array;
+  isuccs : int list array;
+  ipreds : int list array;
 }
 
 let instr_succs prog i =
@@ -29,6 +31,11 @@ let instr_succs prog i =
 
 let of_program prog =
   let n = Program.length prog in
+  let isuccs = Array.init n (instr_succs prog) in
+  let ipreds = Array.make n [] in
+  for i = 0 to n - 1 do
+    List.iter (fun s -> ipreds.(s) <- i :: ipreds.(s)) isuccs.(i)
+  done;
   let leader = Array.make n false in
   leader.(0) <- true;
   for i = 0 to n - 1 do
@@ -55,7 +62,7 @@ let of_program prog =
       done)
     bounds;
   let succs_of (_, last) =
-    List.sort_uniq compare (List.map (fun i -> block_of_instr.(i)) (instr_succs prog last))
+    List.sort_uniq compare (List.map (fun i -> block_of_instr.(i)) isuccs.(last))
   in
   let preds = Array.make (Array.length bounds) [] in
   Array.iteri
@@ -67,7 +74,7 @@ let of_program prog =
         { id; first; last; succs = succs_of (first, last); preds = List.rev preds.(id) })
       bounds
   in
-  { prog; blocks; block_of_instr }
+  { prog; blocks; block_of_instr; isuccs; ipreds }
 
 let n_blocks t = Array.length t.blocks
 let block t id = t.blocks.(id)
@@ -103,15 +110,3 @@ let region t ~from ~avoiding =
     if visited.(id) then out := id :: !out
   done;
   !out
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  Array.iter
-    (fun b ->
-      Format.fprintf ppf "B%d [%d..%d] -> %a@," b.id b.first b.last
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.fprintf ppf ",")
-           (fun ppf s -> Format.fprintf ppf "B%d" s))
-        b.succs)
-    t.blocks;
-  Format.fprintf ppf "@]"

@@ -12,6 +12,8 @@ type t = {
   prog : Gpu_isa.Program.t;
   blocks : block array;
   block_of_instr : int array;  (** instruction index -> block id *)
+  isuccs : int list array;     (** instruction index -> {!instr_succs} *)
+  ipreds : int list array;     (** instruction index -> its predecessors *)
 }
 
 (** Build the CFG. Leaders are instruction 0, branch targets, and
@@ -25,7 +27,7 @@ val block : t -> int -> block
 val instrs : t -> block -> int list
 
 (** [instr_succs prog i] is the instruction-level successor list of
-    instruction [i] (used by liveness). *)
+    instruction [i]; {!of_program} tabulates it as [isuccs]. *)
 val instr_succs : Gpu_isa.Program.t -> int -> int list
 
 (** Blocks whose last instruction is a conditional branch. *)
@@ -39,5 +41,3 @@ val exit_blocks : t -> block list
     [avoiding] (pass [-1] to avoid nothing). Used to delimit branch
     regions for divergence widening. *)
 val region : t -> from:int -> avoiding:int -> int list
-
-val pp : Format.formatter -> t -> unit

@@ -7,13 +7,14 @@ type t = {
   live_out : Regset.t array;
 }
 
-let dataflow prog =
+let of_cfg cfg =
+  let prog = cfg.Cfg.prog in
   let n = Program.length prog in
   let live_in = Array.make n Regset.empty in
   let live_out = Array.make n Regset.empty in
   let uses = Array.init n (fun i -> Instr.uses (Program.get prog i)) in
   let defs = Array.init n (fun i -> Instr.defs (Program.get prog i)) in
-  let succs = Array.init n (fun i -> Cfg.instr_succs prog i) in
+  let succs = cfg.Cfg.isuccs in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -31,67 +32,55 @@ let dataflow prog =
   done;
   { live_in; live_out }
 
-(* One widening sweep; returns true when any live set grew. *)
-let widen_once cfg t =
-  let prog = cfg.Cfg.prog in
-  let dom = Dominance.compute cfg in
-  let grew = ref false in
-  let extend_region region widen_set =
-    if not (Regset.is_empty widen_set) then
-      List.iter
-        (fun bid ->
-          let b = Cfg.block cfg bid in
-          for i = b.Cfg.first to b.Cfg.last do
-            let inn = Regset.union t.live_in.(i) widen_set in
-            let out = Regset.union t.live_out.(i) widen_set in
-            if not (Regset.equal inn t.live_in.(i) && Regset.equal out t.live_out.(i))
-            then begin
+let widened cfg dom narrow =
+  let t = { live_in = Array.copy narrow.live_in; live_out = Array.copy narrow.live_out } in
+  (* Each branch region's instructions, the registers they define and the
+     region's join are fixed by the CFG; only the live sets grow. *)
+  let regions =
+    List.map
+      (fun b ->
+        let ipd = Dominance.ipostdom dom b.Cfg.id in
+        let instrs =
+          List.concat_map
+            (fun bid -> Cfg.instrs cfg (Cfg.block cfg bid))
+            (Cfg.region cfg ~from:b.Cfg.id ~avoiding:(Option.value ipd ~default:(-1)))
+        in
+        let defined =
+          List.fold_left
+            (fun acc i -> Regset.union acc (Instr.defs (Program.get cfg.Cfg.prog i)))
+            Regset.empty instrs
+        in
+        (b.Cfg.last, instrs, defined, Option.map (fun p -> (Cfg.block cfg p).Cfg.first) ipd))
+      (Cfg.conditional_blocks cfg)
+  in
+  (* One sweep; true when any live set grew. Registers live across the
+     branch, and registers defined in the region and live at the join,
+     are live throughout the region. *)
+  let widen_once () =
+    List.fold_left
+      (fun grew (branch, instrs, defined, join) ->
+        let at_join = match join with Some j -> t.live_in.(j) | None -> Regset.empty in
+        let set = Regset.union t.live_out.(branch) (Regset.inter defined at_join) in
+        List.fold_left
+          (fun grew i ->
+            let inn = Regset.union t.live_in.(i) set in
+            let out = Regset.union t.live_out.(i) set in
+            if Regset.equal inn t.live_in.(i) && Regset.equal out t.live_out.(i) then grew
+            else begin
               t.live_in.(i) <- inn;
               t.live_out.(i) <- out;
-              grew := true
-            end
-          done)
-        region
+              true
+            end)
+          grew instrs)
+      false regions
   in
-  List.iter
-    (fun b ->
-      let branch_instr = b.Cfg.last in
-      let ipd = Dominance.ipostdom dom b.Cfg.id in
-      let avoiding = match ipd with Some p -> p | None -> -1 in
-      let region = Cfg.region cfg ~from:b.Cfg.id ~avoiding in
-      (* Registers live across the branch are live throughout the region. *)
-      let across = t.live_out.(branch_instr) in
-      (* Registers defined in the region and live at the join are live
-         throughout the region. *)
-      let defined_in_region =
-        List.fold_left
-          (fun acc bid ->
-            let blk = Cfg.block cfg bid in
-            let rec go i acc =
-              if i > blk.Cfg.last then acc
-              else go (i + 1) (Regset.union acc (Instr.defs (Program.get prog i)))
-            in
-            go blk.Cfg.first acc)
-          Regset.empty region
-      in
-      let at_join =
-        match ipd with
-        | Some p -> t.live_in.((Cfg.block cfg p).Cfg.first)
-        | None -> Regset.empty
-      in
-      let widen_set = Regset.union across (Regset.inter defined_in_region at_join) in
-      extend_region region widen_set)
-    (Cfg.conditional_blocks cfg);
-  !grew
+  let rec fix budget = if budget > 0 && widen_once () then fix (budget - 1) in
+  fix 16;
+  t
 
 let analyze ?(widen = true) prog =
-  let t = dataflow prog in
-  if widen then begin
-    let cfg = Cfg.of_program prog in
-    let rec fix budget = if budget > 0 && widen_once cfg t then fix (budget - 1) in
-    fix 16
-  end;
-  t
+  let cfg = Cfg.of_program prog in
+  if widen then widened cfg (Dominance.compute cfg) (of_cfg cfg) else of_cfg cfg
 
 let pressure_at t i =
   max (Regset.cardinal t.live_in.(i)) (Regset.cardinal t.live_out.(i))

@@ -18,8 +18,16 @@ type t = {
   live_out : Gpu_isa.Regset.t array;  (** live after each instruction *)
 }
 
-(** [analyze ?widen prog] runs the analysis; [widen] (default [true])
-    enables the divergence-conservative widening. *)
+(** The backward dataflow over [cfg]'s program, without widening. *)
+val of_cfg : Cfg.t -> t
+
+(** [widened cfg dom narrow] widens a copy of [narrow] ([of_cfg cfg])
+    to the fixpoint; [dom] is [cfg]'s dominance. *)
+val widened : Cfg.t -> Dominance.t -> t -> t
+
+(** [analyze ?widen prog] runs the analysis from scratch; [widen]
+    (default [true]) enables the divergence-conservative widening.
+    {!Facts} computes each program's liveness once for a whole compile. *)
 val analyze : ?widen:bool -> Gpu_isa.Program.t -> t
 
 (** [pressure_at t i] is the number of registers live across instruction

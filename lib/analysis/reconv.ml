@@ -2,11 +2,9 @@ module Program = Gpu_isa.Program
 
 let sentinel p = Program.length p
 
-let table p =
-  let n = Program.length p in
+let of_cfg cfg dom =
+  let n = Program.length cfg.Cfg.prog in
   let t = Array.make (max n 1) n in
-  let cfg = Cfg.of_program p in
-  let dom = Dominance.compute cfg in
   List.iter
     (fun (b : Cfg.block) ->
       t.(b.Cfg.last) <-
@@ -15,3 +13,7 @@ let table p =
         | None -> n))
     (Cfg.conditional_blocks cfg);
   t
+
+let table p =
+  let cfg = Cfg.of_program p in
+  of_cfg cfg (Dominance.compute cfg)

@@ -13,6 +13,9 @@
     lanes exit. *)
 val table : Gpu_isa.Program.t -> int array
 
+(** [table] of [cfg]'s program, given [cfg]'s dominance. *)
+val of_cfg : Cfg.t -> Dominance.t -> int array
+
 (** [sentinel p] is [Program.length p]: the never-matched reconvergence PC
     standing in for the virtual exit sink. *)
 val sentinel : Gpu_isa.Program.t -> int

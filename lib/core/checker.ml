@@ -3,6 +3,7 @@ module Instr = Gpu_isa.Instr
 module Regset = Gpu_isa.Regset
 module Liveness = Gpu_analysis.Liveness
 module Cfg = Gpu_analysis.Cfg
+module Facts = Gpu_analysis.Facts
 
 type violation = {
   pc : int;
@@ -25,12 +26,10 @@ let transfer instr state =
   | Instr.Release -> Free
   | _ -> state
 
-let acquire_states prog =
+let acquire_states facts =
+  let prog = Facts.program facts in
   let n = Program.length prog in
-  let preds = Array.make n [] in
-  for i = 0 to n - 1 do
-    List.iter (fun s -> preds.(s) <- i :: preds.(s)) (Cfg.instr_succs prog i)
-  done;
+  let preds = (Facts.cfg facts).Cfg.ipreds in
   let state_in = Array.make n Bot in
   let state_out = Array.make n Bot in
   state_in.(0) <- Free;
@@ -54,8 +53,9 @@ let acquire_states prog =
   done;
   (state_in, state_out)
 
-let acquire_spans_barrier prog =
-  let state_in, _ = acquire_states prog in
+let acquire_spans_barrier facts =
+  let prog = Facts.program facts in
+  let state_in, _ = acquire_states facts in
   let spans = ref false in
   for i = 0 to Program.length prog - 1 do
     match (Program.get prog i, state_in.(i)) with
@@ -64,10 +64,11 @@ let acquire_spans_barrier prog =
   done;
   !spans
 
-let check ~bs ~es prog =
+let check_facts ~bs ~es facts =
+  let prog = Facts.program facts in
   let n = Program.length prog in
-  let state_in, state_out = acquire_states prog in
-  let liveness = Liveness.analyze ~widen:true prog in
+  let state_in, state_out = acquire_states facts in
+  let liveness = Facts.liveness facts in
   let violations = ref [] in
   let report pc fmt = Format.kasprintf (fun message -> violations := { pc; message } :: !violations) fmt in
   for i = 0 to n - 1 do
@@ -94,6 +95,8 @@ let check ~bs ~es prog =
   done;
   List.rev !violations
 
+let check ~bs ~es prog = check_facts ~bs ~es (Facts.of_program prog)
+
 let pp_violation ppf v = Format.fprintf ppf "pc %d: %s" v.pc v.message
 
 (* --- dynamic store-trace comparison ---------------------------------- *)
@@ -105,63 +108,12 @@ let space_name = Instr.space_name
 let pp_store (sp, addr, v) =
   Printf.sprintf "st.%s [0x%x] = %d" (space_name sp) addr v
 
-let diff_store_traces ~expected ~actual =
-  (* Both sides come from [Stats.store_traces], sorted by (CTA, warp);
-     walk them in lockstep and report the first divergence. *)
-  let rec diff_stores (cta, warp) i es as_ =
-    match (es, as_) with
-    | [], [] -> None
-    | e :: es', a :: as' ->
-        if e = a then diff_stores (cta, warp) (i + 1) es' as'
-        else
-          Some
-            (Printf.sprintf "cta %d warp %d store #%d: expected %s, got %s" cta
-               warp i (pp_store e) (pp_store a))
-    | e :: _, [] ->
-        Some
-          (Printf.sprintf
-             "cta %d warp %d: trace ends after %d stores, expected %s next" cta
-             warp i (pp_store e))
-    | [], a :: _ ->
-        Some
-          (Printf.sprintf "cta %d warp %d: %d extra stores starting with %s" cta
-             warp (List.length as_) (pp_store a))
-  in
-  let rec go es as_ =
-    match (es, as_) with
-    | [], [] -> None
-    | (ke, se) :: es', (ka, sa) :: as' ->
-        if ke < ka then
-          Some
-            (Printf.sprintf "cta %d warp %d stored nothing (expected %d stores)"
-               (fst ke) (snd ke) (List.length se))
-        else if ka < ke then
-          Some
-            (Printf.sprintf "cta %d warp %d stored %d times unexpectedly"
-               (fst ka) (snd ka) (List.length sa))
-        else (
-          match diff_stores ke 0 se sa with
-          | None -> go es' as'
-          | Some _ as d -> d)
-    | (ke, se) :: _, [] ->
-        Some
-          (Printf.sprintf "cta %d warp %d stored nothing (expected %d stores)"
-             (fst ke) (snd ke) (List.length se))
-    | [], (ka, sa) :: _ ->
-        Some
-          (Printf.sprintf "cta %d warp %d stored %d times unexpectedly" (fst ka)
-             (snd ka) (List.length sa))
-  in
-  go expected actual
-
-type lane_store_trace = ((int * int * int) * (Instr.space * int * int) list) list
-
-(* Lane-resolved variant, keyed (CTA, warp, lane): strictly finer than the
-   warp-level diff — a fault confined to some lanes (e.g. a corrupted
-   active mask) perturbs a lane's trace even when the warp-level trace
-   (the lowest active lane's stores) is untouched. *)
-let diff_lane_store_traces ~expected ~actual =
-  let key (cta, warp, lane) = Printf.sprintf "cta %d warp %d lane %d" cta warp lane in
+(* Both sides are sorted by owner key; walk them in lockstep and describe
+   the first divergence. [key] names an owner: a warp, or one lane of one
+   (strictly finer — a fault confined to some lanes, e.g. a corrupted
+   active mask, perturbs a lane's trace even when the warp-level trace,
+   the lowest active lane's stores, is untouched). *)
+let diff_traces key ~expected ~actual =
   let rec diff_stores k i es as_ =
     match (es, as_) with
     | [], [] -> None
@@ -180,29 +132,31 @@ let diff_lane_store_traces ~expected ~actual =
           (Printf.sprintf "%s: %d extra stores starting with %s" (key k)
              (List.length as_) (pp_store a))
   in
+  let missing (k, s) =
+    Some (Printf.sprintf "%s stored nothing (expected %d stores)" (key k) (List.length s))
+  and extra (k, s) =
+    Some (Printf.sprintf "%s stored %d times unexpectedly" (key k) (List.length s))
+  in
   let rec go es as_ =
     match (es, as_) with
     | [], [] -> None
-    | (ke, se) :: es', (ka, sa) :: as' ->
-        if ke < ka then
-          Some
-            (Printf.sprintf "%s stored nothing (expected %d stores)" (key ke)
-               (List.length se))
-        else if ka < ke then
-          Some
-            (Printf.sprintf "%s stored %d times unexpectedly" (key ka)
-               (List.length sa))
+    | ((ke, se) as e) :: es', ((ka, sa) as a) :: as' ->
+        if ke < ka then missing e
+        else if ka < ke then extra a
         else (
           match diff_stores ke 0 se sa with
           | None -> go es' as'
           | Some _ as d -> d)
-    | (ke, se) :: _, [] ->
-        Some
-          (Printf.sprintf "%s stored nothing (expected %d stores)" (key ke)
-             (List.length se))
-    | [], (ka, sa) :: _ ->
-        Some
-          (Printf.sprintf "%s stored %d times unexpectedly" (key ka)
-             (List.length sa))
+    | e :: _, [] -> missing e
+    | [], a :: _ -> extra a
   in
   go expected actual
+
+let diff_store_traces =
+  diff_traces (fun (cta, warp) -> Printf.sprintf "cta %d warp %d" cta warp)
+
+type lane_store_trace = ((int * int * int) * (Instr.space * int * int) list) list
+
+let diff_lane_store_traces =
+  diff_traces (fun (cta, warp, lane) ->
+      Printf.sprintf "cta %d warp %d lane %d" cta warp lane)

@@ -20,13 +20,15 @@ type violation = {
 }
 
 (** [check ~bs ~es prog] returns all violations ([] = sound). The
-    liveness used for the free-state rule is recomputed on the transformed
-    program with divergence widening. *)
+    free-state rule reads [prog]'s liveness with divergence widening. *)
 val check : bs:int -> es:int -> Gpu_isa.Program.t -> violation list
+
+(** {!check} of [facts]' program. *)
+val check_facts : bs:int -> es:int -> Gpu_analysis.Facts.t -> violation list
 
 val pp_violation : Format.formatter -> violation -> unit
 
-(** [acquire_spans_barrier prog] holds when some [bar.sync] may execute
+(** [acquire_spans_barrier facts] holds when some [bar.sync] may execute
     with the extended set held (acquire state Held or Top on entry).
     Spanning a barrier is sound for storage but restricts forward
     progress: a warp parked at the barrier keeps its SRP section while
@@ -34,7 +36,7 @@ val pp_violation : Format.formatter -> violation -> unit
     section per warp pair, both partners executing the same acquire —
     it is a certain deadlock, so {!Technique.prepare} refuses the
     paired policy for such programs. *)
-val acquire_spans_barrier : Gpu_isa.Program.t -> bool
+val acquire_spans_barrier : Gpu_analysis.Facts.t -> bool
 
 (** Per-warp store traces in issue order, keyed and sorted by
     (CTA, warp) — the shape produced by [Gpu_sim.Stats.store_traces]. *)

@@ -3,6 +3,7 @@ module Instr = Gpu_isa.Instr
 module Regset = Gpu_isa.Regset
 module Liveness = Gpu_analysis.Liveness
 module Cfg = Gpu_analysis.Cfg
+module Facts = Gpu_analysis.Facts
 
 let pressure_ranking prog (liveness : Liveness.t) =
   let n_regs = prog.Program.n_regs in
@@ -95,15 +96,12 @@ let permute prog perm =
    confined to [f, n) with pressure at [f] within the base set, a free low
    slot [x] untouched from [f] on, and rewrite. Returns the new program or
    [None] when no safe opportunity exists. *)
-let try_one ~bs prog =
-  let liveness = Liveness.analyze ~widen:true prog in
+let try_one ~bs facts =
+  let prog = Facts.program facts in
+  let liveness = Facts.liveness facts in
   let n = Program.length prog in
   let live_in = liveness.Liveness.live_in and live_out = liveness.Liveness.live_out in
-  let succs = Array.init n (Cfg.instr_succs prog) in
-  let preds = Array.make n [] in
-  for i = 0 to n - 1 do
-    List.iter (fun s -> preds.(s) <- i :: preds.(s)) succs.(i)
-  done;
+  let { Cfg.isuccs = succs; ipreds = preds; _ } = Facts.cfg facts in
   (* [touched.(f)]: the registers referenced or live anywhere at/after f. *)
   let touched = Array.make (n + 1) Regset.empty in
   for i = n - 1 downto 0 do
@@ -184,12 +182,12 @@ let try_one ~bs prog =
   done;
   !result
 
-let mov_compact ~bs prog =
-  let rec go prog moves budget =
-    if budget = 0 then (prog, moves)
+let mov_compact ~bs facts =
+  let rec go facts moves budget =
+    if budget = 0 then (facts, moves)
     else
-      match try_one ~bs prog with
-      | Some prog' -> go prog' (moves + 1) (budget - 1)
-      | None -> (prog, moves)
+      match try_one ~bs facts with
+      | Some prog' -> go (Facts.derive facts prog') (moves + 1) (budget - 1)
+      | None -> (facts, moves)
   in
-  go prog 0 64
+  go facts 0 64

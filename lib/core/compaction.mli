@@ -37,6 +37,10 @@ val pressure_ranking :
     a permutation of [0 .. n_regs-1]. *)
 val permute : Gpu_isa.Program.t -> int array -> Gpu_isa.Program.t
 
-(** [mov_compact ~bs prog] inserts compaction [Mov]s; returns the new
-    program and the number of moves inserted. *)
-val mov_compact : bs:int -> Gpu_isa.Program.t -> Gpu_isa.Program.t * int
+(** [mov_compact ~bs facts] inserts compaction [Mov]s into [facts]'
+    program; returns the facts of the new program and the number of moves
+    inserted. Each round reads the widened liveness of its input; the
+    returned facts are the last round's input, so a caller reading them
+    reuses that analysis. *)
+val mov_compact :
+  bs:int -> Gpu_analysis.Facts.t -> Gpu_analysis.Facts.t * int

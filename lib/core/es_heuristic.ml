@@ -39,6 +39,11 @@ let evaluate cfg ~demand ~min_bs ~rounded_regs es =
 let baseline_warps cfg ~demand =
   (Occupancy.calculate ~round_regs:true cfg demand).Occupancy.warps
 
+let choice cfg ~demand ~rounded_regs candidates (pick : candidate) =
+  { rounded_regs; bs = pick.bs; es = pick.es; warps = pick.warps;
+    sections = pick.sections; baseline_warps = baseline_warps cfg ~demand;
+    candidates }
+
 let choose cfg ~demand ~min_bs () =
   let rounded_regs = Arch_config.round_regs cfg demand.Occupancy.regs_per_thread in
   let candidates =
@@ -62,32 +67,13 @@ let choose cfg ~demand ~min_bs () =
                 if c.sections > acc.sections then c else acc)
               (List.hd top) (List.tl top)
       in
-      Some
-        {
-          rounded_regs;
-          bs = pick.bs;
-          es = pick.es;
-          warps = pick.warps;
-          sections = pick.sections;
-          baseline_warps = baseline_warps cfg ~demand;
-          candidates;
-        }
+      Some (choice cfg ~demand ~rounded_regs candidates pick)
 
 let with_es cfg ~demand ~min_bs ~es =
   let rounded_regs = Arch_config.round_regs cfg demand.Occupancy.regs_per_thread in
-  match evaluate cfg ~demand ~min_bs ~rounded_regs es with
-  | None -> None
-  | Some c ->
-      Some
-        {
-          rounded_regs;
-          bs = c.bs;
-          es = c.es;
-          warps = c.warps;
-          sections = c.sections;
-          baseline_warps = baseline_warps cfg ~demand;
-          candidates = [ c ];
-        }
+  Option.map
+    (fun c -> choice cfg ~demand ~rounded_regs [ c ] c)
+    (evaluate cfg ~demand ~min_bs ~rounded_regs es)
 
 let raises_occupancy c = c.warps > c.baseline_warps
 

@@ -3,6 +3,7 @@ module Instr = Gpu_isa.Instr
 module Regset = Gpu_isa.Regset
 module Liveness = Gpu_analysis.Liveness
 module Cfg = Gpu_analysis.Cfg
+module Facts = Gpu_analysis.Facts
 
 let ext_predicate ~bs prog (liveness : Liveness.t) =
   let n = Program.length prog in
@@ -28,21 +29,14 @@ type outcome = {
   ext_static_fraction : float;
 }
 
-let instr_preds prog =
-  let n = Program.length prog in
-  let preds = Array.make n [] in
-  for i = 0 to n - 1 do
-    List.iter (fun s -> preds.(s) <- i :: preds.(s)) (Cfg.instr_succs prog i)
-  done;
-  preds
-
-let inject ~bs prog liveness =
+let inject ~bs facts liveness =
+  let prog = Facts.program facts in
   let ext = ext_predicate ~bs prog liveness in
   let n = Program.length prog in
   if not (Array.exists (fun e -> e) ext) then
     { program = prog; n_acquires = 0; n_releases = 0; ext_static_fraction = 0. }
   else begin
-    let preds = instr_preds prog in
+    let preds = (Facts.cfg facts).Cfg.ipreds in
     let inserts = ref [] in
     let n_acquires = ref 0 and n_releases = ref 0 in
     for i = 0 to n - 1 do

@@ -27,8 +27,9 @@ type outcome = {
   ext_static_fraction : float;
 }
 
-(** [inject ~bs prog liveness] returns the instrumented program. When no
-    instruction is extended the program is returned unchanged with zero
-    primitive counts ("zero-sized extended set" behaviour). *)
+(** [inject ~bs facts liveness] instruments [facts]' program, whose
+    liveness is [liveness]. When no instruction is extended the program
+    is returned unchanged (physically) with zero primitive counts
+    ("zero-sized extended set" behaviour). *)
 val inject :
-  bs:int -> Gpu_isa.Program.t -> Gpu_analysis.Liveness.t -> outcome
+  bs:int -> Gpu_analysis.Facts.t -> Gpu_analysis.Liveness.t -> outcome

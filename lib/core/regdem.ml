@@ -1,7 +1,7 @@
 module Instr = Gpu_isa.Instr
 module Program = Gpu_isa.Program
 module Regset = Gpu_isa.Regset
-module Liveness = Gpu_analysis.Liveness
+module Facts = Gpu_analysis.Facts
 module Kernel = Gpu_sim.Kernel
 module Policy = Gpu_sim.Policy
 
@@ -125,11 +125,11 @@ let baseline_warps cfg kernel =
    not worth it. Among viable candidates the sweep keeps the highest warp
    count and breaks ties toward fewer demotions (higher keep), then fewer
    static fills. *)
-let choose ?(widen = true) cfg kernel =
+let choose_facts ?(widen = true) facts cfg kernel =
   let n_regs = Kernel.regs_per_thread kernel in
   let base = baseline_warps cfg kernel in
   let prog = kernel.Kernel.program in
-  let ranking = Compaction.pressure_ranking prog (Liveness.analyze ~widen prog) in
+  let ranking = Compaction.pressure_ranking prog (Facts.liveness ~widen facts) in
   let sets = reg_sets prog in
   let candidates =
     List.init (max 0 (n_regs - 1)) (fun i ->
@@ -152,6 +152,9 @@ let choose ?(widen = true) cfg kernel =
       None candidates
   in
   { baseline_warps = base; candidates; best }
+
+let choose ?widen cfg kernel =
+  choose_facts ?widen (Facts.of_program kernel.Kernel.program) cfg kernel
 
 (* --- the demotion transform ------------------------------------------ *)
 
@@ -245,14 +248,15 @@ let check_plan plan =
     | _ -> ()
   done
 
-let transform ?(widen = true) ~keep ~wpc prog =
+let transform ?(widen = true) ~keep ~wpc facts =
+  let prog = Facts.program facts in
   let n_regs = prog.Program.n_regs in
   if keep < 1 || keep >= n_regs then
     invalid_arg "Regdem.transform: keep must be in [1, n_regs)";
   if wpc < 1 then invalid_arg "Regdem.transform: wpc must be positive";
   let permuted =
     Compaction.permute prog
-      (Compaction.pressure_ranking ~bs:keep prog (Liveness.analyze ~widen prog))
+      (Compaction.pressure_ranking ~bs:keep prog (Facts.liveness ~widen facts))
   in
   let scratch, n_spills, n_fills =
     scan ~demoted:(Regset.above keep) (reg_sets permuted)
@@ -281,10 +285,3 @@ let pp_candidate ppf c =
     "keep=%d (+%d scratch) demote=%d -> %d warps, %dB shmem, %d spills/%d fills"
     c.c_keep c.c_scratch c.c_demoted c.c_warps c.c_shmem_bytes c.c_static_spills
     c.c_static_fills
-
-let pp_plan ppf p =
-  Format.fprintf ppf
-    "regdem: keep %d of %d regs (+%d scratch), %d demoted, window %d words, %d \
-     static spills, %d static fills"
-    p.keep p.original.Program.n_regs p.scratch p.demoted p.spill_words p.n_spills
-    p.n_fills

@@ -65,14 +65,18 @@ val shmem_bytes_with_window : Gpu_sim.Kernel.t -> spill_words:int -> int
     occupancy-maximising demotion, if any strictly beats baseline. *)
 val choose : ?widen:bool -> Gpu_uarch.Arch_config.t -> Gpu_sim.Kernel.t -> choice
 
-(** [transform ?widen ~keep ~wpc prog] permutes the coldest registers
-    above [keep], rewrites every demoted access through scratch registers
-    with spill/fill instructions, and retargets branches to each expanded
-    group's head.
+(** {!choose} given [facts], the facts of [kernel]'s program. *)
+val choose_facts :
+  ?widen:bool -> Gpu_analysis.Facts.t -> Gpu_uarch.Arch_config.t ->
+  Gpu_sim.Kernel.t -> choice
+
+(** [transform ?widen ~keep ~wpc facts] permutes the coldest registers of
+    [facts]' program above [keep], rewrites every demoted access through
+    scratch registers with spill/fill instructions, and retargets
+    branches to each expanded group's head.
     @raise Invalid_argument when [keep] is outside [1, n_regs) or [wpc < 1].
     @raise Unsound when the result fails the static soundness check. *)
 val transform :
-  ?widen:bool -> keep:int -> wpc:int -> Gpu_isa.Program.t -> plan
+  ?widen:bool -> keep:int -> wpc:int -> Gpu_analysis.Facts.t -> plan
 
 val pp_candidate : Format.formatter -> candidate -> unit
-val pp_plan : Format.formatter -> plan -> unit

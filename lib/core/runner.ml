@@ -23,29 +23,35 @@ let simulate_phase = Telemetry.Profile.phase "runner.simulate"
 
 let prepare ?options ?(record_stores = false) ?(trace_warp0 = false)
     ?(max_cycles = 20_000_000) ?(fast_forward = true) ?(corrupt_mask = 0)
-    ?(lane_resolved = false) ?telemetry cfg technique kernel =
-  let prepared =
-    Telemetry.Profile.time prepare_phase (fun () ->
-        Technique.prepare ?options cfg technique kernel)
+    ?(lane_resolved = false) ?telemetry ?facts cfg kernel =
+  let facts =
+    match facts with
+    | Some f -> f
+    | None -> Gpu_analysis.Facts.of_program kernel.Kernel.program
   in
+  let prepare = Technique.preparer ?options cfg facts kernel in
   let simt =
     match options with
     | Some o -> o.Technique.simt
     | None -> Technique.default_options.Technique.simt
   in
-  ( prepared,
-    {
-      Gpu.arch = cfg;
-      policy = prepared.Technique.policy;
-      record_stores;
-      trace_warp0;
-      max_cycles;
-      telemetry;
-      fast_forward;
-      simt;
-      corrupt_mask;
-      lane_resolved;
-    } )
+  fun technique ->
+    let prepared =
+      Telemetry.Profile.time prepare_phase (fun () -> prepare technique)
+    in
+    ( prepared,
+      {
+        Gpu.arch = cfg;
+        policy = prepared.Technique.policy;
+        record_stores;
+        trace_warp0;
+        max_cycles;
+        telemetry;
+        fast_forward;
+        simt;
+        corrupt_mask;
+        lane_resolved;
+      } )
 
 let simulate config prepared =
   Telemetry.Profile.time simulate_phase (fun () ->
@@ -80,7 +86,7 @@ let execute ?options ?record_stores ?trace_warp0 ?max_cycles ?fast_forward
     ?corrupt_mask ?lane_resolved ?telemetry cfg technique kernel =
   let prepared, config =
     prepare ?options ?record_stores ?trace_warp0 ?max_cycles ?fast_forward
-      ?corrupt_mask ?lane_resolved ?telemetry cfg technique kernel
+      ?corrupt_mask ?lane_resolved ?telemetry cfg kernel technique
   in
   of_stats config prepared (simulate config prepared)
 

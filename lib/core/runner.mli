@@ -51,7 +51,10 @@ val execute :
     with the same optional arguments and defaults. The simulated [run]
     is a function of the returned config and [prepared.kernel] alone,
     which is what lets the experiment engine simulate each distinct
-    input once. *)
+    input once. Applied to a kernel, it prepares any number of
+    techniques through one {!Technique.preparer}: one analysis of the
+    kernel's program ([facts], when the caller has them) and one
+    RegMutex plan. *)
 val prepare :
   ?options:Technique.options ->
   ?record_stores:bool ->
@@ -61,9 +64,10 @@ val prepare :
   ?corrupt_mask:int ->
   ?lane_resolved:bool ->
   ?telemetry:Telemetry.Sink.t ->
+  ?facts:Gpu_analysis.Facts.t ->
   Gpu_uarch.Arch_config.t ->
-  Technique.t ->
   Gpu_sim.Kernel.t ->
+  Technique.t ->
   Technique.prepared * Gpu_sim.Gpu.run_config
 
 (** [simulate config prepared] runs [prepared.kernel] on the machine

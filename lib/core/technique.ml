@@ -1,7 +1,7 @@
-module Arch_config = Gpu_uarch.Arch_config
 module Storage_cost = Gpu_uarch.Storage_cost
 module Energy_model = Gpu_uarch.Energy_model
 module Liveness = Gpu_analysis.Liveness
+module Facts = Gpu_analysis.Facts
 module Kernel = Gpu_sim.Kernel
 module Policy = Gpu_sim.Policy
 module Stats = Gpu_sim.Stats
@@ -34,147 +34,131 @@ type prepared = {
   regdem : Regdem.plan option;
 }
 
-let static_policy kernel =
-  Policy.Static { regs_per_thread = Kernel.regs_per_thread kernel }
+(* The unmodified kernel under static allocation: the baseline, and the
+   fallback of every technique with nothing to share. *)
+let unshared technique kernel =
+  { technique; kernel;
+    policy = Policy.Static { regs_per_thread = Kernel.regs_per_thread kernel };
+    choice = None; plan = None; regdem = None }
 
-let min_bs_of kernel widen =
-  let prog = kernel.Kernel.program in
-  let liveness = Liveness.analyze ~widen prog in
-  Liveness.live_at_barriers prog liveness
-
-let choose_split options cfg kernel =
-  let demand = Kernel.demand kernel in
-  let min_bs = min_bs_of kernel options.transform.Transform.widen in
-  match options.es_override with
-  | Some es -> Es_heuristic.with_es cfg ~demand ~min_bs ~es
-  | None -> Es_heuristic.choose cfg ~demand ~min_bs ()
-
-let prepare_regmutex ~paired options cfg technique kernel =
-  match choose_split options cfg kernel with
+(* RegMutex under either policy, from the shared choice and plan. *)
+let prepare_regmutex ~paired options cfg technique kernel compiled =
+  match compiled () with
   | None ->
       (* Zero-sized extended set: run the unmodified kernel as baseline. *)
-      { technique; kernel; policy = static_policy kernel; choice = None;
-        plan = None; regdem = None }
-  | Some choice ->
+      unshared technique kernel
+  | Some (_, _, transformed)
+    when paired
+         && Kernel.warps_per_cta cfg kernel > 1
+         && Checker.acquire_spans_barrier transformed ->
+      (* Both partners execute the same acquire, but the pair holds a
+         single section: a holder parked at the barrier waits for its
+         partner, which is parked at the acquire — a certain deadlock.
+         Pairing is not viable for this kernel; run it unshared. *)
+      unshared technique kernel
+  | Some (choice, plan, _) ->
       let bs = choice.Es_heuristic.bs and es = choice.Es_heuristic.es in
-      let plan =
-        Transform.apply ~options:options.transform ~bs ~es kernel.Kernel.program
+      let policy =
+        if paired then Policy.Srp_paired { bs; es; verify = options.verify }
+        else Policy.Srp { bs; es; verify = options.verify }
       in
-      let warps_per_cta =
-        (kernel.Kernel.cta_threads + cfg.Arch_config.warp_size - 1)
-        / cfg.Arch_config.warp_size
-      in
-      if
-        paired && warps_per_cta > 1
-        && Checker.acquire_spans_barrier plan.Transform.transformed
-      then
-        (* Both partners execute the same acquire, but the pair holds a
-           single section: a holder parked at the barrier waits for its
-           partner, which is parked at the acquire — a certain deadlock.
-           Pairing is not viable for this kernel; run it unshared. *)
-        { technique; kernel; policy = static_policy kernel; choice = None;
-          plan = None; regdem = None }
-      else
-        let kernel = Kernel.with_program kernel plan.Transform.transformed in
-        let policy =
-          if paired then Policy.Srp_paired { bs; es; verify = options.verify }
-          else Policy.Srp { bs; es; verify = options.verify }
-        in
-        { technique; kernel; policy; choice = Some choice; plan = Some plan;
-          regdem = None }
+      { technique; policy; choice = Some choice; plan = Some plan; regdem = None;
+        kernel = Kernel.with_program kernel plan.Transform.transformed }
 
-let prepare_owf options cfg kernel =
-  let fallback () =
-    { technique = Owf; kernel; policy = static_policy kernel; choice = None;
-      plan = None; regdem = None }
-  in
-  match choose_split options cfg kernel with
-  | None -> fallback ()
+let prepare_owf options cfg kernel liveness = function
+  | None -> unshared Owf kernel
   | Some choice
     when Gpu_sim.Sm.cta_capacity_for cfg
            ~policy:
              (Policy.Owf
                 { bs = choice.Es_heuristic.bs; es = choice.Es_heuristic.es })
            ~kernel
-         < 2 * Gpu_sim.Sm.cta_capacity_for cfg ~policy:(static_policy kernel) ~kernel ->
+         < 2 * Gpu_sim.Sm.cta_capacity_for cfg ~policy:(unshared Owf kernel).policy
+                 ~kernel ->
       (* Jatala et al. share registers to fit more warps. Because the
          non-owner of a pair is frozen from its first shared access until
          the owner exits, a pair contributes roughly one warp of progress
          through shared regions — sharing pays only when it at least
          doubles occupancy; below that the kernel runs unshared. *)
-      fallback ()
+      unshared Owf kernel
   | Some choice ->
       (* Jatala et al. reorder register declarations once so that rarely
          used registers sit above the sharing threshold; the duration
          permutation models exactly that. The program is otherwise
          unmodified — the hardware traps accesses above |Bs|. *)
       let prog = kernel.Kernel.program in
-      let liveness =
-        Liveness.analyze ~widen:options.transform.Transform.widen prog
-      in
       let bs = choice.Es_heuristic.bs and es = choice.Es_heuristic.es in
       let prog =
         if options.transform.Transform.permute then
           Compaction.permute prog (Compaction.pressure_ranking ~bs prog liveness)
         else prog
       in
-      let kernel = Kernel.with_program kernel prog in
-      { technique = Owf; kernel; policy = Policy.Owf { bs; es }; choice = Some choice;
-        plan = None; regdem = None }
+      { (unshared Owf kernel) with
+        kernel = Kernel.with_program kernel prog;
+        policy = Policy.Owf { bs; es };
+        choice = Some choice }
 
-let prepare_rfv options kernel =
-  let prog = kernel.Kernel.program in
-  let liveness = Liveness.analyze ~widen:options.transform.Transform.widen prog in
-  let live = Liveness.profile liveness in
-  let max_live = Liveness.max_pressure liveness in
-  { technique = Rfv; kernel; policy = Policy.Rfv { live; max_live }; choice = None;
-    plan = None; regdem = None }
-
-let prepare_regdem options cfg kernel =
+let prepare_regdem options cfg facts kernel =
   let widen = options.transform.Transform.widen in
-  let fallback () =
-    (* No demotion strictly beats baseline occupancy: run the unmodified
-       kernel under an empty spill window (identical to static). *)
-    { technique = Regdem; kernel;
-      policy =
-        Policy.Regdem
-          { regs_per_thread = Kernel.regs_per_thread kernel; spill_words = 0 };
-      choice = None; plan = None; regdem = None }
-  in
-  match (Regdem.choose ~widen cfg kernel).Regdem.best with
-  | None -> fallback ()
-  | Some c ->
-      let wpc = Kernel.warps_per_cta cfg kernel in
-      let plan =
-        Regdem.transform ~widen ~keep:c.Regdem.c_keep ~wpc
-          kernel.Kernel.program
-      in
-      let shmem =
-        Regdem.shmem_bytes_with_window kernel
-          ~spill_words:plan.Regdem.spill_words
-      in
-      let kernel' =
-        Kernel.with_shmem_bytes
-          (Kernel.with_program kernel plan.Regdem.transformed)
-          shmem
-      in
-      { technique = Regdem; kernel = kernel';
+  match (Regdem.choose_facts ~widen facts cfg kernel).Regdem.best with
+  | None ->
+      (* No demotion strictly beats baseline occupancy: run the unmodified
+         kernel under an empty spill window (identical to static). *)
+      { (unshared Regdem kernel) with
         policy =
           Policy.Regdem
-            { regs_per_thread = plan.Regdem.allocated;
-              spill_words = plan.Regdem.spill_words };
-        choice = None; plan = None; regdem = Some plan }
+            { regs_per_thread = Kernel.regs_per_thread kernel; spill_words = 0 } }
+  | Some c ->
+      let wpc = Kernel.warps_per_cta cfg kernel in
+      let plan = Regdem.transform ~widen ~keep:c.Regdem.c_keep ~wpc facts in
+      let spill_words = plan.Regdem.spill_words in
+      { (unshared Regdem kernel) with
+        kernel =
+          Kernel.with_shmem_bytes
+            (Kernel.with_program kernel plan.Regdem.transformed)
+            (Regdem.shmem_bytes_with_window kernel ~spill_words);
+        policy = Policy.Regdem { regs_per_thread = plan.Regdem.allocated; spill_words };
+        regdem = Some plan }
 
-let prepare ?(options = default_options) cfg technique kernel =
-  match technique with
-  | Baseline ->
-      { technique; kernel; policy = static_policy kernel; choice = None;
-        plan = None; regdem = None }
-  | Regmutex -> prepare_regmutex ~paired:false options cfg technique kernel
-  | Regmutex_paired -> prepare_regmutex ~paired:true options cfg technique kernel
-  | Owf -> prepare_owf options cfg kernel
-  | Rfv -> prepare_rfv options kernel
-  | Regdem -> prepare_regdem options cfg kernel
+let preparer ?(options = default_options) cfg facts kernel =
+  if Facts.program facts != kernel.Kernel.program then
+    invalid_arg "Technique.preparer: facts of another program";
+  let liveness () = Facts.liveness ~widen:options.transform.Transform.widen facts in
+  (* The |Es| split RegMutex and OWF share; both RegMutex policies get the
+     one compile the facts keep for it. *)
+  let choice =
+    lazy
+      (let demand = Kernel.demand kernel in
+       let min_bs = Liveness.live_at_barriers kernel.Kernel.program (liveness ()) in
+       match options.es_override with
+       | Some es -> Es_heuristic.with_es cfg ~demand ~min_bs ~es
+       | None -> Es_heuristic.choose cfg ~demand ~min_bs ())
+  in
+  let compiled () =
+    Option.map
+      (fun (c : Es_heuristic.choice) ->
+        let plan, transformed =
+          Transform.compile ~options:options.transform ~bs:c.bs ~es:c.es facts
+        in
+        (c, plan, transformed))
+      (Lazy.force choice)
+  in
+  function
+  | Baseline -> unshared Baseline kernel
+  | (Regmutex | Regmutex_paired) as t ->
+      prepare_regmutex ~paired:(t = Regmutex_paired) options cfg t kernel compiled
+  | Owf -> prepare_owf options cfg kernel (liveness ()) (Lazy.force choice)
+  | Rfv ->
+      let liveness = liveness () in
+      { (unshared Rfv kernel) with
+        policy =
+          Policy.Rfv
+            { live = Liveness.profile liveness;
+              max_live = Liveness.max_pressure liveness } }
+  | Regdem -> prepare_regdem options cfg facts kernel
+
+let prepare ?options cfg technique kernel =
+  preparer ?options cfg (Facts.of_program kernel.Kernel.program) kernel technique
 
 let name = function
   | Baseline -> "baseline"

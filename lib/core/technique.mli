@@ -48,6 +48,18 @@ type prepared = {
 val prepare :
   ?options:options -> Gpu_uarch.Arch_config.t -> t -> Gpu_sim.Kernel.t -> prepared
 
+(** [preparer ?options cfg facts kernel] is [prepare ?options cfg]
+    applied to [kernel], one technique per call, where [facts] are the
+    facts of [kernel]'s program: every call reads their analyses, and the
+    calls share one |Es| choice and one RegMutex plan, so [Regmutex] and
+    [Regmutex_paired] compile the kernel once. Each call returns what
+    {!prepare} returns, or raises what it raises.
+    @raise Invalid_argument when [facts] were built from another program
+    value. *)
+val preparer :
+  ?options:options -> Gpu_uarch.Arch_config.t -> Gpu_analysis.Facts.t ->
+  Gpu_sim.Kernel.t -> t -> prepared
+
 val name : t -> string
 
 (** Inverse of {!name} (also accepts the "paired" shorthand). *)

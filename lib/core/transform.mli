@@ -40,6 +40,16 @@ val default_options : options
     registers. *)
 val apply : ?options:options -> bs:int -> es:int -> Gpu_isa.Program.t -> plan
 
+(** [compile ?options ~bs ~es facts] is {!apply} on [facts]' program,
+    reading its analyses from [facts]. It also returns the facts of the
+    transformed program, whose widened liveness the check has read. The
+    rewrite (permutation, mov-compaction, injection) is kept with [facts]
+    per options and [bs], so compiling that [bs] again, at any [es], only
+    runs the check. *)
+val compile :
+  ?options:options -> bs:int -> es:int -> Gpu_analysis.Facts.t ->
+  plan * Gpu_analysis.Facts.t
+
 (** An identity plan (baseline / zero-sized extended set). *)
 val identity : Gpu_isa.Program.t -> plan
 

@@ -330,7 +330,7 @@ let prepare cfg c =
   let options = resolved_options c in
   let kernel = Exp_config.kernel_of cfg c.spec in
   let prepared, config =
-    Runner.prepare ~options ~fast_forward:!ff c.arch c.technique kernel
+    Runner.prepare ~options ~fast_forward:!ff c.arch kernel c.technique
   in
   {
     prepared;

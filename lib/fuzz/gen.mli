@@ -36,6 +36,12 @@ type t = {
 
 val family_name : family -> string
 
+(** The address discipline: addresses are masked with [load_mask], so
+    loads read [0, load_mask] (plus a small literal offset) and global
+    stores land in [store_base, store_base + load_mask]. *)
+val load_mask : int
+val store_base : int
+
 (** [generate ~seed] builds the launch case for [seed], deterministically. *)
 val generate : seed:int -> t
 

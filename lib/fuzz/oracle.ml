@@ -4,6 +4,7 @@ module Program = Gpu_isa.Program
 module Parser = Gpu_isa.Parser
 module Codec = Gpu_isa.Codec
 module Liveness = Gpu_analysis.Liveness
+module Facts = Gpu_analysis.Facts
 module Arch_config = Gpu_uarch.Arch_config
 module Gpu = Gpu_sim.Gpu
 module Sm = Gpu_sim.Sm
@@ -111,10 +112,10 @@ let runner_simulate memo config prepared =
   memo_run memo config kernel (fun () -> Runner.simulate config prepared)
 
 (* [Runner.execute]'s statistics, simulated through the memo. *)
-let execute memo ?options ?corrupt_mask ?lane_resolved ?fast_forward tech kern =
+let execute memo ?options ?corrupt_mask ?lane_resolved tech kern =
   let prepared, config =
-    Runner.prepare ?options ?corrupt_mask ?lane_resolved ?fast_forward
-      ~record_stores:true ~max_cycles arch0 tech kern
+    Runner.prepare ?options ?corrupt_mask ?lane_resolved ~record_stores:true
+      ~max_cycles arch0 kern tech
   in
   runner_simulate memo config prepared
 
@@ -226,7 +227,8 @@ let find_first pred p =
 let replace p idx instr =
   Program.map_instrs (fun i old -> if i = idx then instr else old) p
 
-let apply_fault fault ~bs p =
+let apply_fault fault ~bs facts =
+  let p = Facts.program facts in
   match fault with
   | Drop_acquire -> (
       match find_first (fun i -> i = Instr.Acquire) p with
@@ -243,7 +245,7 @@ let apply_fault fault ~bs p =
          leaves its value the fewest instructions in which to be masked
          (the generated kernels fold values through min/max chains) before
          it reaches a store. *)
-      let live_out = (Liveness.analyze p).Liveness.live_out in
+      let live_out = (Facts.liveness facts).Liveness.live_out in
       let rec last_live idx =
         if idx < 0 then None
         else
@@ -277,16 +279,15 @@ let contended_arch ~regs_cta ~es ~sections =
     regfile_regs = (2 * regs_cta) + (sections * es * 32);
   }
 
-let forced_split_failures memo (case : Gen.t) ~expected ~inject =
+let forced_split_failures memo (case : Gen.t) facts ~expected ~inject =
   let prog = case.Gen.program in
-  let liveness = Liveness.analyze prog in
-  let peak = Liveness.max_pressure liveness in
+  let peak = Liveness.max_pressure (Facts.liveness facts) in
   let bs = max 1 (min (prog.Program.n_regs - 1) (peak - 1)) in
   let es = prog.Program.n_regs - bs in
   if case.Gen.family <> Gen.Pressure || es < 1 || prog.Program.n_regs < 3 then
     ([], false)
   else
-    match Transform.apply ~bs ~es prog with
+    match Transform.compile ~bs ~es facts with
     | exception Transform.Unsound violations ->
         ( [ {
               kind = Unsound_transform;
@@ -298,11 +299,11 @@ let forced_split_failures memo (case : Gen.t) ~expected ~inject =
                   violations;
             } ],
           false )
-    | plan ->
+    | plan, transformed_facts ->
         let transformed, injected =
           match inject with
           | None -> (plan.Transform.transformed, false)
-          | Some f -> apply_fault f ~bs plan.Transform.transformed
+          | Some f -> apply_fault f ~bs transformed_facts
         in
         let kern = Gen.kernel ~program:transformed case in
         let policy = Policy.Srp { bs; es; verify = true } in
@@ -406,9 +407,9 @@ let oob_delta ~strict_oob ~base_oob ~label (stats : Stats.t) =
       }
   else None
 
-(* [base] is the baseline phase's [(prepared, config, stats)]. *)
-let technique_failures memo (case : Gen.t) ~base ~expected ~base_oob ~strict_oob =
-  let kern = Gen.kernel case in
+(* [base] is the baseline phase's [(prepared, config, stats)]; [prepare]
+   prepares the case's kernel for any technique ({!Runner.prepare}). *)
+let technique_failures memo prepare ~base ~expected ~base_oob ~strict_oob =
   let failures = ref [] in
   let fail kind detail = failures := { kind; detail } :: !failures in
   let successes = ref [] in
@@ -416,9 +417,7 @@ let technique_failures memo (case : Gen.t) ~base ~expected ~base_oob ~strict_oob
     (fun tech ->
       let name = Technique.name tech in
       match
-        let prepared, config =
-          Runner.prepare ~record_stores:true ~max_cycles arch0 tech kern
-        in
+        let prepared, config = prepare tech in
         (prepared, config, runner_simulate memo config prepared)
       with
       | (_, _, stats) as run ->
@@ -480,15 +479,15 @@ let technique_failures memo (case : Gen.t) ~base ~expected ~base_oob ~strict_oob
    of profitability. The transformed kernel must reproduce the baseline
    store trace, keep fast-forward and brute-force stepping bit-identical,
    and never touch shared memory outside its reserved spill window. *)
-let forced_regdem_failures memo (case : Gen.t) ~expected ~base_oob ~strict_oob
-    ~inject =
+let forced_regdem_failures memo (case : Gen.t) facts ~expected ~base_oob
+    ~strict_oob ~inject =
   let prog = case.Gen.program in
   let n_regs = prog.Program.n_regs in
   if n_regs < 3 then ([], false)
   else
     let keep = 1 + (case.Gen.salt mod (n_regs - 1)) in
     let wpc = max 1 (case.Gen.threads / 32) in
-    match Regdem.transform ~keep ~wpc prog with
+    match Regdem.transform ~keep ~wpc facts with
     | exception Regdem.Unsound m ->
         ( [ {
               kind = Unsound_transform;
@@ -615,11 +614,18 @@ let pp_violations =
    store traces are the reference; every value-safe technique must
    reproduce them lane-for-lane (and the warp-level traces too), and the
    fast-forward contract must hold under SIMT for the heuristic path. *)
-let simt_divergent_failures memo (case : Gen.t) =
-  let kern = Gen.kernel case in
+let simt_divergent_failures memo (case : Gen.t) facts =
+  let prepare =
+    Runner.prepare ~options:simt_options ~record_stores:true ~max_cycles ~facts
+      arch0 (Gen.kernel case)
+  in
+  let execute ?(fast_forward = true) tech =
+    let prepared, config = prepare tech in
+    runner_simulate memo { config with Gpu.fast_forward } prepared
+  in
   let failures = ref [] in
   let fail kind detail = failures := { kind; detail } :: !failures in
-  (match execute memo ~options:simt_options Technique.Baseline kern with
+  (match execute Technique.Baseline with
   | exception Gpu.Deadlock d ->
       fail Deadlock (Format.asprintf "baseline --simt: %a" Gpu.pp_deadlock d)
   | base ->
@@ -632,7 +638,7 @@ let simt_divergent_failures memo (case : Gen.t) =
         List.iter
           (fun tech ->
             let name = Technique.name tech ^ " --simt" in
-            match execute memo ~options:simt_options tech kern with
+            match execute tech with
             | stats ->
                 if stats.Stats.timed_out then
                   fail Timeout
@@ -664,8 +670,7 @@ let simt_divergent_failures memo (case : Gen.t) =
           (fun tech ->
             let name = Technique.name tech ^ " --simt (heuristic)" in
             match
-              ( execute memo ~options:simt_options tech kern,
-                execute memo ~options:simt_options ~fast_forward:false tech kern )
+              (execute tech, execute ~fast_forward:false tech)
             with
             | ff, bf -> (
                 match diff_stats ~label:name ff bf with
@@ -741,12 +746,17 @@ let test_case ?inject ?(strict_shared_oob = true) (case : Gen.t) =
   try
     let prog = case.Gen.program in
     let memo = new_memo () in
+    (* One analysis of the program serves every phase. The techniques
+       share one preparer (one |Es| choice, one RegMutex plan), and the
+       facts keep each rewrite, so a forced split that matches the
+       heuristic's |Bs| compiles nothing twice. *)
+    let facts = Facts.of_program prog in
+    let prepare =
+      Runner.prepare ~record_stores:true ~max_cycles ~facts arch0 (Gen.kernel case)
+    in
     (* Prepared through [Runner] like every technique, so the baseline
        run is the same machine input as the heuristic path's baseline. *)
-    let base_prepared, base_config =
-      Runner.prepare ~record_stores:true ~max_cycles arch0 Technique.Baseline
-        (Gen.kernel case)
-    in
+    let base_prepared, base_config = prepare Technique.Baseline in
     match
       Telemetry.Profile.time baseline_phase (fun () ->
           simulate memo base_config base_prepared.Technique.kernel)
@@ -769,17 +779,17 @@ let test_case ?inject ?(strict_shared_oob = true) (case : Gen.t) =
           let strict_oob = strict_shared_oob in
           let split () =
             Telemetry.Profile.time forced_split_phase (fun () ->
-                forced_split_failures memo case ~expected ~inject)
+                forced_split_failures memo case facts ~expected ~inject)
           in
           let regdem () =
             Telemetry.Profile.time forced_regdem_phase (fun () ->
-                forced_regdem_failures memo case ~expected ~base_oob
+                forced_regdem_failures memo case facts ~expected ~base_oob
                   ~strict_oob ~inject)
           in
           let simt () =
             Telemetry.Profile.time simt_phase (fun () ->
                 match case.Gen.family with
-                | Gen.Divergent -> simt_divergent_failures memo case
+                | Gen.Divergent -> simt_divergent_failures memo case facts
                 | Gen.Pressure | Gen.Barrier ->
                     simt_equiv_failures memo case ~base)
           in
@@ -800,7 +810,7 @@ let test_case ?inject ?(strict_shared_oob = true) (case : Gen.t) =
                 ( Telemetry.Profile.time roundtrip_phase (fun () ->
                       roundtrip_failures prog)
                   @ Telemetry.Profile.time techniques_phase (fun () ->
-                        technique_failures memo case
+                        technique_failures memo prepare
                           ~base:(base_prepared, base_config, base)
                           ~expected ~base_oob ~strict_oob)
                   @ split_failures @ regdem_failures @ simt (),

@@ -1,4 +1,3 @@
-open Gpu_analysis
 module Program = Gpu_isa.Program
 module Liveness' = Gpu_analysis.Liveness
 

@@ -110,7 +110,7 @@ let test_spans_barrier () =
         I.Bin (I.Add, 0, I.Reg 3, I.Imm 0); I.Release; I.Exit ]
   in
   Alcotest.(check bool) "bar inside acquire region" true
-    (Checker.acquire_spans_barrier held);
+    (Checker.acquire_spans_barrier (Gpu_analysis.Facts.of_program held));
   let free =
     make
       [ I.Acquire; I.Mov (3, I.Imm 1);
@@ -118,7 +118,7 @@ let test_spans_barrier () =
         I.Store (I.Global, I.Imm 64, I.Reg 0, 0); I.Exit ]
   in
   Alcotest.(check bool) "bar after release" false
-    (Checker.acquire_spans_barrier free);
+    (Checker.acquire_spans_barrier (Gpu_analysis.Facts.of_program free));
   (* Path-dependent (Top) state must count as spanning: one path reaches
      the barrier holding the set. *)
   let maybe =
@@ -130,7 +130,7 @@ let test_spans_barrier () =
         I.Exit ]
   in
   Alcotest.(check bool) "path-dependent holding counts" true
-    (Checker.acquire_spans_barrier maybe)
+    (Checker.acquire_spans_barrier (Gpu_analysis.Facts.of_program maybe))
 
 let trace key stores : Checker.store_trace = [ (key, stores) ]
 

@@ -2,6 +2,12 @@ open Regmutex
 module I = Gpu_isa.Instr
 module Program = Gpu_isa.Program
 module Liveness = Gpu_analysis.Liveness
+module Facts = Gpu_analysis.Facts
+
+(* [Compaction.mov_compact] on a program rather than its facts. *)
+let mov_compact ~bs p =
+  let facts, moves = Compaction.mov_compact ~bs (Facts.of_program p) in
+  (Facts.program facts, moves)
 
 let test_permute_identity () =
   let perm = Array.init Util.straight.Program.n_regs (fun r -> r) in
@@ -103,7 +109,7 @@ let test_mov_compact_simple () =
           store Gpu_isa.Instr.Global (imm 65) (r 1);
           exit_ ])
   in
-  let compacted, moves = Compaction.mov_compact ~bs:3 p in
+  let compacted, moves = mov_compact ~bs:3 p in
   Alcotest.(check bool) "at least one move" true (moves >= 1);
   (* Semantics preserved. *)
   let s1 = Util.run_with ~grid:1 ~threads:32 (Util.static_policy p) p in
@@ -131,14 +137,14 @@ let test_mov_compact_skips_loop_headers () =
           store Gpu_isa.Instr.Global (imm 64) (r 1);
           exit_ ])
   in
-  let compacted, _moves = Compaction.mov_compact ~bs:3 p in
+  let compacted, _moves = mov_compact ~bs:3 p in
   let s1 = Util.run_with ~grid:1 ~threads:32 (Util.static_policy p) p in
   let s2 = Util.run_with ~grid:1 ~threads:32 (Util.static_policy compacted) compacted in
   Alcotest.(check bool) "no timeout" false s2.Gpu_sim.Stats.timed_out;
   Util.check_same_traces "loop-header safety" (Util.traces s1) (Util.traces s2)
 
 let test_mov_compact_no_opportunity () =
-  let _, moves = Compaction.mov_compact ~bs:3 Util.straight in
+  let _, moves = mov_compact ~bs:3 Util.straight in
   Alcotest.(check int) "nothing to move" 0 moves
 
 let prop_mov_compact_preserves_semantics =
@@ -147,7 +153,7 @@ let prop_mov_compact_preserves_semantics =
     (fun prog ->
       let liveness = Liveness.analyze prog in
       let bs = max 1 (Liveness.max_pressure liveness - 2) in
-      let prog', _ = Compaction.mov_compact ~bs prog in
+      let prog', _ = mov_compact ~bs prog in
       let s1 = Util.run_with (Util.static_policy prog) prog in
       let s2 = Util.run_with (Util.static_policy prog') prog' in
       Util.traces s1 = Util.traces s2)
@@ -396,7 +402,7 @@ let test_mov_compact_matches_reference_on_fuzz_kernels () =
     for bs = 0 to prog.Program.n_regs do
       List.iter
         (fun (label, p) ->
-          let got, moves = Compaction.mov_compact ~bs p in
+          let got, moves = mov_compact ~bs p in
           let want, want_moves = reference_mov_compact ~bs p in
           if moves <> want_moves || not (Program.equal got want) then
             Alcotest.failf "fuzz seed %d, bs=%d, %s program: %d moves, reference %d"

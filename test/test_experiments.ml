@@ -184,8 +184,9 @@ let test_engine_memo () =
 let test_input_key () =
   let arch = Util.small_arch in
   let prepare ?fast_forward () =
-    Regmutex.Runner.prepare ?fast_forward arch Regmutex.Technique.Baseline
+    Regmutex.Runner.prepare ?fast_forward arch
       (Workloads.Registry.find "BFS").Workloads.Spec.kernel
+      Regmutex.Technique.Baseline
   in
   let key (prepared, config) =
     Regmutex.Runner.input_key config prepared.Regmutex.Technique.kernel

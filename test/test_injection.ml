@@ -3,7 +3,8 @@ module I = Gpu_isa.Instr
 module Program = Gpu_isa.Program
 module Liveness = Gpu_analysis.Liveness
 
-let inject ~bs prog = Injection.inject ~bs prog (Liveness.analyze prog)
+let inject ~bs prog =
+  Injection.inject ~bs (Gpu_analysis.Facts.of_program prog) (Liveness.analyze prog)
 
 (* Straight line with a pressure bulge above bs=2: r0,r1 base; r2,r3 high. *)
 let bulgy =
@@ -98,7 +99,7 @@ let prop_injection_sound =
     (fun prog ->
       let liveness = Liveness.analyze prog in
       let bs = max 1 (Liveness.max_pressure liveness - 2) in
-      let out = Injection.inject ~bs prog liveness in
+      let out = Injection.inject ~bs (Gpu_analysis.Facts.of_program prog) liveness in
       Checker.check ~bs ~es:(prog.Program.n_regs - bs) out.Injection.program = [])
 
 let suite =

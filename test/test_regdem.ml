@@ -9,6 +9,7 @@ module Kernel = Gpu_sim.Kernel
 module Policy = Gpu_sim.Policy
 module Gpu = Gpu_sim.Gpu
 module Stats = Gpu_sim.Stats
+module Facts = Gpu_analysis.Facts
 
 (* A straight dependence chain keeps every register live to the end, so
    any keep boundary demotes real, still-needed values. *)
@@ -26,7 +27,7 @@ let chain =
 
 let run_regdem ?(grid = 2) ?(threads = 64) ~keep prog =
   let wpc = threads / 32 in
-  let plan = Regdem.transform ~keep ~wpc prog in
+  let plan = Regdem.transform ~keep ~wpc (Facts.of_program prog) in
   let kern0 =
     Kernel.make ~name:"t" ~grid_ctas:grid ~cta_threads:threads ~params:[||] prog
   in
@@ -49,7 +50,7 @@ let run_regdem ?(grid = 2) ?(threads = 64) ~keep prog =
 
 let test_plan_accounting () =
   let wpc = 2 in
-  let plan = Regdem.transform ~keep:3 ~wpc chain in
+  let plan = Regdem.transform ~keep:3 ~wpc (Facts.of_program chain) in
   Alcotest.(check int) "keep" 3 plan.Regdem.keep;
   Alcotest.(check int) "demoted regs" 3 plan.Regdem.demoted;
   Alcotest.(check int) "window = demoted * wpc" (3 * wpc) plan.Regdem.spill_words;
@@ -75,13 +76,16 @@ let test_plan_accounting () =
 let test_transform_validation () =
   Alcotest.check_raises "keep = 0 rejected"
     (Invalid_argument "Regdem.transform: keep must be in [1, n_regs)")
-    (fun () -> ignore (Regdem.transform ~keep:0 ~wpc:2 chain));
+    (fun () ->
+      ignore (Regdem.transform ~keep:0 ~wpc:2 (Facts.of_program chain)));
   Alcotest.check_raises "keep = n_regs rejected"
     (Invalid_argument "Regdem.transform: keep must be in [1, n_regs)")
-    (fun () -> ignore (Regdem.transform ~keep:6 ~wpc:2 chain));
+    (fun () ->
+      ignore (Regdem.transform ~keep:6 ~wpc:2 (Facts.of_program chain)));
   Alcotest.check_raises "wpc = 0 rejected"
     (Invalid_argument "Regdem.transform: wpc must be positive")
-    (fun () -> ignore (Regdem.transform ~keep:3 ~wpc:0 chain))
+    (fun () ->
+      ignore (Regdem.transform ~keep:3 ~wpc:0 (Facts.of_program chain)))
 
 (* Behaviour preservation over the full keep sweep, for every control
    shape the test corpus has: straight line, diamond, loop, chain. *)
@@ -195,7 +199,7 @@ let test_oob_spill_is_counted () =
 let test_spill_roundtrips () =
   (* Transformed programs (carrying ld.spill/st.spill and %warpid
      operands) survive the printer/parser and the binary codec. *)
-  let plan = Regdem.transform ~keep:2 ~wpc:4 chain in
+  let plan = Regdem.transform ~keep:2 ~wpc:4 (Facts.of_program chain) in
   let prog = plan.Regdem.transformed in
   let reparsed =
     Parser.parse ~name:prog.Program.name (Format.asprintf "%a" Program.pp prog)
@@ -212,7 +216,9 @@ let test_spill_roundtrips () =
 let test_choose_matches_transform () =
   let reference cfg kernel keep =
     let wpc = Kernel.warps_per_cta cfg kernel in
-    let plan = Regdem.transform ~keep ~wpc kernel.Kernel.program in
+    let plan =
+      Regdem.transform ~keep ~wpc (Facts.of_program kernel.Kernel.program)
+    in
     let spill_words = plan.Regdem.spill_words in
     let shmem_bytes = Regdem.shmem_bytes_with_window kernel ~spill_words in
     let capacity =

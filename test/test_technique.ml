@@ -132,6 +132,76 @@ let test_names () =
         (Option.map Technique.name (Technique.of_name (Technique.name t))))
     Technique.all
 
+(* One preparer per kernel (one analysis of its program, one |Es| choice,
+   one RegMutex plan for both policies) must hand back exactly what one
+   [prepare] per technique does: the same marshalled bytes, sharing
+   included, or the same exception. *)
+let prepared_bytes prepare t =
+  match prepare t with
+  | p -> Marshal.to_string (p : Technique.prepared) []
+  | exception e -> "raised " ^ Printexc.to_string e
+
+let check_shared_path ?options ?(before = ignore) label arch kernel =
+  let facts = Gpu_analysis.Facts.of_program kernel.Gpu_sim.Kernel.program in
+  (* What the caller compiled from the same facts first (the fuzz oracle's
+     forced split) must not leak into the techniques' results. *)
+  before facts;
+  let shared = Technique.preparer ?options arch facts kernel in
+  List.iter
+    (fun t ->
+      let separate t = Technique.prepare ?options arch t kernel in
+      if prepared_bytes shared t <> prepared_bytes separate t then
+        Alcotest.failf "%s, %s: the shared preparer differs from [prepare]" label
+          (Technique.name t))
+    Technique.all
+
+let test_shared_path_matches_prepare () =
+  let transform = Regmutex.Transform.default_options in
+  let variants =
+    [ ("default", Technique.default_options);
+      ( "no widening",
+        { Technique.default_options with
+          transform = { transform with Regmutex.Transform.widen = false } } );
+      ( "no permutation",
+        { Technique.default_options with
+          transform = { transform with Regmutex.Transform.permute = false } } );
+      (* Both liveness flavours of the source program in one compile. *)
+      ( "no widening, no permutation",
+        { Technique.default_options with
+          transform = { transform with widen = false; permute = false } } );
+      ( "no mov compaction",
+        { Technique.default_options with
+          transform = { transform with Regmutex.Transform.mov_compact = false } } );
+      ("|Es| = 4", { Technique.default_options with es_override = Some 4 }) ]
+  in
+  List.iter
+    (fun spec ->
+      List.iter
+        (fun (label, options) ->
+          check_shared_path ~options
+            (Printf.sprintf "%s (%s)" spec.Spec.name label)
+            arch spec.Spec.kernel)
+        variants)
+    Workloads.Registry.all;
+  let fuzz_arch = { arch with Gpu_uarch.Arch_config.n_sms = 1; dram_interval = 1.0 } in
+  for seed = 0 to 199 do
+    let case = Fuzz.Gen.generate ~seed in
+    let forced_split facts =
+      let prog = case.Fuzz.Gen.program in
+      let peak =
+        Gpu_analysis.Liveness.max_pressure (Gpu_analysis.Facts.liveness facts)
+      in
+      let bs = max 1 (min (prog.Gpu_isa.Program.n_regs - 1) (peak - 1)) in
+      try
+        ignore
+          (Regmutex.Transform.compile ~bs ~es:(prog.Gpu_isa.Program.n_regs - bs) facts)
+      with Regmutex.Transform.Unsound _ | Invalid_argument _ -> ()
+    in
+    check_shared_path ~before:forced_split
+      (Printf.sprintf "fuzz seed %d" seed)
+      fuzz_arch (Fuzz.Gen.kernel case)
+  done
+
 let suite =
   [ Alcotest.test_case "prepare baseline" `Quick test_prepare_baseline;
     Alcotest.test_case "prepare regmutex (paper split)" `Quick test_prepare_regmutex;
@@ -141,4 +211,6 @@ let suite =
     Alcotest.test_case "prepare RFV" `Quick test_prepare_rfv;
     Alcotest.test_case "runner metrics" `Quick test_runner_metrics;
     Alcotest.test_case "reduction arithmetic" `Quick test_reduction_math;
-    Alcotest.test_case "names" `Quick test_names ]
+    Alcotest.test_case "names" `Quick test_names;
+    Alcotest.test_case "one preparer per kernel matches prepare" `Quick
+      test_shared_path_matches_prepare ]

@@ -79,18 +79,26 @@ let gen_structured ~n_regs : Program.t QCheck2.Gen.t =
     in
     return (Builder.bin op d a b)
   in
+  (* [Fuzz.Gen]'s address discipline: addresses are masked into
+     [0, 0x1FFF]; loads read there, and stores land in the disjoint window
+     at 0x10000000, so no load reads what a warp stored and every warp's
+     store trace depends on the program alone, not on the schedule. *)
+  let masked t a = Builder.and_ t a (Builder.imm Fuzz.Gen.load_mask) in
   let load_item =
     let* d = reg and* a = operand in
-    return (Builder.load Instr.Global d a)
+    return [ masked d a; Builder.load Instr.Global d (Builder.r d) ]
   in
   let store_item =
-    let* a = reg and* v = operand in
-    (* Stores land in a disjoint high region so loads stay deterministic. *)
-    return (Builder.store ~ofs:0x10000000 Instr.Global (Instr.Reg a) v)
+    let* t = reg and* a = operand and* v = operand in
+    return
+      [ masked t a;
+        Builder.store ~ofs:Fuzz.Gen.store_base Instr.Global (Builder.r t) v ]
   in
-  let leaf = frequency [ (6, alu); (2, load_item); (1, store_item) ] in
+  let leaf =
+    frequency [ (6, map (fun i -> [ i ]) alu); (2, load_item); (1, store_item) ]
+  in
   let rec block depth =
-    let* items = list_size (int_range 1 6) leaf in
+    let* items = map List.concat (list_size (int_range 1 6) leaf) in
     if depth = 0 then return items
     else
       let* tail =
@@ -119,7 +127,8 @@ let gen_structured ~n_regs : Program.t QCheck2.Gen.t =
   let* body = block 2 in
   let items =
     body
-    @ [ Builder.store ~ofs:0x10000000 Instr.Global (Instr.Reg 0) (Builder.r 1);
+    @ [ masked 0 (Builder.r 0);
+        Builder.store ~ofs:Fuzz.Gen.store_base Instr.Global (Builder.r 0) (Builder.r 1);
         Builder.exit_ ]
   in
   return (Builder.assemble ~name:"gen" items)
