@@ -403,12 +403,15 @@ let regdem_bench ~quick cfg =
           float_of_int ff.Runner.theoretical_warps
           /. float_of_int base.Runner.theoretical_warps
         in
-        let reduction = Runner.reduction_pct ~baseline:base ff in
+        let reduction =
+          Regmutex.Outcome.reduction_pct ~baseline:(Runner.outcome base)
+            (Runner.outcome ff)
+        in
         let traffic =
           ff.Runner.stats.Stats.spill_stores + ff.Runner.stats.Stats.fill_loads
         in
         let energy t (r : Runner.run) =
-          (Technique.energy arch t r.Runner.stats).E.total_nj
+          (Technique.energy arch t (Stats.counters r.Runner.stats)).E.total_nj
         in
         let factor =
           energy Technique.Regdem ff /. energy Technique.Baseline base

@@ -215,8 +215,9 @@ let check_launch cmd arch ~half technique prepared =
       ()
 
 (* One validated simulation: the shared body of run, run-file, metrics and
-   trace. *)
-let simulate ?telemetry cmd ~half technique kernel ~es no_ff simt =
+   trace. [report] prints the run; a run that stopped at the cycle limit
+   then exits 1, with one stderr line naming the limit. *)
+let simulate ?telemetry cmd ~half technique kernel ~es no_ff simt report =
   let arch = arch_of half in
   Option.iter (check_es cmd arch kernel) es;
   let options =
@@ -227,7 +228,16 @@ let simulate ?telemetry cmd ~half technique kernel ~es no_ff simt =
       kernel technique
   in
   check_launch cmd arch ~half technique prepared;
-  Regmutex.Runner.of_stats config prepared (Regmutex.Runner.simulate config prepared)
+  let run =
+    Regmutex.Runner.of_stats config prepared
+      (Regmutex.Runner.simulate config prepared)
+  in
+  report run;
+  match Regmutex.Runner.check_finished config run with
+  | Ok () -> ()
+  | Error msg ->
+      Format.eprintf "regmutex %s: %s@." cmd msg;
+      exit 1
 
 (* A registry workload, with its grid overridden. *)
 let workload_kernel cmd spec grid =
@@ -255,8 +265,8 @@ let run_cmd =
     Arg.(value & opt (some int) None & info [ "grid" ] ~doc:"Override grid CTAs.")
   in
   let run spec half technique es grid no_ff simt =
-    print_run
-      (simulate "run" ~half technique (workload_kernel "run" spec grid) ~es no_ff simt)
+    simulate "run" ~half technique (workload_kernel "run" spec grid) ~es no_ff
+      simt print_run
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
@@ -275,11 +285,13 @@ let technique_opt =
     & info [ "technique"; "t" ] ~doc:"baseline | regmutex | paired | owf | rfv | regdem")
 
 (* Shared body of the observability commands: one simulation with a
-   telemetry sink attached. *)
-let instrumented_run ?trace_capacity cmd spec half technique es grid no_ff simt =
+   telemetry sink attached, which [report] prints. *)
+let instrumented_run ?trace_capacity cmd spec half technique es grid no_ff simt
+    report =
   let sink = Telemetry.Sink.create ?trace_capacity () in
   let kernel = workload_kernel cmd spec grid in
-  (sink, simulate ~telemetry:sink cmd ~half technique kernel ~es no_ff simt)
+  simulate ~telemetry:sink cmd ~half technique kernel ~es no_ff simt (fun _ ->
+      report sink)
 
 let metrics_cmd =
   let doc =
@@ -294,9 +306,8 @@ let metrics_cmd =
           ~doc:"Output format: $(b,prom) (Prometheus text) or $(b,json).")
   in
   let run spec half technique es grid no_ff simt format =
-    let sink, _run =
-      instrumented_run "metrics" spec half technique es grid no_ff simt
-    in
+    instrumented_run "metrics" spec half technique es grid no_ff simt
+    @@ fun sink ->
     match format with
     | `Prom ->
         Format.printf "%a@." Telemetry.Metrics.pp_prometheus
@@ -338,10 +349,9 @@ let trace_cmd =
           ~doc:"Re-read the written file and validate the trace-event schema.")
   in
   let run spec half technique es grid no_ff simt out capacity check =
-    let sink, _run =
-      instrumented_run ?trace_capacity:capacity "trace" spec half technique es
-        grid no_ff simt
-    in
+    instrumented_run ?trace_capacity:capacity "trace" spec half technique es
+      grid no_ff simt
+    @@ fun sink ->
     let trace = sink.Telemetry.Sink.trace in
     let path =
       match out with
@@ -412,7 +422,7 @@ let run_file_cmd =
           Gpu_sim.Kernel.make ~name:program.Gpu_isa.Program.name ~grid_ctas:grid
             ~cta_threads:threads ~params:(Array.of_list params) program
         in
-        print_run (simulate "run-file" ~half technique kernel ~es:None no_ff simt)
+        simulate "run-file" ~half technique kernel ~es:None no_ff simt print_run
   in
   Cmd.v (Cmd.info "run-file" ~doc)
     Term.(

@@ -51,4 +51,6 @@ let () =
   row baseline;
   row rm;
   Format.printf "@.RegMutex cycle reduction: %.1f%%@."
-    (Regmutex.Runner.reduction_pct ~baseline rm)
+    (Regmutex.Outcome.reduction_pct
+       ~baseline:(Regmutex.Runner.outcome baseline)
+       (Regmutex.Runner.outcome rm))

@@ -90,28 +90,34 @@ let execute ?options ?record_stores ?trace_warp0 ?max_cycles ?fast_forward
   in
   of_stats config prepared (simulate config prepared)
 
-(* Stable digest of everything the figures read off a run. Two runs of the
-   same cell must produce the same fingerprint no matter which domain (or
-   process) simulated them — the experiment engine's determinism and
-   cache round-trip checks compare these. *)
-let fingerprint r =
-  Digest.to_hex
-    (Digest.string
-       (Marshal.to_string
-          ( r.kernel_name, Technique.name r.technique, r.cycles, r.instructions,
-            r.theoretical_warps, r.theoretical_occupancy, r.achieved_occupancy,
-            r.acquire_ratio, r.srp_sections, r.stats.Stats.acquire_execs,
-            r.stats.Stats.acquire_first_try, r.stats.Stats.shared_oob )
-          []))
+let outcome r =
+  {
+    Outcome.technique = r.technique;
+    kernel_name = r.kernel_name;
+    cycles = r.cycles;
+    instructions = r.instructions;
+    theoretical_warps = r.theoretical_warps;
+    theoretical_occupancy = r.theoretical_occupancy;
+    achieved_occupancy = r.achieved_occupancy;
+    acquire_ratio = r.acquire_ratio;
+    srp_sections = r.srp_sections;
+    counters = Stats.counters r.stats;
+    choice = r.prepared.Technique.choice;
+    plan = Option.map Outcome.plan_of r.prepared.Technique.plan;
+  }
 
-let reduction_pct ~baseline run =
-  if baseline.cycles = 0 then 0.
-  else
-    100.
-    *. float_of_int (baseline.cycles - run.cycles)
-    /. float_of_int baseline.cycles
+let fingerprint r = Outcome.fingerprint (outcome r)
 
-let increase_pct ~baseline run = -.reduction_pct ~baseline run
+let check_finished config r =
+  if r.stats.Stats.timed_out then
+    Error
+      (Printf.sprintf
+         "%s/%s did not finish within the %d-cycle limit (%d of %d CTAs \
+          retired)"
+         r.kernel_name (Technique.name r.technique) config.Gpu.max_cycles
+         r.stats.Stats.ctas_retired
+         r.prepared.Technique.kernel.Kernel.grid_ctas)
+  else Ok ()
 
 let pp ppf r =
   Format.fprintf ppf "%s/%s: %d cycles, occ %.0f%% (ach %.0f%%), acq %.0f%%"

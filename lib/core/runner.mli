@@ -12,9 +12,7 @@ type run = {
   achieved_occupancy : float;     (** resident-warp integral over the run *)
   acquire_ratio : float;          (** successful acquires / acquire instrs *)
   srp_sections : int;
-  stats : Gpu_sim.Stats.t;
-      (** read-only: runs the experiment engine builds from one memoised
-          simulation physically share it *)
+  stats : Gpu_sim.Stats.t;  (** read-only *)
   prepared : Technique.prepared;
 }
 
@@ -88,18 +86,20 @@ val input_key : Gpu_sim.Gpu.run_config -> Gpu_sim.Kernel.t -> string
 val of_stats :
   Gpu_sim.Gpu.run_config -> Technique.prepared -> Gpu_sim.Stats.t -> run
 
-(** Stable digest of the metrics the figures read. Identical for two runs
-    of the same configuration regardless of which domain or process
-    simulated them — the experiment engine compares these in its
-    determinism checks. *)
+(** [outcome r] — what the figures read of [r] ({!Outcome.t}): its
+    metrics, {!Gpu_sim.Stats.counters} of its statistics, and its |Es|
+    choice and plan sizes. *)
+val outcome : run -> Outcome.t
+
+(** [Outcome.fingerprint (outcome r)]: identical for two runs of the same
+    configuration regardless of which domain or process simulated them —
+    the experiment engine compares these in its determinism checks. *)
 val fingerprint : run -> string
 
-(** [(baseline - run) / baseline × 100] — positive is faster (Figures 7,
-    9a, 10, 12a). *)
-val reduction_pct : baseline:run -> run -> float
-
-(** [(run - baseline) / baseline × 100] — positive is slower (Figures 8,
-    9b, 12b). *)
-val increase_pct : baseline:run -> run -> float
+(** [check_finished config r] — [Error line] when [r], simulated under
+    [config], stopped at [config.max_cycles] with CTAs still running: one
+    line that names the kernel and the cycle limit. The command-line
+    tools print it to stderr and exit 1. *)
+val check_finished : Gpu_sim.Gpu.run_config -> run -> (unit, string) result
 
 val pp : Format.formatter -> run -> unit

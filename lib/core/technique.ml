@@ -194,7 +194,7 @@ let to_storage = function
 
 let storage_bits cfg t = (Storage_cost.bits cfg (to_storage t)).Storage_cost.total_bits
 
-let energy_counts cfg t (stats : Stats.t) =
+let energy_counts cfg t (stats : Stats.counters) =
   {
     Energy_model.rf_reads = stats.Stats.rf_reads;
     rf_writes = stats.Stats.rf_writes;

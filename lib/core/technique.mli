@@ -76,19 +76,19 @@ val to_storage : t -> Gpu_uarch.Storage_cost.technique
 (** Hardware tracking-storage bits of the technique on [cfg]. *)
 val storage_bits : Gpu_uarch.Arch_config.t -> t -> int
 
-(** [energy_counts cfg t stats] derives the energy model's activity
+(** [energy_counts cfg t counters] derives the energy model's activity
     counts from a run's counters: RF and shared accesses come straight
     from {!Gpu_sim.Stats}, renaming traffic is charged for [Rfv] (every
     RF access passes the renaming table), and acquire/release tracking
     updates for the RegMutex family. *)
 val energy_counts :
-  Gpu_uarch.Arch_config.t -> t -> Gpu_sim.Stats.t ->
+  Gpu_uarch.Arch_config.t -> t -> Gpu_sim.Stats.counters ->
   Gpu_uarch.Energy_model.counts
 
 (** Modelled energy of a run under technique [t]. *)
 val energy :
   ?constants:Gpu_uarch.Energy_model.constants ->
-  Gpu_uarch.Arch_config.t -> t -> Gpu_sim.Stats.t ->
+  Gpu_uarch.Arch_config.t -> t -> Gpu_sim.Stats.counters ->
   Gpu_uarch.Energy_model.breakdown
 
 

@@ -1,6 +1,6 @@
 module Transform = Regmutex.Transform
 module Technique = Regmutex.Technique
-module Runner = Regmutex.Runner
+module Outcome = Regmutex.Outcome
 
 type variant = {
   label : string;
@@ -34,15 +34,15 @@ let run_variant cfg spec variant =
 
 let row_of cfg spec variant =
   let run = run_variant cfg spec variant in
-  let plan = run.Runner.prepared.Technique.plan in
+  let plan = run.Outcome.plan in
   {
     app = spec.Workloads.Spec.name;
     label = variant.label;
     ext_fraction =
-      (match plan with Some p -> p.Transform.ext_static_fraction | None -> 0.);
-    acquires = (match plan with Some p -> p.Transform.n_acquires | None -> 0);
-    movs = (match plan with Some p -> p.Transform.n_movs | None -> 0);
-    cycles = run.Runner.cycles;
+      (match plan with Some p -> p.Outcome.ext_static_fraction | None -> 0.);
+    acquires = (match plan with Some p -> p.Outcome.n_acquires | None -> 0);
+    movs = (match plan with Some p -> p.Outcome.n_movs | None -> 0);
+    cycles = run.Outcome.cycles;
   }
 
 let rows cfg =

@@ -1,4 +1,5 @@
 module Runner = Regmutex.Runner
+module Outcome = Regmutex.Outcome
 module Technique = Regmutex.Technique
 module Arch_config = Gpu_uarch.Arch_config
 
@@ -255,8 +256,9 @@ let key ?es_override ?options ?variant cfg ~arch technique spec =
 
 (* The in-memory tables may be touched from any domain that runs cells,
    so accesses go through one mutex each. Computation never happens under
-   a lock. *)
-let cache : (string, Runner.run) Hashtbl.t = Hashtbl.create 64
+   a lock. All three levels hold a cell's [Outcome.t]: what the figures
+   read, and nothing that grows with the grid or the program. *)
+let cache : (string, Outcome.t) Hashtbl.t = Hashtbl.create 64
 
 let cache_lock = Mutex.create ()
 
@@ -266,16 +268,17 @@ let with_cache f =
 
 let mem_find k = with_cache (fun () -> Hashtbl.find_opt cache k)
 
-let mem_add k run = with_cache (fun () -> Hashtbl.replace cache k run)
+let mem_add k o = with_cache (fun () -> Hashtbl.replace cache k o)
 
 let mem_mem k = with_cache (fun () -> Hashtbl.mem cache k)
 
-(* The third level: the statistics of every machine input simulated since
+(* The third level: the outcome of every machine input simulated since
    the last [clear], keyed by the input's marshalled bytes themselves (not
    a digest of them), so a hit always means an equal input. Cells that
    differ in how they were requested but prepare to the same kernel and
-   run config share one simulation. *)
-let memo : (string, Gpu_sim.Stats.t) Hashtbl.t = Hashtbl.create 64
+   run config share one simulation, each with its own compile-side fields
+   ([Outcome.with_compile]). *)
+let memo : (string, Outcome.t) Hashtbl.t = Hashtbl.create 64
 
 let memo_lock = Mutex.create ()
 
@@ -286,13 +289,13 @@ let with_memo f =
 let memo_find input = with_memo (fun () -> Hashtbl.find_opt memo input)
 
 (* The first simulation of an input stays the memoised one. *)
-let memo_add input stats =
+let memo_add input outcome =
   with_memo (fun () ->
       match Hashtbl.find_opt memo input with
       | Some first -> first
       | None ->
-          Hashtbl.add memo input stats;
-          stats)
+          Hashtbl.add memo input outcome;
+          outcome)
 
 let misses = Atomic.make 0
 
@@ -346,6 +349,8 @@ let simulate_ns = Atomic.make 0
 let simulated_instructions () = Atomic.get instructions
 let simulation_seconds () = float_of_int (Atomic.get simulate_ns) *. 1e-9
 
+(* One machine run, kept as its outcome: the statistics' per-warp records
+   and traces are dropped on the domain that simulated them. *)
 let simulate i =
   Atomic.incr runs;
   let t0 = Unix.gettimeofday () in
@@ -353,29 +358,29 @@ let simulate i =
   let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
   ignore (Atomic.fetch_and_add simulate_ns ns);
   ignore (Atomic.fetch_and_add instructions stats.Gpu_sim.Stats.instructions);
-  stats
+  Runner.outcome (Runner.of_stats i.config i.prepared stats)
 
 let lookup cfg c =
   let k = key_of_cell cfg c in
   match mem_find k with
-  | Some run -> run
+  | Some o -> o
   | None -> (
       match Result_store.load k with
-      | Some run ->
-          mem_add k run;
-          run
+      | Some o ->
+          mem_add k o;
+          o
       | None ->
           Atomic.incr misses;
           let i = prepare cfg c in
-          let stats =
+          let simulated =
             match memo_find i.bytes with
-            | Some stats -> stats
+            | Some o -> o
             | None -> memo_add i.bytes (simulate i)
           in
-          let run = Runner.of_stats i.config i.prepared stats in
-          mem_add k run;
-          Result_store.store k run;
-          run)
+          let o = Outcome.with_compile i.prepared simulated in
+          mem_add k o;
+          Result_store.store k o;
+          o)
 
 let run ?es_override ?options ?variant cfg ~arch technique spec =
   lookup cfg (cell ?es_override ?options ?variant ~arch technique spec)
@@ -422,8 +427,8 @@ let prefetch ?jobs:requested cfg cells =
         if mem_mem k || Hashtbl.mem queued k then None
         else
           match Result_store.load k with
-          | Some run ->
-              mem_add k run;
+          | Some o ->
+              mem_add k o;
               None
           | None ->
               Hashtbl.replace queued k ();
@@ -448,15 +453,15 @@ let prefetch ?jobs:requested cfg cells =
         [] inputs
       |> List.rev |> Array.of_list
     in
-    let stats = parallel_map ~jobs fresh simulate in
+    let simulated = parallel_map ~jobs fresh simulate in
     Array.iteri
       (fun j i ->
-        Hashtbl.replace batch i.bytes (Some (memo_add i.bytes stats.(j))))
+        Hashtbl.replace batch i.bytes (Some (memo_add i.bytes simulated.(j))))
       fresh;
     let results =
       Array.map
         (fun i ->
-          Runner.of_stats i.config i.prepared
+          Outcome.with_compile i.prepared
             (Option.get (Hashtbl.find batch i.bytes)))
         inputs
     in
@@ -464,11 +469,11 @@ let prefetch ?jobs:requested cfg cells =
        byte-identical whatever the worker count or completion order. *)
     Telemetry.Profile.time merge_phase (fun () ->
         Array.iteri
-          (fun i run ->
+          (fun i o ->
             let k, _ = tasks.(i) in
             Atomic.incr misses;
-            mem_add k run;
-            Result_store.store k run)
+            mem_add k o;
+            Result_store.store k o)
           results)
   end
 

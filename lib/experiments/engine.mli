@@ -2,21 +2,30 @@
 
     Several figures share the same (architecture, technique, kernel)
     simulations — Figure 7's RegMutex runs reappear in Figures 9(a), 12(a)
-    and 13 — so results are cached at three levels:
+    and 13 — so results are cached at three levels, each holding a
+    cell's {!Regmutex.Outcome.t}:
 
-    - an in-memory table of runs by cell key ({!key}), for the lifetime
-      of the process (until {!clear});
+    - an in-memory table by cell key ({!key}), for the lifetime of the
+      process (until {!clear});
     - optionally (see {!set_cache_dir}) an on-disk store with one file per
       cache key under [<dir>/<version tag>/] (see
       {!Result_store.version_tag}), so repeated CLI or figure runs skip
       simulation entirely. A rebuilt simulator gets a fresh version
       directory; stale results are never replayed;
-    - an in-memory memo of simulator statistics by machine input: the
-      marshalled bytes of the run config and the prepared kernel
+    - an in-memory memo of outcomes by machine input: the marshalled
+      bytes of the run config and the prepared kernel
       ({!Regmutex.Runner.prepare}). A cell that misses both layers above
       is prepared, and simulated only when no earlier cell prepared to
       the same input — e.g. an OWF cell that falls back to the baseline
       kernel, or two |Es| overrides that prepare to the same program.
+
+    An outcome holds what the figures print and fingerprint (the run's
+    metrics, its scalar {!Gpu_sim.Stats.counters}, the |Es| choice and
+    the plan's sizes) and nothing that grows with the grid or the
+    program: no per-warp instruction counts, store or pc traces, and no
+    prepared programs. A stored cell is a few hundred bytes, so a warm
+    sweep spends its time on the figures rather than on unmarshalling.
+    Callers that need a cell's full statistics use {!compute}.
 
     So a cell is counted twice: {!simulations} counts cells that missed
     the first two levels, {!machine_runs} counts the simulations the memo
@@ -62,7 +71,8 @@ val key :
   string
 
 (** [run ?es_override ?options ?variant cfg ~arch technique spec] executes
-    (or recalls) the simulation of [spec] under [technique] on [arch]. *)
+    (or recalls) the simulation of [spec] under [technique] on [arch], and
+    returns its outcome. *)
 val run :
   ?es_override:int ->
   ?options:Regmutex.Technique.options ->
@@ -71,7 +81,7 @@ val run :
   arch:Gpu_uarch.Arch_config.t ->
   Regmutex.Technique.t ->
   Workloads.Spec.t ->
-  Regmutex.Runner.run
+  Regmutex.Outcome.t
 
 (** [input_digest config kernel] — hex digest of
     {!Regmutex.Runner.input_key}: folded into a {!memo} key with the
@@ -153,7 +163,7 @@ val prefetch : ?jobs:int -> Exp_config.t -> cell list -> unit
 
 (** [run_batch ?jobs cfg cells] — {!prefetch} then the runs, in order. *)
 val run_batch :
-  ?jobs:int -> Exp_config.t -> cell list -> Regmutex.Runner.run list
+  ?jobs:int -> Exp_config.t -> cell list -> Regmutex.Outcome.t list
 
 (** Default worker-domain count for {!prefetch}. [set_jobs 0] (or any
     non-positive value) selects {!auto_jobs}. The default is 1: serial,
@@ -187,7 +197,10 @@ val cache_dir : unit -> string option
 val clear : unit -> unit
 
 (** Simulate unconditionally, bypassing every cache level (the memo
-    included): the uncached reference. Safe on any domain. *)
+    included): the uncached reference, with its full statistics. Its
+    {!Regmutex.Runner.fingerprint} equals the
+    {!Regmutex.Outcome.fingerprint} of {!run} on the same cell. Safe on
+    any domain. *)
 val compute : Exp_config.t -> cell -> Regmutex.Runner.run
 
 (** Number of cells this process computed: misses in the run table and

@@ -1,4 +1,4 @@
-module Runner = Regmutex.Runner
+module Outcome = Regmutex.Outcome
 module Technique = Regmutex.Technique
 
 let es_values = [ 2; 4; 6; 8; 10; 12 ]
@@ -13,9 +13,9 @@ let reduction_for cfg spec baseline es =
   let run = Engine.run ~es_override:es cfg ~arch:cfg.Exp_config.arch Technique.Regmutex spec in
   (* An infeasible override falls back to baseline behaviour with no
      heuristic choice recorded; report it as absent. *)
-  match run.Runner.prepared.Technique.choice with
+  match run.Outcome.choice with
   | None -> None
-  | Some _ -> Some (Runner.reduction_pct ~baseline run)
+  | Some _ -> Some (Outcome.reduction_pct ~baseline run)
 
 let row_of cfg spec =
   let arch = cfg.Exp_config.arch in
@@ -27,7 +27,7 @@ let row_of cfg spec =
     heuristic_es =
       Option.map
         (fun c -> c.Regmutex.Es_heuristic.es)
-        auto.Runner.prepared.Technique.choice;
+        auto.Outcome.choice;
   }
 
 let cells cfg spec =

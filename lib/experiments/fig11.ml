@@ -1,4 +1,4 @@
-module Runner = Regmutex.Runner
+module Outcome = Regmutex.Outcome
 module Technique = Regmutex.Technique
 
 type row = {
@@ -9,9 +9,9 @@ type row = {
 
 let sample cfg spec es =
   let run = Engine.run ~es_override:es cfg ~arch:cfg.Exp_config.arch Technique.Regmutex spec in
-  match run.Runner.prepared.Technique.choice with
+  match run.Outcome.choice with
   | None -> None
-  | Some _ -> Some (run.Runner.theoretical_occupancy, run.Runner.acquire_ratio)
+  | Some _ -> Some (run.Outcome.theoretical_occupancy, run.Outcome.acquire_ratio)
 
 let row_of cfg spec =
   let auto = Engine.run cfg ~arch:cfg.Exp_config.arch Technique.Regmutex spec in
@@ -21,7 +21,7 @@ let row_of cfg spec =
     heuristic_es =
       Option.map
         (fun c -> c.Regmutex.Es_heuristic.es)
-        auto.Runner.prepared.Technique.choice;
+        auto.Outcome.choice;
   }
 
 let rows cfg =

@@ -1,4 +1,4 @@
-module Runner = Regmutex.Runner
+module Outcome = Regmutex.Outcome
 module Technique = Regmutex.Technique
 
 type row_a = {
@@ -22,9 +22,9 @@ let row_a_of cfg spec =
   let default_rm = Engine.run cfg ~arch Technique.Regmutex spec in
   {
     app = spec.Workloads.Spec.name;
-    paired_red = Runner.reduction_pct ~baseline paired;
-    default_red = Runner.reduction_pct ~baseline default_rm;
-    occ_paired = paired.Runner.theoretical_occupancy;
+    paired_red = Outcome.reduction_pct ~baseline paired;
+    default_red = Outcome.reduction_pct ~baseline default_rm;
+    occ_paired = paired.Outcome.theoretical_occupancy;
   }
 
 let row_b_of cfg spec =
@@ -33,9 +33,9 @@ let row_b_of cfg spec =
   let default_rm = Engine.run cfg ~arch:cfg.Exp_config.half_arch Technique.Regmutex spec in
   {
     app = spec.Workloads.Spec.name;
-    paired_inc = Runner.increase_pct ~baseline:full paired;
-    default_inc = Runner.increase_pct ~baseline:full default_rm;
-    occ_paired = paired.Runner.theoretical_occupancy;
+    paired_inc = Outcome.increase_pct ~baseline:full paired;
+    default_inc = Outcome.increase_pct ~baseline:full default_rm;
+    occ_paired = paired.Outcome.theoretical_occupancy;
   }
 
 let rows_a cfg =

@@ -1,4 +1,4 @@
-module Runner = Regmutex.Runner
+module Outcome = Regmutex.Outcome
 module Technique = Regmutex.Technique
 
 type row = {
@@ -13,8 +13,8 @@ let row_of cfg spec =
   let paired = Engine.run cfg ~arch Technique.Regmutex_paired spec in
   {
     app = spec.Workloads.Spec.name;
-    default_ratio = default_rm.Runner.acquire_ratio;
-    paired_ratio = paired.Runner.acquire_ratio;
+    default_ratio = default_rm.Outcome.acquire_ratio;
+    paired_ratio = paired.Outcome.acquire_ratio;
   }
 
 let rows cfg =

@@ -1,4 +1,4 @@
-module Runner = Regmutex.Runner
+module Outcome = Regmutex.Outcome
 module Technique = Regmutex.Technique
 
 type row = {
@@ -18,13 +18,13 @@ let row_of cfg spec =
   let rm = Engine.run cfg ~arch Technique.Regmutex spec in
   {
     app = spec.Workloads.Spec.name;
-    baseline_cycles = baseline.Runner.cycles;
-    regmutex_cycles = rm.Runner.cycles;
-    reduction_pct = Runner.reduction_pct ~baseline rm;
-    occ_before = baseline.Runner.theoretical_occupancy;
-    occ_after = rm.Runner.theoretical_occupancy;
-    sections = rm.Runner.srp_sections;
-    acquire_ratio = rm.Runner.acquire_ratio;
+    baseline_cycles = baseline.Outcome.cycles;
+    regmutex_cycles = rm.Outcome.cycles;
+    reduction_pct = Outcome.reduction_pct ~baseline rm;
+    occ_before = baseline.Outcome.theoretical_occupancy;
+    occ_after = rm.Outcome.theoretical_occupancy;
+    sections = rm.Outcome.srp_sections;
+    acquire_ratio = rm.Outcome.acquire_ratio;
   }
 
 let rows cfg =

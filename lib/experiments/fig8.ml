@@ -1,4 +1,4 @@
-module Runner = Regmutex.Runner
+module Outcome = Regmutex.Outcome
 module Technique = Regmutex.Technique
 
 type row = {
@@ -18,13 +18,13 @@ let row_of cfg spec =
   let half_rm = Engine.run cfg ~arch:cfg.Exp_config.half_arch Technique.Regmutex spec in
   {
     app = spec.Workloads.Spec.name;
-    full_cycles = full.Runner.cycles;
-    half_cycles = half.Runner.cycles;
-    half_rm_cycles = half_rm.Runner.cycles;
-    increase_none_pct = Runner.increase_pct ~baseline:full half;
-    increase_rm_pct = Runner.increase_pct ~baseline:full half_rm;
-    occ_half = half.Runner.theoretical_occupancy;
-    occ_half_rm = half_rm.Runner.theoretical_occupancy;
+    full_cycles = full.Outcome.cycles;
+    half_cycles = half.Outcome.cycles;
+    half_rm_cycles = half_rm.Outcome.cycles;
+    increase_none_pct = Outcome.increase_pct ~baseline:full half;
+    increase_rm_pct = Outcome.increase_pct ~baseline:full half_rm;
+    occ_half = half.Outcome.theoretical_occupancy;
+    occ_half_rm = half_rm.Outcome.theoretical_occupancy;
   }
 
 let rows cfg =

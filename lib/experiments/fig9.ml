@@ -1,4 +1,4 @@
-module Runner = Regmutex.Runner
+module Outcome = Regmutex.Outcome
 module Technique = Regmutex.Technique
 
 type row_a = {
@@ -19,7 +19,7 @@ type row_b = {
 let row_a_of cfg spec =
   let arch = cfg.Exp_config.arch in
   let baseline = Engine.run cfg ~arch Technique.Baseline spec in
-  let red t = Runner.reduction_pct ~baseline (Engine.run cfg ~arch t spec) in
+  let red t = Outcome.reduction_pct ~baseline (Engine.run cfg ~arch t spec) in
   {
     app = spec.Workloads.Spec.name;
     owf_red = red Technique.Owf;
@@ -30,7 +30,7 @@ let row_a_of cfg spec =
 let row_b_of cfg spec =
   let full = Engine.run cfg ~arch:cfg.Exp_config.arch Technique.Baseline spec in
   let inc t =
-    Runner.increase_pct ~baseline:full
+    Outcome.increase_pct ~baseline:full
       (Engine.run cfg ~arch:cfg.Exp_config.half_arch t spec)
   in
   {

@@ -1,4 +1,4 @@
-module Runner = Regmutex.Runner
+module Outcome = Regmutex.Outcome
 module Technique = Regmutex.Technique
 module Stats = Gpu_sim.Stats
 module E = Gpu_uarch.Energy_model
@@ -30,29 +30,21 @@ let rows cfg =
     List.map (fun spec -> Engine.run cfg ~arch Technique.Baseline spec) specs
   in
   let base_energy =
-    List.map
-      (fun (b : Runner.run) ->
-        (Technique.energy arch Technique.Baseline b.Runner.stats).E.total_nj)
-      base_runs
+    List.map (fun b -> (Outcome.energy arch b).E.total_nj) base_runs
   in
   List.map
     (fun t ->
       let runs = List.map (fun spec -> Engine.run cfg ~arch t spec) specs in
-      let energies =
-        List.map
-          (fun (r : Runner.run) ->
-            (Technique.energy arch t r.Runner.stats).E.total_nj)
-          runs
-      in
+      let energies = List.map (fun r -> (Outcome.energy arch r).E.total_nj) runs in
       {
         tech = t;
         mean_occupancy =
           Table.mean
-            (List.map (fun r -> r.Runner.theoretical_occupancy) runs);
+            (List.map (fun r -> r.Outcome.theoretical_occupancy) runs);
         mean_reduction =
           Table.mean
             (List.map2
-               (fun baseline r -> Runner.reduction_pct ~baseline r)
+               (fun baseline r -> Outcome.reduction_pct ~baseline r)
                base_runs runs);
         storage_bits = Technique.storage_bits arch t;
         mean_energy_nj = Table.mean energies;
@@ -83,9 +75,9 @@ type divergent_row = {
   d_mean_lane_occ : float;   (* active / (active + predicated) lane-cycles *)
 }
 
-let lane_occupancy (r : Runner.run) =
-  let a = float_of_int r.Runner.stats.Stats.active_lane_cycles
-  and p = float_of_int r.Runner.stats.Stats.predicated_lane_cycles in
+let lane_occupancy (r : Outcome.t) =
+  let a = float_of_int r.Outcome.counters.Stats.active_lane_cycles
+  and p = float_of_int r.Outcome.counters.Stats.predicated_lane_cycles in
   if a +. p > 0. then a /. (a +. p) else 1.
 
 let divergent_rows cfg =
@@ -115,11 +107,11 @@ let divergent_rows cfg =
         d_tech = t;
         d_mean_occupancy =
           Table.mean
-            (List.map (fun r -> r.Runner.theoretical_occupancy) runs);
+            (List.map (fun r -> r.Outcome.theoretical_occupancy) runs);
         d_mean_reduction =
           Table.mean
             (List.map2
-               (fun baseline r -> Runner.reduction_pct ~baseline r)
+               (fun baseline r -> Outcome.reduction_pct ~baseline r)
                base_runs runs);
         d_mean_lane_occ = Table.mean (List.map lane_occupancy runs);
       })

@@ -5,8 +5,10 @@ type stats = { entries : int; bytes : int }
    never replayed and need no explicit invalidation scan. The schema tag
    moves with the layout of the marshalled values (2: [Stats.t]'s per-warp
    tables key on packed ints; 3: its per-warp instruction counts are one
-   flat int array). *)
-let schema_version = 3
+   flat int array; 4: a cell is an [Outcome.t] — the run's metrics, its
+   scalar [Stats.counters], the |Es| choice and the plan's sizes — with
+   no [Stats.t], per-warp array or program). *)
+let schema_version = 4
 
 (* Every uncommitted build of one commit describes as "<rev>-dirty" (and
    every build without git as "unversioned"); marshalled records from a

@@ -35,7 +35,7 @@ val version_tag : unit -> string
     unreadable (a truncated file, a digest collision). Never writes.
 
     The value is unmarshalled at the caller's type, so a key must name
-    one type: the engine's cell keys hold a {!Regmutex.Runner.run}, and
+    one type: the engine's cell keys hold a {!Regmutex.Outcome.t}, and
     every other user starts its keys with its own name (see
     {!Engine.memo}). *)
 val load : string -> 'a option

@@ -1,5 +1,5 @@
 module Arch_config = Gpu_uarch.Arch_config
-module Runner = Regmutex.Runner
+module Outcome = Regmutex.Outcome
 module Technique = Regmutex.Technique
 
 type row = {
@@ -24,10 +24,10 @@ let row_of cfg spec (label, kind) =
   {
     app = spec.Workloads.Spec.name;
     scheduler = label;
-    baseline_cycles = baseline.Runner.cycles;
-    regmutex_cycles = rm.Runner.cycles;
-    reduction_pct = Runner.reduction_pct ~baseline rm;
-    acquire_ratio = rm.Runner.acquire_ratio;
+    baseline_cycles = baseline.Outcome.cycles;
+    regmutex_cycles = rm.Outcome.cycles;
+    reduction_pct = Outcome.reduction_pct ~baseline rm;
+    acquire_ratio = rm.Outcome.acquire_ratio;
   }
 
 let rows cfg =

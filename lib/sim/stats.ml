@@ -29,6 +29,33 @@ let max_lane = (1 lsl lane_bits) - 1
 let max_warp = (1 lsl warp_bits) - 1
 let max_cta = max_int lsr (warp_bits + lane_bits)
 
+(* Declared before [t], so an unannotated [s.cycles] still means [t]'s. *)
+type counters = {
+  cycles : int;
+  instructions : int;
+  resident_warp_cycles : int;
+  warp_capacity_cycles : int;
+  acquire_execs : int;
+  acquire_first_try : int;
+  acquire_stall_cycles : int;
+  release_execs : int;
+  shared_oob : int;
+  spill_stores : int;
+  fill_loads : int;
+  rf_reads : int;
+  rf_writes : int;
+  shared_reads : int;
+  shared_writes : int;
+  active_lane_cycles : int;
+  predicated_lane_cycles : int;
+  divergent_branches : int;
+  lane_expansions : int;
+  issue_candidates : int;
+  stall_cycles : int array;
+  ctas_retired : int;
+  timed_out : bool;
+}
+
 type t = {
   mutable cycles : int;
   mutable instructions : int;
@@ -119,6 +146,33 @@ let bump_stall_by t reason n =
   t.stall_cycles.(i) <- t.stall_cycles.(i) + n
 
 let stall_count t reason = t.stall_cycles.(reason_index reason)
+
+let counters (t : t) : counters =
+  {
+    cycles = t.cycles;
+    instructions = t.instructions;
+    resident_warp_cycles = t.resident_warp_cycles;
+    warp_capacity_cycles = t.warp_capacity_cycles;
+    acquire_execs = t.acquire_execs;
+    acquire_first_try = t.acquire_first_try;
+    acquire_stall_cycles = t.acquire_stall_cycles;
+    release_execs = t.release_execs;
+    shared_oob = t.shared_oob;
+    spill_stores = t.spill_stores;
+    fill_loads = t.fill_loads;
+    rf_reads = t.rf_reads;
+    rf_writes = t.rf_writes;
+    shared_reads = t.shared_reads;
+    shared_writes = t.shared_writes;
+    active_lane_cycles = t.active_lane_cycles;
+    predicated_lane_cycles = t.predicated_lane_cycles;
+    divergent_branches = t.divergent_branches;
+    lane_expansions = t.lane_expansions;
+    issue_candidates = t.issue_candidates;
+    stall_cycles = Array.copy t.stall_cycles;
+    ctas_retired = t.ctas_retired;
+    timed_out = t.timed_out;
+  }
 
 let achieved_occupancy t =
   if t.warp_capacity_cycles = 0 then 0.

@@ -25,6 +25,36 @@ val max_cta : int
 val max_warp : int
 val max_lane : int
 
+(** The scalar counters of {!type-t} as one immutable value: every field
+    but the per-warp records and the traces ([pc_trace], [stores],
+    [lane_stores], [warp_instructions], [warp_exits]), so its size does
+    not grow with the grid. The fields mean what {!type-t}'s do. *)
+type counters = {
+  cycles : int;
+  instructions : int;
+  resident_warp_cycles : int;
+  warp_capacity_cycles : int;
+  acquire_execs : int;
+  acquire_first_try : int;
+  acquire_stall_cycles : int;
+  release_execs : int;
+  shared_oob : int;
+  spill_stores : int;
+  fill_loads : int;
+  rf_reads : int;
+  rf_writes : int;
+  shared_reads : int;
+  shared_writes : int;
+  active_lane_cycles : int;
+  predicated_lane_cycles : int;
+  divergent_branches : int;
+  lane_expansions : int;
+  issue_candidates : int;
+  stall_cycles : int array;  (** a copy, indexed by {!reason_index} *)
+  ctas_retired : int;
+  timed_out : bool;
+}
+
 type t = {
   mutable cycles : int;
   mutable instructions : int;
@@ -115,6 +145,9 @@ val bump_stall : t -> stall_reason -> unit
 val bump_stall_by : t -> stall_reason -> int -> unit
 
 val stall_count : t -> stall_reason -> int
+
+(** The scalar counters of a run, copied out. *)
+val counters : t -> counters
 
 (** Achieved occupancy: resident-warp integral over capacity integral. *)
 val achieved_occupancy : t -> float

@@ -71,7 +71,7 @@ let test_technique_structure_charges () =
   let spec = Workloads.Registry.find "BFS" in
   let kernel = spec.Spec.kernel in
   let base = run Technique.Baseline kernel in
-  let counts t stats = Technique.energy_counts arch t stats in
+  let counts t stats = Technique.energy_counts arch t (Stats.counters stats) in
   (* RFV pays a renaming lookup on every RF access; nobody else does. *)
   let rfv = run Technique.Rfv kernel in
   let cb = counts Technique.Baseline base.Runner.stats in
@@ -81,9 +81,9 @@ let test_technique_structure_charges () =
     (rfv.Runner.stats.Stats.rf_reads + rfv.Runner.stats.Stats.rf_writes)
     cr.E.rename_accesses;
   Alcotest.(check bool) "RFV structure energy is visible" true
-    ((Technique.energy arch Technique.Rfv rfv.Runner.stats).E.structure_nj > 0.);
+    ((Technique.energy arch Technique.Rfv (Stats.counters rfv.Runner.stats)).E.structure_nj > 0.);
   Alcotest.(check (float 1e-9)) "baseline structure energy is zero" 0.
-    (Technique.energy arch Technique.Baseline base.Runner.stats).E.structure_nj;
+    (Technique.energy arch Technique.Baseline (Stats.counters base.Runner.stats)).E.structure_nj;
   (* RegMutex pays per acquire/release on its bitmask and LUT. *)
   let rm = run Technique.Regmutex kernel in
   let cm = counts Technique.Regmutex rm.Runner.stats in

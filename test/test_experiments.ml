@@ -51,7 +51,7 @@ let test_engine_caching () =
   let misses2 = E.Engine.simulations () in
   Alcotest.(check int) "first run simulates" (misses0 + 1) misses1;
   Alcotest.(check int) "second run cached" misses1 misses2;
-  Alcotest.(check int) "same result" r1.Regmutex.Runner.cycles r2.Regmutex.Runner.cycles;
+  Alcotest.(check int) "same result" r1.Regmutex.Outcome.cycles r2.Regmutex.Outcome.cycles;
   (* Different es_override is a different key. *)
   let _ =
     E.Engine.run ~es_override:4 tiny ~arch:tiny.E.Exp_config.arch
@@ -143,7 +143,7 @@ let test_engine_memo () =
       (machine > 0 && machine < sims);
     Alcotest.(check (list string)) (name ^ ": fingerprints match compute")
       reference
-      (List.map Regmutex.Runner.fingerprint runs);
+      (List.map Regmutex.Outcome.fingerprint runs);
     machine
   in
   E.Engine.clear ();
@@ -176,7 +176,7 @@ let test_engine_memo () =
   Alcotest.(check (pair int int)) "brute force is another input" (1, 1)
     (sims, machine);
   Alcotest.(check string) "brute force agrees" (List.hd reference)
-    (Regmutex.Runner.fingerprint (List.hd runs))
+    (Regmutex.Outcome.fingerprint (List.hd runs))
 
 (* The engine and the fuzz oracle key their memos on [Runner.input_key]:
    equal machine inputs give equal keys, any field [Gpu.run] reads moves
@@ -204,13 +204,6 @@ let test_input_key () =
   raises "telemetry sink refused"
     { config with Gpu_sim.Gpu.telemetry = Some (Telemetry.Sink.create ()) }
 
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
 (* What [f] prints on stdout. *)
 let capture f =
   let file = Filename.temp_file "regmutex-stdout" ".txt" in
@@ -228,17 +221,6 @@ let capture f =
   let out = In_channel.with_open_bin file In_channel.input_all in
   Sys.remove file;
   out
-
-let with_store_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "regmutex-store-%d" (Unix.getpid ()))
-  in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
-  @@ fun () ->
-  E.Engine.set_cache_dir (Some dir);
-  E.Engine.clear ();
-  f dir
 
 (* One user of the result store: its printed output, the engine counter
    a store miss bumps, the entries one print writes, and whether a cold
@@ -278,7 +260,7 @@ let store_inputs =
   [ { name = "cell";
       output =
         (fun () ->
-          Regmutex.Runner.fingerprint
+          Regmutex.Outcome.fingerprint
             (E.Engine.run tiny ~arch:tiny.E.Exp_config.arch
                Regmutex.Technique.Regmutex gaussian));
       counter = E.Engine.simulations;
@@ -296,7 +278,7 @@ let store_inputs =
       compiles = true } ]
 
 let store_round_trip input =
-  with_store_dir @@ fun dir ->
+  Util.with_store_dir @@ fun dir ->
   let module Store = E.Result_store in
   let label what = input.name ^ ": " ^ what in
   let version_dir = Filename.concat dir (Store.version_tag ()) in
@@ -359,7 +341,7 @@ let test_cache_round_trip () =
   with_engine_defaults @@ fun () ->
   List.iter store_round_trip store_inputs;
   (* Prefetch also hits the store: no cell is simulated again. *)
-  with_store_dir @@ fun dir ->
+  Util.with_store_dir @@ fun dir ->
   let arch = tiny.E.Exp_config.arch in
   let cell = E.Engine.cell ~arch Regmutex.Technique.Regmutex (Workloads.Registry.find "Gaussian") in
   E.Engine.prefetch tiny [ cell ];

@@ -206,7 +206,7 @@ let test_engine_invariance () =
     let key = Engine.key cfg ~arch Technique.Regmutex spec in
     let run = Engine.run cfg ~arch Technique.Regmutex spec in
     Engine.set_fast_forward true;
-    (key, Runner.fingerprint run)
+    (key, Regmutex.Outcome.fingerprint run)
   in
   let key_ff, fp_ff = in_mode true in
   let key_bf, fp_bf = in_mode false in

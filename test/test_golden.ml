@@ -5,6 +5,12 @@
    change that moves both equally passes them; this test compares against
    the results of an earlier build instead.
 
+   Two paths must give the file's lines: [Runner.execute] with
+   [Runner.fingerprint], and the experiment engine's outcomes with
+   [Outcome.fingerprint], served cold into a temporary result store and
+   then replayed warm from it. The second pins what a stored cell keeps
+   to what a fresh run reports.
+
    [golden_fingerprints.txt] holds one "workload technique fingerprint"
    line per cell, in registry × [Technique.all] order. A change that is
    meant to alter simulated results updates it from the lines the failure
@@ -31,28 +37,51 @@ let read_golden () =
   in
   go []
 
-let cells () =
-  let cfg = Experiments.Exp_config.quick in
+let cfg = Experiments.Exp_config.quick
+
+(* One "workload technique fingerprint" line per cell, [fingerprint arch t
+   spec] giving the last field. *)
+let cells fingerprint =
   List.concat_map
     (fun spec ->
       let arch = Experiments.Exp_config.eval_arch cfg spec in
-      let kernel = Experiments.Exp_config.kernel_of cfg spec in
       List.map
         (fun t ->
           Printf.sprintf "%s %s %s" spec.Workloads.Spec.name (Technique.name t)
-            (Runner.fingerprint (Runner.execute arch t kernel)))
+            (fingerprint arch t spec))
         Technique.all)
     (Workloads.Registry.all @ Workloads.Registry.latency_bound)
 
-let test_quick_grid_fingerprints () =
-  let golden = read_golden () in
-  let actual = cells () in
-  Alcotest.(check int) "cell count" 102 (List.length actual);
+let check_golden golden path actual =
+  Alcotest.(check int) (path ^ ": cell count") 102 (List.length actual);
   let moved = List.filter (fun l -> not (List.mem l golden)) actual in
   if moved <> [] || List.length golden <> List.length actual then
-    Alcotest.failf "%d of %d cells differ from %s; new lines:\n%s"
+    Alcotest.failf "%s: %d of %d cells differ from %s; new lines:\n%s" path
       (List.length moved) (List.length actual) golden_file
       (String.concat "\n" moved)
+
+let test_quick_grid_fingerprints () =
+  let golden = read_golden () in
+  check_golden golden "Runner.execute"
+    (cells (fun arch t spec ->
+         Runner.fingerprint
+           (Runner.execute arch t (Experiments.Exp_config.kernel_of cfg spec))));
+  let module Engine = Experiments.Engine in
+  let engine arch t spec =
+    Regmutex.Outcome.fingerprint (Engine.run cfg ~arch t spec)
+  in
+  Fun.protect ~finally:(fun () ->
+      Engine.set_cache_dir None;
+      Engine.clear ())
+  @@ fun () ->
+  Util.with_store_dir @@ fun _ ->
+  check_golden golden "Engine.run, cold store" (cells engine);
+  (* Nothing in memory: every cell comes back from the store alone. *)
+  Engine.clear ();
+  let computed = Engine.simulations () in
+  check_golden golden "Engine.run, warm store" (cells engine);
+  Alcotest.(check int) "the warm store computes nothing" computed
+    (Engine.simulations ())
 
 let suite =
   [ Alcotest.test_case "quick-grid fingerprints match the golden file" `Quick

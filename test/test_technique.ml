@@ -114,12 +114,45 @@ let test_runner_metrics () =
 let test_reduction_math () =
   let spec = Spec.with_grid (Workloads.Registry.find "Gaussian") 2 in
   let arch1 = { arch with Gpu_uarch.Arch_config.n_sms = 1 } in
-  let base = Runner.execute arch1 Technique.Baseline spec.Spec.kernel in
-  let fake_faster = { base with Runner.cycles = base.Runner.cycles / 2 } in
+  let base =
+    Runner.outcome (Runner.execute arch1 Technique.Baseline spec.Spec.kernel)
+  in
+  let fake_faster =
+    { base with Regmutex.Outcome.cycles = base.Regmutex.Outcome.cycles / 2 }
+  in
   Alcotest.(check (float 0.01)) "50% reduction" 50.
-    (Runner.reduction_pct ~baseline:base fake_faster);
+    (Regmutex.Outcome.reduction_pct ~baseline:base fake_faster);
   Alcotest.(check (float 0.01)) "-50% increase" (-50.)
-    (Runner.increase_pct ~baseline:base fake_faster)
+    (Regmutex.Outcome.increase_pct ~baseline:base fake_faster)
+
+(* The command-line tools' shared result path: prepare, simulate, derive
+   the run, then [Runner.check_finished], whose [Error] line they print
+   before exiting 1. A kernel that never exits must fail it, naming the
+   cycle limit; one that finishes must pass. *)
+let test_timed_out_run () =
+  let spin =
+    Gpu_isa.Parser.parse ~name:"spin" "spin:\n  add r0, r0, 1\n  bra spin\n  exit\n"
+  in
+  let result program =
+    let kernel =
+      Gpu_sim.Kernel.make ~name:program.Gpu_isa.Program.name ~grid_ctas:2
+        ~cta_threads:64 program
+    in
+    let prepared, config =
+      Runner.prepare ~max_cycles:5_000 Util.small_arch kernel Technique.Baseline
+    in
+    Runner.check_finished config
+      (Runner.of_stats config prepared (Runner.simulate config prepared))
+  in
+  (match result spin with
+  | Ok () -> Alcotest.fail "a kernel that never exits passed the check"
+  | Error line ->
+      Alcotest.(check string) "one line naming the limit"
+        "spin/baseline did not finish within the 5000-cycle limit (0 of 2 CTAs \
+         retired)"
+        line);
+  Alcotest.(check bool) "a finished kernel passes" true
+    (result Util.straight = Ok ())
 
 let test_names () =
   Alcotest.(check (list string)) "technique names"
@@ -211,6 +244,8 @@ let suite =
     Alcotest.test_case "prepare RFV" `Quick test_prepare_rfv;
     Alcotest.test_case "runner metrics" `Quick test_runner_metrics;
     Alcotest.test_case "reduction arithmetic" `Quick test_reduction_math;
+    Alcotest.test_case "a timed-out run fails the result check" `Quick
+      test_timed_out_run;
     Alcotest.test_case "names" `Quick test_names;
     Alcotest.test_case "one preparer per kernel matches prepare" `Quick
       test_shared_path_matches_prepare ]

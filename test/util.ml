@@ -1,7 +1,7 @@
 (* Shared helpers for the test suite: tiny program builders, Alcotest
    testables, a generator of random structured (always-terminating)
-   kernels for property-based tests, simulation shorthands, and the
-   telemetry sink's record decoder. *)
+   kernels for property-based tests, simulation shorthands, the
+   telemetry sink's record decoder, and a temporary result store. *)
 
 open Gpu_isa
 
@@ -174,6 +174,26 @@ let records (sink : Telemetry.Sink.t) =
   List.rev !acc
 
 let named name rs = List.filter (fun r -> r.Telemetry.Trace.name = name) rs
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* [f dir] with the engine's result store rooted at a fresh [dir] and its
+   in-memory caches empty; the directory is removed afterwards. *)
+let with_store_dir f =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "regmutex-store-%d" (Unix.getpid ()))
+  in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm_rf dir)
+  @@ fun () ->
+  Experiments.Engine.set_cache_dir (Some dir);
+  Experiments.Engine.clear ();
+  f dir
 
 (* [print] renders a failing (shrunk) input in the report. *)
 let qtest ?(count = 100) ?print name gen prop =
