@@ -11,7 +11,6 @@
      regmutex check
      regmutex sweep [fig7 fig9a ...] [--jobs N] [--no-cache] [--quick] [--profile]
      regmutex fuzz [--seeds N] [--seed0 N] [--jobs N] [--inject FAULT]
-     regmutex report [--check] [--tolerance PCT] [--write-baseline]
      regmutex storage *)
 
 open Cmdliner
@@ -648,87 +647,6 @@ let fuzz_cmd =
       const run $ seeds $ seed0 $ jobs $ dir $ no_corpus $ no_shrink $ inject
       $ profile_flag)
 
-(* --- report --------------------------------------------------------- *)
-
-let report_cmd =
-  let doc =
-    "Summarize the committed BENCH_*.json perf artifacts and compare them \
-     against the baseline trajectory."
-  in
-  let check_flag =
-    Arg.(
-      value & flag
-      & info [ "check" ]
-          ~doc:
-            "Exit 1 when any metric or the geomean regresses beyond the \
-             tolerance, any invariant is false, or no baseline exists.")
-  in
-  let tolerance =
-    Arg.(
-      value & opt float 5.0
-      & info [ "tolerance" ] ~docv:"PCT"
-          ~doc:"Allowed slowdown in percent, per metric and on the geomean.")
-  in
-  let write_flag =
-    Arg.(
-      value & flag
-      & info [ "write-baseline" ]
-          ~doc:
-            "Rewrite the baseline from the current artifacts instead of \
-             comparing.")
-  in
-  let dir_opt =
-    Arg.(
-      value & opt (some string) None
-      & info [ "dir" ] ~docv:"DIR"
-          ~doc:"Directory holding the artifacts (default: the repo root).")
-  in
-  let baseline_opt =
-    Arg.(
-      value & opt (some string) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "Baseline file (default: $(b,bench/trajectory.json) under the \
-             repo root).")
-  in
-  let run check tol_pct write dir baseline =
-    let module R = Experiments.Report in
-    let root =
-      match dir with
-      | Some d -> d
-      | None -> (
-          match R.find_repo_root () with Some r -> r | None -> Sys.getcwd ())
-    in
-    let snap = R.scan ~dir:root in
-    let baseline =
-      match baseline with
-      | Some p -> p
-      | None -> Filename.concat root (Filename.concat "bench" "trajectory.json")
-    in
-    if write then begin
-      R.write_baseline baseline snap;
-      Format.printf "wrote %s (%d metrics, %d invariants, from %d artifacts)@."
-        baseline
-        (List.length snap.R.metrics)
-        (List.length snap.R.invariants)
-        (List.length snap.R.sources)
-    end
-    else begin
-      R.pp_snapshot Format.std_formatter snap;
-      match R.load_baseline baseline with
-      | Error e ->
-          Format.printf "@.no baseline: %s@." e;
-          if check then exit 1
-      | Ok base ->
-          let o = R.check ~tolerance:(tol_pct /. 100.) snap base in
-          R.pp_outcome Format.std_formatter o;
-          if check && o.R.failures <> [] then exit 1
-    end
-  in
-  Cmd.v (Cmd.info "report" ~doc)
-    Term.(
-      const run $ check_flag $ tolerance $ write_flag $ dir_opt $ baseline_opt)
-
 (* --- storage -------------------------------------------------------- *)
 
 let storage_cmd =
@@ -744,4 +662,4 @@ let () =
        (Cmd.group info
           [ list_cmd; occupancy_cmd; liveness_cmd; transform_cmd; run_cmd;
             metrics_cmd; trace_cmd; run_file_cmd; check_cmd; sweep_cmd;
-            fuzz_cmd; report_cmd; storage_cmd ]))
+            fuzz_cmd; storage_cmd ]))

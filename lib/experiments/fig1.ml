@@ -6,7 +6,7 @@ type row = {
   dynamic_instructions : int;
   mean_ratio : float;
   below_half : float;
-  profile : Pressure.point array;
+  sparkline : string;
 }
 
 let row_of cfg spec =
@@ -38,7 +38,7 @@ let row_of cfg spec =
         dynamic_instructions = Array.length profile;
         mean_ratio = Pressure.mean_ratio profile;
         below_half = Pressure.fraction_below ~threshold:0.5 profile;
-        profile;
+        sparkline = Pressure.sparkline ~width:72 profile;
       })
 
 let rows cfg = List.map (row_of cfg) Workloads.Registry.figure1
@@ -50,5 +50,5 @@ let print cfg =
     (fun r ->
       Printf.printf "\n%s: %d dynamic instructions, mean %s live, <=50%% for %s of time\n"
         r.app r.dynamic_instructions (Table.occ r.mean_ratio) (Table.occ r.below_half);
-      Printf.printf "  |%s|\n" (Pressure.sparkline ~width:72 r.profile))
+      Printf.printf "  |%s|\n" r.sparkline)
     rows

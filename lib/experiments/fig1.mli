@@ -8,7 +8,9 @@ type row = {
   dynamic_instructions : int;
   mean_ratio : float;          (** average live/allocated *)
   below_half : float;          (** fraction of time at ≤50% utilization *)
-  profile : Gpu_analysis.Pressure.point array;
+  sparkline : string;
+      (** the live/allocated profile, 72 columns wide
+          ({!Gpu_analysis.Pressure.sparkline}) *)
 }
 
 (** One row per kernel, each read back from the engine's result store

@@ -7,8 +7,9 @@ type stats = { entries : int; bytes : int }
    tables key on packed ints; 3: its per-warp instruction counts are one
    flat int array; 4: a cell is an [Outcome.t] — the run's metrics, its
    scalar [Stats.counters], the |Es| choice and the plan's sizes — with
-   no [Stats.t], per-warp array or program). *)
-let schema_version = 4
+   no [Stats.t], per-warp array or program; 5: a Figure 1 row keeps its
+   rendered sparkline, not the per-instruction profile). *)
+let schema_version = 5
 
 (* Every uncommitted build of one commit describes as "<rev>-dirty" (and
    every build without git as "unversioned"); marshalled records from a

@@ -1,6 +1,6 @@
 (** Registry of every experiment in the evaluation — the tables, figures
-    and ablations — shared by the benchmark harness and the CLI's [sweep]
-    subcommand so the two never drift apart. *)
+    and ablations — run by the CLI's [sweep] subcommand and by the
+    end-to-end benchmark. *)
 
 type entry = {
   name : string;  (** short id, e.g. ["fig7"] *)

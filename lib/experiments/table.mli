@@ -1,4 +1,4 @@
-(** Minimal fixed-width ASCII table rendering for the benchmark harness. *)
+(** Minimal fixed-width ASCII table rendering for the experiment figures. *)
 
 type align = Left | Right
 

@@ -451,6 +451,10 @@ let test_fig1_rows () =
     (fun r ->
       Alcotest.(check bool) (r.E.Fig1.app ^ " has profile") true
         (r.E.Fig1.dynamic_instructions > 0);
+      Alcotest.(check int)
+        (r.E.Fig1.app ^ " sparkline width")
+        (min 72 r.E.Fig1.dynamic_instructions)
+        (String.length r.E.Fig1.sparkline);
       Alcotest.(check bool)
         (r.E.Fig1.app ^ " underutilised most of the time")
         true
@@ -489,6 +493,38 @@ let test_fig10_marks_heuristic () =
             (List.mem es E.Fig10.es_values))
     rows
 
+(* The figures themselves: a full quick sweep's stdout (every table and
+   figure, including the register-port energy columns the fingerprint
+   golden file leaves out) must equal the committed copy byte for byte. A
+   change meant to move the figures refreshes test/golden_sweep_quick.txt
+   from `regmutex sweep --quick --no-cache`. *)
+let test_quick_sweep_golden () =
+  let golden =
+    In_channel.with_open_bin
+      (Filename.concat
+         (Filename.dirname Sys.executable_name)
+         "golden_sweep_quick.txt")
+      In_channel.input_all
+  in
+  E.Engine.set_cache_dir None;
+  let out = capture (fun () -> E.Suite.run E.Exp_config.quick E.Suite.all) in
+  let rec first_diff i = function
+    | g :: gs, o :: os -> if g = o then first_diff (i + 1) (gs, os) else (i, g, o)
+    | [], o :: _ -> (i, "<end of file>", o)
+    | g :: _, [] -> (i, g, "<end of output>")
+    | [], [] -> (i, "", "")
+  in
+  if out <> golden then
+    let line, expected, actual =
+      first_diff 1
+        (String.split_on_char '\n' golden, String.split_on_char '\n' out)
+    in
+    Alcotest.failf
+      "quick sweep differs from golden_sweep_quick.txt at line %d:\n\
+       expected: %s\n\
+       actual:   %s"
+      line expected actual
+
 let test_ablation_variants () =
   Alcotest.(check int) "five variants" 5 (List.length E.Ablation.variants);
   Alcotest.(check bool) "labels distinct" true
@@ -518,4 +554,6 @@ let suite =
     Alcotest.test_case "pool exception" `Quick test_pool_exception;
     Alcotest.test_case "pool shutdown drains" `Quick test_pool_shutdown_drains;
     Alcotest.test_case "engine machine-input memo" `Slow test_engine_memo;
-    Alcotest.test_case "machine-input key" `Quick test_input_key ]
+    Alcotest.test_case "machine-input key" `Quick test_input_key;
+    Alcotest.test_case "quick sweep matches the golden file" `Slow
+      test_quick_sweep_golden ]

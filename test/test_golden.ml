@@ -1,15 +1,18 @@
 (* Pinned results: the run fingerprint of every quick-grid cell (Table I
    plus the latency-bound registry, under every technique) must equal the
-   committed golden file. The fast-forward/brute-force identity checks
-   compare two modes of the current simulator against each other, so a
-   change that moves both equally passes them; this test compares against
-   the results of an earlier build instead.
+   committed golden file. Comparing two modes of the current simulator
+   with each other passes a change that moves both equally; comparing
+   each with the results of an earlier build does not.
 
-   Two paths must give the file's lines: [Runner.execute] with
-   [Runner.fingerprint], and the experiment engine's outcomes with
-   [Outcome.fingerprint], served cold into a temporary result store and
-   then replayed warm from it. The second pins what a stored cell keeps
-   to what a fresh run reports.
+   Every execution mode must give the file's lines. [Runner.execute]
+   with [Runner.fingerprint] runs each cell fast-forwarded, brute force,
+   with a telemetry sink attached, under --simt with warps collapsed (no
+   kernel of the grid reads [%laneid], so none may expand), and under
+   --simt lane-resolved from launch and brute force: each of those is
+   meant to be invisible in the results. The experiment engine's
+   outcomes, with [Outcome.fingerprint], are served cold into a temporary
+   result store and then replayed warm from it, which pins what a stored
+   cell keeps to what a fresh run reports.
 
    [golden_fingerprints.txt] holds one "workload technique fingerprint"
    line per cell, in registry × [Technique.all] order. A change that is
@@ -60,12 +63,30 @@ let check_golden golden path actual =
       (List.length moved) (List.length actual) golden_file
       (String.concat "\n" moved)
 
+let execute ?options ?fast_forward ?lane_resolved ?telemetry arch t spec =
+  Runner.execute ?options ?fast_forward ?lane_resolved ?telemetry arch t
+    (Experiments.Exp_config.kernel_of cfg spec)
+
 let test_quick_grid_fingerprints () =
   let golden = read_golden () in
-  check_golden golden "Runner.execute"
-    (cells (fun arch t spec ->
-         Runner.fingerprint
-           (Runner.execute arch t (Experiments.Exp_config.kernel_of cfg spec))));
+  let runner what execute =
+    check_golden golden what
+      (cells (fun arch t spec -> Runner.fingerprint (execute arch t spec)))
+  in
+  let simt = { Technique.default_options with Technique.simt = true } in
+  runner "Runner.execute" execute;
+  runner "brute force" (execute ~fast_forward:false);
+  runner "telemetry sink" (fun arch t spec ->
+      execute ~telemetry:(Telemetry.Sink.create ()) arch t spec);
+  runner "--simt collapsed" (fun arch t spec ->
+      let r = execute ~options:simt arch t spec in
+      Alcotest.(check int)
+        (Printf.sprintf "--simt collapsed: %s/%s lane expansions"
+           spec.Workloads.Spec.name (Technique.name t))
+        0 r.Runner.stats.Gpu_sim.Stats.lane_expansions;
+      r);
+  runner "--simt lane-resolved, brute force"
+    (execute ~options:simt ~lane_resolved:true ~fast_forward:false);
   let module Engine = Experiments.Engine in
   let engine arch t spec =
     Regmutex.Outcome.fingerprint (Engine.run cfg ~arch t spec)

@@ -1,14 +1,6 @@
-(* Json_check's printer on hostile inputs and the perf-trajectory
-   report — including the gate's negative tests: a synthetic 20%
-   regression and a vanished artifact must both fail. *)
+(* Json_check's printer on hostile inputs. *)
 
 module J = Telemetry.Json_check
-module Report = Experiments.Report
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 (* --- Json_check.to_string edge cases --------------------------------- *)
 
@@ -71,192 +63,6 @@ let test_json_deep_nesting () =
   in
   Alcotest.(check int) "depth preserved" depth (peel 0 (J.parse s))
 
-(* --- perf-trajectory report -------------------------------------------- *)
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "regmutex_report" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () -> f dir)
-
-let write dir name s =
-  let oc = open_out (Filename.concat dir name) in
-  output_string oc s;
-  close_out oc
-
-let cycle_json ?(speedup = 4.0) ?(identical = true) () =
-  Printf.sprintf
-    "{\"bench\": \"cycle_skip\", \"config\": \"quick\", \"max_speedup\": %g, \
-     \"all_identical\": %b, \"cells\": []}"
-    speedup identical
-
-let regdem_json () =
-  "{\"bench\": \"regdem\", \"config\": \"quick\", \"mean_occupancy_gain\": 1.7,\n\
-   \"mean_energy_factor\": 2.1, \"all_identical\": true, \"demotion_applied\": true}"
-
-let test_report_scan () =
-  with_temp_dir (fun dir ->
-      write dir "BENCH_cycle_skip.json" (cycle_json ());
-      write dir "BENCH_regdem.json" (regdem_json ());
-      write dir "BENCH_bogus.json" "{\"bench\": \"unknown\"}";
-      write dir "BENCH_broken.json" "{not json";
-      write dir "NOT_A_BENCH.json" "{}";
-      let snap = Report.scan ~dir in
-      Alcotest.(check (list string))
-        "only known artifacts ingested"
-        [ "BENCH_cycle_skip.json"; "BENCH_regdem.json" ]
-        snap.Report.sources;
-      let find key =
-        match
-          List.find_opt (fun m -> m.Report.key = key) snap.Report.metrics
-        with
-        | Some m -> m
-        | None -> Alcotest.failf "metric %s missing" key
-      in
-      Alcotest.(check (float 1e-9)) "cycle metric" 4.0
-        (find "cycle_skip.max_speedup").Report.value;
-      Alcotest.(check (float 1e-9)) "occupancy gain" 1.7
-        (find "regdem.mean_occupancy_gain").Report.value;
-      let energy = find "regdem.mean_energy_factor" in
-      Alcotest.(check (float 1e-9)) "energy factor" 2.1 energy.Report.value;
-      Alcotest.(check bool) "a cost is lower-is-better" false
-        energy.Report.higher_better;
-      Alcotest.(check int) "invariants collected" 3
-        (List.length snap.Report.invariants))
-
-let test_report_baseline_round_trip () =
-  with_temp_dir (fun dir ->
-      write dir "BENCH_cycle_skip.json" (cycle_json ());
-      write dir "BENCH_regdem.json" (regdem_json ());
-      let snap = Report.scan ~dir in
-      let path = Filename.concat dir "trajectory.json" in
-      Report.write_baseline path snap;
-      match Report.load_baseline path with
-      | Error e -> Alcotest.failf "load_baseline: %s" e
-      | Ok base ->
-          Alcotest.(check int) "all metrics persisted"
-            (List.length snap.Report.metrics)
-            (List.length base);
-          let o = Report.check snap base in
-          Alcotest.(check int) "everything compared"
-            (List.length snap.Report.metrics)
-            (List.length o.Report.compared);
-          Alcotest.(check (list (pair string string))) "nothing skipped" []
-            o.Report.skipped;
-          (match o.Report.geomean with
-          | Some g -> Alcotest.(check (float 1e-9)) "self-geomean is 1" 1.0 g
-          | None -> Alcotest.fail "no geomean");
-          Alcotest.(check (list string)) "self-check passes" []
-            o.Report.failures)
-
-(* The acceptance negative test: degrade every metric by 20% (inflate the
-   lower-is-better ones) and the 5%-tolerance check must fail, on the
-   individual metrics and on the geomean. *)
-let test_report_synthetic_regression () =
-  with_temp_dir (fun dir ->
-      write dir "BENCH_cycle_skip.json" (cycle_json ());
-      write dir "BENCH_regdem.json" (regdem_json ());
-      write dir "BENCH_telemetry_overhead.json"
-        "{\"bench\": \"telemetry_overhead\", \"config\": \"quick\", \
-         \"overhead_on_pct\": 2.0, \"all_identical\": true}";
-      let snap = Report.scan ~dir in
-      let inflated =
-        List.map
-          (fun m ->
-            {
-              m with
-              Report.value =
-                (if m.Report.higher_better then m.Report.value /. 0.8
-                 else m.Report.value *. 0.8);
-            })
-          snap.Report.metrics
-      in
-      let o = Report.check snap inflated in
-      (match o.Report.geomean with
-      | Some g ->
-          Alcotest.(check bool) "geomean reflects the 20% drop" true
-            (Float.abs (g -. 0.8) < 1e-6)
-      | None -> Alcotest.fail "no geomean");
-      Alcotest.(check int) "every metric flagged plus the geomean"
-        (List.length snap.Report.metrics + 1)
-        (List.length o.Report.failures);
-      (* Within tolerance: a 3% dip passes a 5% gate but fails a 1% one. *)
-      let slight =
-        List.map
-          (fun m ->
-            {
-              m with
-              Report.value =
-                (if m.Report.higher_better then m.Report.value /. 0.97
-                 else m.Report.value *. 0.97);
-            })
-          snap.Report.metrics
-      in
-      Alcotest.(check (list string)) "3% dip passes at 5%" []
-        (Report.check ~tolerance:0.05 snap slight).Report.failures;
-      Alcotest.(check bool) "3% dip fails at 1%" true
-        ((Report.check ~tolerance:0.01 snap slight).Report.failures <> []))
-
-let test_report_invariants_and_skips () =
-  with_temp_dir (fun dir ->
-      write dir "BENCH_cycle_skip.json" (cycle_json ~identical:false ());
-      let snap = Report.scan ~dir in
-      (* A false invariant fails even with no baseline to compare. *)
-      let o = Report.check snap [] in
-      Alcotest.(check bool) "false invariant fails" true
-        (List.exists
-           (fun f -> contains f "cycle_skip.all_identical")
-           o.Report.failures);
-      (* Config mismatch is a skip, not a comparison. *)
-      let full_base =
-        [
-          {
-            Report.key = "cycle_skip.max_speedup";
-            value = 100.0;
-            higher_better = true;
-            config = "full";
-          };
-        ]
-      in
-      let o = Report.check snap full_base in
-      Alcotest.(check int) "config mismatch not compared" 0
-        (List.length o.Report.compared);
-      Alcotest.(check bool) "config mismatch reported as skip" true
-        (List.exists
-           (fun (k, why) ->
-             k = "cycle_skip.max_speedup" && contains why "config mismatch")
-           o.Report.skipped);
-      Alcotest.(check bool) "config mismatch does not fail" false
-        (List.exists
-           (fun f -> contains f "cycle_skip.max_speedup")
-           o.Report.failures);
-      (* A baseline key no artifact reports (its BENCH_*.json was deleted
-         or renamed) fails the gate. *)
-      let vanished =
-        {
-          Report.key = "regdem.mean_occupancy_gain";
-          value = 1.7;
-          higher_better = true;
-          config = "quick";
-        }
-      in
-      let o = Report.check snap [ vanished ] in
-      Alcotest.(check bool) "missing baseline key fails" true
-        (List.exists
-           (fun f -> contains f "regdem.mean_occupancy_gain")
-           o.Report.failures))
-
-let test_report_repo_root () =
-  match Report.find_repo_root () with
-  | None -> Alcotest.fail "dune-project not found from the test's cwd"
-  | Some root ->
-      Alcotest.(check bool) "root has dune-project" true
-        (Sys.file_exists (Filename.concat root "dune-project"))
-
 let suite =
   [ Alcotest.test_case "json: escape-heavy strings round-trip" `Quick
       test_json_escapes;
@@ -265,14 +71,4 @@ let suite =
     Alcotest.test_case "json: float formatting round-trips" `Quick
       test_json_floats_round_trip;
     Alcotest.test_case "json: 2000-deep nesting survives" `Quick
-      test_json_deep_nesting;
-    Alcotest.test_case "report: scan normalizes known artifacts" `Quick
-      test_report_scan;
-    Alcotest.test_case "report: baseline round-trip self-check" `Quick
-      test_report_baseline_round_trip;
-    Alcotest.test_case "report: 20% synthetic regression fails" `Quick
-      test_report_synthetic_regression;
-    Alcotest.test_case "report: invariants and config skips" `Quick
-      test_report_invariants_and_skips;
-    Alcotest.test_case "report: repo root discovery" `Quick
-      test_report_repo_root ]
+      test_json_deep_nesting ]

@@ -1,9 +1,7 @@
 (* The SIMT execution subsystem: lane-resolved register values, predicated
    execution under an active mask, and the IPDOM reconvergence stack.
    Covers the reconvergence table, per-lane store traces through diamonds
-   and data-dependent loops, the warp-uniform equivalence contract (a
-   program that never reads [%laneid] is bit-identical under both
-   execution models), the corrupt-mask fault-injection hook, the
+   and data-dependent loops, the corrupt-mask fault-injection hook, the
    divergent registry kernel, and the collapsed warp state (a warp runs on
    one register row until its first [%laneid] read, and must be
    indistinguishable from a lane-resolved run). *)
@@ -183,39 +181,6 @@ let test_reconv_table_workloads () =
                 sentinel table.(i))
         prog.Program.body)
     (Workloads.Registry.all @ Workloads.Registry.divergent)
-
-(* The subsystem's core contract: a warp-uniform program (the Table I
-   kernels never read [%laneid]) produces the same run fingerprint under
-   the warp-uniform and per-lane models, in both stepping modes. The
-   per-lane runs start lane-resolved: a collapsed warp makes the same
-   warp-level calls as the uniform model, and the check would compare
-   them with themselves. *)
-let test_warp_uniform_fingerprints () =
-  let cfg = Experiments.Exp_config.quick in
-  let simt = { Technique.default_options with Technique.simt = true } in
-  List.iter
-    (fun spec ->
-      let arch = Experiments.Exp_config.eval_arch cfg spec in
-      let kernel = Experiments.Exp_config.kernel_of cfg spec in
-      List.iter
-        (fun t ->
-          let fp r = Runner.fingerprint r in
-          let uniform = fp (Runner.execute arch t kernel) in
-          let check what ?lane_resolved fast_forward =
-            Alcotest.(check string)
-              (Printf.sprintf "%s/%s: %s = uniform" spec.Workloads.Spec.name
-                 (Technique.name t) what)
-              uniform
-              (fp
-                 (Runner.execute ~options:simt ?lane_resolved ~fast_forward
-                    arch t kernel))
-          in
-          check "lane-resolved simt ff" ~lane_resolved:true true;
-          check "lane-resolved simt bf" ~lane_resolved:true false;
-          check "collapsed simt ff" true)
-        [ Technique.Baseline; Technique.Regmutex ])
-    [ List.nth Workloads.Registry.figure1 0;
-      List.nth Workloads.Registry.figure1 1 ]
 
 (* A bar.sync under a divergent arm: real SIMT hardware gives it no
    meaning (the lanes that branched around it never arrive). This model's
@@ -463,28 +428,11 @@ let test_rfv_collapsed_fingerprints () =
   Alcotest.(check bool) "RFV ran out of registers" true
     (Stats.stall_count stats Stats.Stall_regs > 0)
 
-(* No Table I kernel reads [%laneid], so under --simt none of their warps
-   ever leaves the collapsed state, whatever the technique. *)
-let test_table1_never_expands () =
-  let cfg =
-    { Experiments.Exp_config.quick with Experiments.Exp_config.grid_scale = 0.01 }
-  in
-  let simt = { Technique.default_options with Technique.simt = true } in
-  List.iter
-    (fun spec ->
-      let arch = Experiments.Exp_config.eval_arch cfg spec in
-      let kernel = Experiments.Exp_config.kernel_of cfg spec in
-      List.iter
-        (fun t ->
-          let r = Runner.execute ~options:simt arch t kernel in
-          Alcotest.(check int)
-            (Printf.sprintf "%s/%s" spec.Workloads.Spec.name (Technique.name t))
-            0 r.Runner.stats.Stats.lane_expansions)
-        Technique.all)
-    Workloads.Registry.all
-
 (* The divergent registry kernel really diverges: a valid spec whose
-   baseline SIMT run splits warps and predicates lanes off. *)
+   baseline SIMT run splits warps and predicates lanes off. Every divergent
+   cell, under every technique, gives the same fingerprint fast-forwarded
+   and brute force: the golden file's cells never split a warp, so this is
+   where the stepping modes meet the reconvergence stack. *)
 let test_bfs_frontier_diverges () =
   let spec = Workloads.Registry.find "BFS-Frontier" in
   (match Workloads.Spec.validate spec with
@@ -492,18 +440,30 @@ let test_bfs_frontier_diverges () =
   | Error e -> Alcotest.failf "BFS-Frontier spec invalid: %s" e);
   let cfg = Experiments.Exp_config.quick in
   let simt = { Technique.default_options with Technique.simt = true } in
-  let run =
-    Runner.execute ~options:simt
+  let run ?(fast_forward = true) t spec =
+    Runner.execute ~options:simt ~fast_forward
       (Experiments.Exp_config.eval_arch cfg spec)
-      Technique.Baseline
+      t
       (Experiments.Exp_config.kernel_of cfg spec)
   in
+  let base = run Technique.Baseline spec in
   Alcotest.(check bool) "divergent branches" true
-    (run.Runner.stats.Stats.divergent_branches > 0);
+    (base.Runner.stats.Stats.divergent_branches > 0);
   Alcotest.(check bool) "lanes predicated off" true
-    (run.Runner.stats.Stats.predicated_lane_cycles > 0);
+    (base.Runner.stats.Stats.predicated_lane_cycles > 0);
   Alcotest.(check bool) "warps expanded" true
-    (run.Runner.stats.Stats.lane_expansions > 0)
+    (base.Runner.stats.Stats.lane_expansions > 0);
+  List.iter
+    (fun spec ->
+      List.iter
+        (fun t ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s/%s: fast-forward = brute force"
+               spec.Workloads.Spec.name (Technique.name t))
+            (Runner.fingerprint (run ~fast_forward:false t spec))
+            (Runner.fingerprint (run t spec)))
+        Technique.all)
+    Workloads.Registry.divergent
 
 let test_laneid_roundtrip () =
   let prog = lane_diamond in
@@ -523,8 +483,6 @@ let suite =
       test_reconv_table_diamond;
     Alcotest.test_case "reconvergence table on the registry" `Quick
       test_reconv_table_workloads;
-    Alcotest.test_case "warp-uniform fingerprint equality" `Slow
-      test_warp_uniform_fingerprints;
     Alcotest.test_case "divergent-arm barrier terminates" `Quick
       test_divergent_barrier_terminates;
     Alcotest.test_case "corrupt-mask fault is lane-visible" `Quick
@@ -537,8 +495,6 @@ let suite =
       test_release_poison_before_expansion;
     Alcotest.test_case "RFV collapsed four-way fingerprints" `Quick
       test_rfv_collapsed_fingerprints;
-    Alcotest.test_case "Table I warps never expand" `Slow
-      test_table1_never_expands;
     Alcotest.test_case "BFS-Frontier spec diverges" `Slow
       test_bfs_frontier_diverges;
     Alcotest.test_case "%laneid round-trips" `Quick test_laneid_roundtrip ]
