@@ -544,7 +544,10 @@ let sweep_cmd =
         (Unix.gettimeofday () -. t0)
         (Engine.jobs ())
         (if Engine.jobs () = 1 then "" else "s")
-        (if no_cache then ", no store" else ", store: _results/")
+        (if no_cache then ", no store"
+         else
+           Printf.sprintf ", store: _results/%s/"
+             (Experiments.Result_store.version_tag ()))
         (if no_ff then ", brute-force" else "");
       let instructions = Engine.simulated_instructions () in
       Printf.eprintf "sweep: %d warp-instruction(s) simulated%s\n" instructions

@@ -10,8 +10,9 @@
     - optionally (see {!set_cache_dir}) an on-disk store with one file per
       cache key under [<dir>/<version tag>/] (see
       {!Result_store.version_tag}), so repeated CLI or figure runs skip
-      simulation entirely. A rebuilt simulator gets a fresh version
-      directory; stale results are never replayed;
+      simulation entirely. The version directory is named by the running
+      executable, so any rebuild gets a fresh one; stale results are
+      never replayed;
     - an in-memory memo of outcomes by machine input: the marshalled
       bytes of the run config and the prepared kernel
       ({!Regmutex.Runner.prepare}). A cell that misses both layers above

@@ -1,6 +1,6 @@
 type stats = { entries : int; bytes : int }
 
-(* Results are versioned by a schema tag plus the simulator's git-describe:
+(* Results are versioned by a schema tag plus the running executable:
    a rebuilt simulator writes into a fresh directory, so stale results are
    never replayed and need no explicit invalidation scan. The schema tag
    moves with the layout of the marshalled values (2: [Stats.t]'s per-warp
@@ -11,39 +11,22 @@ type stats = { entries : int; bytes : int }
    rendered sparkline, not the per-instruction profile). *)
 let schema_version = 5
 
-(* Every uncommitted build of one commit describes as "<rev>-dirty" (and
-   every build without git as "unversioned"); marshalled records from a
-   build with another value layout would be undefined behaviour,
-   not a miss. The executable's size and mtime tell such builds apart
-   without reading its bytes. *)
-let simulator_tag ~describe ~exe =
-  let shared =
-    describe = "unversioned" || String.ends_with ~suffix:"-dirty" describe
-  in
-  match exe with
-  | Some (size, mtime) when shared ->
-      Printf.sprintf "%s-%d-%.3f" describe size mtime
-  | _ -> describe
+(* Marshalled records from a build with another value layout would be
+   undefined behaviour, not a miss, so the build is named by its
+   executable's size and mtime: one [stat], without reading its bytes.
+   A process that cannot see its executable gets a directory of its own,
+   named by its pid and the time of the call. *)
+let simulator_tag = function
+  | Some (size, mtime) -> Printf.sprintf "%d-%.6f" size mtime
+  | None -> Printf.sprintf "pid%d-%.6f" (Unix.getpid ()) (Unix.gettimeofday ())
 
 let simulator_version =
   lazy
-    (let describe =
-       try
-         let ic =
-           Unix.open_process_in "git describe --always --dirty 2>/dev/null"
-         in
-         let line = try String.trim (input_line ic) with End_of_file -> "" in
-         ignore (Unix.close_process_in ic);
-         if line = "" then "unversioned" else line
-       with _ -> "unversioned"
-     in
-     let exe =
-       try
-         let st = Unix.stat Sys.executable_name in
-         Some (st.Unix.st_size, st.Unix.st_mtime)
-       with Unix.Unix_error _ -> None
-     in
-     simulator_tag ~describe ~exe)
+    (simulator_tag
+       (try
+          let st = Unix.stat Sys.executable_name in
+          Some (st.Unix.st_size, st.Unix.st_mtime)
+        with Unix.Unix_error _ -> None))
 
 let version_tag () =
   Printf.sprintf "v%d-%s" schema_version (Lazy.force simulator_version)
@@ -76,11 +59,22 @@ let load k =
       | None -> None
       | Some root -> (
           try
-            let ic = open_in_bin (file_of_key root k) in
+            let fd = Unix.openfile (file_of_key root k) [ Unix.O_RDONLY ] 0 in
             Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
+              ~finally:(fun () -> Unix.close fd)
               (fun () ->
-                let stored_key, v = (Marshal.from_channel ic : string * 'a) in
+                (* One exact-size read, no channel buffer. A truncated
+                   entry fails in [Marshal.from_bytes], one that shrinks
+                   while read ends early: both are misses. *)
+                let buf = Bytes.create (Unix.fstat fd).Unix.st_size in
+                let rec fill off =
+                  if off < Bytes.length buf then
+                    match Unix.read fd buf off (Bytes.length buf - off) with
+                    | 0 -> raise End_of_file
+                    | n -> fill (off + n)
+                in
+                fill 0;
+                let stored_key, v = (Marshal.from_bytes buf 0 : string * 'a) in
                 (* The file name is a digest; storing the key guards
                    against the (unlikely) digest collision. *)
                 if String.equal stored_key k then Some v else None)

@@ -3,7 +3,7 @@
     One marshalled [(key, value)] file per cache key, written atomically
     (tmp + rename). There is no index and no size bound: deleting the
     root directory (conventionally [_results/]) reclaims the space, and
-    directories of other version tags are never read.
+    directories of other version tags (other builds) are never read.
 
     All operations are serialized by an internal mutex, so the store may
     be touched from any domain. *)
@@ -19,16 +19,19 @@ val set_root : string option -> unit
 
 val root : unit -> string option
 
-(** [simulator_tag ~describe ~exe] — the simulator part of
-    {!version_tag}. [describe] is the [git describe --always --dirty]
-    output (["unversioned"] without git); [exe] is the running
-    executable's size and mtime, when it could be read. A clean build is
-    named by [describe] alone. Dirty and unversioned builds all share one
-    describe string, so theirs is followed by the executable's size and
-    mtime: two different builds never read each other's records. *)
-val simulator_tag : describe:string -> exe:(int * float) option -> string
+(** The layout of the marshalled values; bumped when it changes. *)
+val schema_version : int
 
-(** [v<schema>-<simulator tag>] — the version directory name. *)
+(** [simulator_tag exe] — the simulator part of {!version_tag}. [exe] is
+    the running executable's size and mtime, ["<size>-<mtime>"]: every
+    rebuild gets a new tag, and two different binaries never read each
+    other's records, even when built from one commit. [None] (the
+    executable could not be [stat]ed) gives ["pid<pid>-<now>"], a tag no
+    other process produces, so such a process shares no records. *)
+val simulator_tag : (int * float) option -> string
+
+(** [v<schema>-<simulator tag>] — the version directory name, computed
+    once per process from one [stat] of [Sys.executable_name]. *)
 val version_tag : unit -> string
 
 (** [load key] reads the entry back; [None] when disabled, absent, or

@@ -353,18 +353,31 @@ let test_cache_round_trip () =
   Alcotest.(check int) "prefetch hits the store" sims (E.Engine.simulations ())
 
 let test_store_version_tag () =
-  let tag describe exe = E.Result_store.simulator_tag ~describe ~exe in
-  let exe = Some (1234, 1700000000.5) in
-  Alcotest.(check string) "clean build: describe alone" "abc1234"
-    (tag "abc1234" exe);
-  Alcotest.(check string) "dirty build: executable appended"
-    "abc1234-dirty-1234-1700000000.500" (tag "abc1234-dirty" exe);
-  Alcotest.(check string) "unversioned build: executable appended"
-    "unversioned-1234-1700000000.500" (tag "unversioned" exe);
-  Alcotest.(check bool) "two dirty builds differ" true
-    (tag "abc1234-dirty" exe <> tag "abc1234-dirty" (Some (1234, 1700000001.)));
-  Alcotest.(check string) "unreadable executable" "abc1234-dirty"
-    (tag "abc1234-dirty" None)
+  let module Store = E.Result_store in
+  let st = Unix.stat Sys.executable_name in
+  Alcotest.(check string) "named by the executable's size and mtime"
+    (Printf.sprintf "v%d-%d-%.6f" Store.schema_version st.Unix.st_size
+       st.Unix.st_mtime)
+    (Store.version_tag ());
+  Alcotest.(check string) "stable across calls" (Store.version_tag ())
+    (Store.version_tag ());
+  let tag = Store.simulator_tag in
+  Alcotest.(check string) "size and mtime" "1234-1700000000.500000"
+    (tag (Some (1234, 1700000000.5)));
+  Alcotest.(check bool) "size alone differs" true
+    (tag (Some (1234, 1700000000.5)) <> tag (Some (1235, 1700000000.5)));
+  Alcotest.(check bool) "mtime alone differs" true
+    (tag (Some (1234, 1700000000.5)) <> tag (Some (1234, 1700000000.501)));
+  (* An unreadable executable: the tag carries this process's pid, so no
+     live process shares it, and the time of the call, so neither does a
+     later process that reuses the pid. *)
+  let unreadable = tag None in
+  let pid = Printf.sprintf "pid%d-" (Unix.getpid ()) in
+  Alcotest.(check bool) "unreadable executable: this process's pid" true
+    (String.starts_with ~prefix:pid unreadable);
+  Unix.sleepf 0.001;
+  Alcotest.(check bool) "unreadable executable: a fresh tag per call" true
+    (tag None <> unreadable)
 
 (* --- worker pool ------------------------------------------------------- *)
 
