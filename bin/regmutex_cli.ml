@@ -5,7 +5,6 @@
      regmutex liveness BFS [--no-widen]
      regmutex transform BFS [--bs N] [--es N] [--half-rf]
      regmutex run BFS [--technique regmutex] [--half-rf] [--es N] [--grid N]
-     regmutex metrics BFS [--format prom|json] [...run flags]
      regmutex trace BFS --out run.trace.json [--check] [...run flags]
      regmutex run-file kernel.rmx [--technique regmutex] [--grid N] [--simt]
      regmutex check
@@ -213,9 +212,9 @@ let check_launch cmd arch ~half technique prepared =
   | Gpu_sim.Policy.Regdem _ ->
       ()
 
-(* One validated simulation: the shared body of run, run-file, metrics and
-   trace. [report] prints the run; a run that stopped at the cycle limit
-   then exits 1, with one stderr line naming the limit. *)
+(* One validated simulation: the shared body of run, run-file and trace.
+   [report] prints the run; a run that stopped at the cycle limit then
+   exits 1, with one stderr line naming the limit. *)
 let simulate ?telemetry cmd ~half technique kernel ~es no_ff simt report =
   let arch = arch_of half in
   Option.iter (check_es cmd arch kernel) es;
@@ -252,72 +251,27 @@ let print_run run =
   | Some plan -> Format.printf "%a@." Regmutex.Transform.pp_plan plan
   | None -> ()
 
-let run_cmd =
-  let doc = "Simulate a workload under a technique and print statistics." in
-  let technique =
-    Arg.(
-      value
-      & opt technique_conv Regmutex.Technique.Regmutex
-      & info [ "technique"; "t" ] ~doc:"baseline | regmutex | paired | owf | rfv | regdem")
-  in
-  let grid =
-    Arg.(value & opt (some int) None & info [ "grid" ] ~doc:"Override grid CTAs.")
-  in
-  let run spec half technique es grid no_ff simt =
-    simulate "run" ~half technique (workload_kernel "run" spec grid) ~es no_ff
-      simt print_run
-  in
-  Cmd.v (Cmd.info "run" ~doc)
-    Term.(
-      const run $ spec_arg $ half_flag $ technique $ es_opt $ grid
-      $ no_fast_forward_flag $ simt_flag)
-
-(* --- metrics / trace -------------------------------------------------- *)
-
-let grid_opt =
-  Arg.(value & opt (some int) None & info [ "grid" ] ~doc:"Override grid CTAs.")
-
 let technique_opt =
   Arg.(
     value
     & opt technique_conv Regmutex.Technique.Regmutex
     & info [ "technique"; "t" ] ~doc:"baseline | regmutex | paired | owf | rfv | regdem")
 
-(* Shared body of the observability commands: one simulation with a
-   telemetry sink attached, which [report] prints. *)
-let instrumented_run ?trace_capacity cmd spec half technique es grid no_ff simt
-    report =
-  let sink = Telemetry.Sink.create ?trace_capacity () in
-  let kernel = workload_kernel cmd spec grid in
-  simulate ~telemetry:sink cmd ~half technique kernel ~es no_ff simt (fun _ ->
-      report sink)
+let grid_opt =
+  Arg.(value & opt (some int) None & info [ "grid" ] ~doc:"Override grid CTAs.")
 
-let metrics_cmd =
-  let doc =
-    "Simulate a workload with the telemetry sink attached and dump the \
-     metric registry (counters, gauges, histograms)."
+let run_cmd =
+  let doc = "Simulate a workload under a technique and print every counter." in
+  let run spec half technique es grid no_ff simt =
+    simulate "run" ~half technique (workload_kernel "run" spec grid) ~es no_ff
+      simt print_run
   in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("prom", `Prom); ("json", `Json) ]) `Prom
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Output format: $(b,prom) (Prometheus text) or $(b,json).")
-  in
-  let run spec half technique es grid no_ff simt format =
-    instrumented_run "metrics" spec half technique es grid no_ff simt
-    @@ fun sink ->
-    match format with
-    | `Prom ->
-        Format.printf "%a@." Telemetry.Metrics.pp_prometheus
-          sink.Telemetry.Sink.metrics
-    | `Json ->
-        Format.printf "%a@." Telemetry.Metrics.pp_json sink.Telemetry.Sink.metrics
-  in
-  Cmd.v (Cmd.info "metrics" ~doc)
+  Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ spec_arg $ half_flag $ technique_opt $ es_opt $ grid_opt
-      $ no_fast_forward_flag $ simt_flag $ format)
+      $ no_fast_forward_flag $ simt_flag)
+
+(* --- trace ------------------------------------------------------------ *)
 
 let trace_cmd =
   let doc =
@@ -348,10 +302,10 @@ let trace_cmd =
           ~doc:"Re-read the written file and validate the trace-event schema.")
   in
   let run spec half technique es grid no_ff simt out capacity check =
-    instrumented_run ?trace_capacity:capacity "trace" spec half technique es
-      grid no_ff simt
-    @@ fun sink ->
-    let trace = sink.Telemetry.Sink.trace in
+    let trace = Telemetry.Trace.create ?capacity () in
+    simulate ~telemetry:trace "trace" ~half technique
+      (workload_kernel "trace" spec grid) ~es no_ff simt
+    @@ fun _ ->
     let path =
       match out with
       | Some p -> p
@@ -394,12 +348,6 @@ let run_file_cmd =
      technique (see examples/vecscale.rmx)."
   in
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  let technique =
-    Arg.(
-      value
-      & opt technique_conv Regmutex.Technique.Regmutex
-      & info [ "technique"; "t" ] ~doc:"baseline | regmutex | paired | owf | rfv | regdem")
-  in
   let grid = Arg.(value & opt int 48 & info [ "grid" ] ~doc:"Grid CTAs.") in
   let threads = Arg.(value & opt int 256 & info [ "threads" ] ~doc:"Threads per CTA.") in
   let params =
@@ -425,7 +373,7 @@ let run_file_cmd =
   in
   Cmd.v (Cmd.info "run-file" ~doc)
     Term.(
-      const run $ path $ half_flag $ technique $ grid $ threads $ params
+      const run $ path $ half_flag $ technique_opt $ grid $ threads $ params
       $ no_fast_forward_flag $ simt_flag)
 
 (* --- check ----------------------------------------------------------- *)
@@ -664,5 +612,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ list_cmd; occupancy_cmd; liveness_cmd; transform_cmd; run_cmd;
-            metrics_cmd; trace_cmd; run_file_cmd; check_cmd; sweep_cmd;
+            trace_cmd; run_file_cmd; check_cmd; sweep_cmd;
             fuzz_cmd; storage_cmd ]))

@@ -1,6 +1,6 @@
 (* Timeline: watch the SRP at work. Runs one workload under RegMutex with a
-   telemetry sink attached and prints the first acquire/release/barrier
-   events plus a per-section occupancy summary, all read off the sink's
+   telemetry trace attached and prints the first acquire/release/barrier
+   events plus a per-section occupancy summary, all read off the trace's
    records.
 
    Run with: dune exec examples/timeline.exe [workload] *)
@@ -26,13 +26,12 @@ let () =
   let spec = Workloads.Spec.with_grid (Workloads.Registry.find name) 8 in
   let arch = { Gpu_uarch.Arch_config.gtx480 with n_sms = 1 } in
   let prepared = Technique.prepare arch Technique.Regmutex spec.Workloads.Spec.kernel in
-  let sink = Telemetry.Sink.create () in
+  let trace = Trace.create () in
   let config =
     { (Gpu_sim.Gpu.default_config arch prepared.Technique.policy) with
-      Gpu_sim.Gpu.telemetry = Some sink }
+      Gpu_sim.Gpu.telemetry = Some trace }
   in
   let stats = Gpu_sim.Gpu.run config prepared.Technique.kernel in
-  let trace = sink.Telemetry.Sink.trace in
   Format.printf "%s under RegMutex: %d cycles, %d records@."
     spec.Workloads.Spec.name stats.Gpu_sim.Stats.cycles (Trace.length trace);
   (* The instants and the SRP holds; a hold span is pushed at its release,

@@ -60,7 +60,7 @@ let simulate config prepared =
 let input_key config kernel =
   match config.Gpu.telemetry with
   | None -> Marshal.to_string (config, kernel) [ Marshal.No_sharing ]
-  | Some _ -> invalid_arg "Runner.input_key: a run with a sink has no input key"
+  | Some _ -> invalid_arg "Runner.input_key: a traced run has no input key"
 
 let of_stats config prepared stats =
   let kernel' = prepared.Technique.kernel in

@@ -38,7 +38,7 @@ val execute :
   ?fast_forward:bool ->
   ?corrupt_mask:int ->
   ?lane_resolved:bool ->
-  ?telemetry:Telemetry.Sink.t ->
+  ?telemetry:Telemetry.Trace.t ->
   Gpu_uarch.Arch_config.t ->
   Technique.t ->
   Gpu_sim.Kernel.t ->
@@ -61,7 +61,7 @@ val prepare :
   ?fast_forward:bool ->
   ?corrupt_mask:int ->
   ?lane_resolved:bool ->
-  ?telemetry:Telemetry.Sink.t ->
+  ?telemetry:Telemetry.Trace.t ->
   ?facts:Gpu_analysis.Facts.t ->
   Gpu_uarch.Arch_config.t ->
   Gpu_sim.Kernel.t ->
@@ -76,9 +76,9 @@ val simulate : Gpu_sim.Gpu.run_config -> Technique.prepared -> Gpu_sim.Stats.t
     [Gpu.run config kernel] as bytes: two runs with equal keys produce
     equal statistics, which is what lets the experiment engine and the
     fuzz oracle simulate each distinct input once. [config] carries every
-    field [Gpu.run] reads; a sink is not part of the input, so a config
+    field [Gpu.run] reads; a trace is not part of the input, so a config
     with one has no key.
-    @raise Invalid_argument when [config] has a [telemetry] sink. *)
+    @raise Invalid_argument when [config] has a [telemetry] trace. *)
 val input_key : Gpu_sim.Gpu.run_config -> Gpu_sim.Kernel.t -> string
 
 (** [of_stats config prepared stats] derives the figure metrics of

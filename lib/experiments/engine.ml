@@ -322,7 +322,7 @@ let compute cfg c =
 
 (* A cell's machine input: the prepared technique, the run config, and
    the memo key ([Runner.input_key]; [Runner.prepare] gives the engine's
-   configs no sink). *)
+   configs no trace). *)
 type input = {
   prepared : Technique.prepared;
   config : Gpu_sim.Gpu.run_config;

@@ -8,8 +8,9 @@ type stats = { entries : int; bytes : int }
    flat int array; 4: a cell is an [Outcome.t] — the run's metrics, its
    scalar [Stats.counters], the |Es| choice and the plan's sizes — with
    no [Stats.t], per-warp array or program; 5: a Figure 1 row keeps its
-   rendered sparkline, not the per-instruction profile). *)
-let schema_version = 5
+   rendered sparkline, not the per-instruction profile; 6: the counters
+   hold the memory requests and their total latency). *)
+let schema_version = 6
 
 (* Marshalled records from a build with another value layout would be
    undefined behaviour, not a miss, so the build is named by its

@@ -140,57 +140,21 @@ let simulate ?observe memo config kernel =
   | exception Gpu.Deadlock d -> Dead (Format.asprintf "%a" Gpu.pp_deadlock d)
   | exception Sm.Verification_failure m -> Tripped m
 
-(* Everything the fast-forward contract promises to keep bit-identical. *)
-let stats_fields (s : Stats.t) =
-  ( s.Stats.cycles,
-    s.Stats.instructions,
-    s.Stats.acquire_execs,
-    s.Stats.acquire_first_try,
-    s.Stats.acquire_stall_cycles,
-    s.Stats.release_execs,
-    s.Stats.shared_oob,
-    s.Stats.spill_stores,
-    s.Stats.fill_loads,
-    s.Stats.rf_reads,
-    s.Stats.rf_writes,
-    s.Stats.shared_reads,
-    s.Stats.shared_writes,
-    s.Stats.resident_warp_cycles,
-    s.Stats.warp_capacity_cycles,
-    s.Stats.ctas_retired,
-    s.Stats.timed_out,
-    s.Stats.active_lane_cycles,
-    s.Stats.predicated_lane_cycles,
-    s.Stats.divergent_branches )
-
+(* Everything the execution modes promise to keep bit-identical: every
+   result counter of [Stats.table], then the store traces. *)
 let diff_stats ?(sides = ("fast-forward", "brute-force")) ~label (ff : Stats.t)
     (bf : Stats.t) =
   let sa, sb = sides in
-  if stats_fields ff <> stats_fields bf then
-    Some
-      (Printf.sprintf
-         "%s: %s (%d cycles, %d instrs) vs %s (%d cycles, %d instrs) counters \
-          differ"
-         label sa ff.Stats.cycles ff.Stats.instructions sb bf.Stats.cycles
-         bf.Stats.instructions)
-  else
-    match
-      List.find_opt
-        (fun r -> Stats.stall_count ff r <> Stats.stall_count bf r)
-        Stats.all_reasons
-    with
-    | Some r ->
-        Some
-          (Printf.sprintf "%s: stall[%s] = %d %s vs %d %s" label
-             (Stats.reason_name r) (Stats.stall_count ff r) sa
-             (Stats.stall_count bf r) sb)
-    | None -> (
-        match
-          Checker.diff_store_traces ~expected:(Stats.store_traces bf)
-            ~actual:(Stats.store_traces ff)
-        with
-        | Some d -> Some (Printf.sprintf "%s: store traces differ: %s" label d)
-        | None -> None)
+  match Stats.first_difference (Stats.counters ff) (Stats.counters bf) with
+  | Some (name, a, b) ->
+      Some (Printf.sprintf "%s: %s = %d %s vs %d %s" label name a sa b sb)
+  | None -> (
+      match
+        Checker.diff_store_traces ~expected:(Stats.store_traces bf)
+          ~actual:(Stats.store_traces ff)
+      with
+      | Some d -> Some (Printf.sprintf "%s: store traces differ: %s" label d)
+      | None -> None)
 
 (* --- round-trips ------------------------------------------------------ *)
 

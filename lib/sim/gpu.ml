@@ -4,7 +4,7 @@ type run_config = {
   record_stores : bool;
   trace_warp0 : bool;
   max_cycles : int;
-  telemetry : Telemetry.Sink.t option;
+  telemetry : Telemetry.Trace.t option;
   fast_forward : bool;
   simt : bool;
   corrupt_mask : int;
@@ -66,66 +66,9 @@ let build_sms config kernel stats memory mem_sys =
         tables ~sm_id ~memory ~mem_sys ~stats ~record_stores:config.record_stores
         ~trace_warp0:(config.trace_warp0 && sm_id = 0))
 
-(* --- end-of-run telemetry ---------------------------------------------- *)
-
-(* Mirror the run's aggregate statistics into the sink's metric registry.
-   Pure reads of [stats] — a sink can never perturb the simulation
-   results, only report them. Counter registration is idempotent, so
-   repeated runs into one registry accumulate (the Prometheus model). *)
-let finalize_metrics (sink : Telemetry.Sink.t) stats mem_sys =
-  let m = sink.Telemetry.Sink.metrics in
-  let count ?help name v = Telemetry.Metrics.(inc (counter ?help m name) v) in
-  count "regmutex_cycles_total" ~help:"simulated cycles" stats.Stats.cycles;
-  count "regmutex_instructions_total" ~help:"instructions issued"
-    stats.Stats.instructions;
-  count "regmutex_ctas_retired_total" stats.Stats.ctas_retired;
-  count "regmutex_acquires_total" ~help:"SRP acquire executions"
-    stats.Stats.acquire_execs;
-  count "regmutex_acquires_first_try_total" stats.Stats.acquire_first_try;
-  count "regmutex_releases_total" stats.Stats.release_execs;
-  count "regmutex_acquire_stall_cycles_total" stats.Stats.acquire_stall_cycles;
-  count "regmutex_shared_oob_total" stats.Stats.shared_oob;
-  count "regmutex_active_lane_cycles_total"
-    ~help:"lanes active over issued instructions" stats.Stats.active_lane_cycles;
-  count "regmutex_lane_expansions_total"
-    ~help:"SIMT warps that left the collapsed state at a %laneid read"
-    stats.Stats.lane_expansions;
-  count "regmutex_issue_candidates_total"
-    ~help:"residual issue checks run (not counting warps their issue class decides)"
-    stats.Stats.issue_candidates;
-  count "regmutex_predicated_lane_cycles_total"
-    ~help:"lanes predicated off over issued instructions (SIMT)"
-    stats.Stats.predicated_lane_cycles;
-  count "regmutex_divergent_branches_total"
-    ~help:"conditional branches whose lanes split both ways (SIMT)"
-    stats.Stats.divergent_branches;
-  count "regmutex_mem_requests_total" (Mem_system.issued mem_sys);
-  List.iter
-    (fun r ->
-      let reason =
-        String.map (fun c -> if c = '-' then '_' else c) (Stats.reason_name r)
-      in
-      count
-        ("regmutex_stall_" ^ reason ^ "_cycles_total")
-        ~help:"idle scheduler slots attributed to this stall reason"
-        (Stats.stall_count stats r))
-    Stats.all_reasons;
-  count "regmutex_trace_dropped_total"
-    ~help:"oldest trace records overwritten by the telemetry ring"
-    (Telemetry.Trace.dropped sink.Telemetry.Sink.trace);
-  let set name v = Telemetry.Metrics.(set (gauge m name) v) in
-  set "regmutex_ipc" (Stats.ipc stats);
-  set "regmutex_achieved_occupancy" (Stats.achieved_occupancy stats);
-  (let issued = stats.Stats.active_lane_cycles + stats.Stats.predicated_lane_cycles in
-   if issued > 0 then
-     set "regmutex_active_lane_occupancy"
-       (float_of_int stats.Stats.active_lane_cycles /. float_of_int issued));
-  set "regmutex_mem_mean_latency_cycles" (Mem_system.mean_latency mem_sys)
-
 (* The telemetry ring drops its oldest records silently once full.
    Surface the loss once, at run end. *)
-let warn_dropped (sink : Telemetry.Sink.t) =
-  let trace = sink.Telemetry.Sink.trace in
+let warn_dropped trace =
   if Telemetry.Trace.dropped trace > 0 then
     Format.eprintf
       "warning: telemetry ring dropped %d oldest records (capacity %d); \
@@ -151,8 +94,7 @@ let run ?observe ?(observe_every = 1) config kernel =
      jump spans land there. *)
   let ff_name =
     match config.telemetry with
-    | Some sink ->
-        let tr = sink.Telemetry.Sink.trace in
+    | Some tr ->
         Telemetry.Trace.set_process_name tr ~pid:n_sms "GPU";
         Telemetry.Trace.set_thread_name tr ~pid:n_sms ~tid:0 "fast-forward";
         Telemetry.Trace.intern tr "fast-forward"
@@ -266,8 +208,8 @@ let run ?observe ?(observe_every = 1) config kernel =
             Sm.account_idle_span sms.(i) ~from:next ~reason:reasons.(i) ~span
           done;
           (match config.telemetry with
-          | Some sink ->
-              Telemetry.Trace.span sink.Telemetry.Sink.trace ~ts:next ~dur:span
+          | Some tr ->
+              Telemetry.Trace.span tr ~ts:next ~dur:span
                 ~pid:n_sms ~tid:0 ~name:ff_name ~arg:span
           | None -> ());
           stats.Stats.resident_warp_cycles <-
@@ -285,10 +227,9 @@ let run ?observe ?(observe_every = 1) config kernel =
   stats.Stats.cycles <- !cycle;
   stats.Stats.timed_out <- retired () < grid;
   (match config.telemetry with
-  | Some sink ->
+  | Some tr ->
       Array.iter (fun sm -> Sm.finalize_probe sm ~cycle:!cycle) sms;
-      finalize_metrics sink stats mem_sys;
-      warn_dropped sink
+      warn_dropped tr
   | None -> ());
   stats
 

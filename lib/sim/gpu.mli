@@ -8,21 +8,20 @@ type run_config = {
   record_stores : bool;  (** collect per-warp store traces *)
   trace_warp0 : bool;    (** collect the PC trace of CTA 0 / warp 0 *)
   max_cycles : int;      (** watchdog; the run flags [timed_out] past it *)
-  telemetry : Telemetry.Sink.t option;
-      (** trace-recorder + metrics sink, off by default — the simulator's
-          one event stream. When present, the SMs record warp/CTA
-          lifetimes, SRP holds, acquire stalls, barrier traffic, stall
-          episodes and occupancy counters into the sink's ring
-          ({!Probe}), and the run mirrors its aggregate statistics into
-          the sink's metric registry at completion. The disabled path is
-          a no-op: statistics and fast-forward behaviour are bit-identical
-          with and without a sink (the bench suite enforces this). *)
+  telemetry : Telemetry.Trace.t option;
+      (** trace recorder, off by default — the simulator's one event
+          stream. When present, the SMs record warp/CTA lifetimes, SRP
+          holds, acquire stalls, barrier traffic, stall episodes and
+          occupancy counters into its ring ({!Probe}). The disabled path
+          is a no-op: statistics and fast-forward behaviour are
+          bit-identical with and without a trace (the test suite enforces
+          this). *)
   fast_forward : bool;
       (** Event-driven cycle skipping (default [true]): when no warp on any
           SM can issue and no CTA can launch, the clock jumps straight to
           the earliest wakeup (scoreboard or memory-slot completion) and
           the skipped cycles' statistics are accounted in bulk. Strictly
-          semantics-preserving — statistics and the sink's records are
+          semantics-preserving — statistics and the trace's records are
           bit-identical to per-cycle stepping; [false] is the brute-force
           escape hatch the equivalence suite and benchmarks compare
           against. *)

@@ -13,8 +13,6 @@ type t = {
   head : int array;         (* per SM: ring index of its earliest completion *)
   dram_free : float array;  (* one cell: earliest cycle the service channel is
                                free (a float array keeps it unboxed) *)
-  mutable issued : int;
-  mutable total_latency : int;
 }
 
 let create (cfg : Gpu_uarch.Arch_config.t) ~n_sms =
@@ -25,8 +23,6 @@ let create (cfg : Gpu_uarch.Arch_config.t) ~n_sms =
     busy = Array.make (n_sms * cfg.mem_slots) 0;
     head = Array.make n_sms 0;
     dram_free = [| 0. |];
-    issued = 0;
-    total_latency = 0;
   }
 
 let next_completion t ~sm = t.busy.((sm * t.n_slots) + t.head.(sm))
@@ -43,8 +39,6 @@ let issue_global t ~sm ~cycle =
     t.dram_free.(0) <- start +. t.dram_interval;
     t.busy.(i) <- completion;
     t.head.(sm) <- (if t.head.(sm) + 1 = t.n_slots then 0 else t.head.(sm) + 1);
-    t.issued <- t.issued + 1;
-    t.total_latency <- t.total_latency + (completion - cycle);
     completion
   end
 
@@ -54,8 +48,3 @@ let busy_slots t ~sm ~cycle =
     if t.busy.(i) > cycle then incr n
   done;
   !n
-
-let issued t = t.issued
-
-let mean_latency t =
-  if t.issued = 0 then 0. else float_of_int t.total_latency /. float_of_int t.issued

@@ -27,19 +27,15 @@ val next_completion : t -> sm:int -> int
 (** [issue_global t ~sm ~cycle] claims a slot and returns its completion
     cycle, or [-1] when every slot is busy — structured back-pressure the
     issue stage turns into a re-stall of the warp (rather than a crash),
-    even though schedulers normally consult {!slot_free} first. A refused
-    request is not counted. [cycle] must never decrease from one call to
-    the next (the simulator's clock does not); completions then come out
-    in non-decreasing order, which is what lets each SM's slots work as a
-    FIFO. Allocates nothing. *)
+    even though schedulers normally consult {!slot_free} first. The SM
+    counts the requests it gets a slot for ([Stats.mem_requests]). [cycle]
+    must never decrease from one call to the next (the simulator's clock
+    does not); completions then come out in non-decreasing order, which is
+    what lets each SM's slots work as a FIFO. Allocates nothing. *)
 val issue_global : t -> sm:int -> cycle:int -> int
 
 (** [busy_slots t ~sm ~cycle] — how many of SM [sm]'s slots are in flight
-    at [cycle]. O(slots) scan; only the telemetry probe reads it. *)
+    at [cycle]. O(slots) scan; no simulator path calls it. It states the
+    count the telemetry probe tracks in O(1), and the memory suite checks
+    the FIFO against it. *)
 val busy_slots : t -> sm:int -> cycle:int -> int
-
-(** Requests issued so far. *)
-val issued : t -> int
-
-(** Average latency of issued requests. *)
-val mean_latency : t -> float

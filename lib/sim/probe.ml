@@ -1,5 +1,4 @@
 module Trace = Telemetry.Trace
-module Metrics = Telemetry.Metrics
 
 (* Chrome-track layout, per SM process [pid = sm_id]:
      tid 0 .. n_slots-1      one track per warp slot: warp and SRP-hold
@@ -50,19 +49,11 @@ type t = {
   mutable mem_head : int;
   mutable mem_len : int;
   mutable mem_last : int;  (* last pushed busy count; repeats are elided *)
-  (* duration histograms, shared across SMs via idempotent registration *)
-  h_hold : Metrics.histogram;
-  h_warp : Metrics.histogram;
-  h_idle : Metrics.histogram;
 }
-
-let duration_buckets =
-  [| 1; 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024; 4096; 16384; 65536 |]
 
 let reason_index = Stats.reason_index
 
-let create (sink : Telemetry.Sink.t) ~sm_id ~n_slots ~n_cta_slots ~n_mem_slots =
-  let trace = sink.Telemetry.Sink.trace in
+let create trace ~sm_id ~n_slots ~n_cta_slots ~n_mem_slots =
   Trace.set_process_name trace ~pid:sm_id (Printf.sprintf "SM %d" sm_id);
   for s = 0 to n_slots - 1 do
     Trace.set_thread_name trace ~pid:sm_id ~tid:s (Printf.sprintf "warp slot %d" s)
@@ -72,7 +63,6 @@ let create (sink : Telemetry.Sink.t) ~sm_id ~n_slots ~n_cta_slots ~n_mem_slots =
     Trace.set_thread_name trace ~pid:sm_id ~tid:(n_slots + 1 + c)
       (Printf.sprintf "cta slot %d" c)
   done;
-  let metrics = sink.Telemetry.Sink.metrics in
   {
     trace;
     sm_pid = sm_id;
@@ -105,16 +95,6 @@ let create (sink : Telemetry.Sink.t) ~sm_id ~n_slots ~n_cta_slots ~n_mem_slots =
     mem_head = 0;
     mem_len = 0;
     mem_last = -1;
-    h_hold =
-      Metrics.histogram metrics "regmutex_srp_hold_cycles"
-        ~help:"SRP section hold duration, acquire to release"
-        ~buckets:duration_buckets;
-    h_warp =
-      Metrics.histogram metrics "regmutex_warp_lifetime_cycles"
-        ~help:"warp residency, launch to exit" ~buckets:duration_buckets;
-    h_idle =
-      Metrics.histogram metrics "regmutex_idle_episode_cycles"
-        ~help:"maximal runs of fully idle SM cycles" ~buckets:duration_buckets;
   }
 
 (* --- CTA and warp lifetime --------------------------------------------- *)
@@ -144,7 +124,6 @@ let warp_close t ~cycle ~slot =
   if start >= 0 then begin
     Trace.span t.trace ~ts:start ~dur:(cycle - start) ~pid:t.sm_pid ~tid:slot
       ~name:t.n_warp ~arg:t.warp_cta.(slot);
-    Metrics.observe t.h_warp (cycle - start);
     t.warp_start.(slot) <- -1
   end
 
@@ -173,7 +152,6 @@ let hold_end t ~cycle ~slot =
   if start >= 0 then begin
     Trace.span t.trace ~ts:start ~dur:(cycle - start) ~pid:t.sm_pid ~tid:slot
       ~name:t.n_hold ~arg:t.hold_section.(slot);
-    Metrics.observe t.h_hold (cycle - start);
     t.hold_start.(slot) <- -1
   end
 
@@ -206,10 +184,9 @@ let mem_issue t ~cycle ~completion =
 
 let flush_idle t =
   if t.idle_reason >= 0 then begin
-    let dur = t.idle_until - t.idle_start in
-    Trace.span t.trace ~ts:t.idle_start ~dur ~pid:t.sm_pid ~tid:t.n_slots
-      ~name:t.stall_names.(t.idle_reason) ~arg:Trace.no_arg;
-    Metrics.observe t.h_idle dur;
+    Trace.span t.trace ~ts:t.idle_start ~dur:(t.idle_until - t.idle_start)
+      ~pid:t.sm_pid ~tid:t.n_slots ~name:t.stall_names.(t.idle_reason)
+      ~arg:Trace.no_arg;
     t.idle_reason <- -1
   end
 

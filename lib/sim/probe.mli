@@ -1,9 +1,9 @@
 (** Per-SM telemetry probe: translates simulator events into trace spans,
-    counter samples and metric observations on a {!Telemetry.Sink.t}.
+    instants and counter samples on a {!Telemetry.Trace.t}.
 
-    One probe per SM, all sharing the run's sink. The SM holds it as an
+    One probe per SM, all sharing the run's trace. The SM holds it as an
     option — [None] is the disabled path and costs one pattern match per
-    potential hook. The sink is the simulator's only event stream: CTA
+    potential hook. The trace is the simulator's only event stream: CTA
     launch/retire, warp lifetimes, SRP holds, acquire stalls and barrier
     traffic all arrive here.
 
@@ -17,13 +17,13 @@
 
 type t
 
-(** [create sink ~sm_id ~n_slots ~n_cta_slots ~n_mem_slots] registers the
-    SM's track names (process [sm_id]; one thread per warp slot, a
-    "stalls" thread at [tid = n_slots], CTA-slot threads above it) and the
-    shared duration histograms. [n_mem_slots] bounds the outstanding
-    memory requests tracked for the busy-slots counter. *)
+(** [create trace ~sm_id ~n_slots ~n_cta_slots ~n_mem_slots] registers
+    the SM's track names (process [sm_id]; one thread per warp slot, a
+    "stalls" thread at [tid = n_slots], CTA-slot threads above it).
+    [n_mem_slots] bounds the outstanding memory requests tracked for the
+    busy-slots counter. *)
 val create :
-  Telemetry.Sink.t ->
+  Telemetry.Trace.t ->
   sm_id:int ->
   n_slots:int ->
   n_cta_slots:int ->
@@ -37,8 +37,8 @@ val cta_retire : t -> cycle:int -> cta_slot:int -> unit
 
 val warp_start : t -> cycle:int -> slot:int -> global_cta:int -> unit
 
-(** Closes the warp-lifetime span and observes its duration. No-op if the
-    slot has no open span (idempotent). *)
+(** Closes the warp-lifetime span. No-op if the slot has no open span
+    (idempotent). *)
 val warp_close : t -> cycle:int -> slot:int -> unit
 
 (** A failed acquire attempt opened a stall episode for the warp in

@@ -490,8 +490,8 @@ let make ?telemetry ~corrupt_mask ~lane_resolved tb ~sm_id ~memory
     corrupt_mask;
     probe =
       Option.map
-        (fun sink ->
-          Probe.create sink ~sm_id ~n_slots ~n_cta_slots:(max cta_capacity 1)
+        (fun trace ->
+          Probe.create trace ~sm_id ~n_slots ~n_cta_slots:(max cta_capacity 1)
             ~n_mem_slots:cfg.mem_slots)
         telemetry;
     bs;
@@ -999,7 +999,10 @@ let advance t ~slot ~next =
   Soa.refresh_ready_at t.soa ~slot ~touched:t.pc_regs.(next);
   place t ~slot
 
-let mem_sample t ~cycle ~completion =
+let mem_issued t ~cycle ~completion =
+  let st = t.stats in
+  st.Stats.mem_requests <- st.Stats.mem_requests + 1;
+  st.Stats.mem_latency_cycles <- st.Stats.mem_latency_cycles + (completion - cycle);
   match t.probe with
   | Some p -> Probe.mem_issue p ~cycle ~completion
   | None -> ()
@@ -1062,7 +1065,8 @@ let expand t ~slot =
   t.stats.Stats.lane_expansions <- t.stats.Stats.lane_expansions + 1
 
 (* Bookkeeping common to every executed issue: the instruction count, the
-   shared/spill traffic counter and the destination's scoreboard entry. *)
+   shared/spill and global-memory traffic counters and the destination's
+   scoreboard entry. *)
 let account_issue t ~slot ~cycle ~pc ~completion =
   let soa = t.soa in
   let st = t.stats in
@@ -1079,7 +1083,7 @@ let account_issue t ~slot ~cycle ~pc ~completion =
   if d >= 0 then begin
     let ready =
       if t.is_global.(pc) then begin
-        mem_sample t ~cycle ~completion;
+        mem_issued t ~cycle ~completion;
         completion
       end
       else cycle + t.latency.(pc)
@@ -1088,7 +1092,7 @@ let account_issue t ~slot ~cycle ~pc ~completion =
   end
   else if d = -1 then begin
     (* Global stores still consume a memory slot. *)
-    if t.is_global.(pc) then mem_sample t ~cycle ~completion
+    if t.is_global.(pc) then mem_issued t ~cycle ~completion
   end
   else multi_def_error t ~slot ~pc
 

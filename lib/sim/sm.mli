@@ -37,10 +37,12 @@ val tables :
     per-lane-trace self-test (never set in normal runs); such warps launch
     expanded. [lane_resolved] (default [false]) launches every warp
     expanded, the reference the differential tests compare against.
+    [telemetry] (default none) is the run's trace ring, which the SM's
+    {!Probe} records into.
     @raise Invalid_argument when the SM would hold more than 62 warp slots
     (slots are bits of one native int in the issue masks). *)
 val create :
-  ?telemetry:Telemetry.Sink.t ->
+  ?telemetry:Telemetry.Trace.t ->
   ?corrupt_mask:int ->
   ?lane_resolved:bool ->
   tables ->
@@ -99,7 +101,7 @@ val step : t -> cycle:int -> unit
 
 (** Attribute an idle scheduler slot to the most specific blockage among
     the resident warps. Pure observation: probing never mutates warp
-    state, statistics, or the telemetry sink, no matter how many idle
+    state, statistics, or the telemetry trace, no matter how many idle
     schedulers classify the same cycle.
 
     Cost: O(eligible stateful warps). Only the warps that are [Ready]
@@ -149,7 +151,7 @@ val issue_state_ok : t -> cycle:int -> bool
 
 (** Close the telemetry probe's open spans at the run's final cycle (the
     GPU driver calls this once after the main loop). No-op without a
-    telemetry sink. *)
+    telemetry trace. *)
 val finalize_probe : t -> cycle:int -> unit
 
 (** Per-warp snapshot for deadlock diagnostics: who is stuck where, on

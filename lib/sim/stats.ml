@@ -46,6 +46,8 @@ type counters = {
   rf_writes : int;
   shared_reads : int;
   shared_writes : int;
+  mem_requests : int;
+  mem_latency_cycles : int;
   active_lane_cycles : int;
   predicated_lane_cycles : int;
   divergent_branches : int;
@@ -72,6 +74,8 @@ type t = {
   mutable rf_writes : int;
   mutable shared_reads : int;
   mutable shared_writes : int;
+  mutable mem_requests : int;
+  mutable mem_latency_cycles : int;
   mutable active_lane_cycles : int;
   mutable predicated_lane_cycles : int;
   mutable divergent_branches : int;
@@ -122,6 +126,8 @@ let create ?(warps = 0) () =
     rf_writes = 0;
     shared_reads = 0;
     shared_writes = 0;
+    mem_requests = 0;
+    mem_latency_cycles = 0;
     active_lane_cycles = 0;
     predicated_lane_cycles = 0;
     divergent_branches = 0;
@@ -164,6 +170,8 @@ let counters (t : t) : counters =
     rf_writes = t.rf_writes;
     shared_reads = t.shared_reads;
     shared_writes = t.shared_writes;
+    mem_requests = t.mem_requests;
+    mem_latency_cycles = t.mem_latency_cycles;
     active_lane_cycles = t.active_lane_cycles;
     predicated_lane_cycles = t.predicated_lane_cycles;
     divergent_branches = t.divergent_branches;
@@ -271,30 +279,62 @@ let reason_name = function
   | Stall_empty -> "empty"
   | Stall_mem_retry -> "mem-retry"
 
+type entry = { name : string; get : counters -> int; work : bool }
+
+let entry ?(work = false) name get = { name; get; work }
+
+(* Every field of [counters], in print order. *)
+let table =
+  [ entry "cycles" (fun c -> c.cycles);
+    entry "instructions" (fun c -> c.instructions);
+    entry "ctas_retired" (fun c -> c.ctas_retired);
+    entry "timed_out" (fun c -> Bool.to_int c.timed_out);
+    entry "resident_warp_cycles" (fun c -> c.resident_warp_cycles);
+    entry "warp_capacity_cycles" (fun c -> c.warp_capacity_cycles);
+    entry "acquire_execs" (fun c -> c.acquire_execs);
+    entry "acquire_first_try" (fun c -> c.acquire_first_try);
+    entry "acquire_stall_cycles" (fun c -> c.acquire_stall_cycles);
+    entry "release_execs" (fun c -> c.release_execs);
+    entry "shared_oob" (fun c -> c.shared_oob);
+    entry "spill_stores" (fun c -> c.spill_stores);
+    entry "fill_loads" (fun c -> c.fill_loads);
+    entry "rf_reads" (fun c -> c.rf_reads);
+    entry "rf_writes" (fun c -> c.rf_writes);
+    entry "shared_reads" (fun c -> c.shared_reads);
+    entry "shared_writes" (fun c -> c.shared_writes);
+    entry "mem_requests" (fun c -> c.mem_requests);
+    entry "mem_latency_cycles" (fun c -> c.mem_latency_cycles);
+    entry "active_lane_cycles" (fun c -> c.active_lane_cycles);
+    entry "predicated_lane_cycles" (fun c -> c.predicated_lane_cycles);
+    entry "divergent_branches" (fun c -> c.divergent_branches) ]
+  @ List.map
+      (fun r ->
+        let i = reason_index r in
+        entry ("stall[" ^ reason_name r ^ "]") (fun c -> c.stall_cycles.(i)))
+      all_reasons
+  @ [ entry ~work:true "issue_candidates" (fun c -> c.issue_candidates);
+      entry ~work:true "lane_expansions" (fun c -> c.lane_expansions) ]
+
+let first_difference a b =
+  List.find_map
+    (fun e ->
+      let x = e.get a and y = e.get b in
+      if e.work || x = y then None else Some (e.name, x, y))
+    table
+
 let pp ppf t =
+  let c = counters t in
+  let entries ppf work =
+    List.iter
+      (fun e -> if e.work = work then Format.fprintf ppf "@ %s=%d" e.name (e.get c))
+      table
+  in
+  let ratio n d = if d = 0 then 0. else float_of_int n /. float_of_int d in
   Format.fprintf ppf
-    "@[<v>cycles=%d instrs=%d ipc=%.2f occupancy=%.1f%% ctas=%d%s@,\
-     acquires=%d (first-try %.0f%%) releases=%d acquire-stall=%d@,"
-    t.cycles t.instructions (ipc t)
+    "@[<v>@[<hov 2>counters:%a@]@,@[<hov 2>work:%a@]@,\
+     @[<hov 2>ratios: ipc=%.2f@ achieved_occupancy=%.1f%%@ \
+     active_lane_occupancy=%.1f%%@ mean_mem_latency=%.1f@]@]"
+    entries false entries true (ipc t)
     (100. *. achieved_occupancy t)
-    t.ctas_retired
-    (if t.timed_out then " TIMED-OUT" else "")
-    t.acquire_execs
-    (100. *. acquire_success_ratio t)
-    t.release_execs t.acquire_stall_cycles;
-  if t.shared_oob > 0 then
-    Format.fprintf ppf "shared-oob=%d@," t.shared_oob;
-  if t.spill_stores > 0 || t.fill_loads > 0 then
-    Format.fprintf ppf "spills=%d fills=%d@," t.spill_stores t.fill_loads;
-  Format.fprintf ppf "rf-reads=%d rf-writes=%d shared-reads=%d shared-writes=%d@,"
-    t.rf_reads t.rf_writes t.shared_reads t.shared_writes;
-  if t.predicated_lane_cycles > 0 || t.divergent_branches > 0 then
-    Format.fprintf ppf
-      "lanes: active=%d predicated-off=%d divergent-branches=%d@,"
-      t.active_lane_cycles t.predicated_lane_cycles t.divergent_branches;
-  List.iter
-    (fun r ->
-      let c = stall_count t r in
-      if c > 0 then Format.fprintf ppf "stall[%s]=%d@," (reason_name r) c)
-    all_reasons;
-  Format.fprintf ppf "@]"
+    (100. *. ratio c.active_lane_cycles (c.active_lane_cycles + c.predicated_lane_cycles))
+    (ratio c.mem_latency_cycles c.mem_requests)

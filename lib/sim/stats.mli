@@ -45,6 +45,8 @@ type counters = {
   rf_writes : int;
   shared_reads : int;
   shared_writes : int;
+  mem_requests : int;
+  mem_latency_cycles : int;
   active_lane_cycles : int;
   predicated_lane_cycles : int;
   divergent_branches : int;
@@ -80,6 +82,9 @@ type t = {
       (** user shared-memory loads (spill fills counted separately) *)
   mutable shared_writes : int;
       (** user shared-memory stores (spill stores counted separately) *)
+  mutable mem_requests : int;  (** global-memory requests issued *)
+  mutable mem_latency_cycles : int;
+      (** Σ over global-memory requests of issue-to-completion cycles *)
   mutable active_lane_cycles : int;
       (** Σ over issued instructions of active lanes. The warp-uniform
           model counts every issue as a full warp, so a warp-uniform
@@ -94,7 +99,7 @@ type t = {
       (** [--simt] warps that left the collapsed one-row state (their
           first [%laneid] read). A work counter, not a result: it differs
           between collapsed and lane-resolved runs by design, so it stays
-          out of run fingerprints, equivalence checks and {!pp} *)
+          out of run fingerprints and equivalence checks ({!table}) *)
   mutable issue_candidates : int;
       (** residual issue checks (memory slot, register policy) that
           actually ran, in a scheduler's pick or in the simulator's idle
@@ -105,8 +110,8 @@ type t = {
           [resident_warp_cycles], the warps a rescan of every resident
           warp on every cycle would touch. A work counter: it differs
           between fast-forward and brute-force stepping, so like
-          [lane_expansions] it stays out of fingerprints, equivalence
-          checks and {!pp} *)
+          [lane_expansions] it stays out of fingerprints and equivalence
+          checks ({!table}) *)
   stall_cycles : int array;
       (** per-reason idle-slot counters, indexed by {!reason_index}; use
           {!bump_stall} / {!stall_count} rather than indexing directly *)
@@ -182,4 +187,23 @@ val record_warp_done : t -> cta:int -> warp:int -> instructions:int -> unit
     recorded twice keeps its last count. *)
 val warp_instruction_counts : t -> ((int * int) * int) list
 
+(** One counter of {!type-counters}: its name and its getter. A work
+    counter ([issue_candidates], [lane_expansions]) measures how the
+    simulator reached a result, not the result: it differs between
+    stepping or execution modes by design. *)
+type entry = { name : string; get : counters -> int; work : bool }
+
+(** Every field of {!type-counters}, one entry per stall reason
+    (["stall[deps]"], ...) and [timed_out] as 0 or 1: the one list of a
+    run's counters that {!pp}, {!first_difference} and the identity
+    tests read. *)
+val table : entry list
+
+(** The first result counter of {!table} (work counters skipped) on
+    which two runs differ: its name and both values. *)
+val first_difference : counters -> counters -> (string * int * int) option
+
+(** Every entry of {!table}, the work counters on a line of their own,
+    then the derived ratios: IPC, achieved occupancy, active-lane
+    occupancy and mean memory latency. *)
 val pp : Format.formatter -> t -> unit

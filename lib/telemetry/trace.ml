@@ -15,7 +15,7 @@ let no_arg = min_int
 (* Structure-of-arrays ring. [next] is the write cursor; once [filled]
    the slot at [next] is the oldest record and gets overwritten. The
    arrays start small and double up to [cap] as records arrive: a
-   short run never pays for the full window, which keeps sink creation
+   short run never pays for the full window, which keeps trace creation
    cheap enough to attach per-simulation. Growth happens only before
    the first wrap (records are then contiguous in [0, next)), so the
    drop-oldest semantics are identical to a preallocated ring. *)

@@ -2,7 +2,7 @@
 
     Records are typed, fixed-size and held in flat arrays
     (structure-of-arrays) that double geometrically up to the capacity —
-    attaching a sink to a short run costs a few pages, not the full
+    attaching a trace to a short run costs a few pages, not the full
     window — after which recording never allocates. Growth only happens
     before the first wrap, so drop-oldest behaviour is identical to a
     preallocated ring. Timestamps are simulation cycles; tracks

@@ -1,4 +1,4 @@
-(* The simulator's event stream, read off the telemetry sink: CTA
+(* The simulator's event stream, read off the telemetry trace: CTA
    lifecycle, SRP holds and barrier traffic on the tracks the probe
    documents. *)
 
@@ -16,17 +16,17 @@ let srp_kernel =
       @ [ bar;
           store ~ofs:0x10000000 I.Global (r 0) (r 1); exit_ ]))
 
-let run_with_sink ?(policy = Policy.Srp { bs = 3; es = 2; verify = true }) () =
-  let sink = Telemetry.Sink.create () in
+let run_traced ?(policy = Policy.Srp { bs = 3; es = 2; verify = true }) () =
+  let trace = Telemetry.Trace.create () in
   let kernel = Kernel.make ~name:"ev" ~grid_ctas:2 ~cta_threads:64 srp_kernel in
   let config =
-    { (Gpu.default_config Util.small_arch policy) with Gpu.telemetry = Some sink }
+    { (Gpu.default_config Util.small_arch policy) with Gpu.telemetry = Some trace }
   in
   let stats = Gpu.run config kernel in
-  (Util.records sink, stats)
+  (Util.records trace, stats)
 
 let test_lifecycle_events () =
-  let rs, stats = run_with_sink () in
+  let rs, stats = run_traced () in
   let count name = List.length (Util.named name rs) in
   Alcotest.(check int) "2 launches" 2 (count "cta-launch");
   Alcotest.(check int) "2 retirements" 2 (count "cta-retire");
@@ -41,7 +41,7 @@ let test_lifecycle_events () =
   Alcotest.(check int) "2 barrier releases" 2 (count "barrier-release")
 
 let test_event_ordering () =
-  let rs, _ = run_with_sink () in
+  let rs, _ = run_traced () in
   (* Warp slot 0: its holds are disjoint and in order, and each hold and
      barrier arrival lies within the lifetime of a warp the slot hosted. *)
   let on_slot0 = List.filter (fun r -> r.Trace.pid = 0 && r.Trace.tid = 0) rs in

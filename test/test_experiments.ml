@@ -180,7 +180,7 @@ let test_engine_memo () =
 
 (* The engine and the fuzz oracle key their memos on [Runner.input_key]:
    equal machine inputs give equal keys, any field [Gpu.run] reads moves
-   the key, and a config with a sink has none. *)
+   the key, and a traced config has none. *)
 let test_input_key () =
   let arch = Util.small_arch in
   let prepare ?fast_forward () =
@@ -201,8 +201,8 @@ let test_input_key () =
       (try ignore (key (prepared, config)); false
        with Invalid_argument _ -> true)
   in
-  raises "telemetry sink refused"
-    { config with Gpu_sim.Gpu.telemetry = Some (Telemetry.Sink.create ()) }
+  raises "traced config refused"
+    { config with Gpu_sim.Gpu.telemetry = Some (Telemetry.Trace.create ()) }
 
 (* What [f] prints on stdout. *)
 let capture f =

@@ -68,39 +68,17 @@ let schedulers =
 
 (* --- equality of everything a run can observe -------------------------- *)
 
-let all_reasons =
-  Stats.
-    [ (Stall_deps, "deps"); (Stall_mem_slot, "mem-slot");
-      (Stall_acquire, "acquire"); (Stall_regs, "rfv-regs");
-      (Stall_barrier, "barrier"); (Stall_empty, "empty") ]
-
 let check_same_stats msg (a : Stats.t) (b : Stats.t) =
-  let ck name va vb = Alcotest.(check int) (msg ^ ": " ^ name) va vb in
-  ck "cycles" a.Stats.cycles b.Stats.cycles;
-  ck "instructions" a.Stats.instructions b.Stats.instructions;
-  ck "resident_warp_cycles" a.Stats.resident_warp_cycles b.Stats.resident_warp_cycles;
-  ck "warp_capacity_cycles" a.Stats.warp_capacity_cycles b.Stats.warp_capacity_cycles;
-  ck "acquire_execs" a.Stats.acquire_execs b.Stats.acquire_execs;
-  ck "acquire_first_try" a.Stats.acquire_first_try b.Stats.acquire_first_try;
-  ck "acquire_stall_cycles" a.Stats.acquire_stall_cycles b.Stats.acquire_stall_cycles;
-  ck "release_execs" a.Stats.release_execs b.Stats.release_execs;
-  ck "shared_oob" a.Stats.shared_oob b.Stats.shared_oob;
-  ck "ctas_retired" a.Stats.ctas_retired b.Stats.ctas_retired;
-  Alcotest.(check bool) (msg ^ ": timed_out") a.Stats.timed_out b.Stats.timed_out;
-  List.iter
-    (fun (reason, name) ->
-      ck ("stall[" ^ name ^ "]") (Stats.stall_count a reason)
-        (Stats.stall_count b reason))
-    all_reasons;
+  Util.check_same_counters msg a b;
   Alcotest.(check (list int)) (msg ^ ": pc_trace") a.Stats.pc_trace b.Stats.pc_trace;
   Util.check_same_traces msg (Util.traces a) (Util.traces b);
   Alcotest.(check bool) (msg ^ ": warp instruction counts") true
     (Stats.warp_instruction_counts a = Stats.warp_instruction_counts b)
 
-(* The sink's records without the fast-forward jump spans, which the
+(* The trace's records without the fast-forward jump spans, which the
    GPU model pushes on its own track in one stepping mode only. *)
-let sim_records sink =
-  List.filter (fun r -> r.Trace.name <> "fast-forward") (Util.records sink)
+let sim_records trace =
+  List.filter (fun r -> r.Trace.name <> "fast-forward") (Util.records trace)
 
 let check_same_records msg a b =
   Alcotest.(check int) (msg ^ ": record count") (List.length a) (List.length b);
@@ -115,17 +93,17 @@ let check_same_records msg a b =
 
 let run_mode ~arch ~technique ~kernel ~fast_forward =
   let prepared = Technique.prepare arch technique kernel in
-  let sink = Telemetry.Sink.create () in
+  let trace = Trace.create () in
   let config =
     { (Gpu.default_config arch prepared.Technique.policy) with
       Gpu.record_stores = true;
       trace_warp0 = true;
-      telemetry = Some sink;
+      telemetry = Some trace;
       max_cycles = 2_000_000;
       fast_forward }
   in
   let stats = Gpu.run config prepared.Technique.kernel in
-  (stats, sim_records sink)
+  (stats, sim_records trace)
 
 let check_cell ~arch ~technique ~kernel msg =
   let brute_stats, brute_records =

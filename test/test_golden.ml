@@ -6,7 +6,7 @@
 
    Every execution mode must give the file's lines. [Runner.execute]
    with [Runner.fingerprint] runs each cell fast-forwarded, brute force,
-   with a telemetry sink attached, under --simt with warps collapsed (no
+   with a telemetry trace attached, under --simt with warps collapsed (no
    kernel of the grid reads [%laneid], so none may expand), and under
    --simt lane-resolved from launch and brute force: each of those is
    meant to be invisible in the results. The experiment engine's
@@ -76,8 +76,8 @@ let test_quick_grid_fingerprints () =
   let simt = { Technique.default_options with Technique.simt = true } in
   runner "Runner.execute" execute;
   runner "brute force" (execute ~fast_forward:false);
-  runner "telemetry sink" (fun arch t spec ->
-      execute ~telemetry:(Telemetry.Sink.create ()) arch t spec);
+  runner "telemetry trace" (fun arch t spec ->
+      execute ~telemetry:(Telemetry.Trace.create ()) arch t spec);
   runner "--simt collapsed" (fun arch t spec ->
       let r = execute ~options:simt arch t spec in
       Alcotest.(check int)

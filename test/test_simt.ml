@@ -270,18 +270,11 @@ let test_corrupt_mask_starts_expanded () =
     (Stats.lane_store_traces corrupt)
 
 (* Collapsed and lane-resolved runs of the same program must agree on
-   every counter the equivalence oracle compares and on both store-trace
+   every result counter of [Stats.table] and on both store-trace
    granularities. *)
 let check_collapsed_equal what collapsed resolved =
-  let fields (s : Stats.t) =
-    [ s.Stats.cycles; s.Stats.instructions; s.Stats.rf_reads; s.Stats.rf_writes;
-      s.Stats.shared_reads; s.Stats.shared_writes; s.Stats.shared_oob;
-      s.Stats.release_execs; s.Stats.active_lane_cycles;
-      s.Stats.predicated_lane_cycles; s.Stats.divergent_branches ]
-    @ List.map (Stats.stall_count s) Stats.all_reasons
-  in
-  Alcotest.(check (list int)) (what ^ ": counters") (fields resolved)
-    (fields collapsed);
+  Util.check_same_counters (what ^ ": collapsed vs resolved") collapsed
+    resolved;
   (match
      Checker.diff_lane_store_traces
        ~expected:(Stats.lane_store_traces resolved)

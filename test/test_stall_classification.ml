@@ -1,7 +1,7 @@
 (* Regression tests for idle-slot stall classification: classifying why a
    scheduler slot is idle is an observation, not an issue attempt, so it
    must never mark warps acquire-stalled or push [acquire-stall] records
-   into the telemetry sink — no matter how many idle schedulers probe the
+   into the telemetry trace — no matter how many idle schedulers probe the
    same warp. *)
 
 open Gpu_sim
@@ -26,28 +26,28 @@ let starved_sm () =
   let kernel = Kernel.make ~name:"acq" ~grid_ctas:1 ~cta_threads:32 prog in
   let policy = Policy.Srp { bs = 8; es = 4; verify = false } in
   let stats = Stats.create () in
-  let sink = Telemetry.Sink.create () in
+  let trace = Telemetry.Trace.create () in
   let sm =
-    Sm.create ~telemetry:sink (Sm.tables arch ~policy ~kernel) ~sm_id:0
+    Sm.create ~telemetry:trace (Sm.tables arch ~policy ~kernel) ~sm_id:0
       ~memory:(Memory.create ())
       ~mem_sys:(Mem_system.create arch ~n_sms:1)
       ~stats ~record_stores:false ~trace_warp0:false
   in
-  (sm, stats, sink)
+  (sm, stats, trace)
 
 let test_classification_is_pure () =
-  let sm, stats, sink = starved_sm () in
+  let sm, stats, trace = starved_sm () in
   Alcotest.(check int) "no sections" 0 (Sm.srp_sections sm);
   Alcotest.(check bool) "CTA launched" true
     (Sm.try_launch sm ~global_cta:0 ~cycle:0);
-  let baseline = Trace.recorded sink.Telemetry.Sink.trace in
+  let baseline = Trace.recorded trace in
   for cycle = 0 to 99 do
     match Sm.classify_idle sm ~cycle with
     | Stats.Stall_acquire -> ()
     | _ -> Alcotest.fail "expected an acquire stall classification"
   done;
   Alcotest.(check int) "no records pushed by probing" baseline
-    (Trace.recorded sink.Telemetry.Sink.trace);
+    (Trace.recorded trace);
   Alcotest.(check int) "no acquires recorded" 0 stats.Stats.acquire_execs;
   Alcotest.(check int) "no first-tries recorded" 0 stats.Stats.acquire_first_try;
   Alcotest.(check int) "no stall counters bumped" 0
@@ -62,16 +62,16 @@ let contended_arch =
     reg_alloc_gran = 1 }
 
 let contended_run ?observe () =
-  let sink = Telemetry.Sink.create () in
+  let trace = Telemetry.Trace.create () in
   let kernel =
     Kernel.make ~name:"ev" ~grid_ctas:4 ~cta_threads:64 Test_events.srp_kernel
   in
   let config =
     { (Gpu.default_config contended_arch (Policy.Srp { bs = 3; es = 2; verify = true }))
-      with Gpu.telemetry = Some sink }
+      with Gpu.telemetry = Some trace }
   in
   let stats = Gpu.run ?observe config kernel in
-  (stats, Util.records sink)
+  (stats, Util.records trace)
 
 let stall_records rs = Util.named "acquire-stall" rs
 

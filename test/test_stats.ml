@@ -117,12 +117,84 @@ let test_key_packing () =
       Stats.record_lane_store s ~cta:0 ~warp:0 ~lane:(Stats.max_lane + 1) I.Global 0 0);
   refused "negative" (fun () -> Stats.record_store s ~cta:(-1) ~warp:0 I.Global 0 0)
 
+(* Every field holds its own value: the scalars 1 .. n in some order
+   ([timed_out] is the 1) and the stall counters 100 and up. A field
+   added to [Stats.counters] must be added here (the record literal is
+   exhaustive) with the next value, and then to [Stats.table], or the
+   table's readings miss it. *)
+let distinct : Stats.counters =
+  {
+    cycles = 24;
+    instructions = 2;
+    resident_warp_cycles = 3;
+    warp_capacity_cycles = 4;
+    acquire_execs = 5;
+    acquire_first_try = 6;
+    acquire_stall_cycles = 7;
+    release_execs = 8;
+    shared_oob = 9;
+    spill_stores = 10;
+    fill_loads = 11;
+    rf_reads = 12;
+    rf_writes = 13;
+    shared_reads = 14;
+    shared_writes = 15;
+    mem_requests = 16;
+    mem_latency_cycles = 17;
+    active_lane_cycles = 18;
+    predicated_lane_cycles = 19;
+    divergent_branches = 20;
+    lane_expansions = 21;
+    issue_candidates = 22;
+    stall_cycles = Array.init (List.length Stats.all_reasons) (fun i -> 100 + i);
+    ctas_retired = 23;
+    timed_out = true;
+  }
+
+let test_table_covers_counters () =
+  (* The record's fields, the stall array counting as one. *)
+  let scalars = Obj.size (Obj.repr distinct) - 1 in
+  let expected =
+    List.init scalars (fun i -> i + 1) @ Array.to_list distinct.stall_cycles
+  in
+  let read = List.map (fun (e : Stats.entry) -> e.get distinct) Stats.table in
+  Alcotest.(check (list int)) "one table entry per counter" expected
+    (List.sort compare read);
+  let names = List.map (fun (e : Stats.entry) -> e.name) Stats.table in
+  Alcotest.(check int) "names distinct" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  Alcotest.(check (list string)) "work counters"
+    [ "issue_candidates"; "lane_expansions" ]
+    (List.filter_map
+       (fun (e : Stats.entry) -> if e.work then Some e.name else None)
+       Stats.table);
+  (* A work counter never makes two runs differ; a result counter does. *)
+  Alcotest.(check bool) "work counters skipped" true
+    (Stats.first_difference distinct { distinct with issue_candidates = 0 } = None);
+  match Stats.first_difference distinct { distinct with rf_reads = 0 } with
+  | Some ("rf_reads", 12, 0) -> ()
+  | _ -> Alcotest.fail "rf_reads difference not reported by name"
+
 let test_pp_smoke () =
   let s = Stats.create () in
   s.Stats.cycles <- 10;
   Stats.bump_stall s Stats.Stall_barrier;
-  let out = Format.asprintf "%a" Stats.pp s in
-  Alcotest.(check bool) "mentions cycles" true (String.length out > 0)
+  let words =
+    Format.asprintf "%a" Stats.pp s
+    |> String.map (fun c -> if c = '\n' then ' ' else c)
+    |> String.split_on_char ' '
+  in
+  List.iter
+    (fun (e : Stats.entry) ->
+      let shown = Printf.sprintf "%s=%d" e.name (e.get (Stats.counters s)) in
+      Alcotest.(check bool) ("prints " ^ shown) true (List.mem shown words))
+    Stats.table;
+  List.iter
+    (fun ratio ->
+      Alcotest.(check bool) ("prints " ^ ratio) true
+        (List.exists (String.starts_with ~prefix:ratio) words))
+    [ "ipc="; "achieved_occupancy="; "active_lane_occupancy=";
+      "mean_mem_latency=" ]
 
 let suite =
   [ Alcotest.test_case "derived metrics" `Quick test_derived_metrics;
@@ -132,4 +204,6 @@ let suite =
     Alcotest.test_case "pc trace" `Quick test_pc_trace;
     Alcotest.test_case "per-warp counts" `Quick test_warp_instruction_counts;
     Alcotest.test_case "pp smoke" `Quick test_pp_smoke;
+    Alcotest.test_case "table names every counter" `Quick
+      test_table_covers_counters;
     Alcotest.test_case "key packing at the largest ids" `Quick test_key_packing ]

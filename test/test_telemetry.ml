@@ -1,11 +1,9 @@
-(* The telemetry subsystem: metrics registry semantics (bucket edges,
-   idempotent registration), trace-ring wraparound and growth, Chrome
+(* The telemetry subsystem: trace-ring wraparound and growth, Chrome
    trace-event export against the schema validator, and the zero-overhead
-   contract — attaching a sink must not perturb a single statistic, in
+   contract — attaching a trace must not perturb a single statistic, in
    either stepping mode, and the record stream itself must be
    bit-identical under fast-forward and brute force. *)
 
-module Metrics = Telemetry.Metrics
 module Trace = Telemetry.Trace
 module Profile = Telemetry.Profile
 module Json_check = Telemetry.Json_check
@@ -13,77 +11,10 @@ module Gpu = Gpu_sim.Gpu
 module Kernel = Gpu_sim.Kernel
 module Technique = Regmutex.Technique
 
-(* --- metrics registry --------------------------------------------------- *)
-
-let test_metrics_basics () =
-  let m = Metrics.create () in
-  let c = Metrics.counter m "regmutex_test_total" in
-  Metrics.inc c 3;
-  Metrics.inc c 4;
-  Alcotest.(check int) "counter accumulates" 7 (Metrics.counter_value c);
-  let c' = Metrics.counter m "regmutex_test_total" in
-  Metrics.inc c' 1;
-  Alcotest.(check int) "re-registration returns same instrument" 8
-    (Metrics.counter_value c);
-  let g = Metrics.gauge m "regmutex_test_ratio" in
-  Metrics.set g 0.5;
-  Metrics.set g 0.75;
-  Alcotest.(check (float 1e-9)) "gauge holds last value" 0.75
-    (Metrics.gauge_value g);
-  Alcotest.check_raises "kind clash rejected"
-    (Invalid_argument "Metrics: regmutex_test_total registered as another kind")
-    (fun () -> ignore (Metrics.gauge m "regmutex_test_total"))
-
-let test_histogram_edges () =
-  let m = Metrics.create () in
-  let h = Metrics.histogram m "regmutex_test_cycles" ~buckets:[| 1; 10; 100 |] in
-  (* Bounds are inclusive upper edges: v lands in the first bucket whose
-     bound is >= v. *)
-  List.iter (Metrics.observe h) [ 0; 1; 2; 10; 11; 100; 101; 1000 ];
-  Alcotest.(check (array int)) "bucket edges" [| 2; 2; 2; 2 |]
-    (Metrics.histogram_counts h);
-  Alcotest.(check int) "count" 8 (Metrics.histogram_total h);
-  Alcotest.(check int) "sum" (0 + 1 + 2 + 10 + 11 + 100 + 101 + 1000)
-    (Metrics.histogram_sum h);
-  (* Same name, same bounds: idempotent. Different bounds: rejected. *)
-  let h' = Metrics.histogram m "regmutex_test_cycles" ~buckets:[| 1; 10; 100 |] in
-  Metrics.observe h' 5;
-  Alcotest.(check int) "shared across registrations" 9 (Metrics.histogram_total h);
-  Alcotest.check_raises "bound mismatch rejected"
-    (Invalid_argument
-       "Metrics: regmutex_test_cycles registered with different buckets")
-    (fun () ->
-      ignore (Metrics.histogram m "regmutex_test_cycles" ~buckets:[| 1; 2 |]));
-  Alcotest.check_raises "unsorted bounds rejected"
-    (Invalid_argument "Metrics.histogram: bucket bounds must be strictly increasing")
-    (fun () -> ignore (Metrics.histogram m "regmutex_bad" ~buckets:[| 5; 5 |]))
-
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
-
-let test_prometheus_format () =
-  let m = Metrics.create () in
-  let c = Metrics.counter m ~help:"a counter" "regmutex_x_total" in
-  Metrics.inc c 5;
-  let h = Metrics.histogram m "regmutex_x_cycles" ~buckets:[| 2; 8 |] in
-  List.iter (Metrics.observe h) [ 1; 3; 9 ];
-  let out = Format.asprintf "%a" Metrics.pp_prometheus m in
-  List.iter
-    (fun line ->
-      Alcotest.(check bool) ("prometheus has " ^ line) true (contains out line))
-    [ "# HELP regmutex_x_total a counter"; "regmutex_x_total 5";
-      (* cumulative bucket series *)
-      "regmutex_x_cycles_bucket{le=\"2\"} 1";
-      "regmutex_x_cycles_bucket{le=\"8\"} 2";
-      "regmutex_x_cycles_bucket{le=\"+Inf\"} 3"; "regmutex_x_cycles_sum 13";
-      "regmutex_x_cycles_count 3" ];
-  (* The JSON dump parses and carries the same totals. *)
-  let json = Format.asprintf "%a" Metrics.pp_json m in
-  match Json_check.parse json with
-  | exception Failure msg -> Alcotest.failf "metrics JSON invalid: %s" msg
-  | _ -> ()
 
 (* --- trace ring --------------------------------------------------------- *)
 
@@ -180,7 +111,7 @@ let test_profile_scopes () =
       Alcotest.(check int) "one call" 1 calls;
       Alcotest.(check bool) "time accrued" true (ns > 0)
 
-(* --- zero-overhead contract: sink off vs on ----------------------------- *)
+(* --- zero-overhead contract: trace off vs on ---------------------------- *)
 
 let run_mode ~arch ~technique ~kernel ~fast_forward ~telemetry =
   let prepared = Technique.prepare arch technique kernel in
@@ -195,7 +126,7 @@ let run_mode ~arch ~technique ~kernel ~fast_forward ~telemetry =
   Gpu.run config prepared.Technique.kernel
 
 (* The policy x scheduler matrix from the fast-forward suite, each cell
-   simulated with and without a sink: stats must be bit-identical — the
+   simulated with and without a trace: stats must be bit-identical — the
    probe only observes. *)
 let test_sink_off_on_identity () =
   List.iter
@@ -218,7 +149,7 @@ let test_sink_off_on_identity () =
               in
               let on_stats =
                 run_mode ~arch ~technique ~kernel ~fast_forward:true
-                  ~telemetry:(Some (Telemetry.Sink.create ()))
+                  ~telemetry:(Some (Trace.create ()))
               in
               Test_fast_forward.check_same_stats msg off_stats on_stats)
             Test_fast_forward.kernels)
@@ -237,12 +168,12 @@ let test_trace_mode_identity () =
           Test_fast_forward.chase
       in
       let with_mode fast_forward =
-        let sink = Telemetry.Sink.create () in
+        let trace = Trace.create () in
         let _ =
           run_mode ~arch:Util.small_arch ~technique ~kernel ~fast_forward
-            ~telemetry:(Some sink)
+            ~telemetry:(Some trace)
         in
-        Util.records sink
+        Util.records trace
       in
       let fast = with_mode true and brute = with_mode false in
       let jumps, fast_rest =
@@ -266,24 +197,18 @@ let test_end_to_end_export () =
     Kernel.make ~name:"contended" ~grid_ctas:3 ~cta_threads:64
       Test_fast_forward.contended
   in
-  let sink = Telemetry.Sink.create () in
+  let trace = Trace.create () in
   let stats =
     run_mode ~arch:Util.small_arch ~technique:Technique.Regmutex ~kernel
-      ~fast_forward:true ~telemetry:(Some sink)
+      ~fast_forward:true ~telemetry:(Some trace)
   in
-  (* The issue-candidate work counter reaches the metric registry. *)
   Alcotest.(check bool) "issue candidates counted" true
     (stats.Gpu_sim.Stats.issue_candidates > 0);
-  Alcotest.(check int) "issue candidates exported"
-    stats.Gpu_sim.Stats.issue_candidates
-    (Metrics.counter_value
-       (Metrics.counter sink.Telemetry.Sink.metrics
-          "regmutex_issue_candidates_total"));
-  let out = Format.asprintf "%a" Trace.export_chrome sink.Telemetry.Sink.trace in
+  let out = Format.asprintf "%a" Trace.export_chrome trace in
   (match Json_check.validate_chrome_trace out with
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "schema: %s" msg);
-  let rs = Util.records sink in
+  let rs = Util.records trace in
   let has name = List.exists (fun r -> r.Trace.name = name) rs in
   List.iter
     (fun name ->
@@ -294,7 +219,7 @@ let test_end_to_end_export () =
 
 (* One SRP section, two warps: warp 0 acquires then parks at the barrier;
    warp 1 can never acquire. The diagnostic must name the holder — which
-   section, and for how long — without any telemetry sink attached. *)
+   section, and for how long — without any telemetry trace attached. *)
 let test_deadlock_holder () =
   let prog =
     Gpu_isa.Program.create ~name:"dl-hold"
@@ -344,12 +269,7 @@ let test_deadlock_holder () =
         (List.length waiters)
 
 let suite =
-  [ Alcotest.test_case "metrics: counters and gauges" `Quick test_metrics_basics;
-    Alcotest.test_case "metrics: histogram bucket edges" `Quick
-      test_histogram_edges;
-    Alcotest.test_case "metrics: prometheus and JSON dumps" `Quick
-      test_prometheus_format;
-    Alcotest.test_case "trace: ring wraparound drops oldest" `Quick
+  [ Alcotest.test_case "trace: ring wraparound drops oldest" `Quick
       test_ring_wraparound;
     Alcotest.test_case "trace: lazy growth preserves order" `Quick
       test_ring_growth;

@@ -1,7 +1,7 @@
 (* Shared helpers for the test suite: tiny program builders, Alcotest
    testables, a generator of random structured (always-terminating)
    kernels for property-based tests, simulation shorthands, the
-   telemetry sink's record decoder, and a temporary result store. *)
+   telemetry trace's record decoder, and a temporary result store. *)
 
 open Gpu_isa
 
@@ -166,11 +166,19 @@ let check_same_traces msg a b =
   | None -> ()
   | Some diff -> Alcotest.failf "%s: %s" msg diff
 
-(* The records a telemetry sink retained, oldest first: the one decoder of
-   the simulator's event stream the suites share. *)
-let records (sink : Telemetry.Sink.t) =
+(* Every result counter of [Stats.table] (the work counters differ
+   between execution modes by design); the first that differs fails by
+   name. *)
+let check_same_counters msg a b =
+  match Gpu_sim.Stats.(first_difference (counters a) (counters b)) with
+  | Some (name, x, y) -> Alcotest.failf "%s: %s = %d vs %d" msg name x y
+  | None -> ()
+
+(* The records a telemetry trace retained, oldest first: the one decoder
+   of the simulator's event stream the suites share. *)
+let records trace =
   let acc = ref [] in
-  Telemetry.Trace.iter sink.Telemetry.Sink.trace (fun r -> acc := r :: !acc);
+  Telemetry.Trace.iter trace (fun r -> acc := r :: !acc);
   List.rev !acc
 
 let named name rs = List.filter (fun r -> r.Telemetry.Trace.name = name) rs
