@@ -3,8 +3,6 @@ module Instr = Gpu_isa.Instr
 module Program = Gpu_isa.Program
 module Regset = Gpu_isa.Regset
 module Arch_config = Gpu_uarch.Arch_config
-module Srp = Gpu_uarch.Srp
-module Srp_paired = Gpu_uarch.Srp_paired
 module Soa = Warp.Soa
 module Reconv = Gpu_analysis.Reconv
 
@@ -19,19 +17,15 @@ type cta_state = {
   shared : int array;      (* shared-memory words *)
 }
 
-type pstate =
-  | Ps_static
-  | Ps_srp of Srp.t
-  | Ps_paired of Srp_paired.t
-  | Ps_owf
-  | Ps_rfv of { mutable used : int; capacity : int }
-
-(* What a pc's residual issue check ([check_ready]) can depend on. *)
+(* What a pc's residual issue check ([check_ready]) can depend on: nothing
+   or a free memory slot, or, at a pc the policy names an event, its
+   hooks (see [Policy.event]). *)
 type issue_class =
   | Plain     (* nothing: the check can only answer [Can_issue] *)
   | Global    (* a free memory slot, and nothing else *)
-  | Stateful  (* policy state *)
-  | Owf_ext   (* stateful until the warp owns its OWF pair's registers *)
+  | Acquire   (* the section pool *)
+  | Claim     (* the claim, until the warp holds its extended set *)
+  | Demand    (* the register demand at the next pc *)
 
 (* The shared-memory traffic counter a pc bumps at issue: once per
    instruction, however many lanes execute it. *)
@@ -41,14 +35,12 @@ type t = {
   cfg : Arch_config.t;
   sm_id : int;
   kernel : Kernel.t;
-  policy : Policy.t;
   memory : Memory.t;
   mem_sys : Mem_system.t;
   stats : Stats.t;
   instrs : Instr.t array;
   warps_per_cta : int;
   cta_capacity : int;
-  srp_sections : int;
   ctas : cta_state option array;
   (* Hot per-warp state lives structure-of-arrays: the schedulers and the
      issue stage index packed int arrays by warp slot instead of chasing
@@ -89,11 +81,10 @@ type t = {
   mutable mem_free : bool;
   mutable now : int;
   mutable can_issue : int -> bool;
-  pstate : pstate;
+  pol : Policy.hooks;  (* the register policy's state and rules *)
   (* Per-PC precomputation. *)
   latency : int array;           (* result latency for non-global instrs *)
-  rfv_live : int array;          (* RFV: physical packs demanded at each pc *)
-  def_reg : int array;           (* destination register, -1 none, -2 invalid *)
+  def_reg : int array;           (* destination register, -1 none *)
   rf_reads : int array;          (* register-file read ports used at issue *)
   rf_writes : int array;         (* register-file write ports used at issue *)
   smem : smem_access array;      (* shared/spill counter bumped at issue *)
@@ -101,15 +92,11 @@ type t = {
   top_reg : int array;           (* highest of [pc_regs], -1 when empty; an
                                     extended-set access when >= bs *)
   is_global : bool array;        (* occupies a global-memory slot at issue *)
-  is_acquire : bool array;
   reads_laneid : bool array;     (* SIMT: a collapsed warp expands here *)
   decoded : (Exec.ctx -> Exec.outcome) array;
       (* [Exec.decode] of every pc: the interpreter, run once per issue
          at warp level or once per active lane *)
   pc_class : issue_class array;  (* see [class_of] *)
-  max_rank : int;
-      (* highest [rank_block] value the policy can produce; bounds the
-         early exit in [classify_idle] *)
   mutable state_gen : int;
       (* bumped on every launch and issue — the only operations that change
          warp statuses or ages — so derived scans can be memoized *)
@@ -117,7 +104,6 @@ type t = {
   mutable oldest_cache : int;
   mutable resident_ctas : int;
   mutable resident_warps : int;
-  mutable retired : int;
   mutable launched_this_cycle : int;
   mutable next_age : int;
   record_stores : bool;
@@ -137,9 +123,6 @@ type t = {
   full_mask : int;          (* (1 lsl warp_size) - 1 when simt, else 0 *)
   corrupt_mask : int;       (* lanes cleared at launch (fuzz self-test) *)
   probe : Probe.t option;
-  bs : int;  (* base-set size for SRP/paired/OWF policies; max_int otherwise *)
-  es : int;
-  verify : bool;
   mapping : Gpu_uarch.Reg_mapping.config;  (* the Figure 6 mapping [verify]
                                               drives every access through *)
 }
@@ -164,40 +147,9 @@ let cta_capacity_for cfg ~policy ~kernel =
   let capacity, _, _ = compute_capacity cfg policy kernel in
   capacity
 
-(* Extended-set sections an SM of [cta_capacity] CTAs (of [wpc] warps and
-   [regs_cta] registers each) provides: SRP sections carved from the
-   register file's leftover, or one pair per two resident warps under the
-   paired and OWF policies. *)
-let sections_at (cfg : Arch_config.t) policy ~cta_capacity ~wpc ~regs_cta =
-  match policy with
-  (* Regdem is static allocation of the reduced register count; the
-     spill machinery lives entirely in the program and the execution
-     contexts, so it provides no sections. *)
-  | Policy.Static _ | Policy.Regdem _ | Policy.Rfv _ -> 0
-  | Policy.Srp { es; _ } ->
-      let leftover = cfg.regfile_regs - (cta_capacity * regs_cta) in
-      if es <= 0 then 0
-      else min cfg.max_warps (max 0 (leftover / (es * cfg.warp_size)))
-  | Policy.Srp_paired _ ->
-      if wpc mod 2 <> 0 then
-        invalid_arg "Sm: paired-warps policy requires an even warp count per CTA";
-      cta_capacity * wpc / 2
-  | Policy.Owf _ ->
-      if wpc mod 2 <> 0 then
-        invalid_arg "Sm: OWF policy requires an even warp count per CTA";
-      cta_capacity * wpc / 2
-
 let srp_sections_for cfg ~policy ~kernel =
   let cta_capacity, wpc, regs_cta = compute_capacity cfg policy kernel in
-  sections_at cfg policy ~cta_capacity ~wpc ~regs_cta
-
-(* The register-file sections a policy names: [(bs, es, verify)], with
-   [bs = max_int] for the policies that have no base set. *)
-let split_of = function
-  | Policy.Srp { bs; es; verify } | Policy.Srp_paired { bs; es; verify } ->
-      (bs, es, verify)
-  | Policy.Owf { bs; es } -> (bs, es, false)
-  | Policy.Static _ | Policy.Rfv _ | Policy.Regdem _ -> (max_int, 0, false)
+  Policy.sections cfg policy ~cta_capacity ~wpc ~regs_cta
 
 (* A run's fixed SM inputs — architecture, policy, kernel, execution
    model — and the per-pc precomputation, a function of those alone: a
@@ -211,7 +163,6 @@ type tables = {
   tb_simt : bool;
   tb_instrs : Instr.t array;
   tb_latency : int array;
-  tb_rfv_live : int array;
   tb_def_reg : int array;
   tb_rf_reads : int array;
   tb_rf_writes : int array;
@@ -219,10 +170,8 @@ type tables = {
   tb_pc_regs : int array array;
   tb_top_reg : int array;
   tb_is_global : bool array;
-  tb_is_acquire : bool array;
   tb_reads_laneid : bool array;
   tb_decoded : (Exec.ctx -> Exec.outcome) array;
-  tb_pc_class : issue_class array;
   tb_reconv : int array;
 }
 
@@ -230,17 +179,6 @@ let tables ?(simt = false) (cfg : Arch_config.t) ~policy ~kernel =
   let prog = kernel.Kernel.program in
   let n = Program.length prog in
   let instrs = Array.init n (Program.get prog) in
-  let bs, _, _ = split_of policy in
-  let rfv_live =
-    match policy with
-    | Policy.Rfv { live; _ } ->
-        if Array.length live <> n then
-          invalid_arg "Sm.tables: RFV live table length mismatch";
-        live
-    | Policy.Static _ | Policy.Srp _ | Policy.Srp_paired _ | Policy.Owf _
-    | Policy.Regdem _ ->
-        Array.make n 0
-  in
   let reg = function
     | Instr.Reg _ -> 1
     | Instr.Imm _ | Instr.Special _ | Instr.Param _ -> 0
@@ -253,10 +191,9 @@ let tables ?(simt = false) (cfg : Arch_config.t) ~policy ~kernel =
   let rf_reads = Array.make n 0 and rf_writes = Array.make n 0 in
   let smem = Array.make n No_smem in
   let pc_regs = Array.make n [||] and top_reg = Array.make n (-1) in
-  let is_global = Array.make n false and is_acquire = Array.make n false in
+  let is_global = Array.make n false in
   let reads_laneid = Array.make n false in
   let decoded = Array.make n (fun (_ : Exec.ctx) -> Exec.Stop) in
-  let pc_class = Array.make n Plain in
   for pc = 0 to n - 1 do
     let i = instrs.(pc) in
     let lat = Instr.lat_class i in
@@ -268,16 +205,12 @@ let tables ?(simt = false) (cfg : Arch_config.t) ~policy ~kernel =
       | Instr.Lat_global -> cfg.lat_global (* refined at issue via mem_sys *)
       | Instr.Lat_control -> 1);
     (let defs = Instr.defs i in
-     def_reg.(pc) <-
-       (match Regset.cardinal defs with
-       | 0 -> -1
-       | 1 -> Regset.min_elt defs
-       | _ -> -2);
+     if not (Regset.is_empty defs) then def_reg.(pc) <- Regset.min_elt defs;
      (* Register-file port activity, for the energy model: one read per
         register operand (duplicates count — each is a port access), one
         write per defined register. Counted at issue, so the totals are
         identical under fast-forward and brute-force stepping (scheduler
-        re-probes such as the RFV peek are cycle-dependent and must not
+        re-probes such as the demand peek are cycle-dependent and must not
         contribute). *)
      rf_writes.(pc) <- (if Regset.is_empty defs then 0 else 1));
     (match i with
@@ -309,27 +242,12 @@ let tables ?(simt = false) (cfg : Arch_config.t) ~policy ~kernel =
     | Instr.Jump_if (c, _) | Instr.Jump_ifz (c, _) ->
         rf_reads.(pc) <- reg c;
         reads_laneid.(pc) <- lane c
-    | Instr.Jump _ | Instr.Bar | Instr.Release | Instr.Exit -> ()
-    | Instr.Acquire -> is_acquire.(pc) <- true);
+    | Instr.Jump _ | Instr.Bar | Instr.Release | Instr.Exit | Instr.Acquire -> ());
     let regs = Instr.regs i in
     pc_regs.(pc) <- Array.of_list (Regset.to_list regs);
     if not (Regset.is_empty regs) then top_reg.(pc) <- Regset.max_elt regs;
     is_global.(pc) <- lat = Instr.Lat_global;
-    decoded.(pc) <- Exec.decode i;
-    (* What the pc's residual check ([check_ready]) can depend on. Only a
-       global access waits for a memory slot; only an acquire under SRP or
-       paired warps asks the section pool; OWF's extended accesses ask the
-       partner until the warp owns its pair's registers; RFV peeks at every
-       pc's register demand. *)
-    let base = if is_global.(pc) then Global else Plain in
-    pc_class.(pc) <-
-      (match policy with
-      | Policy.Static _ | Policy.Regdem _ -> base
-      | Policy.Srp _ | Policy.Srp_paired _ ->
-          if is_acquire.(pc) then Stateful else base
-      | Policy.Owf _ ->
-          if (not is_acquire.(pc)) && top_reg.(pc) >= bs then Owf_ext else base
-      | Policy.Rfv _ -> Stateful)
+    decoded.(pc) <- Exec.decode i
   done;
   {
     tb_cfg = cfg;
@@ -338,7 +256,6 @@ let tables ?(simt = false) (cfg : Arch_config.t) ~policy ~kernel =
     tb_simt = simt;
     tb_instrs = instrs;
     tb_latency = latency;
-    tb_rfv_live = rfv_live;
     tb_def_reg = def_reg;
     tb_rf_reads = rf_reads;
     tb_rf_writes = rf_writes;
@@ -346,10 +263,8 @@ let tables ?(simt = false) (cfg : Arch_config.t) ~policy ~kernel =
     tb_pc_regs = pc_regs;
     tb_top_reg = top_reg;
     tb_is_global = is_global;
-    tb_is_acquire = is_acquire;
     tb_reads_laneid = reads_laneid;
     tb_decoded = decoded;
-    tb_pc_class = pc_class;
     tb_reconv = (if simt then Reconv.table prog else [||]);
   }
 
@@ -362,23 +277,9 @@ let make ?telemetry ~corrupt_mask ~lane_resolved tb ~sm_id ~memory
   let cta_capacity, wpc, regs_cta = compute_capacity cfg policy kernel in
   let prog = kernel.Kernel.program in
   let n = Program.length prog in
-  let bs, es, verify = split_of policy in
-  let srp_sections = sections_at cfg policy ~cta_capacity ~wpc ~regs_cta in
-  let pstate =
-    match policy with
-    | Policy.Static _ | Policy.Regdem _ -> Ps_static
-    | Policy.Srp _ ->
-        Ps_srp (Srp.create ~n_warps:cfg.max_warps ~sections:srp_sections)
-    | Policy.Srp_paired _ ->
-        Ps_paired
-          (Srp_paired.create ~n_warps:cfg.max_warps ~enabled_pairs:srp_sections)
-    | Policy.Owf _ -> Ps_owf
-    | Policy.Rfv _ ->
-        Ps_rfv { used = 0; capacity = cfg.regfile_regs / cfg.warp_size }
-  in
   let n_slots = max (cta_capacity * wpc) 1 in
   (* Warp slots are bits of one native int in the issue masks (and in the
-     SRP's warp bitmask). *)
+     policies' warp bitmasks). *)
   if n_slots > 62 then
     invalid_arg
       (Printf.sprintf "Sm.create: %d warp slots per SM exceed the limit of 62"
@@ -386,12 +287,21 @@ let make ?telemetry ~corrupt_mask ~lane_resolved tb ~sm_id ~memory
   let n_regs = max prog.Program.n_regs 1 in
   let lanes = if simt then Some cfg.Arch_config.warp_size else None in
   let soa = Soa.create ?lanes ~n_slots ~n_regs () in
-  let spill_words =
-    match policy with
-    | Policy.Regdem { spill_words; _ } -> spill_words
-    | Policy.Static _ | Policy.Srp _ | Policy.Srp_paired _ | Policy.Owf _
-    | Policy.Rfv _ ->
-        0
+  let pol = Policy.hooks cfg policy ~soa ~n_pcs:n ~cta_capacity ~wpc ~regs_cta in
+  (* What each pc's residual check ([check_ready]) can depend on. Only a
+     global access waits for a memory slot; the policy names the pcs whose
+     check asks its hooks. *)
+  let pc_class =
+    Array.init n (fun pc ->
+        match
+          pol.event
+            ~acquire:(tb.tb_instrs.(pc) = Instr.Acquire)
+            ~extended:(tb.tb_top_reg.(pc) >= pol.bs)
+        with
+        | Policy.No_event -> if tb.tb_is_global.(pc) then Global else Plain
+        | Policy.Acquire -> Acquire
+        | Policy.Claim -> Claim
+        | Policy.Demand -> Demand)
   in
   let ctxs =
     Array.init n_slots (fun slot ->
@@ -404,7 +314,7 @@ let make ?telemetry ~corrupt_mask ~lane_resolved tb ~sm_id ~memory
           nctaid = kernel.Kernel.grid_ctas;
           warp_id = slot mod wpc;
           shared = [||];
-          spill_words;
+          spill_words = pol.spill_words;
           memory;
           stats;
           record_stores;
@@ -430,14 +340,12 @@ let make ?telemetry ~corrupt_mask ~lane_resolved tb ~sm_id ~memory
     cfg;
     sm_id;
     kernel;
-    policy;
     memory;
     mem_sys;
     stats;
     instrs = tb.tb_instrs;
     warps_per_cta = wpc;
     cta_capacity;
-    srp_sections;
     ctas = Array.make (max cta_capacity 1) None;
     soa;
     ctxs;
@@ -453,9 +361,8 @@ let make ?telemetry ~corrupt_mask ~lane_resolved tb ~sm_id ~memory
     mem_free = false;
     now = 0;
     can_issue = (fun _ -> false);
-    pstate;
+    pol;
     latency = tb.tb_latency;
-    rfv_live = tb.tb_rfv_live;
     def_reg = tb.tb_def_reg;
     rf_reads = tb.tb_rf_reads;
     rf_writes = tb.tb_rf_writes;
@@ -463,21 +370,14 @@ let make ?telemetry ~corrupt_mask ~lane_resolved tb ~sm_id ~memory
     pc_regs = tb.tb_pc_regs;
     top_reg = tb.tb_top_reg;
     is_global = tb.tb_is_global;
-    is_acquire = tb.tb_is_acquire;
     reads_laneid = tb.tb_reads_laneid;
     decoded = tb.tb_decoded;
-    pc_class = tb.tb_pc_class;
-    max_rank =
-      (match pstate with
-      | Ps_rfv _ -> 5 (* Blocked_regs *)
-      | Ps_srp _ | Ps_paired _ | Ps_owf -> 4 (* Blocked_acquire *)
-      | Ps_static -> 3 (* Blocked_mem *));
+    pc_class;
     state_gen = 0;
     oldest_gen = -1;
     oldest_cache = max_int;
     resident_ctas = 0;
     resident_warps = 0;
-    retired = 0;
     launched_this_cycle = -1;
     next_age = 0;
     record_stores;
@@ -494,47 +394,34 @@ let make ?telemetry ~corrupt_mask ~lane_resolved tb ~sm_id ~memory
           Probe.create trace ~sm_id ~n_slots ~n_cta_slots:(max cta_capacity 1)
             ~n_mem_slots:cfg.mem_slots)
         telemetry;
-    bs;
-    es;
-    verify;
     mapping =
       {
-        Gpu_uarch.Reg_mapping.bs;
-        es;
+        Gpu_uarch.Reg_mapping.bs = pol.bs;
+        es = pol.es;
         srp_offset =
-          Gpu_uarch.Reg_mapping.srp_offset_for ~bs ~resident_warps:n_slots;
+          Gpu_uarch.Reg_mapping.srp_offset_for ~bs:pol.bs ~resident_warps:n_slots;
       };
   }
 
 let cta_capacity t = t.cta_capacity
-let srp_sections t = t.srp_sections
-
-let srp_in_use t =
-  match t.pstate with
-  | Ps_srp srp -> Srp.in_use srp
-  | Ps_paired srp -> Srp_paired.in_use srp
-  | Ps_static | Ps_owf | Ps_rfv _ -> 0
-let resident_ctas t = t.resident_ctas
+let srp_sections t = t.pol.sections
+let srp_in_use t = t.pol.in_use ()
 let resident_warps t = t.resident_warps
-let retired_ctas t = t.retired
 
 (* --- issue state ------------------------------------------------------ *)
 
-(* The issue class of a [Ready] warp at [pc]. OWF's extended accesses are
-   the one per-warp refinement: once the warp owns its pair's registers
-   (which only its own issue grants, and only its exit takes back) they
-   check nothing beyond the memory slot. *)
+(* The issue class of a [Ready] warp at [pc]. A claim is the one per-warp
+   refinement: once the warp holds its extended set (which only its own
+   issue grants, and only its exit takes back) it checks nothing beyond
+   the memory slot. *)
 let class_of t ~slot ~pc =
   match t.pc_class.(pc) with
-  | (Plain | Global | Stateful) as c -> c
-  | Owf_ext ->
-      if t.soa.Soa.owns_ext.(slot) = 0 then Stateful
-      else if t.is_global.(pc) then Global
-      else Plain
+  | Claim when t.pol.held slot >= 0 -> if t.is_global.(pc) then Global else Plain
+  | c -> c
 
 (* Re-file [slot] from its status, [ready_at] and issue class. Called
    wherever one of them can change: CTA launch, every pc move ([advance],
-   after the scoreboard bound is refreshed; the OWF grant precedes it),
+   after the scoreboard bound is refreshed; a claim precedes it),
    barrier release and warp exit. The slot is never in [pend] here — only
    an eligible warp issues, and a barrier-parked or freshly launched one
    is not pending — so its wheel bucket needs no clearing. *)
@@ -550,7 +437,7 @@ let place t ~slot =
     (match class_of t ~slot ~pc:soa.Soa.pc.(slot) with
     | Plain -> t.plain <- t.plain lor bit
     | Global -> t.global <- t.global lor bit
-    | Stateful | Owf_ext -> ());
+    | Acquire | Claim | Demand -> ());
     let r = soa.Soa.ready_at.(slot) in
     if r <= t.synced then t.elig <- t.elig lor bit
     else begin
@@ -596,18 +483,6 @@ let free_cta_slot t =
   in
   go 0
 
-let rfv_can_admit t =
-  match t.pstate with
-  | Ps_rfv r -> r.used + (t.warps_per_cta * t.rfv_live.(0)) <= r.capacity
-  | Ps_static | Ps_srp _ | Ps_paired _ | Ps_owf -> true
-
-(* OWF owner warps are scheduled before age (priority 0); everything else
-   orders by age alone. Keys are maintained at the three points priority
-   can change — launch, the silent OWF acquire, and warp exit — so the
-   schedulers read them without recomputing. *)
-let launch_priority t =
-  match t.pstate with Ps_owf -> 1 | Ps_static | Ps_srp _ | Ps_paired _ | Ps_rfv _ -> 0
-
 let try_launch t ~global_cta ~cycle =
   (* The slot scan only happens when a slot is known to exist (occupied
      slots and resident CTAs correspond one to one), so the per-cycle
@@ -617,7 +492,7 @@ let try_launch t ~global_cta ~cycle =
   else
     match free_cta_slot t with
     | None -> false
-    | Some slot when rfv_can_admit t ->
+    | Some slot when t.pol.can_admit () ->
         let n_warps = t.warps_per_cta in
         let shmem_words = max 1 (t.kernel.Kernel.shmem_bytes / 4) in
         let cta =
@@ -645,18 +520,10 @@ let try_launch t ~global_cta ~cycle =
                   ~rpc:t.reconv_sentinel
             else Soa.simt_collapse soa ~slot:wslot ~rpc:t.reconv_sentinel;
           t.next_age <- t.next_age + 1;
-          (* OWF: warps pair up within their CTA. *)
-          soa.Soa.partner.(wslot) <-
-            (if w land 1 = 0 then
-               if w + 1 < n_warps then wslot + 1 else -1
-             else wslot - 1);
-          soa.Soa.key.(wslot) <-
-            Scheduler.pack_key ~priority:(launch_priority t) ~age;
-          (match t.pstate with
-          | Ps_rfv r ->
-              soa.Soa.rfv_alloc.(wslot) <- t.rfv_live.(0);
-              r.used <- r.used + t.rfv_live.(0)
-          | Ps_static | Ps_srp _ | Ps_paired _ | Ps_owf -> ());
+          (* The schedulers order by the policy's priority, then age; a
+             claim is the one later change (see [claim]). *)
+          soa.Soa.key.(wslot) <- Scheduler.pack_key ~priority:t.pol.priority ~age;
+          t.pol.admit wslot;
           let ctx = t.ctxs.(wslot) in
           ctx.Exec.ctaid <- global_cta;
           ctx.Exec.shared <- cta.shared;
@@ -688,7 +555,6 @@ let retire_cta t ~cycle cta =
   t.ctas.(cta.cta_slot) <- None;
   t.resident_ctas <- t.resident_ctas - 1;
   t.resident_warps <- t.resident_warps - cta.n_warps;
-  t.retired <- t.retired + 1;
   t.stats.Stats.ctas_retired <- t.stats.Stats.ctas_retired + 1
 
 (* --- issue eligibility ---------------------------------------------- *)
@@ -702,18 +568,18 @@ type block_reason =
   | Blocked_barrier
   | Blocked_done
 
-(* RFV: the next instruction's demand, given this instruction's outcome.
-   Branch closures only read, so the peek runs the pc's decoded branch:
-   at warp level for a warp-uniform or collapsed warp, lane by lane under
-   the active mask for an expanded one. Under SIMT the computed next-pc is
-   routed through the reconvergence stack (pure peek variants), and a
-   divergent branch executes its fall-through arm next — unless the
-   fall-through IS the reconvergence point (a loop exit), in which case
-   the suspended taken arm runs immediately. A collapsed warp peeks like
-   a warp-uniform one, except at a [%laneid] read: issuing it expands the
-   warp, so the peek runs that branch for every lane on the collapsed
-   segment. *)
-let rfv_peek_next t ~slot instr =
+(* The pc a [Demand] check charges: the next instruction, given this
+   instruction's outcome. Branch closures only read, so the peek runs the
+   pc's decoded branch: at warp level for a warp-uniform or collapsed
+   warp, lane by lane under the active mask for an expanded one. Under
+   SIMT the computed next-pc is routed through the reconvergence stack
+   (pure peek variants), and a divergent branch executes its fall-through
+   arm next — unless the fall-through IS the reconvergence point (a loop
+   exit), in which case the suspended taken arm runs immediately. A
+   collapsed warp peeks like a warp-uniform one, except at a [%laneid]
+   read: issuing it expands the warp, so the peek runs that branch for
+   every lane on the collapsed segment. *)
+let peek_next t ~slot instr =
   let pc = t.soa.Soa.pc.(slot) in
   let ctx = t.ctxs.(slot) in
   let collapsed = t.simt && Soa.simt_collapsed t.soa ~slot in
@@ -741,14 +607,14 @@ let rfv_peek_next t ~slot instr =
         match Soa.simt_peek_exit soa ~slot with Some next -> next | None -> pc)
     | _ -> Soa.simt_peek_next soa ~slot (pc + 1)
 
-(* Forward-progress anchor for RFV: the oldest warp that could actually
-   issue (barrier-parked warps are waiting on others and must not anchor
-   the override, or a register-starved CTA deadlocks against it). The
-   [Ready] warps are exactly [elig lor pend]. The answer depends only on
-   statuses and ages, which change solely at launches and issues, so it is
-   memoized on [state_gen] — a scheduler scan under register pressure
-   probes many candidates per cycle and walks the mask once instead of per
-   candidate. *)
+(* Forward-progress anchor for register demand: the oldest warp that
+   could actually issue (barrier-parked warps are waiting on others and
+   must not anchor the override, or a register-starved CTA deadlocks
+   against it). The [Ready] warps are exactly [elig lor pend]. The answer
+   depends only on statuses and ages, which change solely at launches and
+   issues, so it is memoized on [state_gen] — a scheduler scan under
+   register pressure probes many candidates per cycle and walks the mask
+   once instead of per candidate. *)
 let oldest_ready_age t =
   if t.oldest_gen = t.state_gen then t.oldest_cache
   else begin
@@ -790,54 +656,28 @@ let check_ready ~probe t ~mem_free ~slot ~cycle =
   let soa = t.soa in
   let pc = soa.Soa.pc.(slot) in
   if t.is_global.(pc) && not mem_free then Blocked_mem
-  else if t.is_acquire.(pc) then begin
-    match t.pstate with
-    | Ps_srp srp ->
-        if Srp.held srp ~warp:slot >= 0 || Srp.free_sections srp > 0 then
-          Can_issue
+  else
+    match t.pc_class.(pc) with
+    | Plain | Global -> Can_issue
+    | Acquire ->
+        if t.pol.can_acquire slot then Can_issue
         else begin
           if not probe then note_acquire_stall t ~slot ~cycle;
           Blocked_acquire
         end
-    | Ps_paired srp ->
-        if Srp_paired.available srp ~warp:slot then Can_issue
+    | Claim ->
+        if t.pol.held slot >= 0 || t.pol.can_claim slot then Can_issue
         else begin
-          if not probe then note_acquire_stall t ~slot ~cycle;
-          Blocked_acquire
-        end
-    | Ps_static | Ps_owf | Ps_rfv _ -> Can_issue
-  end
-  else begin
-    match t.pstate with
-    | Ps_owf when t.top_reg.(pc) >= t.bs && soa.Soa.owns_ext.(slot) = 0 ->
-        (* First extended access acquires the pair's registers for the
-           rest of the warp's life; blocked while the partner owns them. *)
-        (* A partner parked at a barrier cannot finish until this warp
-           arrives too; blocking here would deadlock the CTA, so ownership
-           is ceded (the one concession the no-in-kernel-release design
-           needs to run barrier kernels). *)
-        let partner = soa.Soa.partner.(slot) in
-        let partner_owns =
-          partner >= 0
-          && soa.Soa.owns_ext.(partner) = 1
-          && soa.Soa.status.(partner) = Soa.st_ready
-        in
-        if partner_owns then begin
           if not probe then soa.Soa.acquire_stalled.(slot) <- 1;
           Blocked_acquire
         end
-        else Can_issue
-    | Ps_rfv r ->
-        let next = rfv_peek_next t ~slot t.instrs.(pc) in
-        let delta = t.rfv_live.(next) - soa.Soa.rfv_alloc.(slot) in
+    | Demand ->
+        (* Over the pool, only the oldest ready warp may grow. *)
         if
-          delta <= 0
-          || r.used + delta <= r.capacity
+          t.pol.fits slot (peek_next t ~slot t.instrs.(pc))
           || soa.Soa.age.(slot) = oldest_ready_age t
         then Can_issue
         else Blocked_regs
-    | Ps_static | Ps_srp _ | Ps_paired _ | Ps_owf -> Can_issue
-  end
 
 (* [check_warp] answers "can this warp issue right now, and if not, why?"
    for any resident warp — the status/scoreboard prefix plus
@@ -900,21 +740,14 @@ let maybe_release_barrier t ~cycle cta =
 (* Called when verification is on and [pc] touches the extended set. *)
 let verify_access t ~slot pc =
   let top = t.top_reg.(pc) in
-  if top >= t.bs + t.es then
+  let limit = t.pol.bs + t.pol.es in
+  if top >= limit then
     raise
       (Verification_failure
-         (Printf.sprintf "pc %d references r%d beyond |Bs|+|Es| = %d" pc top
-            (t.bs + t.es)));
+         (Printf.sprintf "pc %d references r%d beyond |Bs|+|Es| = %d" pc top limit));
   (* The held section, -1 for none: ints rather than options, so a
      verified issue allocates nothing. *)
-  let section =
-    match t.pstate with
-    | Ps_srp srp -> Srp.held srp ~warp:slot
-    | Ps_paired srp ->
-        if Srp_paired.holds srp ~warp:slot then Srp_paired.pair_of_warp ~warp:slot
-        else -1
-    | Ps_static | Ps_owf | Ps_rfv _ -> 0
-  in
+  let section = t.pol.held slot in
   (* Drive every referenced register through the Figure 6 two-segment
      mapping: it must produce a valid physical index (and trips exactly
      when the warp holds no section). *)
@@ -930,15 +763,7 @@ let verify_access t ~slot pc =
               (Gpu_uarch.Reg_mapping.error_of_code p)))
   done
 
-let rfv_move t ~slot ~next_pc =
-  match t.pstate with
-  | Ps_rfv r ->
-      let demand = t.rfv_live.(next_pc) in
-      r.used <- r.used + demand - t.soa.Soa.rfv_alloc.(slot);
-      t.soa.Soa.rfv_alloc.(slot) <- demand
-  | Ps_static | Ps_srp _ | Ps_paired _ | Ps_owf -> ()
-
-(* On a successful release the physical extended set goes back to the SRP
+(* On a successful release the physical extended set goes back to the pool
    and may be handed to another warp, so the architected values above [bs]
    cease to exist for this warp. The functional model keeps a full per-warp
    register array, which would silently preserve them; clobbering with a
@@ -954,7 +779,7 @@ let poison_ext t ~slot =
   let row = t.soa.Soa.regs.(slot) and n = t.soa.Soa.n_regs in
   let base = ref 0 in
   while !base < Array.length row do
-    for r = t.bs to n - 1 do
+    for r = t.pol.bs to n - 1 do
       row.(!base + r) <- release_poison
     done;
     base := !base + n
@@ -972,29 +797,15 @@ let warp_done t ~cycle ~slot cta =
       Probe.hold_end p ~cycle ~slot;
       Probe.warp_close p ~cycle ~slot
   | None -> ());
-  (match t.pstate with
-  | Ps_srp srp -> (
-      match Srp.reset_warp srp ~warp:slot with
-      | Some _ -> (
-          match t.probe with
-          | Some p -> Probe.srp_sample p ~cycle ~in_use:(Srp.in_use srp)
-          | None -> ())
-      | None -> ())
-  | Ps_paired srp ->
-      if Srp_paired.reset_warp srp ~warp:slot then (
-        match t.probe with
-        | Some p -> Probe.srp_sample p ~cycle ~in_use:(Srp_paired.in_use srp)
-        | None -> ())
-  | Ps_owf -> soa.Soa.owns_ext.(slot) <- 0
-  | Ps_rfv r ->
-      r.used <- r.used - soa.Soa.rfv_alloc.(slot);
-      soa.Soa.rfv_alloc.(slot) <- 0
-  | Ps_static -> ());
+  (if t.pol.exit slot then
+     match t.probe with
+     | Some p -> Probe.srp_sample p ~cycle ~in_use:(t.pol.in_use ())
+     | None -> ());
   soa.Soa.acquired_at.(slot) <- -1;
   if cta.running = 0 then retire_cta t ~cycle cta else maybe_release_barrier t ~cycle cta
 
 let advance t ~slot ~next =
-  rfv_move t ~slot ~next_pc:next;
+  if t.pol.moves then t.pol.move slot next;
   t.soa.Soa.pc.(slot) <- next;
   Soa.refresh_ready_at t.soa ~slot ~touched:t.pc_regs.(next);
   place t ~slot
@@ -1007,48 +818,23 @@ let mem_issued t ~cycle ~completion =
   | Some p -> Probe.mem_issue p ~cycle ~completion
   | None -> ()
 
-let granted t ~cycle ~slot ~section ~in_use =
+let granted t ~cycle ~slot ~section =
   t.soa.Soa.acquired_at.(slot) <- cycle;
   match t.probe with
   | Some p ->
       Probe.hold_begin p ~cycle ~slot ~section;
-      Probe.srp_sample p ~cycle ~in_use
+      Probe.srp_sample p ~cycle ~in_use:(t.pol.in_use ())
   | None -> ()
 
-let released t ~cycle ~slot ~in_use =
+let released t ~cycle ~slot =
   t.soa.Soa.acquired_at.(slot) <- -1;
   (match t.probe with
   | Some p ->
       Probe.hold_end p ~cycle ~slot;
-      Probe.srp_sample p ~cycle ~in_use
+      Probe.srp_sample p ~cycle ~in_use:(t.pol.in_use ())
   | None -> ());
   t.stats.Stats.release_execs <- t.stats.Stats.release_execs + 1;
   poison_ext t ~slot
-
-let multi_def_error t ~slot ~pc =
-  let section_state =
-    match t.pstate with
-    | Ps_srp srp ->
-        Printf.sprintf "srp: holds=%s, %d/%d sections in use"
-          (match Srp.holds srp ~warp:slot with
-          | Some s -> string_of_int s
-          | None -> "-")
-          (Srp.in_use srp) (Srp.n_sections srp)
-    | Ps_paired srp ->
-        Printf.sprintf "paired: holds=%b, %d/%d pairs in use"
-          (Srp_paired.holds srp ~warp:slot)
-          (Srp_paired.in_use srp) (Srp_paired.n_pairs srp)
-    | Ps_owf -> Printf.sprintf "owf: owns_ext=%d" t.soa.Soa.owns_ext.(slot)
-    | Ps_rfv r -> Printf.sprintf "rfv: %d/%d packs used" r.used r.capacity
-    | Ps_static -> "static"
-  in
-  invalid_arg
-    (Printf.sprintf
-       "Sm.issue: instruction with multiple destination registers — SM %d, \
-        CTA %d, warp %d (slot %d), pc %d: %s [%s]"
-       t.sm_id t.soa.Soa.global_cta.(slot) t.soa.Soa.warp_in_cta.(slot) slot pc
-       (Instr.to_string t.instrs.(pc))
-       section_state)
 
 (* Route a computed next-pc through the reconvergence stack (pops when it
    reaches the current reconvergence point); identity for warp-uniform and
@@ -1090,11 +876,29 @@ let account_issue t ~slot ~cycle ~pc ~completion =
     in
     soa.Soa.reg_ready.(slot).(d) <- ready
   end
-  else if d = -1 then begin
+  else if t.is_global.(pc) then
     (* Global stores still consume a memory slot. *)
-    if t.is_global.(pc) then mem_issued t ~cycle ~completion
-  end
-  else multi_def_error t ~slot ~pc
+    mem_issued t ~cycle ~completion
+
+let count_acquire t ~slot =
+  let soa = t.soa and st = t.stats in
+  st.Stats.acquire_execs <- st.Stats.acquire_execs + 1;
+  if soa.Soa.acquire_stalled.(slot) = 0 then
+    st.Stats.acquire_first_try <- st.Stats.acquire_first_try + 1;
+  soa.Soa.acquire_stalled.(slot) <- 0
+
+(* A warp's first access to a [Claim] pc takes its extended set for the
+   rest of its life, silently (no instruction asks for it), and moves the
+   warp ahead of the non-holders. *)
+let claim t ~slot ~cycle =
+  let soa = t.soa in
+  t.pol.claim slot;
+  soa.Soa.acquired_at.(slot) <- cycle;
+  soa.Soa.key.(slot) <- Scheduler.pack_key ~priority:0 ~age:soa.Soa.age.(slot);
+  (match t.probe with
+  | Some p -> Probe.hold_begin p ~cycle ~slot ~section:(t.pol.held slot)
+  | None -> ());
+  count_acquire t ~slot
 
 let cta_of t ~slot =
   match t.ctas.(t.soa.Soa.cta_slot.(slot)) with
@@ -1125,49 +929,18 @@ let follow t ~slot ~cycle ~pc ~lanes outcome =
           Probe.barrier_arrive p ~cycle ~slot ~global_cta:soa.Soa.global_cta.(slot)
       | None -> ());
       maybe_release_barrier t ~cycle cta
-  | Exec.Acq -> (
-      let grant =
-        match t.pstate with
-        | Ps_srp srp -> (
-            match Srp.acquire srp ~warp:slot with
-            | Srp.Granted s ->
-                granted t ~cycle ~slot ~section:s ~in_use:(Srp.in_use srp);
-                true
-            | Srp.Already_held _ -> true
-            | Srp.Stall -> false)
-        | Ps_paired srp -> (
-            match Srp_paired.acquire srp ~warp:slot with
-            | Srp_paired.Granted ->
-                granted t ~cycle ~slot
-                  ~section:(Srp_paired.pair_of_warp ~warp:slot)
-                  ~in_use:(Srp_paired.in_use srp);
-                true
-            | Srp_paired.Already_held -> true
-            | Srp_paired.Stall -> false)
-        | Ps_static | Ps_owf | Ps_rfv _ -> true
-      in
-      match grant with
-      | true ->
-          t.stats.Stats.acquire_execs <- t.stats.Stats.acquire_execs + 1;
-          if soa.Soa.acquire_stalled.(slot) = 0 then
-            t.stats.Stats.acquire_first_try <- t.stats.Stats.acquire_first_try + 1;
-          soa.Soa.acquire_stalled.(slot) <- 0;
-          advance t ~slot ~next:(route t ~slot ~lanes (pc + 1))
-      | false ->
-          (* Lost a same-cycle race for the last section; retry later. *)
-          soa.Soa.acquire_stalled.(slot) <- 1)
+  | Exec.Acq ->
+      let section = t.pol.acquire slot in
+      if section = -2 then
+        (* Lost a same-cycle race for the last section; retry later. *)
+        soa.Soa.acquire_stalled.(slot) <- 1
+      else begin
+        if section >= 0 then granted t ~cycle ~slot ~section;
+        count_acquire t ~slot;
+        advance t ~slot ~next:(route t ~slot ~lanes (pc + 1))
+      end
   | Exec.Rel ->
-      (match t.pstate with
-      | Ps_srp srp -> (
-          match Srp.release srp ~warp:slot with
-          | Srp.Released _ -> released t ~cycle ~slot ~in_use:(Srp.in_use srp)
-          | Srp.Not_held -> ())
-      | Ps_paired srp -> (
-          match Srp_paired.release srp ~warp:slot with
-          | Srp_paired.Released ->
-              released t ~cycle ~slot ~in_use:(Srp_paired.in_use srp)
-          | Srp_paired.Not_held -> ())
-      | Ps_static | Ps_owf | Ps_rfv _ -> ());
+      if t.pol.release slot then released t ~cycle ~slot;
       advance t ~slot ~next:(route t ~slot ~lanes (pc + 1))
 
 (* [issue] executes the warp's current instruction; returns [false] when a
@@ -1177,7 +950,7 @@ let follow t ~slot ~cycle ~pc ~lanes outcome =
 let issue t ~slot ~cycle =
   let soa = t.soa in
   let pc = soa.Soa.pc.(slot) in
-  if t.verify && t.top_reg.(pc) >= t.bs then verify_access t ~slot pc;
+  if t.pol.verify && t.top_reg.(pc) >= t.pol.bs then verify_access t ~slot pc;
   (* Global accesses claim their memory slot before any architectural
      state changes, so a refusal leaves nothing to undo. The completion
      cycle depends only on the clock and DRAM horizon, never on this
@@ -1191,21 +964,9 @@ let issue t ~slot ~cycle =
     t.state_gen <- t.state_gen + 1;
     t.stats.Stats.rf_reads <- t.stats.Stats.rf_reads + t.rf_reads.(pc);
     t.stats.Stats.rf_writes <- t.stats.Stats.rf_writes + t.rf_writes.(pc);
-    (* OWF: silent one-time acquire at the first extended access. *)
-    (match t.pstate with
-    | Ps_owf when t.top_reg.(pc) >= t.bs && soa.Soa.owns_ext.(slot) = 0 ->
-        soa.Soa.owns_ext.(slot) <- 1;
-        soa.Soa.acquired_at.(slot) <- cycle;
-        soa.Soa.key.(slot) <-
-          Scheduler.pack_key ~priority:0 ~age:soa.Soa.age.(slot);
-        (match t.probe with
-        | Some p -> Probe.hold_begin p ~cycle ~slot ~section:(slot / 2)
-        | None -> ());
-        t.stats.Stats.acquire_execs <- t.stats.Stats.acquire_execs + 1;
-        if soa.Soa.acquire_stalled.(slot) = 0 then
-          t.stats.Stats.acquire_first_try <- t.stats.Stats.acquire_first_try + 1;
-        soa.Soa.acquire_stalled.(slot) <- 0
-    | Ps_owf | Ps_static | Ps_srp _ | Ps_paired _ | Ps_rfv _ -> ());
+    (match t.pc_class.(pc) with
+    | Claim when t.pol.held slot < 0 -> claim t ~slot ~cycle
+    | Plain | Global | Acquire | Claim | Demand -> ());
     if
       t.trace_warp0
       && soa.Soa.global_cta.(slot) = 0
@@ -1284,7 +1045,7 @@ let stall_reason_of_block = function
    The blockage reported is the highest-ranked one among all warps.
    Scoreboard stalls end at the warp's [ready_at]; structural memory
    stalls end when the SM's earliest slot completes; acquire,
-   RFV-register and barrier stalls only end through another warp's issue,
+   register-demand and barrier stalls only end through another warp's issue,
    so while the whole GPU is idle they never end — they contribute no
    wakeup bound. Probing changes no warp state; the residual checks that
    run count as issue candidates. *)
@@ -1334,14 +1095,14 @@ let idle_summary t ~cycle =
 (* Per-cycle idle attribution: only the most specific blockage is needed,
    not the wakeup bound. Eligible plain and global warps rank off the
    class masks ([Can_issue], or [Blocked_mem] when no memory slot is
-   free). The ranking is bounded by the policy ([Blocked_regs] only under
-   RFV, [Blocked_acquire] only under SRP/paired/OWF), so the walk over the
-   eligible stateful warps stops as soon as the policy's top rank is
-   found; the pending and barrier masks rank below every residual
-   blockage. Runs on every cycle where some scheduler finds nothing to
-   issue; [count] charges the residual checks run to the
-   [issue_candidates] work counter (the simulator's own classifications
-   do, an outside probe does not). *)
+   free). The ranking is bounded by the policy ([Policy.hooks.max_rank]:
+   [Blocked_regs] only where it tracks demand, [Blocked_acquire] only where
+   it has a pool or a claim), so the walk over the eligible stateful warps
+   stops as soon as the policy's top rank is found; the pending and
+   barrier masks rank below every residual blockage. Runs on every cycle
+   where some scheduler finds nothing to issue; [count] charges the
+   residual checks run to the [issue_candidates] work counter (the
+   simulator's own classifications do, an outside probe does not). *)
 let classify ~count t ~cycle =
   sync t ~cycle;
   let best = ref Blocked_done in
@@ -1352,7 +1113,7 @@ let classify ~count t ~cycle =
     best_rank := rank_block Blocked_mem
   end;
   let m = ref (t.elig land lnot (t.plain lor t.global)) in
-  while !m <> 0 && !best_rank < t.max_rank do
+  while !m <> 0 && !best_rank < t.pol.max_rank do
     let slot = Bits.lowest !m in
     m := !m land (!m - 1);
     if count then
@@ -1380,7 +1141,6 @@ type warp_diag = {
   d_status : Warp.status;
   d_block : Stats.stall_reason;
   d_ready_at : int;
-  d_holds_ext : bool;
   d_held_section : int option;
   d_held_cycles : int;
 }
@@ -1392,17 +1152,7 @@ let diagnose t ~cycle =
   for slot = soa.Soa.n_slots - 1 downto 0 do
     if soa.Soa.status.(slot) < Soa.st_done then begin
       let block = check_warp ~probe:true t ~mem_free ~slot ~cycle in
-      let held_section =
-        match t.pstate with
-        | Ps_srp srp -> Srp.holds srp ~warp:slot
-        | Ps_paired srp ->
-            if Srp_paired.holds srp ~warp:slot then
-              Some (Srp_paired.pair_of_warp ~warp:slot)
-            else None
-        | Ps_owf ->
-            if soa.Soa.owns_ext.(slot) = 1 then Some (slot / 2) else None
-        | Ps_static | Ps_rfv _ -> None
-      in
+      let section = t.pol.held slot in
       acc :=
         {
           d_cta = soa.Soa.global_cta.(slot);
@@ -1411,10 +1161,9 @@ let diagnose t ~cycle =
           d_status = Soa.status_of soa slot;
           d_block = stall_reason_of_block block;
           d_ready_at = soa.Soa.ready_at.(slot);
-          d_holds_ext = held_section <> None;
-          d_held_section = held_section;
+          d_held_section = (if section >= 0 then Some section else None);
           d_held_cycles =
-            (if held_section <> None && soa.Soa.acquired_at.(slot) >= 0 then
+            (if section >= 0 && soa.Soa.acquired_at.(slot) >= 0 then
                cycle - soa.Soa.acquired_at.(slot)
              else 0);
         }
@@ -1437,30 +1186,9 @@ let pp_warp_diag ppf d =
   match d.d_held_section with
   | Some s ->
       Format.fprintf ppf " [holds section %d for %d cycles]" s d.d_held_cycles
-  | None -> if d.d_holds_ext then Format.fprintf ppf " [holds ext set]"
+  | None -> ()
 
-let srp_invariant t =
-  match t.pstate with
-  | Ps_srp srp ->
-      let in_use = Srp.in_use srp
-      and free = Srp.free_sections srp
-      and sections = Srp.n_sections srp in
-      if in_use + free <> sections then
-        Some
-          (Printf.sprintf "SRP conservation broken: %d in use + %d free <> %d sections"
-             in_use free sections)
-      else if not (Srp.consistent srp) then
-        Some "SRP status/bitmask/LUT bookkeeping out of sync"
-      else None
-  | Ps_paired srp ->
-      let in_use = Srp_paired.in_use srp
-      and pairs = Srp_paired.n_pairs srp in
-      if in_use < 0 || in_use > pairs then
-        Some
-          (Printf.sprintf "paired SRP accounting broken: %d in use of %d pairs"
-             in_use pairs)
-      else None
-  | Ps_static | Ps_owf | Ps_rfv _ -> None
+let srp_invariant t = t.pol.invariant ()
 
 let account_idle_span t ~from ~reason ~span =
   if t.resident_warps > 0 && span > 0 then begin
@@ -1480,7 +1208,7 @@ let account_idle_span t ~from ~reason ~span =
 let finalize_probe t ~cycle =
   match t.probe with Some p -> Probe.finalize p ~cycle | None -> ()
 
-let can_launch t = t.resident_ctas < t.cta_capacity && rfv_can_admit t
+let can_launch t = t.resident_ctas < t.cta_capacity && t.pol.can_admit ()
 
 let step t ~cycle =
   sync t ~cycle;
@@ -1578,7 +1306,7 @@ let issue_state_ok t ~cycle =
           global := !global lor bit;
           if answer true <> Can_issue || answer false <> Blocked_mem then
             classes_sound := false
-      | Stateful | Owf_ext -> ()
+      | Acquire | Claim | Demand -> ()
     end
   done;
   (* Every pending slot sits in its own bucket, the buckets are disjoint,

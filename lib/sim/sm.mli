@@ -1,6 +1,9 @@
 (** One streaming multiprocessor: resident CTAs/warps, warp schedulers,
-    barrier bookkeeping and policy enforcement (baseline, RegMutex SRP,
-    paired-warps, OWF, RFV). *)
+    barrier bookkeeping, and the issue-stage checks that enforce a register
+    policy. The SM knows no technique: each policy's state and rules sit
+    behind one {!Policy.hooks} record built when the SM is, which the SM
+    calls only at a policy event (an acquire or release, a pc the policy
+    names an event, a CTA launch, a warp exit). *)
 
 (** Raised in verification mode when a transformed program accesses an
     extended-set register without holding an SRP section, or any register
@@ -11,9 +14,9 @@ type t
 
 (** A run's fixed SM inputs (architecture, policy, kernel, execution
     model) with the per-pc precomputation they determine: latencies,
-    register-port counts, decoded instructions, issue classes, and the
-    reconvergence table under [simt]. Built once per run and shared
-    read-only by every SM of it. *)
+    register-port counts, decoded instructions, and the reconvergence
+    table under [simt]. Built once per run and shared read-only by every
+    SM of it. *)
 type tables
 
 (** [tables ?simt cfg ~policy ~kernel] builds the tables in one pass over
@@ -21,9 +24,7 @@ type tables
     execution: lane-resolved register values, predicated execution under
     an active-lane mask, and an immediate-post-dominator reconvergence
     stack per warp slot. Timing stays warp-granular, so a warp-uniform
-    program runs bit-identically in both models.
-    @raise Invalid_argument when an RFV policy's live table does not
-    match the program's length. *)
+    program runs bit-identically in both models. *)
 val tables :
   ?simt:bool -> Gpu_uarch.Arch_config.t -> policy:Policy.t -> kernel:Kernel.t ->
   tables
@@ -38,9 +39,12 @@ val tables :
     expanded. [lane_resolved] (default [false]) launches every warp
     expanded, the reference the differential tests compare against.
     [telemetry] (default none) is the run's trace ring, which the SM's
-    {!Probe} records into.
+    {!Probe} records into. The SM builds its {!Policy.hooks} and each pc's
+    issue class from them: whether the pc's residual check asks the
+    policy at all.
     @raise Invalid_argument when the SM would hold more than 62 warp slots
-    (slots are bits of one native int in the issue masks). *)
+    (slots are bits of one native int in the issue masks), or as
+    {!Policy.hooks} does. *)
 val create :
   ?telemetry:Telemetry.Trace.t ->
   ?corrupt_mask:int ->
@@ -70,14 +74,12 @@ val cta_capacity_for :
 val srp_sections_for :
   Gpu_uarch.Arch_config.t -> policy:Policy.t -> kernel:Kernel.t -> int
 
-(** Usable SRP sections (0 for non-SRP policies). *)
+(** Usable extended-set sections ({!Policy.hooks.sections}). *)
 val srp_sections : t -> int
 
-val resident_ctas : t -> int
 val resident_warps : t -> int
-val retired_ctas : t -> int
 
-(** SRP sections currently acquired (0 for non-SRP policies). *)
+(** Extended-set sections currently held ({!Policy.hooks.in_use}). *)
 val srp_in_use : t -> int
 
 (** [try_launch t ~global_cta ~cycle] places a CTA if a slot and resources
@@ -85,18 +87,19 @@ val srp_in_use : t -> int
     attempted by the driver. *)
 val try_launch : t -> global_cta:int -> cycle:int -> bool
 
-(** Can a CTA be placed right now (free slot and, under RFV, admissible
-    register demand)? Pure; the fast-forward driver uses it to decide
-    whether CTA dispatch bounds the clock jump. *)
+(** Can a CTA be placed right now (a free slot, and the policy's
+    {!Policy.hooks.can_admit})? Pure; the fast-forward driver uses it to
+    decide whether CTA dispatch bounds the clock jump. *)
 val can_launch : t -> bool
 
 (** Advance one cycle: every scheduler issues at most one instruction.
     Each scheduler walks only its eligible warps (see {!issue_state_ok});
     a scheduler with none costs one mask test. Each pc is decoded once,
-    when the SM is built, into an {!Exec.decode} closure and an issue
-    class; warps whose class settles the residual check (plain warps, and
-    global-access warps once the memory-slot answer is known) are decided
-    off per-class masks, so the check runs only for the rest. *)
+    for the run, into an {!Exec.decode} closure, and when the SM is built
+    into an issue class; warps whose class settles the residual check
+    (plain warps, and global-access warps once the memory-slot answer is
+    known) are decided off per-class masks, so the check, and with it the
+    policy's hooks, runs only for the rest. *)
 val step : t -> cycle:int -> unit
 
 (** Attribute an idle scheduler slot to the most specific blockage among
@@ -163,10 +166,9 @@ type warp_diag = {
   d_status : Warp.status;
   d_block : Stats.stall_reason;  (** why the warp cannot issue right now *)
   d_ready_at : int;       (** scoreboard bound; [max_int] = no bound *)
-  d_holds_ext : bool;     (** holds an SRP section / pair set / OWF regs *)
   d_held_section : int option;
-      (** which SRP section (or pair index) the warp holds, so deadlock
-          reports name the holder, not just the waiter *)
+      (** the extended-set section the warp holds ({!Policy.hooks.held}),
+          so deadlock reports name the holder, not just the waiter *)
   d_held_cycles : int;
       (** how long the section has been held ([Warp.acquired_at] based);
           [0] when nothing is held *)
@@ -178,9 +180,10 @@ val diagnose : t -> cycle:int -> warp_diag list
 
 val pp_warp_diag : Format.formatter -> warp_diag -> unit
 
-(** SRP conservation cross-check, for the fuzz oracle's per-cycle
-    sampler: [Some msg] when the accounting is broken (in use + free
-    <> total sections, or, for the full SRP engine, the
-    status/bitmask/LUT structures disagree); [None] when it holds or the
-    policy has no acquire pool. The [None] path allocates nothing. *)
+(** The policy's pool conservation cross-check ({!Policy.hooks.invariant}),
+    for the fuzz oracle's per-cycle sampler: [Some msg] when the
+    accounting is broken (in use + free <> total sections, or, for the full
+    SRP engine, the status/bitmask/LUT structures disagree); [None] when it
+    holds or the policy has no acquire pool. The [None] path allocates
+    nothing. *)
 val srp_invariant : t -> string option

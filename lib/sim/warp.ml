@@ -36,9 +36,6 @@ module Soa = struct
     key : int array;
     acquire_stalled : int array;
     acquired_at : int array;
-    owns_ext : int array;
-    partner : int array;
-    rfv_alloc : int array;
     issued : int array;
     global_cta : int array;
     warp_in_cta : int array;
@@ -80,9 +77,6 @@ module Soa = struct
       key = Array.make n_slots max_int;
       acquire_stalled = Array.make n_slots 0;
       acquired_at = Array.make n_slots (-1);
-      owns_ext = Array.make n_slots 0;
-      partner = Array.make n_slots (-1);
-      rfv_alloc = Array.make n_slots 0;
       issued = Array.make n_slots 0;
       global_cta = Array.make n_slots (-1);
       warp_in_cta = Array.make n_slots (-1);
@@ -108,9 +102,6 @@ module Soa = struct
     t.age.(slot) <- age;
     t.acquire_stalled.(slot) <- 0;
     t.acquired_at.(slot) <- -1;
-    t.owns_ext.(slot) <- 0;
-    t.partner.(slot) <- -1;
-    t.rfv_alloc.(slot) <- 0;
     t.issued.(slot) <- 0;
     t.global_cta.(slot) <- global_cta;
     t.warp_in_cta.(slot) <- warp_in_cta;
@@ -295,20 +286,3 @@ module Soa = struct
     in
     scan (s.stk_depth.(slot) - 1)
 end
-
-type view = {
-  slot : int;
-  cta_slot : int;
-  global_cta : int;
-  warp_in_cta : int;
-  age : int;
-}
-
-let view (soa : Soa.t) slot =
-  {
-    slot;
-    cta_slot = soa.Soa.cta_slot.(slot);
-    global_cta = soa.Soa.global_cta.(slot);
-    warp_in_cta = soa.Soa.warp_in_cta.(slot);
-    age = soa.Soa.age.(slot);
-  }

@@ -2,16 +2,14 @@
 
     The simulator hot loop reads warp state by slot on every cycle (the
     SM's issue masks name the slots worth reading), so the hot mutable
-    fields ([pc], [ready_at], [status], the acquire/SRP state,
+    fields ([pc], [ready_at], [status], the acquire state,
     issue counters) live in packed [int array]s indexed by warp slot —
     one cache-friendly {!Soa.t} per SM — instead of one boxed record per
     warp. A slot's registers are one lane-major row, one lane wide
     unless the warp runs lane-resolved (see DESIGN.md);
     [reg_ready.(slot).(r)] is the cycle at which the in-flight producer
-    of [r] completes — the scoreboard consulted before issue.
-
-    Cold identity fields are materialised on demand as a thin {!view}
-    record for probe and diagnostic paths. *)
+    of [r] completes — the scoreboard consulted before issue. A register
+    policy's own per-warp state lives in its {!Policy.hooks}. *)
 
 type status =
   | Ready       (** may issue (subject to scoreboard/structural checks) *)
@@ -75,9 +73,6 @@ module Soa : sig
             when none is held. Always maintained (not just under
             telemetry) so deadlock diagnostics can report how long each
             holder has sat on its section. *)
-    owns_ext : int array;         (** 0/1, OWF: holds the pair's shared regs *)
-    partner : int array;          (** OWF: partner warp slot, or -1 *)
-    rfv_alloc : int array;        (** RFV: physical packs currently charged *)
     issued : int array;           (** dynamic instructions issued *)
     global_cta : int array;       (** CTA index within the grid *)
     warp_in_cta : int array;
@@ -102,8 +97,8 @@ module Soa : sig
   val status_of : t -> int -> status
 
   (** Install a fresh warp in [slot]: resets all hot fields and zeroes
-      the register/scoreboard rows. The caller sets [key] and [partner]
-      afterwards (they depend on the register policy). *)
+      the register/scoreboard rows. The caller sets [key] afterwards (it
+      depends on the register policy). *)
   val launch :
     t ->
     slot:int ->
@@ -180,14 +175,3 @@ module Soa : sig
 
   val simt_peek_exit : t -> slot:int -> int option
 end
-
-(** Thin identity record for probe/diagnostic paths. *)
-type view = {
-  slot : int;           (** warp slot within the SM *)
-  cta_slot : int;       (** resident-CTA slot within the SM *)
-  global_cta : int;     (** CTA index within the grid *)
-  warp_in_cta : int;
-  age : int;            (** global launch sequence number (GTO "oldest") *)
-}
-
-val view : Soa.t -> int -> view

@@ -217,9 +217,11 @@ let test_end_to_end_export () =
 
 (* --- deadlock diagnostics ----------------------------------------------- *)
 
-(* One SRP section, two warps: warp 0 acquires then parks at the barrier;
-   warp 1 can never acquire. The diagnostic must name the holder — which
-   section, and for how long — without any telemetry trace attached. *)
+(* One extended-set section, two warps: warp 0 acquires then parks at the
+   barrier; warp 1 can never acquire. The diagnostic must name the holder
+   — which section, and for how long — without any telemetry trace
+   attached. Under RegMutex the section comes from the SRP; under paired
+   warps it is the pair's own set, which the sibling can never take. *)
 let test_deadlock_holder () =
   let prog =
     Gpu_isa.Program.create ~name:"dl-hold"
@@ -231,42 +233,47 @@ let test_deadlock_holder () =
     { Util.small_arch with Gpu_uarch.Arch_config.regfile_regs = 192 }
   in
   let kernel = Kernel.make ~name:"dl-hold" ~grid_ctas:1 ~cta_threads:64 prog in
-  let policy = Gpu_sim.Policy.Srp { bs = 2; es = 2; verify = false } in
-  let config =
-    { (Gpu.default_config arch policy) with Gpu.max_cycles = 10_000 }
+  let deadlocks policy =
+    let label what = Gpu_sim.Policy.name policy ^ ": " ^ what in
+    let config =
+      { (Gpu.default_config arch policy) with Gpu.max_cycles = 10_000 }
+    in
+    match Gpu.run config kernel with
+    | _ -> Alcotest.fail (label "deadlock not detected")
+    | exception Gpu.Deadlock info ->
+        let sm = List.hd info.Gpu.dl_sms in
+        Alcotest.(check int) (label "one section in use") 1 sm.Gpu.dl_srp_in_use;
+        let holder =
+          List.find_opt
+            (fun (w : Gpu_sim.Sm.warp_diag) -> w.Gpu_sim.Sm.d_held_section <> None)
+            sm.Gpu.dl_warps
+        in
+        (match holder with
+        | None -> Alcotest.fail (label "no warp reported as holding a section")
+        | Some w ->
+            Alcotest.(check (option int)) (label "holds section 0") (Some 0)
+              w.Gpu_sim.Sm.d_held_section;
+            Alcotest.(check int) (label "warp 0 holds it") 0 w.Gpu_sim.Sm.d_warp;
+            Alcotest.(check bool) (label "held for > 0 cycles") true
+              (w.Gpu_sim.Sm.d_held_cycles > 0);
+            Alcotest.(check bool) (label "held since before the freeze") true
+              (w.Gpu_sim.Sm.d_held_cycles <= info.Gpu.dl_cycle);
+            let rendered = Format.asprintf "%a" Gpu_sim.Sm.pp_warp_diag w in
+            Alcotest.(check bool) (label "report names the held section") true
+              (contains rendered "holds section 0"));
+        (* Exactly one warp blocked on acquire, holding nothing. *)
+        let waiters =
+          List.filter
+            (fun (w : Gpu_sim.Sm.warp_diag) ->
+              w.Gpu_sim.Sm.d_block = Gpu_sim.Stats.Stall_acquire
+              && w.Gpu_sim.Sm.d_held_section = None)
+            sm.Gpu.dl_warps
+        in
+        Alcotest.(check int) (label "one empty-handed acquire waiter") 1
+          (List.length waiters)
   in
-  match Gpu.run config kernel with
-  | _ -> Alcotest.fail "deadlock not detected"
-  | exception Gpu.Deadlock info ->
-      let sm = List.hd info.Gpu.dl_sms in
-      Alcotest.(check int) "one section in use" 1 sm.Gpu.dl_srp_in_use;
-      let holder =
-        List.find_opt
-          (fun (w : Gpu_sim.Sm.warp_diag) -> w.Gpu_sim.Sm.d_held_section <> None)
-          sm.Gpu.dl_warps
-      in
-      (match holder with
-      | None -> Alcotest.fail "no warp reported as holding a section"
-      | Some w ->
-          Alcotest.(check (option int)) "holds section 0" (Some 0)
-            w.Gpu_sim.Sm.d_held_section;
-          Alcotest.(check bool) "held for > 0 cycles" true
-            (w.Gpu_sim.Sm.d_held_cycles > 0);
-          Alcotest.(check bool) "held since before the freeze" true
-            (w.Gpu_sim.Sm.d_held_cycles <= info.Gpu.dl_cycle);
-          let rendered = Format.asprintf "%a" Gpu_sim.Sm.pp_warp_diag w in
-          Alcotest.(check bool) "report names the held section" true
-            (contains rendered "holds section 0"));
-      (* Exactly one warp blocked on acquire, holding nothing. *)
-      let waiters =
-        List.filter
-          (fun (w : Gpu_sim.Sm.warp_diag) ->
-            w.Gpu_sim.Sm.d_block = Gpu_sim.Stats.Stall_acquire
-            && w.Gpu_sim.Sm.d_held_section = None)
-          sm.Gpu.dl_warps
-      in
-      Alcotest.(check int) "one empty-handed acquire waiter" 1
-        (List.length waiters)
+  deadlocks (Gpu_sim.Policy.Srp { bs = 2; es = 2; verify = false });
+  deadlocks (Gpu_sim.Policy.Srp_paired { bs = 2; es = 2; verify = false })
 
 let suite =
   [ Alcotest.test_case "trace: ring wraparound drops oldest" `Quick
