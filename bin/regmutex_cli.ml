@@ -564,12 +564,14 @@ let fuzz_cmd =
       & info [ "inject" ] ~docv:"FAULT"
           ~doc:
             "Self-test mode: inject a fault (drop-acquire | early-release | \
-             drop-mov | oob-spill | mask-corrupt) into each case — a program \
-             mutation for the first four, a corrupted SIMT active mask for \
-             mask-corrupt — and verify the oracle catches it on at least one \
-             seed. Exit status 0 iff caught.")
+             drop-mov | oob-spill | mask-corrupt) into each case as a program \
+             mutation — mask-corrupt sends lane 1 of every warp to an exit \
+             before its first instruction, under SIMT — and verify the \
+             oracle catches it on at least one seed. Exit status 0 iff \
+             caught.")
   in
   let run seeds seed0 jobs dir no_corpus no_shrink inject profile =
+    if seeds < 0 then usage_error "fuzz" "--seeds must be at least 0 (got %d)" seeds;
     let config =
       {
         Fuzz.Driver.n_seeds = seeds;

@@ -22,8 +22,8 @@ let prepare_phase = Telemetry.Profile.phase "runner.prepare"
 let simulate_phase = Telemetry.Profile.phase "runner.simulate"
 
 let prepare ?options ?(record_stores = false) ?(trace_warp0 = false)
-    ?(max_cycles = 20_000_000) ?(fast_forward = true) ?(corrupt_mask = 0)
-    ?(lane_resolved = false) ?telemetry ?facts cfg kernel =
+    ?(max_cycles = 20_000_000) ?(fast_forward = true) ?(lane_resolved = false)
+    ?telemetry ?facts cfg kernel =
   let facts =
     match facts with
     | Some f -> f
@@ -49,7 +49,6 @@ let prepare ?options ?(record_stores = false) ?(trace_warp0 = false)
         telemetry;
         fast_forward;
         simt;
-        corrupt_mask;
         lane_resolved;
       } )
 
@@ -83,10 +82,10 @@ let of_stats config prepared stats =
   }
 
 let execute ?options ?record_stores ?trace_warp0 ?max_cycles ?fast_forward
-    ?corrupt_mask ?lane_resolved ?telemetry cfg technique kernel =
+    ?lane_resolved ?telemetry cfg technique kernel =
   let prepared, config =
     prepare ?options ?record_stores ?trace_warp0 ?max_cycles ?fast_forward
-      ?corrupt_mask ?lane_resolved ?telemetry cfg kernel technique
+      ?lane_resolved ?telemetry cfg kernel technique
   in
   of_stats config prepared (simulate config prepared)
 

@@ -22,9 +22,6 @@ type run = {
     the simulator; it is semantics-preserving, so the resulting [run] (and
     its {!fingerprint}) is identical either way — [false] exists as the
     brute-force reference for the equivalence suite and benchmarks.
-    [corrupt_mask] (default [0]) clears lanes from every warp's initial
-    active mask — the fuzz oracle's fault-injection hook for its
-    per-lane-trace self-test; meaningful only with [options.simt].
     [lane_resolved] (default [false]) starts every SIMT warp expanded,
     running each instruction once per active lane, instead of collapsed
     on one lane's register row; the run (and its fingerprint) is
@@ -36,7 +33,6 @@ val execute :
   ?trace_warp0:bool ->
   ?max_cycles:int ->
   ?fast_forward:bool ->
-  ?corrupt_mask:int ->
   ?lane_resolved:bool ->
   ?telemetry:Telemetry.Trace.t ->
   Gpu_uarch.Arch_config.t ->
@@ -59,7 +55,6 @@ val prepare :
   ?trace_warp0:bool ->
   ?max_cycles:int ->
   ?fast_forward:bool ->
-  ?corrupt_mask:int ->
   ?lane_resolved:bool ->
   ?telemetry:Telemetry.Trace.t ->
   ?facts:Gpu_analysis.Facts.t ->

@@ -7,15 +7,13 @@ type run_config = {
   telemetry : Telemetry.Trace.t option;
   fast_forward : bool;
   simt : bool;
-  corrupt_mask : int;
   lane_resolved : bool;
 }
 
 let default_config arch policy =
   { arch; policy; record_stores = false; trace_warp0 = false;
     max_cycles = 20_000_000; telemetry = None;
-    fast_forward = true; simt = false; corrupt_mask = 0;
-    lane_resolved = false }
+    fast_forward = true; simt = false; lane_resolved = false }
 
 type sm_diag = {
   dl_sm : int;
@@ -61,8 +59,7 @@ let build_sms config kernel stats memory mem_sys =
     Sm.tables ~simt:config.simt config.arch ~policy:config.policy ~kernel
   in
   Array.init config.arch.Gpu_uarch.Arch_config.n_sms (fun sm_id ->
-      Sm.create ?telemetry:config.telemetry
-        ~corrupt_mask:config.corrupt_mask ~lane_resolved:config.lane_resolved
+      Sm.create ?telemetry:config.telemetry ~lane_resolved:config.lane_resolved
         tables ~sm_id ~memory ~mem_sys ~stats ~record_stores:config.record_stores
         ~trace_warp0:(config.trace_warp0 && sm_id = 0))
 

@@ -31,10 +31,6 @@ type run_config = {
           and an immediate-post-dominator reconvergence stack per warp.
           Timing stays warp-granular; a warp-uniform program produces
           bit-identical statistics and store traces in both models. *)
-  corrupt_mask : int;
-      (** Lanes cleared from every warp's initial active mask (0 = none).
-          Fault-injection hook for the fuzz oracle's per-lane-trace
-          self-test; meaningful only with [simt]. *)
   lane_resolved : bool;
       (** Reference run, meaningful only with [simt] (default [false]):
           start every warp lane-resolved instead of collapsed. A collapsed

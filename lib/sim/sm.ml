@@ -112,16 +112,15 @@ type t = {
      and the per-warp reconvergence stack. Timing stays warp-granular —
      only the values (and the lane occupancy statistics) are resolved per
      lane, so a warp-uniform program is bit-identical in both models. A
-     warp launched under the full mask runs collapsed, at warp level on
-     lane 0's segment, until it first reads [%laneid]; [lane_resolved]
-     launches every warp expanded instead — the all-lanes reference run
-     the collapsed fast path is checked against. *)
+     warp runs collapsed, at warp level on lane 0's segment, until it
+     first reads [%laneid]; [lane_resolved] launches every warp expanded
+     instead — the all-lanes reference run the collapsed fast path is
+     checked against. *)
   simt : bool;
   lane_resolved : bool;
   reconv : int array;       (* per-pc reconvergence table ([||] unless simt) *)
   reconv_sentinel : int;    (* program length: the never-reached top rpc *)
   full_mask : int;          (* (1 lsl warp_size) - 1 when simt, else 0 *)
-  corrupt_mask : int;       (* lanes cleared at launch (fuzz self-test) *)
   probe : Probe.t option;
   mapping : Gpu_uarch.Reg_mapping.config;  (* the Figure 6 mapping [verify]
                                               drives every access through *)
@@ -270,8 +269,8 @@ let tables ?(simt = false) (cfg : Arch_config.t) ~policy ~kernel =
 
 (* The SM record without its residual-check closure, which [create]
    installs once the checks below are defined. *)
-let make ?telemetry ~corrupt_mask ~lane_resolved tb ~sm_id ~memory
-    ~mem_sys ~stats ~record_stores ~trace_warp0 =
+let make ?telemetry ~lane_resolved tb ~sm_id ~memory ~mem_sys ~stats
+    ~record_stores ~trace_warp0 =
   let cfg = tb.tb_cfg and policy = tb.tb_policy and kernel = tb.tb_kernel in
   let simt = tb.tb_simt in
   let cta_capacity, wpc, regs_cta = compute_capacity cfg policy kernel in
@@ -387,7 +386,6 @@ let make ?telemetry ~corrupt_mask ~lane_resolved tb ~sm_id ~memory
     reconv = tb.tb_reconv;
     reconv_sentinel = n;
     full_mask = (if simt then (1 lsl cfg.warp_size) - 1 else 0);
-    corrupt_mask;
     probe =
       Option.map
         (fun trace ->
@@ -513,10 +511,9 @@ let try_launch t ~global_cta ~cycle =
           Soa.launch soa ~slot:wslot ~cta_slot:slot ~global_cta ~warp_in_cta:w
             ~age;
           if t.simt then
-            if t.lane_resolved || t.corrupt_mask <> 0 then
+            if t.lane_resolved then
               t.ctxs.(wslot).Exec.regs <-
-                Soa.simt_reset soa ~slot:wslot
-                  ~mask:(t.full_mask land lnot t.corrupt_mask)
+                Soa.simt_reset soa ~slot:wslot ~mask:t.full_mask
                   ~rpc:t.reconv_sentinel
             else Soa.simt_collapse soa ~slot:wslot ~rpc:t.reconv_sentinel;
           t.next_age <- t.next_age + 1;
@@ -696,11 +693,11 @@ let check_warp ?(probe = false) t ~mem_free ~slot ~cycle =
   then Blocked_deps
   else check_ready ~probe t ~mem_free ~slot ~cycle
 
-let create ?telemetry ?(corrupt_mask = 0) ?(lane_resolved = false)
-    tables ~sm_id ~memory ~mem_sys ~stats ~record_stores ~trace_warp0 =
+let create ?telemetry ?(lane_resolved = false) tables ~sm_id ~memory ~mem_sys
+    ~stats ~record_stores ~trace_warp0 =
   let t =
-    make ?telemetry ~corrupt_mask ~lane_resolved tables ~sm_id ~memory
-      ~mem_sys ~stats ~record_stores ~trace_warp0
+    make ?telemetry ~lane_resolved tables ~sm_id ~memory ~mem_sys ~stats
+      ~record_stores ~trace_warp0
   in
   (* Only stateful warps reach the check (plain and global ones are
      decided off the class masks), so every call is a residual check that

@@ -31,13 +31,10 @@ val tables :
 
 (** [create tables ~sm_id ...] builds one SM running [tables]' kernel
     under its architecture, policy and execution model. Under [simt], a
-    warp launched under the full mask runs collapsed on its warp-uniform
-    register row until it first reads [%laneid], then expands into lane
-    rows. [corrupt_mask] clears the given lanes from every warp's initial
-    active mask — a fault-injection hook for the fuzz oracle's
-    per-lane-trace self-test (never set in normal runs); such warps launch
-    expanded. [lane_resolved] (default [false]) launches every warp
-    expanded, the reference the differential tests compare against.
+    warp runs collapsed on its warp-uniform register row until it first
+    reads [%laneid], then expands into lane rows. [lane_resolved]
+    (default [false]) launches every warp expanded, the reference the
+    differential tests compare against.
     [telemetry] (default none) is the run's trace ring, which the SM's
     {!Probe} records into. The SM builds its {!Policy.hooks} and each pc's
     issue class from them: whether the pc's residual check asks the
@@ -47,7 +44,6 @@ val tables :
     {!Policy.hooks} does. *)
 val create :
   ?telemetry:Telemetry.Trace.t ->
-  ?corrupt_mask:int ->
   ?lane_resolved:bool ->
   tables ->
   sm_id:int ->
